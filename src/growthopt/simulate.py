@@ -9,6 +9,9 @@ realized returns and wealth multiplies by the portfolio gross return.
 Wealth is tracked in logs so horizons of many thousands of steps cannot
 overflow.  Paths are reproducible: path ``i`` of a batch consumes exactly
 the stream ``(seed, i)``, so a single-path rerun reproduces it bit for bit.
+A batch samples all its factor/shock paths in one call: one walk vectorized
+across paths over the per-path Philox streams, each drawn in bounded blocks
+(``market.sample_factor_paths``).
 """
 
 from __future__ import annotations
@@ -294,11 +297,8 @@ def average_growth(model: MarketModel, spec: CostSpec, strategy: Strategy,
     if T < 1 or n_paths < 1:
         raise ValueError("T and n_paths must be >= 1")
     d = model.n_assets
-    z = np.empty((n_paths, T + 1), dtype=np.int64)
-    xi = np.empty((n_paths, T + 1), dtype=np.int64)
-    for i in range(n_paths):
-        zi, xii = sample_factor_paths(model, np.array([z0]), T, make_rng(seed, i))
-        z[i], xi[i] = zi[0], xii[0]
+    z, xi = sample_factor_paths(model, np.full(n_paths, z0), T,
+                                [make_rng(seed, i) for i in range(n_paths)])
 
     strategy.reset(n_paths)
     pi_prev = np.broadcast_to(pi0, (n_paths, d)).copy()

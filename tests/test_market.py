@@ -5,10 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from growthopt import (MarketModel, dobrushin, ergodic_report,
-                       expected_log_return, growth_floor, invariant_measure,
-                       make_rng, mixing_step, sample_factor_paths, step,
-                       validate)
+from growthopt import (CostSpec, MarketModel, NoTransactionStrategy,
+                       dobrushin, ergodic_report, expected_log_return,
+                       growth_floor, invariant_measure, make_rng, mixing_step,
+                       sample_factor_paths, step, validate)
+from growthopt.market import DRAW_BUDGET
+from growthopt.simulate import run
 
 from conftest import random_model
 
@@ -28,6 +30,11 @@ class TestValidate:
         report = validate(m)
         assert not report.ok
         assert "uniform_mixing" in report.failures()
+
+    def test_checks_are_the_computed_four(self):
+        assert set(validate(two_state()).checks) == {
+            "transition_row_stochastic", "shock_probs_normalized",
+            "returns_positive", "uniform_mixing"}
 
     def test_mixing_chain_passes_with_step_one(self):
         report = validate(two_state())
@@ -233,6 +240,74 @@ class TestStep:
         a = sample_factor_paths(m, np.zeros(4, dtype=np.int64), 100, make_rng(3))
         b = sample_factor_paths(m, np.zeros(4, dtype=np.int64), 100, make_rng(3))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def oracle_paths(model, z0, T, rng):
+    """Step-by-step sampler: per step, n factor uniforms then n shock uniforms."""
+    n = len(z0)
+    cum_p = np.cumsum(model.transition, axis=1)
+    cum_nu = np.cumsum(model.shock_probs)
+    z = np.empty((n, T + 1), dtype=np.int64)
+    xi = np.empty((n, T + 1), dtype=np.int64)
+    z[:, 0] = z0
+    xi[:, 0] = -1
+    for t in range(1, T + 1):
+        u_z = rng.random(n)
+        idx = (u_z[:, None] >= cum_p[z[:, t - 1]]).sum(axis=1)
+        z[:, t] = np.minimum(idx, model.n_factors - 1)
+        u_xi = rng.random(n)
+        xi[:, t] = np.minimum((u_xi[:, None] >= cum_nu[None, :]).sum(axis=1),
+                              model.n_shocks - 1)
+    return z, xi
+
+
+def block_steps(n):
+    return max(1, DRAW_BUDGET // (2 * n))
+
+
+class TestSampleFactorPaths:
+    model = random_model(np.random.default_rng(8), n_z=3, n_s=4)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("blocks", [0, 2])
+    def test_stream_list_matches_one_path_calls(self, n, blocks):
+        # T = 1, or a T past two blocks that is not a multiple of the block
+        T = 1 if blocks == 0 else blocks * block_steps(n) + 3
+        z0 = np.arange(n) % self.model.n_factors
+        z, xi = sample_factor_paths(self.model, z0, T,
+                                    [make_rng(4, i) for i in range(n)])
+        assert z.shape == xi.shape == (n, T + 1)
+        for i in range(n):
+            zi, xii = sample_factor_paths(self.model, z0[i:i + 1], T,
+                                          make_rng(4, i))
+            assert np.array_equal(z[i], zi[0]) and np.array_equal(xi[i], xii[0])
+            zo, xio = oracle_paths(self.model, z0[i:i + 1], T, make_rng(4, i))
+            assert np.array_equal(zi, zo) and np.array_equal(xii, xio)
+
+    # below the budget a block holds many steps, above it one step
+    @pytest.mark.parametrize("n, T", [(7, 3 * block_steps(7) + 5),
+                                      (DRAW_BUDGET // 2 + 1, 3)])
+    def test_shared_generator_matches_oracle(self, n, T):
+        z0 = np.random.default_rng(n).integers(self.model.n_factors, size=n)
+        got = sample_factor_paths(self.model, z0, T, make_rng(6))
+        want = oracle_paths(self.model, z0, T, make_rng(6))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_batch_row_matches_run_stream(self):
+        m, T, n, seed = two_state(), 40, 6, 17
+        spec = CostSpec(buy=[0.01, 0.01], sell=[0.01, 0.01], fixed=0.0)
+        z, xi = sample_factor_paths(m, np.full(n, 1), T,
+                                    [make_rng(seed, i) for i in range(n)])
+        for s in range(n):
+            traj = run(m, spec, NoTransactionStrategy(), [0.5, 0.5], 1.0, 1,
+                       T, seed=seed, stream=s)
+            assert np.array_equal(traj.z, z[s]) and np.array_equal(traj.xi, xi[s])
+
+    def test_rejects_wrong_generator_count(self):
+        with pytest.raises(ValueError):
+            sample_factor_paths(two_state(), np.zeros(3, dtype=np.int64), 5,
+                                [make_rng(0, i) for i in range(2)])
 
 
 class TestErgodicReport:
