@@ -71,8 +71,7 @@ def _policy_difference(a: Policy, b: Policy) -> float:
 
 
 def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
-                       betas: Sequence[float], tol: float = 1e-6,
-                       max_iter: int = 5_000_000):
+                       betas: Sequence[float], tol: float = 1e-6):
     """Sweep the discount schedule and extract the average-growth policy.
 
     For a fixed-cost spec both discounted problems are solved per discount:
@@ -98,13 +97,11 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     change_fraction = float("nan")
     for beta in betas:
         v_prop, pol_prop, rep_p = solve_discounted(
-            model, prop_spec, prop_grid, beta, tol=tol, max_iter=max_iter,
-            tables=prop_tables)
+            model, prop_spec, prop_grid, beta, tol=tol, tables=prop_tables)
         m_beta = float(v_prop.values.max())
         if has_fixed:
             v_fix, pol_fix, rep_f = solve_discounted(
-                model, spec, grid, beta, tol=tol, max_iter=max_iter,
-                tables=fixed_tables)
+                model, spec, grid, beta, tol=tol, tables=fixed_tables)
             w = m_beta - v_fix.values
             policy = pol_fix
             variant_sup = float(v_fix.values.max())
@@ -205,12 +202,11 @@ def bellman_residual(policy: Policy, w: np.ndarray, growth_rate: float,
         p_idx, j_idx, z_idx = np.ogrid[:n_p, :n_x, :n_z]
         tgt = policy.target
         hold_slack = tables.h_tab[:, None, :] + w - w_cont - growth_rate
-        ln_e = tables.ln_e_fac[p_idx, tgt, j_idx]
-        j0 = tables.imp_j0[p_idx, tgt, j_idx]
-        frac = tables.imp_frac[p_idx, tgt, j_idx]
-        j1 = np.minimum(j0 + 1, n_x - 1)
-        ew = (1.0 - frac) * w_cont[tgt, j0, z_idx] + frac * w_cont[tgt, j1, z_idx]
-        trans_slack = tables.h_tab[tgt, z_idx] + ln_e + w - ew - growth_rate
+        at = (p_idx, tgt, j_idx, z_idx)
+        ew = (tables.imp_w_lo[at] * w_cont.take(tables.imp_lo[at])
+              + tables.imp_w_hi[at] * w_cont.take(tables.imp_hi[at]))
+        trans_slack = (tables.h_tab[tgt, z_idx] + tables.imp_ln_e[at] + w - ew
+                       - growth_rate)
 
     slack = np.where(policy.impulse, trans_slack, hold_slack)
     return ResidualReport(min_slack=float(slack.min()),
@@ -226,7 +222,6 @@ class CrossCheckReport:
     difference: float
     cross_tol: float
     fixed_report: VanishingDiscountReport
-    prop_report: VanishingDiscountReport
 
     @property
     def ok(self) -> bool:
@@ -241,21 +236,19 @@ def cross_check_costs(model: MarketModel, spec: CostSpec, grid: StateGrid,
     The fixed-cost estimate is (1-beta) times the peak of the fixed-cost
     value at the largest discount; it sits below the proportional estimate
     by the fixed-charge drag at the top of the wealth grid, so the gap
-    shrinks as the wealth grid is extended upward.
+    shrinks as the wealth grid is extended upward.  The proportional
+    estimate is the growth rate of the same sweep, which solves the
+    proportional problem at every discount for its peak value.
     """
     rep_fixed, _ = vanishing_discount(model, spec, grid, betas, tol=tol)
-    rep_prop, _ = vanishing_discount(model, spec.without_fixed(), grid, betas,
-                                     tol=tol)
-    beta_last = betas[-1]
-    lam_fixed = (1.0 - beta_last) * rep_fixed.variant_peak_values[-1]
-    lam_prop = rep_prop.growth_rate
+    lam_fixed = (1.0 - betas[-1]) * rep_fixed.variant_peak_values[-1]
+    lam_prop = rep_fixed.growth_rate
     return CrossCheckReport(
         growth_rate_fixed=float(lam_fixed),
         growth_rate_prop=float(lam_prop),
         difference=float(lam_fixed - lam_prop),
         cross_tol=cross_tol,
         fixed_report=rep_fixed,
-        prop_report=rep_prop,
     )
 
 

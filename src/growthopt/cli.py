@@ -260,6 +260,14 @@ def cmd_optimal(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig, policy_base: str, mimic: str) -> int:
     runner = Runner(cfg, "simulate")
     policy = modelio.load_policy(policy_base)
+    if policy.model_hash != runner.model_hash:
+        g, m = policy.grid, runner.model
+        raise ValueError(
+            f"policy {policy_base} does not fit model {cfg.model_path}: "
+            f"policy has model_hash {policy.model_hash}, {g.n_assets} assets, "
+            f"{g.n_z} factor states; model has model_hash "
+            f"{runner.model_hash}, {m.n_assets} assets, {m.n_factors} "
+            "factor states")
     wants_mimic = (mimic == "on") or (mimic == "auto" and policy.wealth_free
                                       and runner.spec.fixed > 0)
     if wants_mimic:

@@ -16,10 +16,20 @@ fixed point by tol.
 
 For zero fixed cost the value carries no wealth axis and the same sweeps
 run on the collapsed grid.
+
+``build_tables`` resolves the discretization once per grid into flat gather
+tables: positions in ``values.ravel()`` of the wealth corners reached by
+every market step and every rebalance, with their interpolation weights
+and ln e broadcast to the gathered shape.  A sweep is then a handful of
+``take`` calls and elementwise operations on arrays of a few thousand
+entries.  Sweeps keep only the best rebalance value per state; the argmax
+that names the target is taken once, when the converged values are turned
+into a policy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,23 +45,42 @@ TIE_EPS = 1e-10  # rebalance must beat holding by more than this
 
 @dataclass
 class DpTables:
-    """Precomputed transition structure shared by all sweeps on one grid."""
+    """Gather tables shared by all sweeps on one grid.
+
+    Index tables hold flat positions into ``values.ravel()`` of a C-ordered
+    value table, shape (n_p, n_x, n_z) on grids with a wealth axis and
+    (n_p, n_z) without; weights and ln e come broadcast to the full shape
+    of the gather they scale.  A sweep is then a few flat takes and
+    elementwise operations, with no index arithmetic.
+    """
 
     grid: StateGrid
     w_zs: np.ndarray        # (n_z, n_z', n_s) transition x shock weights
-    dia_idx: np.ndarray     # (n_p, n_z', n_s) node after one market step
-    step_lr: np.ndarray     # (n_p, n_z', n_s) log growth of wealth
     h_tab: np.ndarray       # (n_p, n_z) expected one-step log return
-    e_prop: np.ndarray      # (n_p, n_p) proportional surviving fraction
-    ln_e_prop: np.ndarray
-    # fixed-cost extras (None for proportional grids)
-    e_fac: Optional[np.ndarray] = None       # (n_p, n_p, n_x)
-    ln_e_fac: Optional[np.ndarray] = None
-    imp_j0: Optional[np.ndarray] = None      # wealth cell after paying costs
-    imp_frac: Optional[np.ndarray] = None
-    stp_j0: Optional[np.ndarray] = None      # wealth cell after market step
-    stp_j1: Optional[np.ndarray] = None
-    stp_frac: Optional[np.ndarray] = None
+    step_lo: np.ndarray     # (n_p, [n_x,] n_z', n_s) state after a market step
+    # proportional grids: ln of the surviving fraction of a rebalance p -> p'
+    ln_e_prop: Optional[np.ndarray] = None   # (n_p, n_p)
+    # wealth grids: the market step lands between the wealth nodes of
+    # step_lo and step_hi with weights step_w_lo = 1 - frac, step_w_hi = frac
+    step_hi: Optional[np.ndarray] = None
+    step_w_lo: Optional[np.ndarray] = None
+    step_w_hi: Optional[np.ndarray] = None
+    # wealth grids, rebalance p -> p' at wealth node j and factor z, all of
+    # shape (n_p, n_p, n_x, n_z): post-cost wealth cell of the target, its
+    # weights and ln e (NEG where the charge exceeds wealth)
+    imp_lo: Optional[np.ndarray] = None
+    imp_hi: Optional[np.ndarray] = None
+    imp_w_lo: Optional[np.ndarray] = None
+    imp_w_hi: Optional[np.ndarray] = None
+    imp_ln_e: Optional[np.ndarray] = None
+    # flat positions of the p' = p entries of a rebalance table
+    diag: Optional[np.ndarray] = None
+
+
+def _diag_positions(n_p, tail):
+    mask = np.zeros((n_p, n_p) + tail, dtype=bool)
+    mask[np.arange(n_p), np.arange(n_p)] = True
+    return np.flatnonzero(mask)
 
 
 def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTables:
@@ -60,24 +89,23 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     if grid.n_z != model.n_factors:
         raise ValueError("grid factor count does not match the model")
     nodes = grid.nodes
-    n_p = grid.n_nodes
+    n_p, n_z = grid.n_nodes, grid.n_z
     port = np.einsum("pd,qsd->pqs", nodes, model.returns)
     step_lr = np.log(port)
     dia = nodes[:, None, None, :] * model.returns[None, :, :, :] / port[..., None]
     dia_idx = grid.nearest_node(dia.reshape(-1, grid.n_assets)).reshape(port.shape)
     w_zs = model.transition[:, :, None] * model.shock_probs[None, None, :]
     h_tab = np.einsum("pqs,zqs->pz", step_lr, w_zs)
-
+    q = np.arange(n_z)[:, None]
     prev = np.repeat(nodes, n_p, axis=0)
     new = np.tile(nodes, (n_p, 1))
-    e_prop = solve_e_batch(spec.without_fixed(), prev, new,
-                           np.ones(n_p * n_p)).reshape(n_p, n_p)
-    ln_e_prop = np.log(e_prop)
 
-    tables = DpTables(grid=grid, w_zs=w_zs, dia_idx=dia_idx, step_lr=step_lr,
-                      h_tab=h_tab, e_prop=e_prop, ln_e_prop=ln_e_prop)
     if not grid.has_wealth_axis:
-        return tables
+        e_prop = solve_e_batch(spec.without_fixed(), prev, new,
+                               np.ones(n_p * n_p)).reshape(n_p, n_p)
+        return DpTables(grid=grid, w_zs=w_zs, h_tab=h_tab,
+                        step_lo=dia_idx * n_z + q, ln_e_prop=np.log(e_prop),
+                        diag=_diag_positions(n_p, (n_z,)))
 
     n_x = grid.n_wealth
     wealth = grid.wealth
@@ -91,16 +119,31 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
 
     x_step = wealth[None, :, None, None] * np.exp(step_lr[:, None, :, :])
     stp_j0, stp_frac = grid.wealth_pos(x_step)
-    stp_j1 = np.minimum(stp_j0 + 1, n_x - 1)
 
-    tables.e_fac = e_fac
-    tables.ln_e_fac = ln_e_fac
-    tables.imp_j0 = imp_j0
-    tables.imp_frac = imp_frac
-    tables.stp_j0 = stp_j0
-    tables.stp_j1 = stp_j1
-    tables.stp_frac = stp_frac
-    return tables
+    def flat(node, j, z):
+        # position of (node, wealth node j, factor z) in values.ravel()
+        return (node * n_x + j) * n_z + z
+
+    # weights and ln e are stored at the full gathered shape: multiplying
+    # by a broadcast (..., 1) operand instead made a sweep about 30 % slower
+    full = (n_p, n_p, n_x, n_z)
+    tgt, z = np.arange(n_p)[None, :, None, None], np.arange(n_z)
+    imp_j0 = imp_j0[..., None]
+    imp_frac = np.broadcast_to(imp_frac[..., None], full)
+    return DpTables(
+        grid=grid, w_zs=w_zs, h_tab=h_tab,
+        step_lo=flat(dia_idx[:, None], stp_j0, q),
+        step_hi=flat(dia_idx[:, None], np.minimum(stp_j0 + 1, n_x - 1), q),
+        step_w_lo=1.0 - stp_frac,
+        step_w_hi=stp_frac,
+        imp_lo=flat(tgt, imp_j0, z),
+        imp_hi=flat(tgt, np.minimum(imp_j0 + 1, n_x - 1), z),
+        imp_w_lo=1.0 - imp_frac,
+        imp_w_hi=np.ascontiguousarray(imp_frac),
+        imp_ln_e=np.ascontiguousarray(
+            np.broadcast_to(ln_e_fac[..., None], full)),
+        diag=_diag_positions(n_p, (n_x, n_z)),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -109,64 +152,62 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
 
 def _continuation_prop(values, t: DpTables, beta: float):
     # values: (n_p, n_z) -> hold-branch value h + beta * E v
-    zb = np.arange(t.w_zs.shape[0])[None, :, None]
-    gathered = values[t.dia_idx, zb]
-    ev = np.einsum("pqs,zqs->pz", gathered, t.w_zs)
+    ev = np.einsum("pqs,zqs->pz", values.take(t.step_lo), t.w_zs)
     return t.h_tab + beta * ev
 
 
 def _transaction_prop(cont, t: DpTables):
-    # cont: (n_p, n_z); returns best rebalance value and target per state
-    n_p = cont.shape[0]
-    vals = t.ln_e_prop[:, :, None] + cont[None, :, :]
-    idx = np.arange(n_p)
-    vals[idx, idx, :] = NEG
-    return vals.max(axis=1), vals.argmax(axis=1)
+    # cont: (n_p, n_z) -> (n_p, n_p', n_z) rebalance value of every target
+    vals = t.ln_e_prop[:, :, None] + cont
+    vals.put(t.diag, NEG)
+    return vals
 
 
 def _continuation_fixed(values, t: DpTables, beta: float):
     # values: (n_p, n_x, n_z)
-    n_z = t.w_zs.shape[0]
-    dia = t.dia_idx[:, None, :, :]
-    zb = np.arange(n_z)[None, None, :, None]
-    v_lo = values[dia, t.stp_j0, zb]
-    v_hi = values[dia, t.stp_j1, zb]
-    vw = (1.0 - t.stp_frac) * v_lo + t.stp_frac * v_hi
+    vw = (t.step_w_lo * values.take(t.step_lo)
+          + t.step_w_hi * values.take(t.step_hi))
     ev = np.einsum("pjqs,zqs->pjz", vw, t.w_zs)
     return t.h_tab[:, None, :] + beta * ev
 
 
 def _transaction_fixed(cont, t: DpTables):
-    # cont: (n_p, n_x, n_z)
-    n_p, n_x, n_z = cont.shape
-    tgt = np.arange(n_p)[None, :, None]
-    j1 = np.minimum(t.imp_j0 + 1, n_x - 1)
-    g_lo = cont[tgt, t.imp_j0]
-    g_hi = cont[tgt, j1]
-    gw = (1.0 - t.imp_frac[..., None]) * g_lo + t.imp_frac[..., None] * g_hi
-    vals = t.ln_e_fac[..., None] + gw
-    idx = np.arange(n_p)
-    vals[idx, idx, :, :] = NEG
-    return vals.max(axis=1), vals.argmax(axis=1)
+    # cont: (n_p, n_x, n_z) -> (n_p, n_p', n_x, n_z)
+    gw = t.imp_w_lo * cont.take(t.imp_lo) + t.imp_w_hi * cont.take(t.imp_hi)
+    vals = t.imp_ln_e + gw
+    vals.put(t.diag, NEG)
+    return vals
 
 
 def _branches(values, t: DpTables, beta: float, variant: str):
+    """Hold value per state and rebalance value per (state, target).
+
+    Targets sit on axis 1 of the rebalance table; the sweep keeps only its
+    max, the policy extraction also takes its argmax.
+    """
     if variant == "proportional":
         cont = _continuation_prop(values, t, beta)
-        trans, argmax = _transaction_prop(cont, t)
-    else:
-        cont = _continuation_fixed(values, t, beta)
-        trans, argmax = _transaction_fixed(cont, t)
-    return cont, trans, argmax
+        return cont, _transaction_prop(cont, t)
+    cont = _continuation_fixed(values, t, beta)
+    return cont, _transaction_fixed(cont, t)
 
 
 def bellman_step(v: ValueFunction, model: MarketModel, spec: CostSpec,
                  tables: Optional[DpTables] = None) -> ValueFunction:
-    """One application of the two-branch Bellman operator."""
+    """One application of the two-branch Bellman operator.
+
+    Proportional values carry no wealth axis, so their tables are built on
+    the collapsed grid; tables built for the other variant are refused.
+    """
+    fixed = v.variant == "fixed"
     if tables is None:
-        tables = build_tables(model, spec, v.grid)
-    cont, trans, _ = _branches(v.values, tables, v.beta, v.variant)
-    return v.copy_with(np.maximum(cont, trans))
+        tables = build_tables(model, spec,
+                              v.grid if fixed else v.grid.without_wealth())
+    if tables.grid.has_wealth_axis != fixed:
+        raise ValueError(f"{v.variant} values need tables built on a grid "
+                         f"{'with' if fixed else 'without'} a wealth axis")
+    cont, vals = _branches(v.values, tables, v.beta, v.variant)
+    return v.copy_with(np.maximum(cont, vals.max(axis=1)))
 
 
 def impulse_operator(v: ValueFunction, model: MarketModel, spec: CostSpec,
@@ -214,30 +255,43 @@ class IterationReport:
     h_inf: float
 
 
-def _iterate(update, v0, stop_tol, max_iter, what):
-    v = v0
-    for k in range(1, max_iter + 1):
+def _iterate(update, v, beta, stop_tol, what):
+    """Apply ``update`` until the sup-norm step is at most ``stop_tol``.
+
+    The update is a beta-contraction, so from a first step d_1 the step
+    reaches stop_tol within 1 + log(stop_tol / d_1) / log(beta) sweeps in
+    exact arithmetic; a run past twice that has stalled on rounding.
+    """
+    cap = None
+    k = 0
+    while True:
+        k += 1
         v_new = update(v)
         diff = float(np.abs(v_new - v).max())
         v = v_new
         if diff <= stop_tol:
             return v, k, diff
-    raise RuntimeError(
-        f"{what} did not reach step tolerance {stop_tol:.3e} within "
-        f"{max_iter} iterations (last step {diff:.3e})"
-    )
+        if not math.isfinite(diff):
+            raise RuntimeError(f"{what}: non-finite step {diff} at sweep {k}")
+        if cap is None:
+            cap = 2.0 * math.log(stop_tol / diff) / math.log(beta) + 16
+        if k > cap:
+            raise RuntimeError(
+                f"{what} did not reach step tolerance {stop_tol:.3e} within "
+                f"{k} sweeps (last step {diff:.3e}); the tolerance is below "
+                "what rounding allows")
 
 
 def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
                      beta: float, tol: float = 1e-6,
-                     max_iter: int = 5_000_000,
                      tables: Optional[DpTables] = None,
                      tie_eps: float = TIE_EPS):
     """Value iteration to the discounted fixed point, with greedy policy.
 
     Returns (ValueFunction, Policy, IterationReport).  The value variant is
     "fixed" when the spec carries a fixed cost (the grid must then have a
-    wealth axis) and "proportional" otherwise.
+    wealth axis) and "proportional" otherwise.  The policy argmax over
+    targets is taken once, on the converged values.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
@@ -254,25 +308,27 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
     if tables is None or tables.grid is not grid:
         tables = build_tables(model, spec, grid)
     stop_tol = tol * (1.0 - beta) / beta
+    if not stop_tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
 
     if variant == "proportional":
         hold = lambda v: _continuation_prop(v, tables, beta)
     else:
         hold = lambda v: _continuation_fixed(v, tables, beta)
-    v_init, k_init, _ = _iterate(hold, np.zeros(shape), stop_tol, max_iter,
+    v_init, k_init, _ = _iterate(hold, np.zeros(shape), beta, stop_tol,
                                  "hold-only warm start")
 
     def update(v):
-        cont, trans, _ = _branches(v, tables, beta, variant)
-        return np.maximum(cont, trans)
+        cont, vals = _branches(v, tables, beta, variant)
+        return np.maximum(cont, vals.max(axis=1))
 
-    values, k_main, diff = _iterate(update, v_init, stop_tol, max_iter,
+    values, k_main, diff = _iterate(update, v_init, beta, stop_tol,
                                     "value iteration")
 
-    cont, trans, argmax = _branches(values, tables, beta, variant)
-    impulse = trans > cont + tie_eps
+    cont, vals = _branches(values, tables, beta, variant)
+    impulse = vals.max(axis=1) > cont + tie_eps
     own = np.arange(grid.n_nodes).reshape((-1,) + (1,) * (values.ndim - 1))
-    target = np.where(impulse, argmax, own)
+    target = np.where(impulse, vals.argmax(axis=1), own)
     vf = ValueFunction(grid=grid, values=values, beta=beta, variant=variant)
     pol = Policy(grid=grid, impulse=impulse, target=target, beta=beta)
     report = IterationReport(

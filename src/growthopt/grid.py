@@ -219,13 +219,15 @@ class Policy:
 
     ``impulse`` flags states where transacting strictly beats holding,
     ``target`` holds the node index of the rebalance target (the state's
-    own node where no transaction happens).
+    own node where no transaction happens).  ``model_hash`` names the
+    model a policy read back from a dump was solved for.
     """
 
     grid: StateGrid
     impulse: np.ndarray
     target: np.ndarray
     beta: object  # float or the string "average"
+    model_hash: Optional[str] = None
 
     @property
     def wealth_free(self) -> bool:

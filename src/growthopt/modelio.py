@@ -202,7 +202,8 @@ def load_policy(path_base: str) -> Policy:
             else:
                 impulse[p, z] = row[cols.index("impulse")] == "1"
                 target[p, z] = idx
-    return Policy(grid=grid, impulse=impulse, target=target, beta=header["beta"])
+    return Policy(grid=grid, impulse=impulse, target=target, beta=header["beta"],
+                  model_hash=header.get("model_hash"))
 
 
 # ----------------------------------------------------------------------

@@ -179,8 +179,10 @@ def check_contraction(model, spec, grid, beta: float = 0.9, pairs: int = 20,
                       seed: int = 6) -> CheckResult:
     """|T v - T w| <= beta |v - w| on random value pairs."""
     rng = np.random.default_rng(seed)
-    tables = dp.build_tables(model, spec, grid)
     variant = "fixed" if spec.fixed > 0 else "proportional"
+    if variant == "proportional":
+        grid = grid.without_wealth()
+    tables = dp.build_tables(model, spec, grid)
     shape = ((grid.n_nodes, grid.n_wealth, grid.n_z) if variant == "fixed"
              else (grid.n_nodes, grid.n_z))
     worst = 0.0

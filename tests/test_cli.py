@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from growthopt import bundled_model_path, load_model
+from growthopt import bundled_model_path, load_model, model_fingerprint
 from growthopt.cli import main
 from growthopt.modelio import load_policy, parse_model_dict
 
@@ -123,6 +123,39 @@ class TestOptimalAndSimulate:
         assert code == 0
         doc = json.loads((optimal_dir / "sim2" / "simulate.json").read_text())
         assert doc["mimicking"] is True
+
+
+class TestSimulatePolicyCheck:
+    def test_foreign_model_hash_exits_1(self, optimal_dir, tmp_path, capsys):
+        def other_costs(doc):
+            doc["costs"]["buy"] = [0.004, 0.004]
+        model_path = write_model(tmp_path, other_costs)
+        code = main(["--model", model_path, "--output-dir", str(tmp_path / "sim"),
+                     "--T", "50", "--n-paths", "2", "simulate", "--policy",
+                     str(optimal_dir / "out" / "policy"), "--mimic", "off"])
+        err = capsys.readouterr().err
+        assert code == 1
+        header = json.loads((optimal_dir / "out" / "policy.json").read_text())
+        assert header["model_hash"] in err
+        assert model_fingerprint(*load_model(model_path)) in err
+        assert not (tmp_path / "sim" / "simulate.json").exists()
+
+    def test_one_factor_policy_on_two_factor_model_exits_1(self, tmp_path,
+                                                           capsys):
+        def one_factor(doc):
+            doc["factors"]["transition"] = [[1.0]]
+            doc["returns"] = doc["returns"][:1]
+        (tmp_path / "one").mkdir()
+        one = write_model(tmp_path / "one", one_factor)
+        assert main(["--model", one, "--output-dir", str(tmp_path / "one"),
+                     "--mesh-order", "4", "solve", "--beta", "0.9"]) == 0
+        code = main(base_args(tmp_path, "sim") + [
+            "--T", "50", "--n-paths", "2", "simulate", "--policy",
+            str(tmp_path / "one" / "value_beta"), "--mimic", "off"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "1 factor states" in err and "2 factor states" in err
+        assert "Traceback" not in err
 
 
 class TestTrajectoryArtifact:

@@ -1,14 +1,18 @@
 """Discounted impulse DP: operators, solver, span, gap checks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import random_model
 from growthopt import (CostSpec, MarketModel, StateGrid, ValueFunction,
                        bellman_step, build_tables, expected_log_return,
                        impulse_operator, solve_discounted, solve_e,
-                       span_bound, span_seminorm, value_gap_check)
+                       solve_e_batch, span_bound, span_seminorm,
+                       value_gap_check)
+from growthopt import dp
 
 
 def flat_model(rate=1.05):
@@ -135,6 +139,29 @@ class TestBellmanStep:
                               spec, tables).values
             assert np.abs(ta - tb).max() <= beta * np.abs(a - b).max() + 1e-12
 
+    def test_proportional_values_on_a_wealth_grid(self, model2, spec2):
+        # proportional values carry no wealth axis whatever grid they sit on
+        prop = spec2.without_fixed()
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=8)
+        v = np.random.default_rng(4).normal(size=(5, 2))
+        on_wealth = bellman_step(ValueFunction(grid, v, 0.9, "proportional"),
+                                 model2, prop)
+        flat = bellman_step(ValueFunction(grid.without_wealth(), v, 0.9,
+                                          "proportional"), model2, prop)
+        np.testing.assert_array_equal(on_wealth.values, flat.values)
+
+    def test_rejects_tables_of_the_other_variant(self, model2, spec2):
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=8)
+        wealth_tables = build_tables(model2, spec2, grid)
+        flat_tables = build_tables(model2, spec2.without_fixed(),
+                                   grid.without_wealth())
+        prop = ValueFunction(grid, np.zeros((5, 2)), 0.9, "proportional")
+        fixed = ValueFunction(grid, np.zeros((5, 8, 2)), 0.9, "fixed")
+        with pytest.raises(ValueError, match="without a wealth axis"):
+            bellman_step(prop, model2, spec2.without_fixed(), wealth_tables)
+        with pytest.raises(ValueError, match="with a wealth axis"):
+            bellman_step(fixed, model2, spec2, flat_tables)
+
     def test_preserves_wealth_monotonicity(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=12)
         rng = np.random.default_rng(3)
@@ -244,9 +271,10 @@ class TestSolveDiscounted:
     def test_policy_targets_always_affordable(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=10)
         vf, pol, _ = solve_discounted(model2, spec2, grid, 0.95, tol=1e-7)
-        tables = build_tables(model2, spec2, grid)
         p, j, z = np.nonzero(pol.impulse)
-        assert (tables.e_fac[p, pol.target[p, j, z], j] > 0).all()
+        e = solve_e_batch(spec2, grid.nodes[p], grid.nodes[pol.target[p, j, z]],
+                          grid.wealth[j])
+        assert p.size and (e > 0).all()
 
     def test_stop_rule_close_to_fixed_point(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
@@ -255,6 +283,48 @@ class TestSolveDiscounted:
         again = bellman_step(vf, model2, spec2)
         assert np.abs(again.values - vf.values).max() <= tol * (1 - 0.9) / 0.9
         assert rep.error_bound <= tol
+
+
+    def test_rejects_nonpositive_tol(self, model2, spec2):
+        grid = StateGrid.build(2, 4, 2)
+        for tol in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ValueError):
+                solve_discounted(model2, spec2.without_fixed(), grid, 0.9,
+                                 tol=tol)
+
+
+class TestStopRule:
+    def test_stalled_step_raises_at_the_contraction_cap(self):
+        # a step stuck above the tolerance, as rounding leaves it when tol is
+        # below the floor, stops after about twice the contraction's count
+        calls = []
+
+        def stuck(v):
+            calls.append(1)
+            return 1.0 - v
+
+        beta, stop_tol = 0.9, 1e-12
+        with pytest.raises(RuntimeError, match="step tolerance"):
+            dp._iterate(stuck, np.zeros(3), beta, stop_tol, "stuck")
+        assert len(calls) <= 2 * math.log(stop_tol) / math.log(beta) + 17
+
+    def test_non_finite_step_raises_at_once(self):
+        calls = []
+
+        def blow_up(v):
+            calls.append(1)
+            return v + np.inf
+
+        with pytest.raises(RuntimeError, match="non-finite"):
+            dp._iterate(blow_up, np.zeros(3), 0.9, 1e-9, "blow-up")
+        assert len(calls) == 1
+
+    def test_tiny_tol_reaches_exact_fixed_point(self, model2, spec2):
+        # on this grid the sweeps land on an exact floating-point fixed
+        # point, so a tol far below rounding still ends, within the cap
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e2, n_x=6)
+        _, _, rep = solve_discounted(model2, spec2, grid, 0.9, tol=1e-300)
+        assert rep.final_diff == 0.0
 
 
 class TestOneTransactionRule:
@@ -343,3 +413,180 @@ class TestGridRefinement:
                                         beta, tol=1e-8)
             est.append((1 - beta) * vf.values.max())
         assert abs(est[2] - est[1]) <= abs(est[1] - est[0]) + 1e-12
+
+
+# ----------------------------------------------------------------------
+# reference kernels: per-sweep broadcast fancy indexing into the value
+# table, as the solver computed its sweeps before the flat gather tables
+# ----------------------------------------------------------------------
+
+def oracle_tables(model, spec, grid):
+    nodes = grid.nodes
+    n_p = grid.n_nodes
+    port = np.einsum("pd,qsd->pqs", nodes, model.returns)
+    step_lr = np.log(port)
+    dia = nodes[:, None, None, :] * model.returns[None, :, :, :] / port[..., None]
+    dia_idx = grid.nearest_node(dia.reshape(-1, grid.n_assets)).reshape(port.shape)
+    w_zs = model.transition[:, :, None] * model.shock_probs[None, None, :]
+    h_tab = np.einsum("pqs,zqs->pz", step_lr, w_zs)
+    prev = np.repeat(nodes, n_p, axis=0)
+    new = np.tile(nodes, (n_p, 1))
+    e_prop = solve_e_batch(spec.without_fixed(), prev, new,
+                           np.ones(n_p * n_p)).reshape(n_p, n_p)
+    t = SimpleNamespace(w_zs=w_zs, dia_idx=dia_idx, h_tab=h_tab,
+                        ln_e_prop=np.log(e_prop))
+    if not grid.has_wealth_axis:
+        return t
+    n_x = grid.n_wealth
+    wealth = grid.wealth
+    e_fac = solve_e_batch(spec, np.repeat(prev, n_x, axis=0),
+                          np.repeat(new, n_x, axis=0),
+                          np.tile(wealth, n_p * n_p)).reshape(n_p, n_p, n_x)
+    t.ln_e_fac = np.where(e_fac > 0.0,
+                          np.log(np.where(e_fac > 0.0, e_fac, 1.0)), dp.NEG)
+    x_after = np.where(e_fac > 0.0, wealth[None, None, :] * e_fac, wealth[0])
+    t.imp_j0, t.imp_frac = grid.wealth_pos(x_after)
+    x_step = wealth[None, :, None, None] * np.exp(step_lr[:, None, :, :])
+    t.stp_j0, t.stp_frac = grid.wealth_pos(x_step)
+    t.stp_j1 = np.minimum(t.stp_j0 + 1, n_x - 1)
+    return t
+
+
+def oracle_continuation_prop(values, t, beta):
+    zb = np.arange(t.w_zs.shape[0])[None, :, None]
+    gathered = values[t.dia_idx, zb]
+    ev = np.einsum("pqs,zqs->pz", gathered, t.w_zs)
+    return t.h_tab + beta * ev
+
+
+def oracle_transaction_prop(cont, t):
+    n_p = cont.shape[0]
+    vals = t.ln_e_prop[:, :, None] + cont[None, :, :]
+    idx = np.arange(n_p)
+    vals[idx, idx, :] = dp.NEG
+    return vals.max(axis=1), vals.argmax(axis=1)
+
+
+def oracle_continuation_fixed(values, t, beta):
+    n_z = t.w_zs.shape[0]
+    dia = t.dia_idx[:, None, :, :]
+    zb = np.arange(n_z)[None, None, :, None]
+    v_lo = values[dia, t.stp_j0, zb]
+    v_hi = values[dia, t.stp_j1, zb]
+    vw = (1.0 - t.stp_frac) * v_lo + t.stp_frac * v_hi
+    ev = np.einsum("pjqs,zqs->pjz", vw, t.w_zs)
+    return t.h_tab[:, None, :] + beta * ev
+
+
+def oracle_transaction_fixed(cont, t):
+    n_p, n_x, n_z = cont.shape
+    tgt = np.arange(n_p)[None, :, None]
+    j1 = np.minimum(t.imp_j0 + 1, n_x - 1)
+    g_lo = cont[tgt, t.imp_j0]
+    g_hi = cont[tgt, j1]
+    gw = (1.0 - t.imp_frac[..., None]) * g_lo + t.imp_frac[..., None] * g_hi
+    vals = t.ln_e_fac[..., None] + gw
+    idx = np.arange(n_p)
+    vals[idx, idx, :, :] = dp.NEG
+    return vals.max(axis=1), vals.argmax(axis=1)
+
+
+def oracle_branches(values, t, beta, variant):
+    if variant == "proportional":
+        cont = oracle_continuation_prop(values, t, beta)
+        return (cont,) + oracle_transaction_prop(cont, t)
+    cont = oracle_continuation_fixed(values, t, beta)
+    return (cont,) + oracle_transaction_fixed(cont, t)
+
+
+def oracle_solve(model, spec, grid, beta, tol):
+    """Value iteration with the reference kernels and the solver's stop rule."""
+    variant = "fixed" if spec.fixed > 0 else "proportional"
+    t = oracle_tables(model, spec, grid)
+    stop_tol = tol * (1.0 - beta) / beta
+
+    def iterate(update, v):
+        for k in range(1, 10**6):
+            v_new = update(v)
+            diff = float(np.abs(v_new - v).max())
+            v = v_new
+            if diff <= stop_tol:
+                return v, k
+        raise AssertionError("reference value iteration did not stop")
+
+    shape = (grid.n_nodes, grid.n_wealth, grid.n_z) if variant == "fixed" \
+        else (grid.n_nodes, grid.n_z)
+    hold = oracle_continuation_fixed if variant == "fixed" \
+        else oracle_continuation_prop
+    v_init, k_init = iterate(lambda v: hold(v, t, beta), np.zeros(shape))
+
+    def update(v):
+        cont, trans, _ = oracle_branches(v, t, beta, variant)
+        return np.maximum(cont, trans)
+
+    values, k_main = iterate(update, v_init)
+    cont, trans, argmax = oracle_branches(values, t, beta, variant)
+    impulse = trans > cont + dp.TIE_EPS
+    own = np.arange(grid.n_nodes).reshape((-1,) + (1,) * (values.ndim - 1))
+    return values, impulse, np.where(impulse, argmax, own), k_init, k_main
+
+
+def kernel_cases():
+    rng = np.random.default_rng(11)
+    model3 = random_model(rng, n_z=3, n_s=3, d=3)
+    spec3 = CostSpec(buy=[0.01, 0.02, 0.015], sell=[0.02, 0.01, 0.01],
+                     fixed=0.05)
+    return {
+        "2-asset": (None, dict(n_assets=2, mesh_order=8, n_z=2)),
+        "2-asset nearest-nearest": (None, dict(
+            n_assets=2, mesh_order=8, n_z=2, interpolation="nearest-nearest")),
+        "3-asset": ((model3, spec3), dict(n_assets=3, mesh_order=4, n_z=3)),
+    }
+
+
+KERNEL_CASES = kernel_cases()
+
+
+@pytest.fixture(params=sorted(KERNEL_CASES))
+def kernel_case(request, model2, spec2):
+    problem, grid_args = KERNEL_CASES[request.param]
+    model, spec = problem or (model2, spec2)
+    return model, spec, grid_args
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("variant", ["fixed", "proportional"])
+    def test_random_values(self, kernel_case, variant):
+        model, spec, grid_args = kernel_case
+        if variant == "fixed":
+            grid = StateGrid.build(x_min=1e-3, x_max=1e3, n_x=7, **grid_args)
+            shape = (grid.n_nodes, grid.n_wealth, grid.n_z)
+        else:
+            spec = spec.without_fixed()
+            grid = StateGrid.build(**grid_args)
+            shape = (grid.n_nodes, grid.n_z)
+        t = build_tables(model, spec, grid)
+        ref = oracle_tables(model, spec, grid)
+        rng = np.random.default_rng(5)
+        for beta in (1.0, 0.93):
+            for _ in range(5):
+                v = rng.normal(scale=3.0, size=shape)
+                cont, vals = dp._branches(v, t, beta, variant)
+                r_cont, r_max, r_argmax = oracle_branches(v, ref, beta, variant)
+                assert np.array_equal(cont, r_cont)
+                assert np.array_equal(vals.max(axis=1), r_max)
+                assert np.array_equal(vals.argmax(axis=1), r_argmax)
+
+    @pytest.mark.parametrize("fixed", [0.0, 0.2])
+    def test_solve_matches_reference_iteration(self, model2, spec2, fixed):
+        spec = CostSpec(buy=spec2.buy, sell=spec2.sell, fixed=fixed)
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        prop_grid = grid if fixed else grid.without_wealth()
+        for beta in (0.9, 0.97):
+            vf, pol, rep = solve_discounted(model2, spec, grid, beta, tol=1e-7)
+            values, impulse, target, k_init, k_main = oracle_solve(
+                model2, spec, prop_grid, beta, 1e-7)
+            assert np.array_equal(vf.values, values)
+            assert np.array_equal(pol.impulse, impulse)
+            assert np.array_equal(pol.target, target)
+            assert (rep.init_iterations, rep.iterations) == (k_init, k_main)
