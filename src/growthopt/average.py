@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .costs import CostConstants, CostSpec
-from .dp import (DpTables, _continuation_fixed, _continuation_prop,
+from .dp import (TIE_EPS, DpTables, _continuation_fixed, _continuation_prop,
                  build_tables, solve_discounted)
 from .grid import Policy, StateGrid, ValueFunction
 from .market import MarketModel
@@ -48,6 +48,7 @@ class VanishingDiscountReport:
     prop_value: Optional[ValueFunction] = None
     fixed_value: Optional[ValueFunction] = None
     relative_value: Optional[np.ndarray] = None
+    tables: Optional[DpTables] = None   # the returned policy's variant
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,12 +72,14 @@ def _policy_difference(a: Policy, b: Policy) -> float:
 
 
 def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
-                       betas: Sequence[float], tol: float = 1e-6):
+                       betas: Sequence[float], tol: float = 1e-6,
+                       tie_eps: float = TIE_EPS):
     """Sweep the discount schedule and extract the average-growth policy.
 
     For a fixed-cost spec both discounted problems are solved per discount:
     the proportional one supplies the peak value, the fixed-cost one the
-    relative value and the returned policy.  Returns (report, policy).
+    relative value and the returned policy.  ``tie_eps`` is the margin by
+    which a rebalance must beat holding in both.  Returns (report, policy).
     """
     betas = [float(b) for b in betas]
     if not betas or any(not 0 < b < 1 for b in betas):
@@ -97,11 +100,13 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     change_fraction = float("nan")
     for beta in betas:
         v_prop, pol_prop, rep_p = solve_discounted(
-            model, prop_spec, prop_grid, beta, tol=tol, tables=prop_tables)
+            model, prop_spec, prop_grid, beta, tol=tol, tables=prop_tables,
+            tie_eps=tie_eps)
         m_beta = float(v_prop.values.max())
         if has_fixed:
             v_fix, pol_fix, rep_f = solve_discounted(
-                model, spec, grid, beta, tol=tol, tables=fixed_tables)
+                model, spec, grid, beta, tol=tol, tables=fixed_tables,
+                tie_eps=tie_eps)
             w = m_beta - v_fix.values
             policy = pol_fix
             variant_sup = float(v_fix.values.max())
@@ -153,6 +158,7 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
         prop_value=last["v_prop"],
         fixed_value=last["v_fix"],
         relative_value=last["w"],
+        tables=fixed_tables if has_fixed else prop_tables,
     )
     return report, final_policy
 

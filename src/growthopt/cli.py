@@ -35,8 +35,7 @@ class RunConfig:
     interpolation: str = "nearest-linear"
     betas: list = field(default_factory=lambda: [0.9, 0.99, 0.995, 0.999])
     tol: float = 1e-6
-    tie_eps: float = 1e-10
-    cross_tol: float = 5e-3
+    tie_eps: float = dp.TIE_EPS
     T: int = 2000
     n_paths: int = 100
     seed: int = 12345
@@ -45,7 +44,7 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate_fields(self):
-        if self.tol <= 0 or self.tie_eps <= 0 or self.cross_tol <= 0:
+        if self.tol <= 0 or self.tie_eps <= 0:
             raise ValueError("tolerances must be positive")
         if self.mesh_order < 1:
             raise ValueError("mesh_order must be >= 1")
@@ -74,7 +73,6 @@ def _load_config(args) -> RunConfig:
             "betas": doc.get("betas", cfg.betas),
             "tol": tolerances.get("tol", cfg.tol),
             "tie_eps": tolerances.get("tie_eps", cfg.tie_eps),
-            "cross_tol": tolerances.get("cross_tol", cfg.cross_tol),
             "T": sim.get("T", cfg.T),
             "n_paths": sim.get("n_paths", cfg.n_paths),
             "seed": sim.get("seed", cfg.seed),
@@ -229,7 +227,8 @@ def cmd_optimal(cfg: RunConfig) -> int:
     runner = Runner(cfg, "optimal")
     grid = runner.grid()
     report, policy = average.vanishing_discount(runner.model, runner.spec, grid,
-                                                cfg.betas, tol=cfg.tol)
+                                                cfg.betas, tol=cfg.tol,
+                                                tie_eps=cfg.tie_eps)
     modelio.dump_solution(
         report.fixed_value if report.fixed_value is not None else report.prop_value,
         policy, runner.out("policy"), runner.model_hash, seed=cfg.seed)
@@ -242,7 +241,7 @@ def cmd_optimal(cfg: RunConfig) -> int:
     runner.register("policy_prop.json")
     residual = average.bellman_residual(policy, report.relative_value,
                                         report.growth_rate, runner.model,
-                                        runner.spec)
+                                        runner.spec, tables=report.tables)
     doc = report.to_json_dict()
     doc["policy_ref"] = "policy"
     doc["residual_summary"] = {"min_slack": residual.min_slack,
@@ -300,11 +299,14 @@ def cmd_simulate(cfg: RunConfig, policy_base: str, mimic: str) -> int:
 
 
 def cmd_ldcheck(cfg: RunConfig, eps, t_max: int) -> int:
+    # horizons are t_max // 8 times {1, 2, 3, 4, 6, 8}, the shortest >= 4
+    if t_max < 32:
+        raise ValueError(f"--t-max must be at least 32, got {t_max}")
     runner = Runner(cfg, "ldcheck")
     floor_rate, floor_returns = market.growth_floor(runner.model)
     if eps is None:
         eps = 0.25 * (floor_rate - float(np.log(floor_returns).min()))
-    base = max(4, t_max // 8)
+    base = t_max // 8
     t_grid = [base * k for k in (1, 2, 3, 4, 6, 8)]
     result = simulate.ld_tail(runner.model, t_grid, eps, cfg.n_paths, cfg.seed)
     runner.write_text("ld_tail.csv", modelio.ld_tail_csv(result))
@@ -351,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mimic", choices=["auto", "on", "off"], default="auto")
     sp = sub.add_parser("ldcheck")
     sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--t-max", type=int, default=256, dest="t_max")
+    sp.add_argument("--t-max", type=int, default=256, dest="t_max",
+                    help="longest horizon (at least 32)")
     sub.add_parser("verify")
     return p
 

@@ -10,6 +10,11 @@ Besides holding the model, this module computes its ergodic invariants:
 stationary distribution, Dobrushin mixing coefficient, the stationary growth
 floor of the worst asset, and the conditional expected log return of a fixed
 proportion vector.
+
+Paths are sampled by one walk, ``_walk``, vectorized across paths and fed
+from bounded blocks of uniforms; it yields the states block by block.
+``sample_factor_paths`` stores them as (n, T+1) arrays, and
+``simulate.ld_tail`` folds each block into running sums as it arrives.
 """
 
 from __future__ import annotations
@@ -202,12 +207,6 @@ def expected_log_return(model: MarketModel, pi, z: int) -> float:
     return float(model.transition[z] @ (np.log(port) @ model.shock_probs))
 
 
-def _sample_categorical(cum, u):
-    # cum: (n, k) cumulative rows, u: (n,) uniforms
-    idx = (u[:, None] >= cum).sum(axis=1)
-    return np.minimum(idx, cum.shape[1] - 1)
-
-
 def step(model: MarketModel, z: int, rng: np.random.Generator):
     """Draw (z', xi') for one step from factor state ``z``.
 
@@ -228,20 +227,41 @@ def sample_factor_paths(model: MarketModel, z0, T: int, rng):
     """Simulate ``len(z0)`` factor/shock paths of length T, vectorized.
 
     ``rng`` is either one Generator shared by all paths or a sequence of
-    Generators, one per path.  Each generator yields, for every step, the
-    factor uniform and then the shock uniform: a shared generator draws
-    them for all paths at once (factors of step t, shocks of step t, then
-    step t+1), a per-path generator for its own path only.  Either way the
-    batch is one walk vectorized across paths, fed from blocks of at most
-    ``DRAW_BUDGET`` uniforms, so path ``i`` of a per-path batch equals a
-    one-path call on ``rng[i]`` and a run of ``step`` on it, draw for draw.
+    Generators, one per path; ``_walk`` describes the order in which they
+    are drawn.  Path ``i`` of a per-path batch equals a one-path call on
+    ``rng[i]`` and a run of ``step`` on it, draw for draw.
 
     Returns integer arrays z, xi of shape (n, T+1); column 0 holds the
     initial factor states and xi[:, 0] = -1 (no shock arrives at time 0).
-    They are views of time-major storage, so the walk writes whole rows and
-    a column ``z[:, t]`` is contiguous.
+    They are views of time-major storage, filled block by block from the
+    walk, so a column ``z[:, t]`` is contiguous.
     """
     z0 = np.asarray(z0, dtype=np.int64)
+    z = np.empty((T + 1, z0.shape[0]), dtype=np.int64)
+    xi = np.empty_like(z)
+    z[0] = z0
+    xi[0] = -1
+    for t0, z_blk, xi_blk in _walk(model, z0, T, rng):
+        z[t0:t0 + len(z_blk)] = z_blk
+        xi[t0:t0 + len(xi_blk)] = xi_blk
+    return z.T, xi.T
+
+
+def _walk(model: MarketModel, z0, T: int, rng):
+    """The one factor/shock walk: yield steps 1..T of all paths in blocks.
+
+    Each item is ``(t0, z, xi)``: time-major (k, n) integer arrays with the
+    factor and shock states of steps t0..t0+k-1.  ``sample_factor_paths``
+    stores the blocks; ``simulate.ld_tail`` folds each block into running
+    sums and drops it, so its memory does not grow with T.
+
+    Every step consumes a factor uniform and then a shock uniform.  A
+    shared Generator draws a block as one (k, 2, n) array (factors of step
+    t for all paths, their shocks, then step t+1); a per-path Generator
+    draws (k, 2) for its own path only.  The block length comes from
+    ``DRAW_BUDGET``, so the draw buffer stays near 0.5 MB for any batch;
+    above half the budget in paths a block is one step.
+    """
     n = z0.shape[0]
     if isinstance(rng, np.random.Generator):
         def draw(k):
@@ -256,35 +276,23 @@ def sample_factor_paths(model: MarketModel, z0, T: int, rng):
             for c, r in enumerate(rngs):
                 u[:, :, c] = r.random((k, 2))
             return u
-    z = np.empty((T + 1, n), dtype=np.int64)
-    xi = np.empty((T + 1, n), dtype=np.int64)
-    z[0] = z0
-    xi[0] = -1
-    _walk(model, z, xi, draw)
-    return z.T, xi.T
-
-
-def _walk(model: MarketModel, z, xi, draw):
-    """Fill rows 1..T of the time-major (T+1, n) z and xi, block by block.
-
-    ``draw(k)`` returns the uniforms of k consecutive steps as a (k, 2, n)
-    block: ``[:, 0]`` holds the factor uniforms and ``[:, 1]`` the shock
-    uniforms.  The block length comes from ``DRAW_BUDGET``, so the draw
-    buffer stays near 0.5 MB for any batch; above half the budget in paths
-    a block is one step.
-    """
-    T, n = z.shape[0] - 1, z.shape[1]
-    cum_p = np.cumsum(model.transition, axis=1)
+    # transposed cumulative rows: a step gathers one column per path and
+    # counts down the short factor axis, the same counts as along rows
+    cum_pT = np.cumsum(model.transition, axis=1).T
     cum_nu = np.cumsum(model.shock_probs)
     k_max = max(1, DRAW_BUDGET // max(1, 2 * n))
+    prev = z0
     for t0 in range(1, T + 1, k_max):
         k = min(k_max, T + 1 - t0)
         u = draw(k)
         # shocks are i.i.d., so a whole block is sampled at once
-        np.minimum(np.searchsorted(cum_nu, u[:, 1], side="right"),
-                   model.n_shocks - 1, out=xi[t0:t0 + k])
+        xi = np.minimum(np.searchsorted(cum_nu, u[:, 1], side="right"),
+                        model.n_shocks - 1)
+        z = np.empty((k, n), dtype=np.int64)
         for j in range(k):
-            z[t0 + j] = _sample_categorical(cum_p[z[t0 + j - 1]], u[j, 0])
+            hits = u[j, 0] >= cum_pT.take(prev, axis=1)
+            prev = np.minimum(hits.sum(axis=0), model.n_factors - 1, out=z[j])
+        yield t0, z, xi
 
 
 def validate(model: MarketModel, n_max: int = 64) -> ValidationReport:

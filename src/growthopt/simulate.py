@@ -11,7 +11,8 @@ overflow.  Paths are reproducible: path ``i`` of a batch consumes exactly
 the stream ``(seed, i)``, so a single-path rerun reproduces it bit for bit.
 A batch samples all its factor/shock paths in one call: one walk vectorized
 across paths over the per-path Philox streams, each drawn in bounded blocks
-(``market.sample_factor_paths``).
+(``market.sample_factor_paths``).  The large-deviations check ``ld_tail``
+consumes the same walk block by block and keeps only a running sum per path.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 from .average import MimickingPolicy
 from .costs import CostSpec, share_cost, solve_e_batch
 from .grid import Policy
-from .market import MarketModel, check_simplex, sample_factor_paths
+from .market import (MarketModel, _walk, check_simplex, growth_floor,
+                     invariant_measure, sample_factor_paths)
 from .rng import make_rng
 
 LOG_CAP = 700.0  # exp cap; beyond this fixed costs are a zero fraction anyway
@@ -302,6 +304,7 @@ def average_growth(model: MarketModel, spec: CostSpec, strategy: Strategy,
 
     strategy.reset(n_paths)
     pi_prev = np.broadcast_to(pi0, (n_paths, d)).copy()
+    ones = np.ones(d)  # row sums of the proportions, for the drift check
     lx = np.full(n_paths, math.log(x0))
     alive = np.ones(n_paths, dtype=bool)
     t_half = T - T // 2
@@ -325,6 +328,9 @@ def average_growth(model: MarketModel, spec: CostSpec, strategy: Strategy,
         growth = np.einsum("nd,nd->n", pi_prev, zeta)
         lx = np.where(alive, lx + np.log(growth), -np.inf)
         pi_next = pi_prev * zeta / growth[:, None]
+        drift = np.abs(pi_next @ ones - 1.0).max(where=alive, initial=0.0)
+        if drift > 1e-9:
+            raise RuntimeError(f"proportion drift {drift:.3e} exceeds 1e-9")
         pi_prev = np.where(alive[:, None], pi_next, pi_prev)
 
     per_path = lx / T  # (1/T) ln X_(T)
@@ -403,13 +409,21 @@ def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int, seed: int,
     - eps] over ``n_paths`` simulated factor/shock paths, and fits a
     weighted least squares slope to ln P against T (variance weights from
     the binomial counts).
+
+    The paths are streamed: each keeps one running sum of its log floor
+    returns, fed block by block from the market walk, and the tail
+    frequency is read off when the step count reaches a horizon.  Memory
+    depends on ``n_paths`` only, not on the horizons.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    from .market import growth_floor, invariant_measure
-
     T_grid = sorted(int(t) for t in T_grid)
-    t_max = T_grid[-1]
+    if not T_grid:
+        raise ValueError("T_grid must hold at least one horizon")
+    if T_grid[0] < 1:
+        raise ValueError(f"horizons must be >= 1, got {T_grid[0]}")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     floor_rate, floor_returns = growth_floor(model)
     log_floor = np.log(floor_returns)
     rng = make_rng(seed)
@@ -418,15 +432,17 @@ def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int, seed: int,
         z_init = rng.choice(model.n_factors, size=n_paths, p=theta)
     else:
         z_init = np.full(n_paths, z0, dtype=np.int64)
-    z, xi = sample_factor_paths(model, z_init, t_max, rng)
-    lr = log_floor[z[:, 1:], xi[:, 1:]]
-    csum = np.cumsum(lr, axis=1)
     threshold = floor_rate - eps
-    rows = []
-    for T in T_grid:
-        tail = float(np.mean(csum[:, T - 1] / T <= threshold))
-        rows.append({"T": T, "p_hat": floor_rate, "eps": eps,
-                     "tail_prob": tail, "n_paths": n_paths})
+    tail = dict.fromkeys(T_grid)
+    # a sequential sum, as np.cumsum along time: the same bits per horizon
+    csum = np.zeros(n_paths)
+    for t0, z, xi in _walk(model, z_init, T_grid[-1], rng):
+        for t, lr in enumerate(log_floor[z, xi], start=t0):
+            csum += lr
+            if t in tail:
+                tail[t] = float(np.mean(csum / t <= threshold))
+    rows = [{"T": T, "p_hat": floor_rate, "eps": eps, "tail_prob": tail[T],
+             "n_paths": n_paths} for T in T_grid]
     ts = np.array([r["T"] for r in rows], dtype=float)
     ps = np.array([r["tail_prob"] for r in rows])
     mask = ps > 0

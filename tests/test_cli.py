@@ -187,6 +187,56 @@ class TestLdcheckCommand:
         assert len(body) == 7
 
 
+    @pytest.mark.parametrize("t_max", ["10", "0", "31"])
+    def test_short_t_max_exits_1(self, tmp_path, capsys, t_max):
+        args = base_args(tmp_path)
+        assert main(args + ["--n-paths", "100", "ldcheck", "--t-max",
+                            t_max]) == 1
+        assert "--t-max must be at least 32" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ld_tail.csv").exists()
+
+    def test_horizons_stay_within_t_max(self, tmp_path):
+        args = base_args(tmp_path)
+        assert main(args + ["--n-paths", "100", "ldcheck", "--t-max",
+                            "39"]) == 0
+        body = (tmp_path / "out" / "ld_tail.csv").read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in body[1:]] == [
+            4, 8, 12, 16, 24, 32]
+
+
+class TestOptimalSettings:
+    def run_optimal(self, tmp_path, out, tolerances):
+        cfg = tmp_path / f"{out}.json"
+        cfg.write_text(json.dumps({"grid": {"simplex_order": 4},
+                                   "betas": [0.9, 0.99],
+                                   "tolerances": tolerances}))
+        assert main(["--config", str(cfg)] + base_args(tmp_path, out)
+                    + ["optimal"]) == 0
+        return tmp_path / out
+
+    def test_tie_eps_reaches_the_policy(self, tmp_path):
+        default = self.run_optimal(tmp_path, "default", {})
+        wide = self.run_optimal(tmp_path, "wide", {"tie_eps": 0.5})
+        for name in ("policy.csv", "policy_prop.csv"):
+            assert (default / name).read_bytes() != (wide / name).read_bytes()
+        doc = json.loads((wide / "manifest.json").read_text())
+        assert doc["config"]["tie_eps"] == 0.5
+        assert "cross_tol" not in doc["config"]
+
+    def test_tables_built_once_per_variant(self, tmp_path, monkeypatch):
+        from growthopt import average
+        calls = []
+        build = average.build_tables
+
+        def counted(model, spec, grid):
+            calls.append(spec.fixed > 0)
+            return build(model, spec, grid)
+
+        monkeypatch.setattr(average, "build_tables", counted)
+        self.run_optimal(tmp_path, "out", {})
+        assert sorted(calls) == [False, True]
+
+
 class TestReproducibility:
     def test_csv_bodies_byte_identical(self, tmp_path):
         model = write_model(tmp_path)
@@ -242,7 +292,7 @@ class TestUsageErrors:
             "grid": {"simplex_order": 4,
                      "wealth": {"x_min": 1e-3, "x_max": 1e4, "n_x": 8}},
             "betas": [0.9, 0.99],
-            "tolerances": {"tol": 1e-5, "tie_eps": 1e-10, "cross_tol": 5e-3},
+            "tolerances": {"tol": 1e-5, "tie_eps": 1e-10},
             "simulation": {"T": 100, "n_paths": 10, "seed": 5},
             "output_dir": str(tmp_path / "cfgout"),
         }))

@@ -261,6 +261,18 @@ def oracle_paths(model, z0, T, rng):
     return z, xi
 
 
+class Scripted:
+    """Per-path stand-in for a Generator that hands out given uniforms."""
+
+    def __init__(self, u):
+        self.u, self.pos = u, 0
+
+    def random(self, shape):
+        out = self.u[self.pos:self.pos + shape[0]]
+        self.pos += shape[0]
+        return out
+
+
 def block_steps(n):
     return max(1, DRAW_BUDGET // (2 * n))
 
@@ -303,6 +315,35 @@ class TestSampleFactorPaths:
             traj = run(m, spec, NoTransactionStrategy(), [0.5, 0.5], 1.0, 1,
                        T, seed=seed, stream=s)
             assert np.array_equal(traj.z, z[s]) and np.array_equal(traj.xi, xi[s])
+
+    @pytest.mark.parametrize("n_z", [1, 2, 5])
+    def test_factor_draw_matches_path_major_count(self, n_z):
+        # the walk counts u >= cum_pT[:, z] down the factor axis; the
+        # path-major form it replaced gathered cum_p[z] and counted along
+        # rows.  Rows here may end below 1.0, and some uniforms sit exactly
+        # on a cumulative entry or above the last one.
+        rng = np.random.default_rng(30 + n_z)
+        trans = rng.dirichlet(np.ones(n_z), size=n_z)
+        trans[::2] *= 1.0 - 1e-6
+        cum_p = np.cumsum(trans, axis=1)
+        n, T = 9, 40
+        u = rng.random((n, T, 2))
+        u[:, ::3, 0] = rng.choice(cum_p.ravel(), size=u[:, ::3, 0].shape)
+        u[:, 1::7, 0] = 1.0 - 1e-7
+        model = MarketModel(transition=trans, shock_probs=[1.0],
+                            returns=np.ones((n_z, 1, 1)))
+        z0 = np.arange(n) % n_z
+        z, _ = sample_factor_paths(model, z0, T,
+                                   [Scripted(u[i]) for i in range(n)])
+        want = np.empty((n, T + 1), dtype=np.int64)
+        want[:, 0] = z0
+        for t in range(1, T + 1):
+            idx = (u[:, t - 1, 0][:, None]
+                   >= cum_p[want[:, t - 1]]).sum(axis=1)
+            want[:, t] = np.minimum(idx, n_z - 1)
+        assert np.array_equal(z, want)
+        if n_z > 1:
+            assert len(np.unique(want)) == n_z
 
     def test_rejects_wrong_generator_count(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 """Trajectory engine, growth estimates, pathwise checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from growthopt import (CostSpec, FixedTargetStrategy, MarketModel,
-                       NoTransactionStrategy, average_growth, cost_constants,
-                       growth_floor, invariant_measure, ld_tail, run,
+                       NoTransactionStrategy, average_growth,
+                       cost_constants, growth_floor, invariant_measure,
+                       ld_tail, make_rng, run, sample_factor_paths, simulate,
                        to_share_holdings, wealth_floor_check)
 from growthopt.costs import worst_case_drag
+from growthopt.market import DRAW_BUDGET
 
 
 def deterministic_model(r1=1.1, r2=1.05):
@@ -142,6 +145,23 @@ class TestAverageGrowth:
                              [1.0], 1.0, 0, T=4000, n_paths=100, seed=19)
         assert abs(est.window_mean - est.mean) <= 5 * est.std_error
 
+    def test_proportion_drift_raises_like_scalar_run(self, monkeypatch):
+        # a leveraged target whose gross return nearly cancels: the drifted
+        # proportions, each near 1e8, sum to 1 only up to about 6e-9
+        k, gap = 1e3, 1e-5
+        model = MarketModel(transition=[[1.0]], shock_probs=[1.0],
+                            returns=[[[1.0, 1.0 + (1.0 - gap) / k, 1.0]]])
+        spec = CostSpec(buy=[0.0] * 3, sell=[0.0] * 3, fixed=0.0)
+        monkeypatch.setattr(simulate, "solve_e_batch",
+                            lambda spec, a, b, x: np.ones(len(a)))
+        target = [k, -k, 1.0]
+        with pytest.raises(RuntimeError, match="drift"):
+            average_growth(model, spec, FixedTargetStrategy(target),
+                           [1 / 3] * 3, 1.0, 0, T=3, n_paths=4, seed=0)
+        with pytest.raises(RuntimeError, match="drift"):
+            run(model, spec, FixedTargetStrategy(target), [1 / 3] * 3, 1.0, 0,
+                3, seed=0)
+
 
 class TestWealthFloor:
     def test_no_transaction_path_has_slack(self, model2, spec2):
@@ -195,6 +215,75 @@ class TestLdTail:
     def test_rejects_nonpositive_eps(self, model2):
         with pytest.raises(ValueError):
             ld_tail(model2, [8], 0.0, 100, seed=1)
+
+    @pytest.mark.parametrize("T_grid, n_paths", [
+        ([0, 8], 100), ([-3, 8], 100), ([], 100), ([8], 0)])
+    def test_rejects_bad_horizons_and_path_counts(self, model2, T_grid,
+                                                  n_paths):
+        with pytest.raises(ValueError):
+            ld_tail(model2, T_grid, 0.01, n_paths, seed=1)
+
+
+def oracle_ld_tail(model, T_grid, eps, n_paths, seed, z0=None):
+    """Materializing ld_tail: all paths, then a cumulative sum over time."""
+    T_grid = sorted(int(t) for t in T_grid)
+    floor_rate, floor_returns = growth_floor(model)
+    rng = make_rng(seed)
+    if z0 is None:
+        z_init = rng.choice(model.n_factors, size=n_paths,
+                            p=invariant_measure(model))
+    else:
+        z_init = np.full(n_paths, z0, dtype=np.int64)
+    z, xi = sample_factor_paths(model, z_init, T_grid[-1], rng)
+    csum = np.cumsum(np.log(floor_returns)[z[:, 1:], xi[:, 1:]], axis=1)
+    rows = [{"T": T, "p_hat": floor_rate, "eps": eps,
+             "tail_prob": float(np.mean(csum[:, T - 1] / T
+                                        <= floor_rate - eps)),
+             "n_paths": n_paths} for T in T_grid]
+    ts = np.array([r["T"] for r in rows], dtype=float)
+    ps = np.array([r["tail_prob"] for r in rows])
+    mask = ps > 0
+    y = np.log(ps[mask])
+    x = ts[mask]
+    wts = 1.0 / ((1.0 - ps[mask]) / (n_paths * ps[mask]))
+    xm = np.average(x, weights=wts)
+    ym = np.average(y, weights=wts)
+    sxx = np.sum(wts * (x - xm) ** 2)
+    return (rows, float(np.sum(wts * (x - xm) * (y - ym)) / sxx),
+            float(math.sqrt(1.0 / sxx)))
+
+
+def ld_eps(model):
+    floor_rate, floor_returns = growth_floor(model)
+    return 0.25 * (floor_rate - float(np.log(floor_returns).min()))
+
+
+class TestLdTailStreaming:
+    # n = 300 walks blocks of many steps, n past half the budget one step
+    @pytest.mark.parametrize("T_grid, n_paths", [
+        ([40, 1, 7, 7, 250, 3], 300),
+        ([6, 1, 4, 4, 2], DRAW_BUDGET // 2 + 1)])
+    @pytest.mark.parametrize("z0", [None, 1])
+    def test_matches_materializing_oracle(self, model2, T_grid, n_paths, z0):
+        eps = ld_eps(model2)
+        got = ld_tail(model2, T_grid, eps, n_paths, seed=61, z0=z0)
+        rows, slope, slope_se = oracle_ld_tail(model2, T_grid, eps, n_paths,
+                                               seed=61, z0=z0)
+        assert sum(r["tail_prob"] > 0 for r in rows) >= 2
+        assert got.rows == rows
+        assert (got.slope, got.slope_se) == (slope, slope_se)
+
+    def test_memory_does_not_grow_with_horizon(self, model2):
+        eps = ld_eps(model2)
+        peaks = []
+        for t_max in (64, 512):
+            tracemalloc.start()
+            try:
+                ld_tail(model2, [t_max // 2, t_max], eps, 20_000, seed=67)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestShareHoldings:
