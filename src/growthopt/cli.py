@@ -52,6 +52,31 @@ class RunConfig:
             raise ValueError("need 0 < x_min < x_max")
 
 
+# keys of each config file section; each sets the RunConfig field of its
+# name, except grid.simplex_order, which sets mesh_order
+_CONFIG_KEYS = {(): ("model_path", "betas", "output_dir"),
+                ("grid",): ("simplex_order", "interpolation"),
+                ("grid", "wealth"): ("x_min", "x_max", "n_x"),
+                ("tolerances",): ("tol", "tie_eps"),
+                ("simulation",): ("T", "n_paths", "seed", "x0", "z0")}
+
+
+def _config_fields(doc, section=()) -> dict:
+    """RunConfig fields set by one config section and the sections in it."""
+    name = f"section {'.'.join(section)}" if section else "top level"
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {name} must be a JSON object")
+    fields = {}
+    for key, val in doc.items():
+        if section + (key,) in _CONFIG_KEYS:
+            fields.update(_config_fields(val, section + (key,)))
+        elif key in _CONFIG_KEYS[section]:
+            fields["mesh_order" if key == "simplex_order" else key] = val
+        else:
+            raise ValueError(f"unknown config key {key!r} in {name}")
+    return fields
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
@@ -59,28 +84,7 @@ def _load_config(args) -> RunConfig:
             doc = json.load(fh)
         if not doc:
             raise SystemExit(2)
-        grid = doc.pop("grid", {})
-        wealth = grid.pop("wealth", {})
-        tolerances = doc.pop("tolerances", {})
-        sim = doc.pop("simulation", {})
-        flat = {
-            "model_path": doc.get("model_path", cfg.model_path),
-            "mesh_order": grid.get("simplex_order", cfg.mesh_order),
-            "interpolation": grid.get("interpolation", cfg.interpolation),
-            "x_min": wealth.get("x_min", cfg.x_min),
-            "x_max": wealth.get("x_max", cfg.x_max),
-            "n_x": wealth.get("n_x", cfg.n_x),
-            "betas": doc.get("betas", cfg.betas),
-            "tol": tolerances.get("tol", cfg.tol),
-            "tie_eps": tolerances.get("tie_eps", cfg.tie_eps),
-            "T": sim.get("T", cfg.T),
-            "n_paths": sim.get("n_paths", cfg.n_paths),
-            "seed": sim.get("seed", cfg.seed),
-            "x0": sim.get("x0", cfg.x0),
-            "z0": sim.get("z0", cfg.z0),
-            "output_dir": doc.get("output_dir", cfg.output_dir),
-        }
-        cfg = RunConfig(**flat)
+        cfg = RunConfig(**_config_fields(doc))
     for name in ("model", "output_dir", "seed", "T", "n_paths", "mesh_order",
                  "x_max"):
         val = getattr(args, name.replace("-", "_"), None)
@@ -281,10 +285,7 @@ def cmd_simulate(cfg: RunConfig, policy_base: str, mimic: str) -> int:
     pi0 = np.full(runner.model.n_assets, 1.0 / runner.model.n_assets)
     est = simulate.average_growth(runner.model, runner.spec, strategy, pi0,
                                   cfg.x0, cfg.z0, cfg.T, cfg.n_paths, cfg.seed)
-    strategy.reset(1)
-    traj = simulate.run(runner.model, runner.spec, strategy, pi0, cfg.x0,
-                        cfg.z0, cfg.T, cfg.seed, stream=0)
-    runner.write_text("trajectory.csv", modelio.trajectory_csv(traj))
+    runner.write_text("trajectory.csv", modelio.trajectory_csv(est.trajectory))
     runner.write_json("simulate.json", {
         "growth_mean": est.mean, "growth_se": est.std_error,
         "window_mean": est.window_mean, "T": est.T, "n_paths": est.n_paths,

@@ -124,7 +124,7 @@ def proportional_cost(spec: CostSpec, pi_prev, pi_tilde) -> float:
 
 def _cost_batch(spec, pi_prev, pi_tilde):
     d = pi_tilde - pi_prev
-    return np.clip(d, 0.0, None) @ spec.buy + np.clip(-d, 0.0, None) @ spec.sell
+    return np.maximum(d, 0.0) @ spec.buy + np.maximum(-d, 0.0) @ spec.sell
 
 
 def _solve_prop_root_batch(spec, pi_prev, pi_new, target=None):
@@ -148,8 +148,8 @@ def _solve_prop_root_batch(spec, pi_prev, pi_new, target=None):
     tilde = cand[:, :, None] * pi_new[:, None, :]
     diff = tilde - pi_prev[:, None, :]
     g = (
-        np.clip(diff, 0.0, None) @ spec.buy
-        + np.clip(-diff, 0.0, None) @ spec.sell
+        np.maximum(diff, 0.0) @ spec.buy
+        + np.maximum(-diff, 0.0) @ spec.sell
         + cand
     )
     below = g <= target[:, None]
@@ -179,10 +179,10 @@ def solve_e_batch(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
     pi_prev = np.atleast_2d(np.asarray(pi_prev, dtype=float))
     pi_new = np.atleast_2d(np.asarray(pi_new, dtype=float))
     wealth = np.atleast_1d(np.asarray(wealth, dtype=float))
-    if np.any(wealth <= 0.0):
+    if (wealth <= 0.0).any():
         raise ValueError("wealth must be strictly positive")
     fixed_frac = spec.fixed / wealth
-    identical = np.all(pi_prev == pi_new, axis=1)
+    identical = (pi_prev == pi_new).all(axis=1)
     if spec.variant == "additive":
         # root of cost + delta = 1 - C/wealth on the breakpoint grid
         target = 1.0 - fixed_frac

@@ -51,6 +51,7 @@ class StateGrid:
     interpolation: str = "nearest-linear"
     _keys: np.ndarray = field(init=False, repr=False)
     _perm: np.ndarray = field(init=False, repr=False)
+    _radix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.interpolation not in INTERPOLATION_MODES:
@@ -64,8 +65,9 @@ class StateGrid:
                 raise ValueError("wealth grid must be positive")
         # integer keys for O(log n) nearest-node lookup
         ints = np.rint(self.nodes * self.mesh_order).astype(np.int64)
-        radix = (self.mesh_order + 1) ** np.arange(self.n_assets - 1, -1, -1, dtype=np.int64)
-        keys = ints @ radix
+        self._radix = (self.mesh_order + 1) ** np.arange(self.n_assets - 1, -1, -1,
+                                                         dtype=np.int64)
+        keys = ints @ self._radix
         self._perm = np.argsort(keys)
         self._keys = keys[self._perm]
 
@@ -137,7 +139,7 @@ class StateGrid:
         y = pi * self.mesh_order
         k = np.rint(y).astype(np.int64)
         overshoot = k.sum(axis=1) - self.mesh_order
-        if np.any(overshoot != 0):
+        if overshoot.any():
             resid = k - y
             for row in np.nonzero(overshoot)[0]:
                 d = int(overshoot[row])
@@ -147,10 +149,7 @@ class StateGrid:
                 else:
                     order = np.argsort(resid[row], kind="stable")
                     k[row, order[:-d]] += 1
-        radix = (self.mesh_order + 1) ** np.arange(self.n_assets - 1, -1, -1,
-                                                   dtype=np.int64)
-        keys = k @ radix
-        pos = np.searchsorted(self._keys, keys)
+        pos = self._keys.searchsorted(k @ self._radix)
         return self._perm[pos]
 
     def node_index(self, pi) -> int:

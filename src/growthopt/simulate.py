@@ -6,13 +6,17 @@ by the surviving fraction from the cost solver; an unaffordable rebalance
 annihilates the path), then the market moves: proportions drift with the
 realized returns and wealth multiplies by the portfolio gross return.
 
-Wealth is tracked in logs so horizons of many thousands of steps cannot
-overflow.  Paths are reproducible: path ``i`` of a batch consumes exactly
-the stream ``(seed, i)``, so a single-path rerun reproduces it bit for bit.
-A batch samples all its factor/shock paths in one call: one walk vectorized
-across paths over the per-path Philox streams, each drawn in bounded blocks
-(``market.sample_factor_paths``).  The large-deviations check ``ld_tail``
-consumes the same walk block by block and keeps only a running sum per path.
+One step loop, ``_simulate``, steps a batch of paths vectorized across
+paths and records the first path of the batch as a ``Trajectory``.
+``average_growth`` runs it on streams 0..n_paths-1 and ``run`` on one
+stream, so ``run`` is a batch of one: path ``i`` of a batch consumes exactly
+the stream ``(seed, i)`` and ``run(..., stream=i)`` reproduces it bit for
+bit.  Wealth is tracked in logs so horizons of many thousands of steps
+cannot overflow.  A batch samples all its factor/shock paths in one call:
+one walk vectorized across paths over the per-path Philox streams, each
+drawn in bounded blocks (``market.sample_factor_paths``).  The
+large-deviations check ``ld_tail`` consumes the same walk block by block
+and keeps only a running sum per path.
 """
 
 from __future__ import annotations
@@ -193,80 +197,107 @@ class Trajectory:
                      / self.n_steps)
 
 
+def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
+              x0: float, z0: int, T: int, seed: int, streams):
+    """The one step loop: paths of the given streams of ``seed``, T steps.
+
+    Returns the final log wealth per path, the log wealth at step
+    T - T // 2, the surviving paths and the ``Trajectory`` of the first
+    stream, which ends at its annihilation row.  The loop stops early once
+    every path has annihilated.
+    """
+    pi0 = check_simplex(pi0, model.n_assets)
+    if not x0 > 0:
+        raise ValueError(f"initial wealth must be positive, got {x0}")
+    if not 0 <= z0 < model.n_factors:
+        raise ValueError(f"initial factor state {z0} outside "
+                         f"[0, {model.n_factors})")
+    if T < 1 or len(streams) < 1:
+        raise ValueError("T and n_paths must be >= 1")
+    n, d = len(streams), model.n_assets
+    z, xi = sample_factor_paths(model, np.full(n, z0), T,
+                                [make_rng(seed, s) for s in streams])
+    zeta = model.returns[z.T[1:], xi.T[1:]]  # (T, n, d): the step into t + 1
+
+    strategy.reset(n)
+    pi_prev = np.broadcast_to(pi0, (n, d)).copy()
+    ones = np.ones(d)  # row sums of the proportions, for the drift check
+    lx = np.full(n, math.log(x0))
+    alive = np.ones(n, dtype=bool)
+    all_alive = True
+    # a market step scales every proportion by a positive return, so rows
+    # without a negative proportion sum to 1 up to d ulps and cannot drift
+    signed = bool((pi0 < 0).any())
+    t_half = T - T // 2
+    lx_half = np.empty(n)
+    rec_pi_prev = np.empty((T + 1, d))  # path 0, pre-transaction
+    rec_x_prev = np.empty(T + 1)
+    trades = []  # path 0: (t, e, post-transaction pi and log wealth)
+    for t in range(T):
+        if t == t_half:
+            lx_half[:] = lx
+        x_prev = np.exp(np.minimum(lx, LOG_CAP))
+        rec_pi_prev[t] = pi_prev[0]
+        rec_x_prev[t] = x_prev[0]
+        mask, tgt = strategy.decide_batch(pi_prev, x_prev, z[:, t], t)
+        go = mask & alive
+        # np.count_nonzero and .nonzero() skip the Python layer of .any()
+        if np.count_nonzero(go):
+            idx = (go & (tgt != pi_prev).any(axis=1)).nonzero()[0]
+            if idx.size:
+                new = tgt[idx]
+                e = solve_e_batch(spec, pi_prev[idx], new, x_prev[idx])
+                traded0, e0 = idx[0] == 0, e[0]
+                if np.count_nonzero(e > 0.0) < idx.size:
+                    dead = idx[e == 0.0]
+                    alive[dead] = False
+                    lx[dead] = -np.inf
+                    all_alive = False
+                    idx, new, e = idx[e > 0.0], new[e > 0.0], e[e > 0.0]
+                lx[idx] += np.log(e)
+                pi_prev[idx] = new
+                signed = signed or np.count_nonzero(new < 0.0) > 0
+                if traded0:
+                    trades.append((t, e0, pi_prev[0].copy(), lx[0]))
+        if not all_alive and not np.count_nonzero(alive):
+            break
+        step = zeta[t]
+        growth = np.einsum("nd,nd->n", pi_prev, step)
+        pi_next = pi_prev * step / growth[:, None]
+        if signed:
+            drift = np.abs(pi_next @ ones - 1.0).max(where=alive, initial=0.0)
+            if drift > 1e-9:
+                raise RuntimeError(f"proportion drift {drift:.3e} exceeds 1e-9")
+        if all_alive:
+            lx += np.log(growth)
+            pi_prev = pi_next
+        else:
+            np.add(lx, np.log(growth), out=lx, where=alive)
+            np.copyto(pi_prev, pi_next, where=alive[:, None])
+    rec_pi_prev[T] = pi_prev[0]
+    rec_x_prev[T] = np.exp(np.minimum(lx[0], LOG_CAP))
+
+    rows = T + 1 if alive[0] else trades[-1][0] + 1
+    traj = Trajectory(
+        t=np.arange(rows), z=z[0, :rows].copy(), xi=xi[0, :rows].copy(),
+        pi_prev=rec_pi_prev[:rows], transacted=np.zeros(rows, dtype=bool),
+        pi=rec_pi_prev[:rows].copy(), e_applied=np.ones(rows),
+        x_prev=rec_x_prev[:rows], x=rec_x_prev[:rows].copy(),
+        returns=np.ones((rows, d)), seed=seed, stream=streams[0],
+        model_hash=model_fingerprint(model, spec), fixed_cost=spec.fixed > 0,
+        annihilated=not alive[0], spec=spec)
+    traj.returns[1:] = zeta[:rows - 1, 0]
+    for t, e_t, pi_t, lx_t in trades:
+        traj.transacted[t], traj.e_applied[t], traj.pi[t] = True, e_t, pi_t
+        traj.x[t] = np.exp(np.minimum(lx_t, LOG_CAP))
+    return lx, lx_half, alive, traj
+
+
 def run(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0, x0: float,
         z0: int, T: int, seed: int, stream: int = 0) -> Trajectory:
-    """Simulate one path of T steps; terminates early on annihilation."""
-    pi0 = check_simplex(pi0, model.n_assets)
-    if x0 <= 0:
-        raise ValueError("initial wealth must be positive")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    rng = make_rng(seed, stream)
-    z_path, xi_path = sample_factor_paths(model, np.array([z0]), T, rng)
-    z_path, xi_path = z_path[0], xi_path[0]
-    strategy.reset(1)
-
-    d = model.n_assets
-    rows = T + 1
-    rec = {
-        "pi_prev": np.empty((rows, d)), "pi": np.empty((rows, d)),
-        "transacted": np.zeros(rows, dtype=bool), "e": np.ones(rows),
-        "x_prev": np.empty(rows), "x": np.empty(rows),
-        "returns": np.ones((rows, d)),
-    }
-    pi_prev = pi0.copy()
-    lx = math.log(x0)
-    annihilated = False
-    last = T
-    for t in range(T + 1):
-        x_prev_val = math.exp(min(lx, LOG_CAP)) if lx > -math.inf else 0.0
-        rec["pi_prev"][t] = pi_prev
-        rec["x_prev"][t] = x_prev_val
-        pi = pi_prev
-        e_val = 1.0
-        transacted = False
-        if t < T and not annihilated:
-            mask, tgt = strategy.decide_batch(pi_prev[None, :],
-                                              np.array([x_prev_val]),
-                                              z_path[t:t + 1], t)
-            if mask[0] and np.any(tgt[0] != pi_prev):
-                transacted = True
-                e_val = float(solve_e_batch(spec, pi_prev[None, :], tgt[0][None, :],
-                                            np.array([x_prev_val]))[0])
-                if e_val == 0.0:
-                    annihilated = True
-                    lx = -math.inf
-                else:
-                    pi = tgt[0].copy()
-                    lx += math.log(e_val)
-        rec["transacted"][t] = transacted
-        rec["e"][t] = e_val
-        rec["pi"][t] = pi
-        rec["x"][t] = math.exp(min(lx, LOG_CAP)) if lx > -math.inf else 0.0
-        if annihilated:
-            last = t
-            break
-        if t == T:
-            break
-        zeta = model.returns[z_path[t + 1], xi_path[t + 1]]
-        growth = float(pi @ zeta)
-        pi_next = pi * zeta / growth
-        drift = abs(pi_next.sum() - 1.0)
-        if drift > 1e-9:
-            raise RuntimeError(f"proportion drift {drift:.3e} exceeds 1e-9")
-        pi_prev = pi_next / pi_next.sum()
-        lx += math.log(growth)
-        rec["returns"][t + 1] = zeta
-
-    n = last + 1
-    return Trajectory(
-        t=np.arange(n), z=z_path[:n], xi=xi_path[:n],
-        pi_prev=rec["pi_prev"][:n], transacted=rec["transacted"][:n],
-        pi=rec["pi"][:n], e_applied=rec["e"][:n], x_prev=rec["x_prev"][:n],
-        x=rec["x"][:n], returns=rec["returns"][:n], seed=seed, stream=stream,
-        model_hash=model_fingerprint(model, spec), fixed_cost=spec.fixed > 0,
-        annihilated=annihilated, spec=spec,
-    )
+    """Simulate stream ``stream`` of ``seed`` for T steps as a batch of one;
+    the path ends early on annihilation."""
+    return _simulate(model, spec, strategy, pi0, x0, z0, T, seed, [stream])[3]
 
 
 @dataclass
@@ -280,6 +311,7 @@ class GrowthEstimate:
     annihilated_paths: int
     window_mean: float          # growth over the second half of the horizon
     per_path: np.ndarray = field(repr=False)
+    trajectory: Trajectory = field(repr=False)  # path 0, as ``run`` records it
 
     @property
     def flagged(self) -> bool:
@@ -291,59 +323,23 @@ def average_growth(model: MarketModel, spec: CostSpec, strategy: Strategy,
                    seed: int) -> GrowthEstimate:
     """Estimate (1/T) E ln X_(T) over ``n_paths`` independent paths.
 
-    Annihilated paths contribute -inf and flag the estimate; the second
-    half window mean is reported as a stationarity diagnostic for the
-    fixed-horizon average.
+    Path ``i`` is stream ``i`` of ``seed``.  Annihilated paths contribute
+    -inf and flag the estimate; the second half window mean is reported as
+    a stationarity diagnostic for the fixed-horizon average.
     """
-    pi0 = check_simplex(pi0, model.n_assets)
-    if T < 1 or n_paths < 1:
-        raise ValueError("T and n_paths must be >= 1")
-    d = model.n_assets
-    z, xi = sample_factor_paths(model, np.full(n_paths, z0), T,
-                                [make_rng(seed, i) for i in range(n_paths)])
-
-    strategy.reset(n_paths)
-    pi_prev = np.broadcast_to(pi0, (n_paths, d)).copy()
-    ones = np.ones(d)  # row sums of the proportions, for the drift check
-    lx = np.full(n_paths, math.log(x0))
-    alive = np.ones(n_paths, dtype=bool)
-    t_half = T - T // 2
-    lx_half = np.empty(n_paths)
-    for t in range(T):
-        if t == t_half:
-            lx_half[:] = lx
-        x_prev = np.exp(np.minimum(lx, LOG_CAP))
-        mask, tgt = strategy.decide_batch(pi_prev, x_prev, z[:, t], t)
-        really = mask & alive & np.any(tgt != pi_prev, axis=1)
-        if really.any():
-            e = solve_e_batch(spec, pi_prev[really], tgt[really], x_prev[really])
-            idx = np.nonzero(really)[0]
-            dead = idx[e == 0.0]
-            ok = idx[e > 0.0]
-            alive[dead] = False
-            lx[dead] = -np.inf
-            lx[ok] += np.log(e[e > 0.0])
-            pi_prev[ok] = tgt[ok]
-        zeta = model.returns[z[:, t + 1], xi[:, t + 1]]
-        growth = np.einsum("nd,nd->n", pi_prev, zeta)
-        lx = np.where(alive, lx + np.log(growth), -np.inf)
-        pi_next = pi_prev * zeta / growth[:, None]
-        drift = np.abs(pi_next @ ones - 1.0).max(where=alive, initial=0.0)
-        if drift > 1e-9:
-            raise RuntimeError(f"proportion drift {drift:.3e} exceeds 1e-9")
-        pi_prev = np.where(alive[:, None], pi_next, pi_prev)
-
+    lx, lx_half, alive, traj = _simulate(model, spec, strategy, pi0, x0, z0, T,
+                                         seed, range(n_paths))
     per_path = lx / T  # (1/T) ln X_(T)
     n_dead = int((~alive).sum())
     if n_dead == 0:
         mean = float(per_path.mean())
         se = float(per_path.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-        window = float(((lx - lx_half) / (T - t_half)).mean())
+        window = float(((lx - lx_half) / (T // 2)).mean())
     else:
         mean, se, window = float("-inf"), float("nan"), float("nan")
     return GrowthEstimate(mean=mean, std_error=se, n_paths=n_paths, T=T,
                           annihilated_paths=n_dead, window_mean=window,
-                          per_path=per_path)
+                          per_path=per_path, trajectory=traj)
 
 
 # ----------------------------------------------------------------------

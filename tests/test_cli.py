@@ -177,6 +177,62 @@ class TestTrajectoryArtifact:
                                    atol=1e-12)
 
 
+class TestSimulateEngine:
+    @pytest.mark.parametrize("mode, name", [("off", "policy"),
+                                            ("auto", "policy_prop")])
+    def test_one_walk_and_trajectory_is_path_0(self, optimal_dir, monkeypatch,
+                                               mode, name):
+        from growthopt import average, modelio, simulate
+        from growthopt.costs import cost_constants
+        from growthopt.market import growth_floor
+        calls = []
+        sample = simulate.sample_factor_paths
+
+        def counted(model, z0, T, rng):
+            calls.append(len(z0))
+            return sample(model, z0, T, rng)
+
+        monkeypatch.setattr(simulate, "sample_factor_paths", counted)
+        model_path = str(optimal_dir / "model.json")
+        policy_path = str(optimal_dir / "out" / name)
+        out = optimal_dir / f"engine_{mode}"
+        assert main(["--model", model_path, "--output-dir", str(out), "--T",
+                     "200", "--n-paths", "6", "--seed", "31", "simulate",
+                     "--policy", policy_path, "--mimic", mode]) == 0
+        assert calls == [6]
+        model, spec = load_model(model_path)
+        policy = load_policy(policy_path)
+        if mode == "auto":
+            constants = cost_constants(spec, growth_floor(model)[0])
+            strategy = simulate.MimickingStrategy(
+                average.build_mimicking(policy, constants))
+        else:
+            strategy = simulate.GridPolicyStrategy(policy)
+        traj = simulate.run(model, spec, strategy, [0.5, 0.5], 100.0, 0, 200,
+                            31, stream=0)
+        assert (out / "trajectory.csv").read_bytes() == \
+            modelio.trajectory_csv(traj).encode()
+
+    @pytest.mark.parametrize("start, message", [
+        ({"z0": 5}, "initial factor state 5 outside [0, 2)"),
+        ({"z0": -1}, "initial factor state -1 outside [0, 2)"),
+        ({"x0": 0.0}, "initial wealth must be positive"),
+        ({"x0": -3.0}, "initial wealth must be positive")])
+    def test_bad_start_exits_1(self, optimal_dir, tmp_path, capsys, start,
+                               message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulation": {"T": 20, "n_paths": 2,
+                                                  **start}}))
+        code = main(["--config", str(cfg), "--model",
+                     str(optimal_dir / "model.json"), "--output-dir",
+                     str(tmp_path / "sim"), "simulate", "--policy",
+                     str(optimal_dir / "out" / "policy"), "--mimic", "off"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "sim" / "trajectory.csv").exists()
+
+
 class TestLdcheckCommand:
     def test_emits_csv_and_slope(self, tmp_path):
         args = base_args(tmp_path)
@@ -235,6 +291,29 @@ class TestOptimalSettings:
         monkeypatch.setattr(average, "build_tables", counted)
         self.run_optimal(tmp_path, "out", {})
         assert sorted(calls) == [False, True]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("doc, message", [
+        ({"typo_key": 1}, "unknown config key 'typo_key' in top level"),
+        ({"grid": {"simplex_order": 4, "mesh": 4}},
+         "unknown config key 'mesh' in section grid"),
+        ({"grid": {"wealth": {"n_x": 4, "xmax": 10.0}}},
+         "unknown config key 'xmax' in section grid.wealth"),
+        ({"tolerances": {"tol": 1e-6, "cross_tol": 1e-3}},
+         "unknown config key 'cross_tol' in section tolerances"),
+        ({"simulation": {"T": 10, "paths": 10}},
+         "unknown config key 'paths' in section simulation"),
+        ({"grid": {"wealth": 8}},
+         "config section grid.wealth must be a JSON object")])
+    def test_unknown_key_exits_1(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["--config", str(cfg)] + base_args(tmp_path)
+                    + ["validate"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReproducibility:

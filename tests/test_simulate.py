@@ -1,18 +1,21 @@
 """Trajectory engine, growth estimates, pathwise checks."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from growthopt import (CostSpec, FixedTargetStrategy, MarketModel,
-                       NoTransactionStrategy, average_growth,
+from growthopt import (CostSpec, FixedTargetStrategy, GridPolicyStrategy,
+                       MarketModel, MimickingStrategy, NoTransactionStrategy,
+                       StateGrid, Trajectory, average_growth, build_mimicking,
                        cost_constants, growth_floor, invariant_measure,
-                       ld_tail, make_rng, run, sample_factor_paths, simulate,
-                       to_share_holdings, wealth_floor_check)
+                       ld_tail, make_rng, model_fingerprint, run,
+                       sample_factor_paths, simulate, solve_discounted,
+                       solve_e_batch, to_share_holdings, wealth_floor_check)
 from growthopt.costs import worst_case_drag
-from growthopt.market import DRAW_BUDGET
+from growthopt.market import DRAW_BUDGET, check_simplex
 
 
 def deterministic_model(r1=1.1, r2=1.05):
@@ -161,6 +164,191 @@ class TestAverageGrowth:
         with pytest.raises(RuntimeError, match="drift"):
             run(model, spec, FixedTargetStrategy(target), [1 / 3] * 3, 1.0, 0,
                 3, seed=0)
+
+
+def oracle_run(model, spec, strategy, pi0, x0, z0, T, seed, stream=0):
+    """The scalar step loop that ``run`` was before it became a batch of one:
+    Python-float growth and logs, and proportions renormalized every step."""
+    pi0 = check_simplex(pi0, model.n_assets)
+    rng = make_rng(seed, stream)
+    z_path, xi_path = sample_factor_paths(model, np.array([z0]), T, rng)
+    z_path, xi_path = z_path[0], xi_path[0]
+    strategy.reset(1)
+    d = model.n_assets
+    rows = T + 1
+    rec = {
+        "pi_prev": np.empty((rows, d)), "pi": np.empty((rows, d)),
+        "transacted": np.zeros(rows, dtype=bool), "e": np.ones(rows),
+        "x_prev": np.empty(rows), "x": np.empty(rows),
+        "returns": np.ones((rows, d)),
+    }
+    cap = simulate.LOG_CAP
+    pi_prev = pi0.copy()
+    lx = math.log(x0)
+    annihilated = False
+    last = T
+    for t in range(T + 1):
+        x_prev_val = math.exp(min(lx, cap)) if lx > -math.inf else 0.0
+        rec["pi_prev"][t] = pi_prev
+        rec["x_prev"][t] = x_prev_val
+        pi = pi_prev
+        e_val = 1.0
+        transacted = False
+        if t < T and not annihilated:
+            mask, tgt = strategy.decide_batch(pi_prev[None, :],
+                                              np.array([x_prev_val]),
+                                              z_path[t:t + 1], t)
+            if mask[0] and np.any(tgt[0] != pi_prev):
+                transacted = True
+                e_val = float(solve_e_batch(spec, pi_prev[None, :],
+                                            tgt[0][None, :],
+                                            np.array([x_prev_val]))[0])
+                if e_val == 0.0:
+                    annihilated = True
+                    lx = -math.inf
+                else:
+                    pi = tgt[0].copy()
+                    lx += math.log(e_val)
+        rec["transacted"][t] = transacted
+        rec["e"][t] = e_val
+        rec["pi"][t] = pi
+        rec["x"][t] = math.exp(min(lx, cap)) if lx > -math.inf else 0.0
+        if annihilated:
+            last = t
+            break
+        if t == T:
+            break
+        zeta = model.returns[z_path[t + 1], xi_path[t + 1]]
+        growth = float(pi @ zeta)
+        pi_next = pi * zeta / growth
+        drift = abs(pi_next.sum() - 1.0)
+        if drift > 1e-9:
+            raise RuntimeError(f"proportion drift {drift:.3e} exceeds 1e-9")
+        pi_prev = pi_next / pi_next.sum()
+        lx += math.log(growth)
+        rec["returns"][t + 1] = zeta
+    n = last + 1
+    return Trajectory(
+        t=np.arange(n), z=z_path[:n], xi=xi_path[:n],
+        pi_prev=rec["pi_prev"][:n], transacted=rec["transacted"][:n],
+        pi=rec["pi"][:n], e_applied=rec["e"][:n], x_prev=rec["x_prev"][:n],
+        x=rec["x"][:n], returns=rec["returns"][:n], seed=seed, stream=stream,
+        model_hash=model_fingerprint(model, spec), fixed_cost=spec.fixed > 0,
+        annihilated=annihilated, spec=spec,
+    )
+
+
+@pytest.fixture(scope="module")
+def engine_cases(two_asset):
+    """name -> (model, spec, strategy factory, pi0, x0, z0, T, seed)."""
+    model, spec = two_asset
+    wealth_grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+    _, wealth_policy, _ = solve_discounted(model, spec, wealth_grid, 0.95,
+                                           tol=1e-6)
+    assert not wealth_policy.wealth_free
+    _, prop_policy, _ = solve_discounted(model, spec.without_fixed(),
+                                         StateGrid.build(2, 8, 2), 0.95,
+                                         tol=1e-6)
+    mimicking = build_mimicking(prop_policy,
+                                cost_constants(spec, growth_floor(model)[0]))
+    fixed = CostSpec(buy=[0.01, 0.01], sell=[0.01, 0.01], fixed=1.0)
+    return {
+        "no_trade": (model, spec, NoTransactionStrategy, [0.5, 0.5], 10.0, 1,
+                     300, 11),
+        "fixed_target": (model, spec, lambda: FixedTargetStrategy([0.3, 0.7]),
+                         [0.6, 0.4], 40.0, 0, 300, 61),
+        # fixed charges grind every-step rebalancing to zero at step 18
+        "fixed_target_annihilated": (
+            model, spec, lambda: FixedTargetStrategy([0.5, 0.5]), [0.5, 0.5],
+            1.0, 0, 50, 23),
+        "fixed_target_annihilated_at_once": (
+            deterministic_model(), fixed,
+            lambda: FixedTargetStrategy([0.0, 1.0]), [1.0, 0.0], 0.5, 0, 10, 0),
+        "grid_policy_wealth": (model, spec,
+                               lambda: GridPolicyStrategy(wealth_policy),
+                               [0.5, 0.5], 0.5, 0, 300, 71),
+        # starts below the wealth threshold (about 14.7): frozen, then one
+        # re-sync once wealth passes the resync level
+        "mimicking": (model, spec, lambda: MimickingStrategy(mimicking),
+                      [0.5, 0.5], 10.0, 0, 300, 73),
+    }
+
+
+ENGINE_CASES = ["no_trade", "fixed_target", "fixed_target_annihilated",
+                "fixed_target_annihilated_at_once", "grid_policy_wealth",
+                "mimicking"]
+EXACT_FIELDS = ("t", "z", "xi", "transacted", "seed", "stream", "model_hash",
+                "fixed_cost", "annihilated")
+FLOAT_FIELDS = ("pi_prev", "pi", "e_applied", "x_prev", "x", "returns")
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize("name", ENGINE_CASES)
+    def test_run_matches_scalar_oracle(self, engine_cases, name):
+        model, spec, make, pi0, x0, z0, T, seed = engine_cases[name]
+        for stream in (0, 3):
+            got = run(model, spec, make(), pi0, x0, z0, T, seed, stream=stream)
+            want = oracle_run(model, spec, make(), pi0, x0, z0, T, seed,
+                              stream=stream)
+            for f in EXACT_FIELDS:
+                np.testing.assert_array_equal(getattr(got, f),
+                                              getattr(want, f), err_msg=f)
+            for f in FLOAT_FIELDS:
+                np.testing.assert_allclose(getattr(got, f), getattr(want, f),
+                                           rtol=1e-12, atol=0, err_msg=f)
+            assert got.spec is spec
+
+    def test_cases_reach_their_branches(self, engine_cases):
+        def traj(name):
+            model, spec, make, pi0, x0, z0, T, seed = engine_cases[name]
+            return run(model, spec, make(), pi0, x0, z0, T, seed)
+        assert traj("fixed_target_annihilated").n_steps == 18
+        assert traj("fixed_target_annihilated").annihilated
+        assert traj("fixed_target_annihilated_at_once").n_steps == 0
+        assert traj("grid_policy_wealth").transacted.any()
+        mim = traj("mimicking")
+        levels = engine_cases["mimicking"][2]().mimicking
+        frozen = mim.x_prev < levels.wealth_threshold
+        assert frozen[0] and not mim.transacted[frozen].any()
+        resync = np.flatnonzero(mim.transacted)[0]
+        assert mim.x_prev[resync] >= levels.resync_wealth
+
+    @pytest.mark.parametrize("name", ENGINE_CASES)
+    def test_run_is_row_0_of_the_batch(self, engine_cases, name):
+        model, spec, make, pi0, x0, z0, T, seed = engine_cases[name]
+        one = run(model, spec, make(), pi0, x0, z0, T, seed, stream=0)
+        est = average_growth(model, spec, make(), pi0, x0, z0, T, n_paths=5,
+                             seed=seed)
+        for f in dataclasses.fields(Trajectory):
+            a, b = getattr(one, f.name), getattr(est.trajectory, f.name)
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            elif f.name == "spec":
+                assert a is b
+            else:
+                assert a == b, f.name
+        # every row of a batch is its stream's batch of one, bit for bit
+        lx = simulate._simulate(model, spec, make(), pi0, x0, z0, T, seed,
+                                range(5))[0]
+        for i in range(5):
+            alone = simulate._simulate(model, spec, make(), pi0, x0, z0, T,
+                                       seed, [i])[0]
+            assert lx[i].tobytes() == alone[0].tobytes(), i
+
+    @pytest.mark.parametrize("x0, z0, message", [
+        (0.0, 0, "initial wealth must be positive"),
+        (-1.0, 0, "initial wealth must be positive"),
+        (float("nan"), 0, "initial wealth must be positive"),
+        (1.0, 2, "initial factor state 2 outside"),
+        (1.0, -1, "initial factor state -1 outside")])
+    def test_rejects_bad_start(self, model2, spec2, x0, z0, message):
+        with pytest.raises(ValueError, match=message):
+            run(model2, spec2, NoTransactionStrategy(), [0.5, 0.5], x0, z0, 10,
+                seed=1)
+        with pytest.raises(ValueError, match=message):
+            average_growth(model2, spec2, NoTransactionStrategy(), [0.5, 0.5],
+                           x0, z0, T=10, n_paths=3, seed=1)
 
 
 class TestWealthFloor:
