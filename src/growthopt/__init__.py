@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 from .average import (MimickingPolicy, VanishingDiscountReport,
                       bellman_residual, build_mimicking, cross_check_costs,
                       vanishing_discount)
-from .costs import (CostConstants, CostSpec, bisect_e, cost_constants, diamond,
+from .costs import (CostConstants, CostSpec, bisect_e, cost_constants,
                     general_cost_check, min_diminution, min_trade_wealth,
-                    project_g, proportional_cost, share_cost, solve_e,
-                    solve_e_batch, solve_e_prop)
+                    proportional_cost, share_cost, solve_e, solve_e_batch)
 from .dp import (bellman_step, build_tables, impulse_operator, solve_discounted,
                  span_bound, span_seminorm, value_gap_check)
 from .grid import Policy, StateGrid, ValueFunction, simplex_mesh

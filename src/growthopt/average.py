@@ -7,6 +7,8 @@ ascending discount schedule, extracts the greedy policy at the largest
 discount, checks the stationarity (Bellman) inequality of the resulting
 (policy, relative value, growth rate) triple, and builds the wealth-gated
 strategy that lifts a proportional-cost policy to the fixed-cost problem.
+The stationarity check runs ``dp``'s sweep kernels at discount one, so it
+interpolates exactly as the sweeps do.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .costs import CostConstants, CostSpec
-from .dp import (TIE_EPS, DpTables, _continuation_fixed, _continuation_prop,
-                 build_tables, solve_discounted)
+from .dp import (TIE_EPS, DpTables, _branches, _require_fit, build_tables,
+                 solve_discounted)
 from .grid import Policy, StateGrid, ValueFunction
 from .market import MarketModel
+
+CROSS_TOL = 5e-3  # allowed gap of the fixed-cost and proportional growth rates
 
 
 @dataclass
@@ -193,28 +197,12 @@ def bellman_residual(policy: Policy, w: np.ndarray, growth_rate: float,
     w = np.asarray(w, dtype=float)
     if w.shape != policy.impulse.shape:
         raise ValueError("relative value and policy shapes disagree")
-
-    if policy.wealth_free:
-        w_cont = _continuation_prop(w, tables, 1.0) - tables.h_tab
-        n_p, n_z = w.shape
-        p_idx, z_idx = np.ogrid[:n_p, :n_z]
-        tgt = policy.target
-        hold_slack = tables.h_tab + w - w_cont - growth_rate
-        trans_eta = tables.h_tab[tgt, z_idx] + tables.ln_e_prop[p_idx, tgt]
-        trans_slack = trans_eta + w - w_cont[tgt, z_idx] - growth_rate
-    else:
-        w_cont = _continuation_fixed(w, tables, 1.0) - tables.h_tab[:, None, :]
-        n_p, n_x, n_z = w.shape
-        p_idx, j_idx, z_idx = np.ogrid[:n_p, :n_x, :n_z]
-        tgt = policy.target
-        hold_slack = tables.h_tab[:, None, :] + w - w_cont - growth_rate
-        at = (p_idx, tgt, j_idx, z_idx)
-        ew = (tables.imp_w_lo[at] * w_cont.take(tables.imp_lo[at])
-              + tables.imp_w_hi[at] * w_cont.take(tables.imp_hi[at]))
-        trans_slack = (tables.h_tab[tgt, z_idx] + tables.imp_ln_e[at] + w - ew
-                       - growth_rate)
-
-    slack = np.where(policy.impulse, trans_slack, hold_slack)
+    _require_fit(w, tables, "relative values")
+    # the sweep branches of -w at beta = 1: holding is worth h - E w and a
+    # rebalance ln e plus that at its target, interpolated as in the sweeps
+    cont, vals = _branches(-w, tables, 1.0)
+    moved = np.take_along_axis(vals, policy.target[:, None], axis=1)[:, 0]
+    slack = np.where(policy.impulse, moved, cont) + w - growth_rate
     return ResidualReport(min_slack=float(slack.min()),
                           mean_slack=float(slack.mean()), slack=slack)
 
@@ -235,8 +223,8 @@ class CrossCheckReport:
 
 
 def cross_check_costs(model: MarketModel, spec: CostSpec, grid: StateGrid,
-                      betas: Sequence[float], tol: float = 1e-6,
-                      cross_tol: float = 5e-3) -> CrossCheckReport:
+                      betas: Sequence[float], tol: float = 1e-6
+                      ) -> CrossCheckReport:
     """Compare the fixed-cost growth estimate against the proportional one.
 
     The fixed-cost estimate is (1-beta) times the peak of the fixed-cost
@@ -253,7 +241,7 @@ def cross_check_costs(model: MarketModel, spec: CostSpec, grid: StateGrid,
         growth_rate_fixed=float(lam_fixed),
         growth_rate_prop=float(lam_prop),
         difference=float(lam_fixed - lam_prop),
-        cross_tol=cross_tol,
+        cross_tol=CROSS_TOL,
         fixed_report=rep_fixed,
     )
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,6 +49,8 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.mesh_order < 1:
             raise ValueError("mesh_order must be >= 1")
+        if self.n_x < 1:
+            raise ValueError("n_x must be >= 1")
         if not 0 < self.x_min < self.x_max:
             raise ValueError("need 0 < x_min < x_max")
 
@@ -61,6 +64,21 @@ _CONFIG_KEYS = {(): ("model_path", "betas", "output_dir"),
                 ("simulation",): ("T", "n_paths", "seed", "x0", "z0")}
 
 
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a list of numbers"}
+
+
+def _fits(val, kind) -> bool:
+    """Whether a config value suits a RunConfig field of type ``kind``: a
+    bool is not an int, and an int is accepted as a float."""
+    if kind is list:
+        return isinstance(val, list) and all(_fits(v, float) for v in val)
+    if kind is float:
+        kind = (int, float)
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
 def _config_fields(doc, section=()) -> dict:
     """RunConfig fields set by one config section and the sections in it."""
     name = f"section {'.'.join(section)}" if section else "top level"
@@ -71,7 +89,12 @@ def _config_fields(doc, section=()) -> dict:
         if section + (key,) in _CONFIG_KEYS:
             fields.update(_config_fields(val, section + (key,)))
         elif key in _CONFIG_KEYS[section]:
-            fields["mesh_order" if key == "simplex_order" else key] = val
+            attr = "mesh_order" if key == "simplex_order" else key
+            kind = _FIELD_TYPES[attr]
+            if not _fits(val, kind):
+                raise ValueError(f"config key {key!r} must be "
+                                 f"{_TYPE_NAMES[kind]}, got {val!r}")
+            fields[attr] = val
         else:
             raise ValueError(f"unknown config key {key!r} in {name}")
     return fields

@@ -15,7 +15,7 @@ independent bracketing oracle kept for verification.
 The module also derives the cost constants that gate the average-growth
 theory: the worst-case log drag ``eta`` of a proportional rebalance, its
 fixed-cost-inflated version ``eta_m`` at a wealth threshold, and the minimal
-wealth ``x_star`` above which every rebalance is affordable.
+wealth ``x_star`` above which every rebalance is affordable (closed form).
 """
 
 from __future__ import annotations
@@ -87,23 +87,6 @@ class CostConstants:
     wealth_threshold: float
     resync_wealth: float
     x_star: float
-
-
-def project_g(v) -> np.ndarray:
-    """Scale a nonzero sub-simplex vector back onto the unit simplex."""
-    v = np.asarray(v, dtype=float)
-    s = v.sum()
-    if s <= 0.0:
-        raise ValueError("projection undefined: coordinates sum to zero")
-    return v / s
-
-
-def diamond(pi, zeta) -> np.ndarray:
-    """Proportions after one market step: normalize pi * zeta componentwise."""
-    pi = np.asarray(pi, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    w = pi * zeta
-    return w / w.sum()
 
 
 def proportional_cost(spec: CostSpec, pi_prev, pi_tilde) -> float:
@@ -212,11 +195,6 @@ def solve_e(spec: CostSpec, pi_prev, pi_new, wealth: float) -> float:
                                np.array([wealth]))[0])
 
 
-def solve_e_prop(spec: CostSpec, pi_prev, pi_new) -> float:
-    """Surviving fraction with the fixed charge dropped; always positive."""
-    return solve_e(spec.without_fixed(), pi_prev, pi_new, 1.0)
-
-
 def transaction_equation(spec: CostSpec, pi_prev, pi_new, wealth: float,
                          delta: float) -> float:
     """Left-hand side of the self-financing equation at fraction ``delta``."""
@@ -278,13 +256,13 @@ def drag_at_wealth(spec: CostSpec, wealth: float) -> float:
     return _eta_from_rate(spec.max_rate, spec.fixed / wealth)
 
 
-def min_trade_wealth(spec: CostSpec, bisect_iters: int = 128) -> float:
+def min_trade_wealth(spec: CostSpec) -> float:
     """x_star: infimum wealth above which every rebalance has positive survival.
 
     Feasibility is monotone in wealth and worst over the simplex vertices
-    (selling a single fully-held asset maximizes the sell charge), so a
-    bisection over vertex pairs suffices; random pairs never beat vertices,
-    which the test suite re-checks by sampling.
+    (selling a single fully-held asset maximizes the sell charge), where it
+    holds above C / (1 - max sell) (additive) or C (max variant).  Stepping
+    from there by ulps finds the smallest float the solver accepts.
     """
     if spec.fixed == 0.0:
         return 0.0
@@ -298,19 +276,13 @@ def min_trade_wealth(spec: CostSpec, bisect_iters: int = 128) -> float:
                           np.full(d * d, wealth))
         return bool((e > 0.0).all())
 
-    lo = spec.fixed * 1e-9
-    hi = max(spec.fixed * 4.0, 1e-6)
-    while not all_feasible(hi):
-        hi *= 2.0
-        if hi > 1e30:
-            raise RuntimeError("no finite feasibility threshold found")
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        if all_feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    max_sell = spec.sell.max() if spec.variant == "additive" else 0.0
+    x = spec.fixed / (1.0 - float(max_sell))
+    while not all_feasible(x):
+        x = float(np.nextafter(x, math.inf))
+    while all_feasible(below := float(np.nextafter(x, 0.0))):
+        x = below
+    return x
 
 
 def min_diminution(spec: CostSpec, wealth: float) -> float:
@@ -323,8 +295,7 @@ def min_diminution(spec: CostSpec, wealth: float) -> float:
     return float(e.min())
 
 
-def cost_constants(spec: CostSpec, floor_rate: float,
-                   wealth_grid=None) -> CostConstants:
+def cost_constants(spec: CostSpec, floor_rate: float) -> CostConstants:
     """Derive (eta, eta_m, M, M*, x_star) and enforce the growth gate.
 
     Raises ValueError when the proportional drag already reaches the
@@ -342,9 +313,7 @@ def cost_constants(spec: CostSpec, floor_rate: float,
         m = 1.0
         eta_m = eta
     else:
-        if wealth_grid is None:
-            wealth_grid = np.geomspace(x_star * 1.01, 1e6 * spec.fixed, 256)
-        wealth_grid = np.asarray(wealth_grid, dtype=float)
+        wealth_grid = np.geomspace(x_star * 1.01, 1e6 * spec.fixed, 256)
         etas = np.array([drag_at_wealth(spec, m) for m in wealth_grid])
         ok = np.where(etas < floor_rate)[0]
         if ok.size == 0:
@@ -405,8 +374,8 @@ class CostSandwichReport:
 
 def general_cost_check(lower: CostSpec, candidate: Callable, upper: CostSpec,
                        n_samples: int = 2000,
-                       rng: Optional[np.random.Generator] = None,
-                       tol: float = 1e-12) -> CostSandwichReport:
+                       rng: Optional[np.random.Generator] = None
+                       ) -> CostSandwichReport:
     """Check a share-space cost oracle against a proportional/fixed sandwich.
 
     ``candidate(holdings_before, holdings_after, prices)`` is sampled on
@@ -415,6 +384,7 @@ def general_cost_check(lower: CostSpec, candidate: Callable, upper: CostSpec,
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    tol = 1e-12  # rounding of a share-space charge
     d = lower.n_assets
     lo_viol = up_viol = sub_viol = 0
     worst_lo = worst_up = worst_sub = 0.0

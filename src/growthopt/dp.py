@@ -55,6 +55,7 @@ class DpTables:
     """
 
     grid: StateGrid
+    variant: str            # sweep kernels: "fixed" or "proportional"
     w_zs: np.ndarray        # (n_z, n_z', n_s) transition x shock weights
     h_tab: np.ndarray       # (n_p, n_z) expected one-step log return
     step_lo: np.ndarray     # (n_p, [n_x,] n_z', n_s) state after a market step
@@ -103,8 +104,9 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     if not grid.has_wealth_axis:
         e_prop = solve_e_batch(spec.without_fixed(), prev, new,
                                np.ones(n_p * n_p)).reshape(n_p, n_p)
-        return DpTables(grid=grid, w_zs=w_zs, h_tab=h_tab,
-                        step_lo=dia_idx * n_z + q, ln_e_prop=np.log(e_prop),
+        return DpTables(grid=grid, variant="proportional", w_zs=w_zs,
+                        h_tab=h_tab, step_lo=dia_idx * n_z + q,
+                        ln_e_prop=np.log(e_prop),
                         diag=_diag_positions(n_p, (n_z,)))
 
     n_x = grid.n_wealth
@@ -131,7 +133,7 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     imp_j0 = imp_j0[..., None]
     imp_frac = np.broadcast_to(imp_frac[..., None], full)
     return DpTables(
-        grid=grid, w_zs=w_zs, h_tab=h_tab,
+        grid=grid, variant="fixed", w_zs=w_zs, h_tab=h_tab,
         step_lo=flat(dia_idx[:, None], stp_j0, q),
         step_hi=flat(dia_idx[:, None], np.minimum(stp_j0 + 1, n_x - 1), q),
         step_w_lo=1.0 - stp_frac,
@@ -179,17 +181,31 @@ def _transaction_fixed(cont, t: DpTables):
     return vals
 
 
-def _branches(values, t: DpTables, beta: float, variant: str):
+def _branches(values, t: DpTables, beta: float):
     """Hold value per state and rebalance value per (state, target).
 
     Targets sit on axis 1 of the rebalance table; the sweep keeps only its
     max, the policy extraction also takes its argmax.
     """
-    if variant == "proportional":
+    if t.variant == "proportional":
         cont = _continuation_prop(values, t, beta)
         return cont, _transaction_prop(cont, t)
     cont = _continuation_fixed(values, t, beta)
     return cont, _transaction_fixed(cont, t)
+
+
+def _require_fit(values, t: DpTables, what: str):
+    """Refuse tables built for values of another shape: their gathers
+    would read the wrong entries or fail mid-sweep."""
+    fixed = np.ndim(values) == 3
+    if (t.variant == "fixed") != fixed:
+        raise ValueError(f"{what} need tables built on a grid "
+                         f"{'with' if fixed else 'without'} a wealth axis")
+    g = t.grid
+    shape = (g.n_nodes,) + ((g.n_wealth,) if fixed else ()) + (g.n_z,)
+    if np.shape(values) != shape:
+        raise ValueError(f"{what} of shape {np.shape(values)} do not fit "
+                         f"tables built for shape {shape}")
 
 
 def bellman_step(v: ValueFunction, model: MarketModel, spec: CostSpec,
@@ -199,14 +215,11 @@ def bellman_step(v: ValueFunction, model: MarketModel, spec: CostSpec,
     Proportional values carry no wealth axis, so their tables are built on
     the collapsed grid; tables built for the other variant are refused.
     """
-    fixed = v.variant == "fixed"
     if tables is None:
-        tables = build_tables(model, spec,
-                              v.grid if fixed else v.grid.without_wealth())
-    if tables.grid.has_wealth_axis != fixed:
-        raise ValueError(f"{v.variant} values need tables built on a grid "
-                         f"{'with' if fixed else 'without'} a wealth axis")
-    cont, vals = _branches(v.values, tables, v.beta, v.variant)
+        tables = build_tables(model, spec, v.grid if v.variant == "fixed"
+                              else v.grid.without_wealth())
+    _require_fit(v.values, tables, f"{v.variant} values")
+    cont, vals = _branches(v.values, tables, v.beta)
     return v.copy_with(np.maximum(cont, vals.max(axis=1)))
 
 
@@ -311,21 +324,20 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
     if not stop_tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    if variant == "proportional":
-        hold = lambda v: _continuation_prop(v, tables, beta)
-    else:
-        hold = lambda v: _continuation_fixed(v, tables, beta)
-    v_init, k_init, _ = _iterate(hold, np.zeros(shape), beta, stop_tol,
+    hold = (_continuation_prop if variant == "proportional"
+            else _continuation_fixed)
+    v_init, k_init, _ = _iterate(lambda v: hold(v, tables, beta),
+                                 np.zeros(shape), beta, stop_tol,
                                  "hold-only warm start")
 
     def update(v):
-        cont, vals = _branches(v, tables, beta, variant)
+        cont, vals = _branches(v, tables, beta)
         return np.maximum(cont, vals.max(axis=1))
 
     values, k_main, diff = _iterate(update, v_init, beta, stop_tol,
                                     "value iteration")
 
-    cont, vals = _branches(values, tables, beta, variant)
+    cont, vals = _branches(values, tables, beta)
     impulse = vals.max(axis=1) > cont + tie_eps
     own = np.arange(grid.n_nodes).reshape((-1,) + (1,) * (values.ndim - 1))
     target = np.where(impulse, vals.argmax(axis=1), own)
@@ -347,8 +359,7 @@ def span_seminorm(v: ValueFunction) -> float:
     return float(v.values.max() - v.values.min())
 
 
-def span_bound(model: MarketModel, spec: CostSpec, grid: StateGrid,
-               n_max: int = 64) -> float:
+def span_bound(model: MarketModel, spec: CostSpec, grid: StateGrid) -> float:
     """Discount-independent bound on the span of the proportional value.
 
     n steps of mixing cost at most n spans of h plus n+2 worst-case
@@ -356,7 +367,7 @@ def span_bound(model: MarketModel, spec: CostSpec, grid: StateGrid,
     solving the resulting recursion bounds the span by the returned value
     for every discount.
     """
-    n, kappa = mixing_step(model, n_max=n_max)
+    n, kappa = mixing_step(model)
     if n is None:
         raise RuntimeError("factor chain does not mix; span bound undefined")
     tables = build_tables(model, spec.without_fixed(), grid.without_wealth())

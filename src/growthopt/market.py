@@ -25,11 +25,12 @@ from typing import Optional
 import numpy as np
 
 SIMPLEX_TOL = 1e-9
+MIXING_HORIZON = 64  # longest n searched for a Dobrushin coefficient < 1
 DRAW_BUDGET = 1 << 16  # uniforms held at once by the path sampler (~0.5 MB)
 
 
-def _as_readonly(a, dtype=float):
-    arr = np.asarray(a, dtype=dtype)
+def _as_readonly(a):
+    arr = np.asarray(a, dtype=float)
     arr = np.array(arr, copy=True)
     arr.setflags(write=False)
     return arr
@@ -124,13 +125,13 @@ def dobrushin(model: MarketModel, n: int) -> float:
     return float(0.5 * np.abs(diff).sum(axis=2).max())
 
 
-def mixing_step(model: MarketModel, n_max: int = 64):
-    """Smallest n <= n_max with Dobrushin coefficient < 1, and its value.
+def mixing_step(model: MarketModel):
+    """(n, kappa_n): smallest n <= MIXING_HORIZON with Dobrushin kappa_n < 1.
 
     Returns (None, 1.0) when no such n exists, which means the chain does
     not mix uniformly within the horizon.
     """
-    for n in range(1, n_max + 1):
+    for n in range(1, MIXING_HORIZON + 1):
         kappa = dobrushin(model, n)
         if kappa < 1.0 - 1e-12:
             return n, kappa
@@ -186,12 +187,12 @@ def growth_floor(model: MarketModel):
     return floor_rate, floor_returns
 
 
-def check_simplex(pi, n_assets: int, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def check_simplex(pi, n_assets: int) -> np.ndarray:
     """Validate a proportion vector and return it as an array."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (n_assets,):
         raise ValueError(f"proportion vector must have length {n_assets}")
-    if pi.min() < -tol or abs(pi.sum() - 1.0) > tol:
+    if pi.min() < -SIMPLEX_TOL or abs(pi.sum() - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"proportion vector outside the unit simplex: {pi}")
     return pi
 
@@ -295,7 +296,7 @@ def _walk(model: MarketModel, z0, T: int, rng):
         yield t0, z, xi
 
 
-def validate(model: MarketModel, n_max: int = 64) -> ValidationReport:
+def validate(model: MarketModel) -> ValidationReport:
     """Run all structural and mixing checks, report-style (never raises)."""
     report = ValidationReport()
     row_err = np.abs(model.transition.sum(axis=1) - 1.0).max()
@@ -312,21 +313,23 @@ def validate(model: MarketModel, n_max: int = 64) -> ValidationReport:
     )
     rmin = model.returns.min()
     report.add("returns_positive", rmin > 0.0, f"min return {rmin}")
-    n, kappa = mixing_step(model, n_max=n_max)
+    n, kappa = mixing_step(model)
     report.add(
         "uniform_mixing",
         n is not None,
-        f"kappa_{n} = {kappa:.6f}" if n is not None else f"kappa_n = 1 for all n <= {n_max}",
+        f"kappa_{n} = {kappa:.6f}" if n is not None
+        else f"kappa_n = 1 for all n <= {MIXING_HORIZON}",
     )
     return report
 
 
-def ergodic_report(model: MarketModel, eta: Optional[float] = None,
-                   n_max: int = 64) -> ErgodicReport:
+def ergodic_report(model: MarketModel, eta: Optional[float] = None
+                   ) -> ErgodicReport:
     """Assemble stationary distribution, mixing data and the growth floor."""
-    n, kappa = mixing_step(model, n_max=n_max)
+    n, kappa = mixing_step(model)
     if n is None:
-        raise RuntimeError(f"factor chain does not mix within {n_max} steps")
+        raise RuntimeError("factor chain does not mix within "
+                           f"{MIXING_HORIZON} steps")
     theta = invariant_measure(model)
     floor_rate, _ = growth_floor(model)
     exceeds = None if eta is None else bool(eta < floor_rate)

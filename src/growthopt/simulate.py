@@ -36,6 +36,7 @@ from .market import (MarketModel, _walk, check_simplex, growth_floor,
 from .rng import make_rng
 
 LOG_CAP = 700.0  # exp cap; beyond this fixed costs are a zero fraction anyway
+PATH_TOL = 1e-9  # relative rounding allowed by the path checks
 
 
 def model_fingerprint(model: MarketModel, spec: Optional[CostSpec] = None) -> str:
@@ -325,8 +326,11 @@ def average_growth(model: MarketModel, spec: CostSpec, strategy: Strategy,
 
     Path ``i`` is stream ``i`` of ``seed``.  Annihilated paths contribute
     -inf and flag the estimate; the second half window mean is reported as
-    a stationarity diagnostic for the fixed-horizon average.
+    a stationarity diagnostic for the fixed-horizon average, so T >= 2.
     """
+    if T < 2:
+        raise ValueError(f"average_growth needs T >= 2 for its second-half "
+                         f"window, got T={T}")
     lx, lx_half, alive, traj = _simulate(model, spec, strategy, pi0, x0, z0, T,
                                          seed, range(n_paths))
     per_path = lx / T  # (1/T) ln X_(T)
@@ -360,16 +364,15 @@ class FloorCheckReport:
         return self.violations == 0
 
 
-def wealth_floor_check(traj: Trajectory, constants, rate: Optional[float] = None,
-                       tol: float = 1e-9) -> FloorCheckReport:
+def wealth_floor_check(traj: Trajectory, constants) -> FloorCheckReport:
     """Check X_(t) >= X_(0) exp(-rate*t) * prod of worst-asset returns.
 
-    The rate defaults to the proportional drag for zero-fixed-cost runs and
-    to the threshold-inflated drag for fixed-cost runs (where the strategy
-    is expected to trade only above the wealth threshold).
+    The rate is the proportional drag for zero-fixed-cost runs and the
+    threshold-inflated drag for fixed-cost runs (where the strategy is
+    expected to trade only above the wealth threshold); a log-wealth margin
+    below -PATH_TOL counts as a violation.
     """
-    if rate is None:
-        rate = constants.eta_m if traj.fixed_cost else constants.eta
+    rate = constants.eta_m if traj.fixed_cost else constants.eta
     floor_lr = np.log(traj.returns.min(axis=1))
     floor_lr[0] = 0.0
     n = traj.t.shape[0]
@@ -377,7 +380,7 @@ def wealth_floor_check(traj: Trajectory, constants, rate: Optional[float] = None
     lhs = np.log(np.where(traj.x_prev > 0, traj.x_prev, np.nan))
     bound = math.log(traj.x_prev[0]) - rate * t_arr + np.cumsum(floor_lr)
     margin = lhs - bound
-    violations = int(np.sum(margin < -tol))
+    violations = int(np.sum(margin < -PATH_TOL))
     if traj.annihilated:
         violations += 1
     return FloorCheckReport(violations=violations,
@@ -467,13 +470,13 @@ class ShareRecord:
     max_residual: float
 
 
-def to_share_holdings(traj: Trajectory, s0, tol: float = 1e-9) -> ShareRecord:
+def to_share_holdings(traj: Trajectory, s0) -> ShareRecord:
     """Rebuild prices and share counts and verify self-financing.
 
     Between transactions holdings must stay constant; at a transaction the
     post-trade portfolio value must equal the pre-trade value minus the
-    share-space transaction charge.  A residual above ``tol`` times wealth
-    raises, since it indicates an engine inconsistency.
+    share-space transaction charge.  A residual above PATH_TOL times
+    wealth raises, since it indicates an engine inconsistency.
     """
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (traj.pi.shape[1],) or s0.min() <= 0:
@@ -486,19 +489,20 @@ def to_share_holdings(traj: Trajectory, s0, tol: float = 1e-9) -> ShareRecord:
     for t in range(1, traj.t.shape[0]):
         prev_value = float(holdings[t - 1] @ prices[t])
         scale = max(traj.x_prev[t], 1.0)
-        if abs(prev_value - traj.x_prev[t]) > tol * scale:
+        if abs(prev_value - traj.x_prev[t]) > PATH_TOL * scale:
             raise RuntimeError("pre-transaction wealth reconstruction failed "
                                f"at step {t}")
         if traj.transacted[t] and traj.x[t] > 0.0:
             cost = share_cost(traj.spec, holdings[t - 1], holdings[t], prices[t])
             resid = abs(holdings[t] @ prices[t] - (prev_value - cost))
             max_resid = max(max_resid, resid / scale)
-            if resid > tol * scale:
+            if resid > PATH_TOL * scale:
                 raise RuntimeError(f"self-financing violated at step {t}: "
                                    f"residual {resid:.3e}")
         elif not traj.transacted[t]:
             resid = float(np.abs(holdings[t] - holdings[t - 1]).max())
-            if resid > tol * max(1.0, float(np.abs(holdings[t - 1]).max())):
+            scale = max(1.0, float(np.abs(holdings[t - 1]).max()))
+            if resid > PATH_TOL * scale:
                 raise RuntimeError(f"holdings drifted without a transaction "
                                    f"at step {t}")
     return ShareRecord(prices=prices, holdings=holdings, max_residual=max_resid)

@@ -31,10 +31,10 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _random_spec(rng, d, with_fixed=True):
+def _random_spec(rng, d):
     buy = rng.uniform(0.0, 0.03, d)
     sell = rng.uniform(0.0, 0.03, d)
-    fixed = float(rng.uniform(0.0, 0.5)) if with_fixed and rng.random() < 0.7 else 0.0
+    fixed = float(rng.uniform(0.0, 0.5)) if rng.random() < 0.7 else 0.0
     variant = "max" if rng.random() < 0.3 else "additive"
     return co.CostSpec(buy=buy, sell=sell, fixed=fixed, variant=variant)
 
@@ -202,12 +202,11 @@ def check_contraction(model, spec, grid, beta: float = 0.9, pairs: int = 20,
     return CheckResult("contraction", True, f"worst margin {worst:.2e}")
 
 
-def check_wealth_monotone(model, spec, grid, beta: float = 0.95,
-                          tol: float = 1e-7) -> CheckResult:
+def check_wealth_monotone(model, spec, grid) -> CheckResult:
     if spec.fixed == 0:
         return CheckResult("wealth_monotonicity", True,
                            "no wealth axis for proportional costs")
-    vf, _, _ = dp.solve_discounted(model, spec, grid, beta, tol=tol)
+    vf, _, _ = dp.solve_discounted(model, spec, grid, 0.95, tol=1e-7)
     slip = float(np.diff(vf.values, axis=1).min())
     ok = slip >= -1e-9
     return CheckResult("wealth_monotonicity", ok, f"worst wealth step {slip:.2e}")
@@ -239,11 +238,10 @@ def check_sandwich(spec, n_samples: int = 1000, seed: int = 8) -> CheckResult:
                        f"{rep.subadditivity_violations} violations")
 
 
-def run_all(model, spec, grid=None, n_samples: int = 2000, seed: int = 0):
+def run_all(model, spec, n_samples: int = 2000, seed: int = 0):
     """Run every suite on the given model/spec at the given sample scale."""
-    if grid is None:
-        grid = StateGrid.build(model.n_assets, 6, model.n_factors,
-                               x_min=1e-2, x_max=1e3, n_x=8)
+    grid = StateGrid.build(model.n_assets, 6, model.n_factors,
+                           x_min=1e-2, x_max=1e3, n_x=8)
     return [
         check_e_solver(n_samples, seed),
         check_diminution_bounds(n_samples, seed + 1),

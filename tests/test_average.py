@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_model
 from growthopt import (CostConstants, CostSpec, GridPolicyStrategy,
                        MimickingStrategy, Policy, StateGrid, average_growth,
-                       bellman_residual, build_mimicking, cross_check_costs,
-                       expected_log_return, invariant_measure, span_bound,
-                       vanishing_discount)
+                       bellman_residual, build_mimicking, build_tables,
+                       cross_check_costs, expected_log_return,
+                       invariant_measure, span_bound, vanishing_discount)
+from growthopt.dp import _continuation_fixed, _continuation_prop
 
 BETAS = [0.9, 0.99, 0.995, 0.999]
 
@@ -80,7 +82,92 @@ class TestVanishingDiscount:
         assert set(doc) >= {"betas", "m_beta", "lambda_estimates", "lambda"}
 
 
+def oracle_bellman_residual(policy, w, growth_rate, model, spec, tables=None):
+    """Slack per state from hand-written gathers over the dp tables, one
+    per Bellman branch, independent of the sweeps' rebalance kernels."""
+    if tables is None:
+        tables = build_tables(model, spec, policy.grid)
+    if policy.wealth_free:
+        w_cont = _continuation_prop(w, tables, 1.0) - tables.h_tab
+        n_p, n_z = w.shape
+        p_idx, z_idx = np.ogrid[:n_p, :n_z]
+        tgt = policy.target
+        hold_slack = tables.h_tab + w - w_cont - growth_rate
+        trans_eta = tables.h_tab[tgt, z_idx] + tables.ln_e_prop[p_idx, tgt]
+        trans_slack = trans_eta + w - w_cont[tgt, z_idx] - growth_rate
+    else:
+        w_cont = _continuation_fixed(w, tables, 1.0) - tables.h_tab[:, None, :]
+        n_p, n_x, n_z = w.shape
+        p_idx, j_idx, z_idx = np.ogrid[:n_p, :n_x, :n_z]
+        tgt = policy.target
+        hold_slack = tables.h_tab[:, None, :] + w - w_cont - growth_rate
+        at = (p_idx, tgt, j_idx, z_idx)
+        ew = (tables.imp_w_lo[at] * w_cont.take(tables.imp_lo[at])
+              + tables.imp_w_hi[at] * w_cont.take(tables.imp_hi[at]))
+        trans_slack = (tables.h_tab[tgt, z_idx] + tables.imp_ln_e[at] + w - ew
+                       - growth_rate)
+    return np.where(policy.impulse, trans_slack, hold_slack)
+
+
+@pytest.fixture(scope="module")
+def residual_cases(two_asset):
+    """name -> (policy, relative value, growth rate, model, spec, tables)."""
+    model, spec = two_asset
+    grid = StateGrid.build(2, 8, 2, x_min=1e-3, x_max=1e4, n_x=16)
+    rep, pol = vanishing_discount(model, spec, grid, BETAS, tol=1e-7)
+    w_prop = rep.prop_value.values.max() - rep.prop_value.values
+    cases = {
+        "acceptance": (pol, rep.relative_value, rep.growth_rate, model, spec,
+                       rep.tables),
+        "acceptance_prop": (rep.prop_policy, w_prop, rep.growth_rate, model,
+                            spec, None),
+        "rate_plus_0.01": (pol, rep.relative_value, rep.growth_rate + 0.01,
+                           model, spec, rep.tables),
+    }
+    max_spec = CostSpec(spec.buy, spec.sell, spec.fixed, "max")
+    grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8,
+                           interpolation="nearest-nearest")
+    rep, pol = vanishing_discount(model, max_spec, grid, [0.9, 0.99], tol=1e-6)
+    cases["max_nearest"] = (pol, rep.relative_value, rep.growth_rate, model,
+                            max_spec, None)
+    model3 = random_model(np.random.default_rng(7), n_z=3, d=3)
+    spec3 = CostSpec(buy=[0.01, 0.02, 0.015], sell=[0.02, 0.01, 0.005],
+                     fixed=0.05)
+    grid = StateGrid.build(3, 3, 3, x_min=1e-2, x_max=1e3, n_x=6)
+    rep, pol = vanishing_discount(model3, spec3, grid, [0.9, 0.95], tol=1e-6)
+    cases["three_assets"] = (pol, rep.relative_value, rep.growth_rate, model3,
+                             spec3, None)
+    return cases
+
+
 class TestBellmanResidual:
+    @pytest.mark.parametrize("name", ["acceptance", "acceptance_prop",
+                                      "rate_plus_0.01", "max_nearest",
+                                      "three_assets"])
+    def test_matches_hand_written_branches(self, residual_cases, name):
+        policy, w, rate, model, spec, tables = residual_cases[name]
+        # both branches occur, so both gathers are compared
+        assert policy.impulse.any() and not policy.impulse.all()
+        res = bellman_residual(policy, w, rate, model, spec, tables=tables)
+        ref = oracle_bellman_residual(policy, w, rate, model, spec, tables)
+        assert np.abs(res.slack - ref).max() <= 1e-12
+
+    def test_rejects_tables_that_do_not_fit(self, residual_cases):
+        policy, w, rate, model, spec, tables = residual_cases["acceptance"]
+        prop_policy, w_prop = residual_cases["acceptance_prop"][:2]
+        flat = build_tables(model, spec.without_fixed(),
+                            policy.grid.without_wealth())
+        with pytest.raises(ValueError, match="with a wealth axis"):
+            bellman_residual(policy, w, rate, model, spec, tables=flat)
+        with pytest.raises(ValueError, match="without a wealth axis"):
+            bellman_residual(prop_policy, w_prop, rate, model, spec,
+                             tables=tables)
+        coarse = build_tables(model, spec, StateGrid.build(
+            2, 8, 2, x_min=1e-3, x_max=1e4, n_x=4))
+        with pytest.raises(ValueError, match=r"\(9, 16, 2\) do not fit "
+                           r"tables built for shape \(9, 4, 2\)"):
+            bellman_residual(policy, w, rate, model, spec, tables=coarse)
+
     def test_single_state_slack_zero(self, single_asset_model):
         spec = CostSpec(buy=[0.01], sell=[0.01], fixed=0.0)
         grid = StateGrid.build(1, 1, 1)

@@ -217,7 +217,8 @@ class TestSimulateEngine:
         ({"z0": 5}, "initial factor state 5 outside [0, 2)"),
         ({"z0": -1}, "initial factor state -1 outside [0, 2)"),
         ({"x0": 0.0}, "initial wealth must be positive"),
-        ({"x0": -3.0}, "initial wealth must be positive")])
+        ({"x0": -3.0}, "initial wealth must be positive"),
+        ({"T": 1}, "T >= 2")])
     def test_bad_start_exits_1(self, optimal_dir, tmp_path, capsys, start,
                                message):
         cfg = tmp_path / "cfg.json"
@@ -231,6 +232,7 @@ class TestSimulateEngine:
         assert code == 1
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "sim" / "trajectory.csv").exists()
+        assert not (tmp_path / "sim" / "simulate.json").exists()
 
 
 class TestLdcheckCommand:
@@ -313,6 +315,28 @@ class TestConfigKeys:
                     + ["validate"])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"grid": {"wealth": {"n_x": 0}}}, "n_x must be >= 1"),
+        ({"betas": 0.9}, "config key 'betas' must be a list of numbers"),
+        ({"betas": [0.9, True]},
+         "config key 'betas' must be a list of numbers"),
+        ({"tolerances": {"tol": "1e-6"}}, "config key 'tol' must be a number"),
+        ({"grid": {"simplex_order": 4.0}},
+         "config key 'simplex_order' must be an integer"),
+        ({"simulation": {"seed": True}},
+         "config key 'seed' must be an integer"),
+        ({"output_dir": 3}, "config key 'output_dir' must be a string")])
+    def test_wrong_value_type_exits_1(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["--config", str(cfg)] + base_args(tmp_path)
+                    + ["optimal"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

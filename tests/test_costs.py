@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthopt import (CostSpec, bisect_e, cost_constants, diamond,
+from growthopt import (CostSpec, bisect_e, cost_constants,
                        general_cost_check, min_diminution, min_trade_wealth,
-                       project_g, proportional_cost, share_cost, solve_e,
-                       solve_e_batch, solve_e_prop)
+                       proportional_cost, share_cost, solve_e, solve_e_batch)
 from growthopt.costs import drag_at_wealth, transaction_equation, worst_case_drag
 
 
@@ -33,6 +32,36 @@ def cost_specs(draw, d):
     fixed = draw(st.sampled_from([0.0, 0.1, 1.0]))
     variant = draw(st.sampled_from(["additive", "max"]))
     return CostSpec(buy=buy, sell=sell, fixed=fixed, variant=variant)
+
+
+def bisect_min_trade_wealth(spec, bisect_iters=128):
+    """Oracle: bisection for the infimum wealth at which every vertex
+    rebalance is affordable (the solver's feasibility is monotone in
+    wealth).  It stops once lo and hi are adjacent floats, after which the
+    remaining halvings would leave both unchanged."""
+    d = spec.n_assets
+    eye = np.eye(d)
+    pairs_prev = np.repeat(eye, d, axis=0)
+    pairs_new = np.tile(eye, (d, 1))
+
+    def all_feasible(wealth):
+        e = solve_e_batch(spec, pairs_prev, pairs_new, np.full(d * d, wealth))
+        return bool((e > 0.0).all())
+
+    lo = spec.fixed * 1e-9
+    hi = max(spec.fixed * 4.0, 1e-6)
+    while not all_feasible(hi):
+        hi *= 2.0
+        assert hi <= 1e30, "no finite feasibility threshold found"
+    for _ in range(bisect_iters):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if all_feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestProportionalCost:
@@ -77,35 +106,6 @@ class TestProportionalCost:
             + proportional_cost(spec, b, c) + 1e-12
 
 
-class TestProjections:
-    def test_project_idempotent_on_simplex(self):
-        v = np.array([0.25, 0.75])
-        np.testing.assert_allclose(project_g(v), v)
-
-    def test_project_rescales(self):
-        np.testing.assert_allclose(project_g([0.2, 0.2]), [0.5, 0.5])
-
-    def test_project_scale_invariant(self):
-        pi = np.array([0.3, 0.2, 0.5])
-        np.testing.assert_allclose(project_g(0.37 * pi), pi, atol=1e-15)
-
-    def test_project_rejects_zero(self):
-        with pytest.raises(ValueError):
-            project_g([0.0, 0.0])
-
-    def test_diamond_unit_returns(self):
-        pi = np.array([0.3, 0.7])
-        np.testing.assert_allclose(diamond(pi, [1.0, 1.0]), pi)
-
-    def test_diamond_by_hand(self):
-        np.testing.assert_allclose(diamond([0.5, 0.5], [2.0, 1.0]),
-                                   [2 / 3, 1 / 3], atol=1e-15)
-
-    def test_diamond_fixes_vertices(self):
-        e1 = np.array([1.0, 0.0])
-        np.testing.assert_allclose(diamond(e1, [1.3, 0.8]), e1)
-
-
 class TestSolveE:
     def test_identity_no_fixed_is_exactly_one(self):
         assert solve_e(spec_2(), [0.3, 0.7], [0.3, 0.7], 5.0) == 1.0
@@ -126,9 +126,10 @@ class TestSolveE:
 
     def test_prop_version_drops_fixed(self):
         spec = spec_2(fixed=1.0)
-        assert solve_e_prop(spec, [1, 0], [0, 1]) == pytest.approx(
+        prop = spec.without_fixed()
+        assert solve_e(prop, [1, 0], [0, 1], 1.0) == pytest.approx(
             0.99 / 1.01, abs=1e-15)
-        assert solve_e_prop(spec, [0.5, 0.5], [0.5, 0.5]) == 1.0
+        assert solve_e(prop, [0.5, 0.5], [0.5, 0.5], 1.0) == 1.0
 
     def test_max_variant_hand_value(self):
         # max(C/x, cost) + delta = 1; fixed part dominates here
@@ -283,6 +284,19 @@ class TestConstants:
         spec_max = CostSpec(buy=[0.01, 0.02], sell=[0.05, 0.03], fixed=0.7,
                             variant="max")
         assert min_trade_wealth(spec_max) == pytest.approx(0.7, rel=1e-9)
+
+    def test_x_star_equals_the_bisection(self):
+        # the closed form plus ulp steps lands on the float the bisection
+        # over vertex pairs converged to, bit for bit
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            d = int(rng.integers(1, 5))
+            spec = CostSpec(buy=rng.uniform(0.0, 0.5, d),
+                            sell=rng.uniform(0.0, 0.5, d),
+                            fixed=float(10.0 ** rng.uniform(-6.0, 3.0)),
+                            variant=str(rng.choice(["additive", "max"])))
+            assert min_trade_wealth(spec) == bisect_min_trade_wealth(spec), \
+                spec
 
     def test_vertices_are_worst_case_for_feasibility(self):
         rng = np.random.default_rng(8)

@@ -162,6 +162,17 @@ class TestBellmanStep:
         with pytest.raises(ValueError, match="with a wealth axis"):
             bellman_step(fixed, model2, spec2, flat_tables)
 
+    def test_rejects_tables_of_a_smaller_grid(self, model2, spec2):
+        # the gathers of a 4-node wealth axis stay inside an 8-node value
+        # table, so without the check the step reads the wrong entries
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=8)
+        coarse = build_tables(model2, spec2, StateGrid.build(
+            2, 4, 2, x_min=1e-2, x_max=1e3, n_x=4))
+        fixed = ValueFunction(grid, np.zeros((5, 8, 2)), 0.9, "fixed")
+        with pytest.raises(ValueError, match="do not fit tables built for "
+                           r"shape \(5, 4, 2\)"):
+            bellman_step(fixed, model2, spec2, coarse)
+
     def test_preserves_wealth_monotonicity(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=12)
         rng = np.random.default_rng(3)
@@ -571,7 +582,7 @@ class TestKernelsMatchReference:
         for beta in (1.0, 0.93):
             for _ in range(5):
                 v = rng.normal(scale=3.0, size=shape)
-                cont, vals = dp._branches(v, t, beta, variant)
+                cont, vals = dp._branches(v, t, beta)
                 r_cont, r_max, r_argmax = oracle_branches(v, ref, beta, variant)
                 assert np.array_equal(cont, r_cont)
                 assert np.array_equal(vals.max(axis=1), r_max)

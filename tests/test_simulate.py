@@ -148,6 +148,15 @@ class TestAverageGrowth:
                              [1.0], 1.0, 0, T=4000, n_paths=100, seed=19)
         assert abs(est.window_mean - est.mean) <= 5 * est.std_error
 
+    def test_rejects_horizon_below_two(self, model2, spec2):
+        # the second-half window of T = 1 holds no step
+        with pytest.raises(ValueError, match="T >= 2"):
+            average_growth(model2, spec2, NoTransactionStrategy(), [0.5, 0.5],
+                           1.0, 0, T=1, n_paths=4, seed=1)
+        traj = run(model2, spec2, NoTransactionStrategy(), [0.5, 0.5], 1.0, 0,
+                   1, seed=1)
+        assert traj.n_steps == 1
+
     def test_proportion_drift_raises_like_scalar_run(self, monkeypatch):
         # a leveraged target whose gross return nearly cancels: the drifted
         # proportions, each near 1e8, sum to 1 only up to about 6e-9
