@@ -86,7 +86,9 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     which a rebalance must beat holding in both.  Returns (report, policy).
     """
     betas = [float(b) for b in betas]
-    if not betas or any(not 0 < b < 1 for b in betas):
+    if not betas:
+        raise ValueError("betas must hold at least one discount factor")
+    if any(not 0 < b < 1 for b in betas):
         raise ValueError("betas must lie in (0, 1)")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("betas must be strictly ascending")

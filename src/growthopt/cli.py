@@ -404,7 +404,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         return 2
-    except (ValueError, RuntimeError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,9 @@ step is below tol*(1-beta)/beta, which bounds the distance to the grid
 fixed point by tol.
 
 For zero fixed cost the value carries no wealth axis and the same sweeps
-run on the collapsed grid.
+run on the collapsed grid.  The grid owns the table layout: every value
+table here has shape ``grid.shape`` of the grid it was built on, and
+``DpTables.variant`` names the sweep kernels that grid needs.
 
 ``build_tables`` resolves the discretization once per grid into flat gather
 tables: positions in ``values.ravel()`` of the wealth corners reached by
@@ -201,23 +203,20 @@ def _require_fit(values, t: DpTables, what: str):
     if (t.variant == "fixed") != fixed:
         raise ValueError(f"{what} need tables built on a grid "
                          f"{'with' if fixed else 'without'} a wealth axis")
-    g = t.grid
-    shape = (g.n_nodes,) + ((g.n_wealth,) if fixed else ()) + (g.n_z,)
-    if np.shape(values) != shape:
+    if np.shape(values) != t.grid.shape:
         raise ValueError(f"{what} of shape {np.shape(values)} do not fit "
-                         f"tables built for shape {shape}")
+                         f"tables built for shape {t.grid.shape}")
 
 
 def bellman_step(v: ValueFunction, model: MarketModel, spec: CostSpec,
                  tables: Optional[DpTables] = None) -> ValueFunction:
     """One application of the two-branch Bellman operator.
 
-    Proportional values carry no wealth axis, so their tables are built on
-    the collapsed grid; tables built for the other variant are refused.
+    Tables are built on the values' own grid; tables built for values of
+    another shape are refused.
     """
     if tables is None:
-        tables = build_tables(model, spec, v.grid if v.variant == "fixed"
-                              else v.grid.without_wealth())
+        tables = build_tables(model, spec, v.grid)
     _require_fit(v.values, tables, f"{v.variant} values")
     cont, vals = _branches(v.values, tables, v.beta)
     return v.copy_with(np.maximum(cont, vals.max(axis=1)))
@@ -234,7 +233,7 @@ def impulse_operator(v: ValueFunction, model: MarketModel, spec: CostSpec,
     grid = v.grid
     nodes = grid.nodes
     n_p = grid.n_nodes
-    if v.variant == "fixed":
+    if grid.has_wealth_axis:
         p0, j, z = state
         x = grid.wealth[j]
     else:
@@ -246,11 +245,7 @@ def impulse_operator(v: ValueFunction, model: MarketModel, spec: CostSpec,
     if not feasible.any():
         return float("-inf"), None
     vals = np.full(n_p, NEG)
-    if v.variant == "fixed":
-        cont = grid.interp(v.values, np.arange(n_p)[feasible],
-                           x * e[feasible], z)
-    else:
-        cont = v.values[np.arange(n_p)[feasible], z]
+    cont = grid.interp(v.values, np.arange(n_p)[feasible], x * e[feasible], z)
     vals[feasible] = np.log(e[feasible]) + cont
     best = int(vals.argmax())
     return float(vals[best]), best
@@ -301,33 +296,28 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
                      tie_eps: float = TIE_EPS):
     """Value iteration to the discounted fixed point, with greedy policy.
 
-    Returns (ValueFunction, Policy, IterationReport).  The value variant is
-    "fixed" when the spec carries a fixed cost (the grid must then have a
-    wealth axis) and "proportional" otherwise.  The policy argmax over
-    targets is taken once, on the converged values.
+    Returns (ValueFunction, Policy, IterationReport).  A spec with a fixed
+    cost is solved on the grid, which must then have a wealth axis; one
+    without is solved on the grid without its wealth axis.  The policy
+    argmax over targets is taken once, on the converged values.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     if spec.fixed > 0.0:
         if not grid.has_wealth_axis:
             raise ValueError("fixed-cost problems need a wealth axis on the grid")
-        variant = "fixed"
-        shape = (grid.n_nodes, grid.n_wealth, grid.n_z)
-    else:
-        variant = "proportional"
-        if grid.has_wealth_axis:
-            grid = grid.without_wealth()
-        shape = (grid.n_nodes, grid.n_z)
+    elif grid.has_wealth_axis:
+        grid = grid.without_wealth()
     if tables is None or tables.grid is not grid:
         tables = build_tables(model, spec, grid)
     stop_tol = tol * (1.0 - beta) / beta
     if not stop_tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    hold = (_continuation_prop if variant == "proportional"
+    hold = (_continuation_prop if tables.variant == "proportional"
             else _continuation_fixed)
     v_init, k_init, _ = _iterate(lambda v: hold(v, tables, beta),
-                                 np.zeros(shape), beta, stop_tol,
+                                 np.zeros(grid.shape), beta, stop_tol,
                                  "hold-only warm start")
 
     def update(v):
@@ -341,10 +331,10 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
     impulse = vals.max(axis=1) > cont + tie_eps
     own = np.arange(grid.n_nodes).reshape((-1,) + (1,) * (values.ndim - 1))
     target = np.where(impulse, vals.argmax(axis=1), own)
-    vf = ValueFunction(grid=grid, values=values, beta=beta, variant=variant)
+    vf = ValueFunction(grid=grid, values=values, beta=beta)
     pol = Policy(grid=grid, impulse=impulse, target=target, beta=beta)
     report = IterationReport(
-        beta=beta, tol=tol, variant=variant, init_iterations=k_init,
+        beta=beta, tol=tol, variant=tables.variant, init_iterations=k_init,
         iterations=k_main, final_diff=diff,
         error_bound=diff * beta / (1.0 - beta),
         h_inf=float(np.abs(tables.h_tab).max()),

@@ -7,6 +7,10 @@ deterministic tie-break.  Wealth, when present, lives on a strictly
 increasing geometric grid and off-grid values are resolved linearly in
 log-wealth (or by nearest node, depending on the interpolation mode).
 Off-mesh proportions always snap to the nearest mesh node.
+
+The grid owns the table layout: ``StateGrid.shape`` gives the shape of
+every value and policy table on it, with a wealth axis only where the grid
+has one, and ``ValueFunction`` and ``Policy`` refuse tables of other shapes.
 """
 
 from __future__ import annotations
@@ -103,6 +107,12 @@ class StateGrid:
     def has_wealth_axis(self) -> bool:
         return self.wealth is not None
 
+    @property
+    def shape(self) -> tuple:
+        """Shape of the value and policy tables on this grid."""
+        wealth = (self.n_wealth,) if self.has_wealth_axis else ()
+        return (self.n_nodes,) + wealth + (self.n_z,)
+
     def without_wealth(self) -> "StateGrid":
         return StateGrid(nodes=self.nodes, mesh_order=self.mesh_order,
                          n_z=self.n_z, wealth=None,
@@ -183,7 +193,7 @@ class StateGrid:
 
     def interp(self, values: np.ndarray, node_idx, x, z):
         """Evaluate a value table at (node index, wealth, factor) points."""
-        if values.ndim == 2:
+        if not self.has_wealth_axis:
             return values[node_idx, z]
         j0, frac = self.wealth_pos(x)
         lo = values[node_idx, j0, z]
@@ -191,22 +201,31 @@ class StateGrid:
         return (1.0 - frac) * lo + frac * hi
 
 
+def _require_shape(grid: StateGrid, **tables):
+    for name, table in tables.items():
+        if np.shape(table) != grid.shape:
+            raise ValueError(f"{name} has shape {np.shape(table)}, but "
+                             f"tables on its grid have shape {grid.shape}")
+
+
 @dataclass
 class ValueFunction:
-    """Value table on a StateGrid.
-
-    ``values`` has shape (n_nodes, n_wealth, n_z) for the fixed-cost
-    variant and (n_nodes, n_z) for the proportional variant.
-    """
+    """Value table of shape ``grid.shape`` on a StateGrid: the fixed-cost
+    variant on a grid with a wealth axis, the proportional one without."""
 
     grid: StateGrid
     values: np.ndarray
     beta: float
-    variant: str  # "fixed" | "proportional"
+
+    def __post_init__(self):
+        _require_shape(self.grid, values=self.values)
+
+    @property
+    def variant(self) -> str:
+        return "fixed" if self.grid.has_wealth_axis else "proportional"
 
     def copy_with(self, values) -> "ValueFunction":
-        return ValueFunction(grid=self.grid, values=values, beta=self.beta,
-                             variant=self.variant)
+        return ValueFunction(grid=self.grid, values=values, beta=self.beta)
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
@@ -214,7 +233,7 @@ class ValueFunction:
 
 @dataclass
 class Policy:
-    """Greedy rebalance rule on a StateGrid.
+    """Greedy rebalance rule on a StateGrid, tables of shape ``grid.shape``.
 
     ``impulse`` flags states where transacting strictly beats holding,
     ``target`` holds the node index of the rebalance target (the state's
@@ -228,6 +247,9 @@ class Policy:
     beta: object  # float or the string "average"
     model_hash: Optional[str] = None
 
+    def __post_init__(self):
+        _require_shape(self.grid, impulse=self.impulse, target=self.target)
+
     @property
     def wealth_free(self) -> bool:
-        return self.impulse.ndim == 2
+        return not self.grid.has_wealth_axis

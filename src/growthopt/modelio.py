@@ -16,6 +16,10 @@ most 1e-9 are renormalized, larger errors are rejected.  Value functions
 and policies serialize as a CSV body plus a JSON side-car header carrying
 the grid spec, discount, model hash and seed; every CLI run additionally
 writes a manifest listing inputs, content hashes and wall time.
+
+The grid owns the table layout: a dump has one CSV row per index of
+``grid.shape``, and reading it back fills tables of the shape that the
+header's grid spec gives.
 """
 
 from __future__ import annotations
@@ -52,6 +56,10 @@ def _renormalize_rows(mat, what):
 
 def parse_model_dict(doc: dict):
     """Build (MarketModel, CostSpec or None) from a parsed model document."""
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k, {}), dict)
+                                          for k in ("factors", "shocks", "costs"))):
+        raise ValueError("a model must be a JSON object, and so must its "
+                         "factors, shocks and costs sections")
     transition = _renormalize_rows(doc["factors"]["transition"], "transition")
     probs = _renormalize_rows(doc["shocks"]["probs"], "shock probs")[0]
     returns = _to_float_array(doc["returns"])
@@ -112,48 +120,30 @@ def _float_cell(v: float) -> str:
 # value function / policy dumps
 # ----------------------------------------------------------------------
 
-def _state_rows(grid: StateGrid, wealth_axis: bool):
-    for p in range(grid.n_nodes):
-        if wealth_axis:
-            for j in range(grid.n_wealth):
-                for z in range(grid.n_z):
-                    yield (p, j, z, grid.nodes[p], grid.wealth[j])
-        else:
-            for z in range(grid.n_z):
-                yield (p, None, z, grid.nodes[p], None)
-
-
 def dump_solution(v: ValueFunction, policy: Policy, path_base: str,
                   model_hash: str, seed: Optional[int] = None) -> dict:
     """Write <base>.csv (one row per state) and <base>.json (header).
 
     Returns the header dict.  CSV columns: node index, wealth index, factor,
     the node's proportion coordinates, wealth, value, impulse flag and the
-    target node's coordinates.
+    target node's coordinates; wealth index and wealth are blank on grids
+    without a wealth axis.
     """
     grid = v.grid
     d = grid.n_assets
-    wealth_axis = v.variant == "fixed"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header_cols = (["node", "wealth_idx", "z"]
                    + [f"pi_prev_{i}" for i in range(d)] + ["x", "value", "impulse"]
                    + [f"target_{i}" for i in range(d)])
     writer.writerow(header_cols)
-    for p, j, z, node, x in _state_rows(grid, wealth_axis):
-        if wealth_axis:
-            val = v.values[p, j, z]
-            imp = policy.impulse[p, j, z]
-            tgt = grid.nodes[policy.target[p, j, z]]
-        else:
-            val = v.values[p, z]
-            imp = policy.impulse[p, z]
-            tgt = grid.nodes[policy.target[p, z]]
-        writer.writerow([p, "" if j is None else j, z]
-                        + [_float_cell(c) for c in node]
-                        + ["" if x is None else _float_cell(x), _float_cell(val),
-                           int(imp)]
-                        + [_float_cell(c) for c in tgt])
+    for idx in np.ndindex(grid.shape):
+        p, *j, z = idx
+        writer.writerow([p, j[0] if j else "", z]
+                        + [_float_cell(c) for c in grid.nodes[p]]
+                        + [_float_cell(grid.wealth[j[0]]) if j else "",
+                           _float_cell(v.values[idx]), int(policy.impulse[idx])]
+                        + [_float_cell(c) for c in grid.nodes[policy.target[idx]]])
     atomic_write_text(path_base + ".csv", buf.getvalue())
     header = {
         "kind": "value_policy",
@@ -169,7 +159,12 @@ def dump_solution(v: ValueFunction, policy: Policy, path_base: str,
 
 
 def load_policy(path_base: str) -> Policy:
-    """Rebuild a Policy from a dump written by :func:`dump_solution`."""
+    """Rebuild a Policy from a dump written by :func:`dump_solution`.
+
+    The header's grid spec decides the table shape.  Every CSV row must name
+    one state of that grid by in-range indices (a blank wealth index where
+    the grid has no wealth axis), and every state must appear exactly once.
+    """
     with open(path_base + ".json", "r", encoding="utf-8") as fh:
         header = json.load(fh)
     g = header["grid"]
@@ -181,27 +176,36 @@ def load_policy(path_base: str) -> Policy:
         n_x=None if wealth is None else wealth["n_x"],
         interpolation=g["interpolation"],
     )
-    if header["variant"] == "fixed":
-        shape = (grid.n_nodes, grid.n_wealth, grid.n_z)
-    else:
-        shape = (grid.n_nodes, grid.n_z)
-    impulse = np.zeros(shape, dtype=bool)
-    target = np.zeros(shape, dtype=np.int64)
-    with open(path_base + ".csv", "r", encoding="utf-8") as fh:
+    impulse = np.zeros(grid.shape, dtype=bool)
+    target = np.zeros(grid.shape, dtype=np.int64)
+    seen = np.zeros(grid.shape, dtype=bool)
+    path = path_base + ".csv"
+    with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         cols = next(reader)
         d = grid.n_assets
-        tgt_at = cols.index("target_0")
+        tgt_at, imp_at = cols.index("target_0"), cols.index("impulse")
         for row in reader:
-            p, j, z = int(row[0]), row[1], int(row[2])
-            tgt_node = np.array([float(c) for c in row[tgt_at:tgt_at + d]])
-            idx = grid.node_index(tgt_node)
-            if header["variant"] == "fixed":
-                impulse[p, int(j), z] = row[cols.index("impulse")] == "1"
-                target[p, int(j), z] = idx
-            else:
-                impulse[p, z] = row[cols.index("impulse")] == "1"
-                target[p, z] = idx
+            where = f"{path} line {reader.line_num}"
+            try:
+                idx = tuple(int(c) for c in row[:3] if c != "")
+                tgt = [float(c) for c in row[tgt_at:tgt_at + d]]
+            except ValueError:
+                raise ValueError(f"{where}: a state index or target "
+                                 "coordinate is not a number") from None
+            if (len(row) != len(cols) or len(idx) != len(grid.shape)
+                    or not all(0 <= i < n for i, n in zip(idx, grid.shape))):
+                raise ValueError(f"{where}: row does not name a state of a "
+                                 f"grid with tables of shape {grid.shape}")
+            if seen[idx]:
+                raise ValueError(f"{where}: state {idx} appears twice")
+            seen[idx] = True
+            impulse[idx] = row[imp_at] == "1"
+            target[idx] = grid.node_index(np.array(tgt))
+    if not seen.all():
+        missing = tuple(int(i) for i in np.argwhere(~seen)[0])
+        raise ValueError(f"{path}: no row for state {missing} "
+                         f"({int((~seen).sum())} states missing)")
     return Policy(grid=grid, impulse=impulse, target=target, beta=header["beta"],
                   model_hash=header.get("model_hash"))
 

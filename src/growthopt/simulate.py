@@ -102,15 +102,9 @@ class GridPolicyStrategy(Strategy):
 
     def decide_batch(self, pi_prev, x_prev, z, t):
         grid = self.policy.grid
-        p_idx = grid.nearest_node(pi_prev)
-        if self.policy.wealth_free:
-            mask = self.policy.impulse[p_idx, z]
-            tgt_idx = self.policy.target[p_idx, z]
-        else:
-            j_idx = grid.nearest_wealth(x_prev)
-            mask = self.policy.impulse[p_idx, j_idx, z]
-            tgt_idx = self.policy.target[p_idx, j_idx, z]
-        return mask, grid.nodes[tgt_idx]
+        wealth = (grid.nearest_wealth(x_prev),) if grid.has_wealth_axis else ()
+        idx = (grid.nearest_node(pi_prev),) + wealth + (z,)
+        return self.policy.impulse[idx], grid.nodes[self.policy.target[idx]]
 
 
 class MimickingStrategy(Strategy):
@@ -118,7 +112,9 @@ class MimickingStrategy(Strategy):
 
     Below the wealth threshold the strategy freezes and arms its recovery
     flag; it re-syncs to the base target once wealth passes the resync
-    level, and otherwise follows the base policy.
+    level, and otherwise follows the base policy.  The resync level is at
+    least the threshold (``cost_constants`` sets it to M exp(eta_m)), so a
+    path below the threshold never re-syncs.
     """
 
     def __init__(self, mimicking: MimickingPolicy):
@@ -130,27 +126,13 @@ class MimickingStrategy(Strategy):
         self._recovering = np.zeros(n_paths, dtype=bool)
 
     def decide_batch(self, pi_prev, x_prev, z, t):
-        n = pi_prev.shape[0]
-        if self._recovering.shape[0] != n:
+        if self._recovering.shape[0] != pi_prev.shape[0]:
             raise RuntimeError("call reset(n_paths) before a new batch")
-        m = self.mimicking.wealth_threshold
-        m_star = self.mimicking.resync_wealth
         base_mask, base_tgt = self.base.decide_batch(pi_prev, x_prev, z, t)
-
-        below = x_prev < m
-        resync = self._recovering & (x_prev >= m_star)
-        waiting = self._recovering & ~resync
-        follow = ~below & ~self._recovering
-
-        mask = np.zeros(n, dtype=bool)
-        targets = pi_prev.copy()
-        mask[resync] = True
-        targets[resync] = base_tgt[resync]
-        mask[follow] = base_mask[follow]
-        targets[follow] = np.where(base_mask[follow, None], base_tgt[follow],
-                                   targets[follow])
-        mask[below | waiting] = False
-
+        below = x_prev < self.mimicking.wealth_threshold
+        resync = self._recovering & (x_prev >= self.mimicking.resync_wealth)
+        mask = ~below & (resync | (base_mask & ~self._recovering))
+        targets = np.where(mask[:, None], base_tgt, pi_prev)
         self._recovering = (self._recovering | below) & ~resync
         return mask, targets
 
@@ -179,10 +161,6 @@ class Trajectory:
     x_prev: np.ndarray
     x: np.ndarray
     returns: np.ndarray
-    seed: int
-    stream: int
-    model_hash: str
-    fixed_cost: bool
     annihilated: bool
     spec: CostSpec
 
@@ -284,9 +262,7 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
         pi_prev=rec_pi_prev[:rows], transacted=np.zeros(rows, dtype=bool),
         pi=rec_pi_prev[:rows].copy(), e_applied=np.ones(rows),
         x_prev=rec_x_prev[:rows], x=rec_x_prev[:rows].copy(),
-        returns=np.ones((rows, d)), seed=seed, stream=streams[0],
-        model_hash=model_fingerprint(model, spec), fixed_cost=spec.fixed > 0,
-        annihilated=not alive[0], spec=spec)
+        returns=np.ones((rows, d)), annihilated=not alive[0], spec=spec)
     traj.returns[1:] = zeta[:rows - 1, 0]
     for t, e_t, pi_t, lx_t in trades:
         traj.transacted[t], traj.e_applied[t], traj.pi[t] = True, e_t, pi_t
@@ -372,7 +348,7 @@ def wealth_floor_check(traj: Trajectory, constants) -> FloorCheckReport:
     expected to trade only above the wealth threshold); a log-wealth margin
     below -PATH_TOL counts as a violation.
     """
-    rate = constants.eta_m if traj.fixed_cost else constants.eta
+    rate = constants.eta_m if traj.spec.fixed > 0 else constants.eta
     floor_lr = np.log(traj.returns.min(axis=1))
     floor_lr[0] = 0.0
     n = traj.t.shape[0]

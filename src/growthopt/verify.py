@@ -179,19 +179,16 @@ def check_contraction(model, spec, grid, beta: float = 0.9, pairs: int = 20,
                       seed: int = 6) -> CheckResult:
     """|T v - T w| <= beta |v - w| on random value pairs."""
     rng = np.random.default_rng(seed)
-    variant = "fixed" if spec.fixed > 0 else "proportional"
-    if variant == "proportional":
+    if not spec.fixed > 0:
         grid = grid.without_wealth()
     tables = dp.build_tables(model, spec, grid)
-    shape = ((grid.n_nodes, grid.n_wealth, grid.n_z) if variant == "fixed"
-             else (grid.n_nodes, grid.n_z))
     worst = 0.0
     for _ in range(pairs):
-        v = rng.normal(size=shape)
-        w = rng.normal(size=shape)
-        tv = dp.bellman_step(ValueFunction(grid, v, beta, variant), model, spec,
+        v = rng.normal(size=grid.shape)
+        w = rng.normal(size=grid.shape)
+        tv = dp.bellman_step(ValueFunction(grid, v, beta), model, spec,
                              tables).values
-        tw = dp.bellman_step(ValueFunction(grid, w, beta, variant), model, spec,
+        tw = dp.bellman_step(ValueFunction(grid, w, beta), model, spec,
                              tables).values
         lhs = np.abs(tv - tw).max()
         rhs = beta * np.abs(v - w).max()

@@ -141,10 +141,10 @@ def test_criterion_3_discounted_solver_oracle(bundle):
     contraction_ok = True
     for _ in range(100):
         a, b = rng.normal(size=(2, grid.n_nodes, 2))
-        ta = go.bellman_step(go.ValueFunction(grid, a, beta, "proportional"),
-                             model, free, tables).values
-        tb = go.bellman_step(go.ValueFunction(grid, b, beta, "proportional"),
-                             model, free, tables).values
+        ta = go.bellman_step(go.ValueFunction(grid, a, beta), model, free,
+                             tables).values
+        tb = go.bellman_step(go.ValueFunction(grid, b, beta), model, free,
+                             tables).values
         if np.abs(ta - tb).max() > beta * np.abs(a - b).max() + 1e-12:
             contraction_ok = False
     ok = sup_gap <= 1e-6 and contraction_ok

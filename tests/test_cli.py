@@ -1,15 +1,17 @@
 """CLI subcommands, artifacts, exit codes, reproducibility."""
 
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from growthopt import bundled_model_path, load_model, model_fingerprint
+from growthopt import (StateGrid, bundled_model_path, load_model,
+                       model_fingerprint, solve_discounted)
 from growthopt.cli import main
-from growthopt.modelio import load_policy, parse_model_dict
+from growthopt.modelio import dump_solution, load_policy, parse_model_dict
 
 
 def write_model(tmp_path, mutate=None):
@@ -156,6 +158,88 @@ class TestSimulatePolicyCheck:
         assert code == 1
         assert "1 factor states" in err and "2 factor states" in err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory, two_asset):
+    """"fixed" and "proportional" -> (path base of a dump, solved policy)."""
+    model, spec = two_asset
+    tmp = tmp_path_factory.mktemp("dumps")
+    grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+    out = {}
+    for name, s in (("fixed", spec), ("proportional", spec.without_fixed())):
+        vf, pol, _ = solve_discounted(model, s, grid, 0.9, tol=1e-5)
+        dump_solution(vf, pol, str(tmp / name), "hash", seed=1)
+        out[name] = (str(tmp / name), pol)
+    return out
+
+
+def corrupt(dumps, tmp_path, name, edit):
+    """Copy a dump with its CSV lines passed through ``edit``."""
+    base, _ = dumps[name]
+    lines = open(base + ".csv").read().splitlines(keepends=True)
+    out = str(tmp_path / name)
+    with open(out + ".json", "w") as fh:
+        fh.write(open(base + ".json").read())
+    with open(out + ".csv", "w") as fh:
+        fh.writelines(edit(lines))
+    return out
+
+
+def set_cell(lines, line_no, col, value):
+    """Set one cell of the CSV line numbered ``line_no`` (header = 1)."""
+    cells = lines[line_no - 1].rstrip("\n").split(",")
+    cells[col] = value
+    return lines[:line_no - 1] + [",".join(cells) + "\n"] + lines[line_no:]
+
+
+class TestPolicyDump:
+    @pytest.mark.parametrize("name", ["fixed", "proportional"])
+    def test_round_trip_is_exact(self, dumps, name):
+        base, pol = dumps[name]
+        back = load_policy(base)
+        assert back.grid.shape == pol.grid.shape
+        assert back.wealth_free == (name == "proportional")
+        np.testing.assert_array_equal(back.impulse, pol.impulse)
+        np.testing.assert_array_equal(back.target, pol.target)
+        assert pol.impulse.any() and (pol.target != 0).any()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("fixed", lambda ls: set_cell(ls, 2, 0, "99"),
+         "line 2: row does not name a state"),
+        ("proportional", lambda ls: set_cell(ls, 3, 2, "-1"),
+         "line 3: row does not name a state"),
+        ("fixed", lambda ls: set_cell(ls, 4, 1, ""),
+         "line 4: row does not name a state"),
+        ("proportional", lambda ls: set_cell(ls, 4, 1, "0"),
+         "line 4: row does not name a state"),
+        ("fixed", lambda ls: set_cell(ls, 5, 2, "x"),
+         "line 5: a state index or target coordinate is not a number"),
+        ("fixed", lambda ls: ls[:3] + ls[2:],
+         r"line 4: state \(0, 0, 1\) appears twice"),
+        ("proportional", lambda ls: ls[:5] + ls[6:],
+         r"no row for state \(2, 0\) \(1 states missing\)")])
+    def test_malformed_rows_are_refused(self, dumps, tmp_path, name, edit,
+                                        message):
+        base = corrupt(dumps, tmp_path, name, edit)
+        with pytest.raises(ValueError, match=re.escape(base + ".csv")
+                           + ".*" + message):
+            load_policy(base)
+
+    def test_simulate_exits_1_on_a_malformed_policy(self, tmp_path, capsys):
+        args = base_args(tmp_path, "p")
+        assert main(args + ["--mesh-order", "4", "solve", "--beta",
+                            "0.9"]) == 0
+        path = tmp_path / "p" / "value_beta.csv"
+        path.write_text("".join(set_cell(path.read_text().splitlines(
+            keepends=True), 2, 0, "99")))
+        code = main(base_args(tmp_path, "sim") + [
+            "--T", "50", "--n-paths", "2", "simulate", "--policy",
+            str(tmp_path / "p" / "value_beta"), "--mimic", "off"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "value_beta.csv line 2" in err and "Traceback" not in err
+        assert not (tmp_path / "sim").exists()
 
 
 class TestTrajectoryArtifact:
@@ -408,6 +492,30 @@ class TestUsageErrors:
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert "validate" in res.stdout
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case, message", [
+        ("model is a directory", "Is a directory"),
+        ("model is a list", "a model must be a JSON object"),
+        ("empty schedule", "betas must hold at least one discount factor")])
+    def test_exits_1_with_a_message(self, tmp_path, capsys, case, message):
+        model = write_model(tmp_path)
+        args = []
+        if case == "model is a directory":
+            model = str(tmp_path)
+        elif case == "model is a list":
+            (tmp_path / "list.json").write_text("[1, 2]")
+            model = str(tmp_path / "list.json")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"betas": []}))
+            args = ["--config", str(tmp_path / "cfg.json")]
+        code = main(args + ["--model", model, "--output-dir",
+                            str(tmp_path / "out"), "optimal"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestModelParsing:

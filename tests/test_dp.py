@@ -57,8 +57,7 @@ class TestImpulseOperator:
     def test_constant_value_no_fixed_cost(self, model2):
         spec = CostSpec(buy=[0.01, 0.01], sell=[0.01, 0.01], fixed=0.0)
         grid = StateGrid.build(2, 4, 2)
-        v = ValueFunction(grid, np.full((5, 2), 3.25), beta=0.9,
-                          variant="proportional")
+        v = ValueFunction(grid, np.full((5, 2), 3.25), beta=0.9)
         val, idx = impulse_operator(v, model2, spec, (2, 0))
         assert val == pytest.approx(3.25, abs=1e-12)
         assert idx == 2  # rebalancing away only loses wealth
@@ -67,7 +66,7 @@ class TestImpulseOperator:
         spec = CostSpec(buy=[0.01], sell=[0.01], fixed=0.2)
         grid = StateGrid.build(1, 4, 1, x_min=1.0, x_max=100.0, n_x=8)
         rng = np.random.default_rng(0)
-        v = ValueFunction(grid, rng.normal(size=(1, 8, 1)), 0.9, "fixed")
+        v = ValueFunction(grid, rng.normal(size=(1, 8, 1)), 0.9)
         val, idx = impulse_operator(v, single_asset_model, spec, (0, 4, 0))
         ref = brute_impulse(v, single_asset_model, spec, (0, 4, 0))
         assert idx == 0
@@ -76,7 +75,7 @@ class TestImpulseOperator:
     def test_matches_enumeration_on_random_values(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=8)
         rng = np.random.default_rng(1)
-        v = ValueFunction(grid, rng.normal(size=(5, 8, 2)), 0.95, "fixed")
+        v = ValueFunction(grid, rng.normal(size=(5, 8, 2)), 0.95)
         for _ in range(40):
             state = (int(rng.integers(5)), int(rng.integers(8)),
                      int(rng.integers(2)))
@@ -88,7 +87,7 @@ class TestImpulseOperator:
     def test_all_infeasible_marker(self, model2, spec2):
         # wealth below the fixed charge: every rebalance annihilates
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e-2, n_x=4)
-        v = ValueFunction(grid, np.zeros((5, 4, 2)), 0.9, "fixed")
+        v = ValueFunction(grid, np.zeros((5, 4, 2)), 0.9)
         val, idx = impulse_operator(v, model2, spec2, (0, 0, 0))
         assert val == -np.inf and idx is None
 
@@ -100,8 +99,7 @@ class TestBellmanStep:
         grid = StateGrid.build(1, 1, 1)
         h = math.log(1.05)
         beta = 0.9
-        v = ValueFunction(grid, np.full((1, 1), h / (1 - beta)), beta,
-                          "proportional")
+        v = ValueFunction(grid, np.full((1, 1), h / (1 - beta)), beta)
         out = bellman_step(v, model, spec)
         np.testing.assert_allclose(out.values, v.values, atol=1e-12)
 
@@ -109,7 +107,7 @@ class TestBellmanStep:
         # two-node mesh: the step value is max(h(p, z), ln e + h(p', z))
         spec = CostSpec(buy=[0.02, 0.02], sell=[0.02, 0.02], fixed=0.0)
         grid = StateGrid.build(2, 1, 2)
-        v = ValueFunction(grid, np.zeros((2, 2)), 0.9, "proportional")
+        v = ValueFunction(grid, np.zeros((2, 2)), 0.9)
         out = bellman_step(v, model2, spec)
         ln_e = math.log(solve_e(spec, [1, 0], [0, 1], 1.0))
         for z in range(2):
@@ -123,40 +121,40 @@ class TestBellmanStep:
         spec = CostSpec(buy=[0.01, 0.02], sell=[0.02, 0.01], fixed=fixed)
         if fixed > 0:
             grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=8)
-            shape, variant = (5, 8, 2), "fixed"
         else:
             grid = StateGrid.build(2, 4, 2)
-            shape, variant = (5, 2), "proportional"
         tables = build_tables(model2, spec, grid)
         rng = np.random.default_rng(2)
         beta = 0.9
         for _ in range(100):
-            a = rng.normal(size=shape)
-            b = rng.normal(size=shape)
-            ta = bellman_step(ValueFunction(grid, a, beta, variant), model2,
-                              spec, tables).values
-            tb = bellman_step(ValueFunction(grid, b, beta, variant), model2,
-                              spec, tables).values
+            a = rng.normal(size=grid.shape)
+            b = rng.normal(size=grid.shape)
+            ta = bellman_step(ValueFunction(grid, a, beta), model2, spec,
+                              tables).values
+            tb = bellman_step(ValueFunction(grid, b, beta), model2, spec,
+                              tables).values
             assert np.abs(ta - tb).max() <= beta * np.abs(a - b).max() + 1e-12
 
     def test_proportional_values_on_a_wealth_grid(self, model2, spec2):
-        # proportional values carry no wealth axis whatever grid they sit on
-        prop = spec2.without_fixed()
+        # the grid decides the layout: values without a wealth axis belong
+        # on the grid without one, and are refused on a wealth grid
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=8)
         v = np.random.default_rng(4).normal(size=(5, 2))
-        on_wealth = bellman_step(ValueFunction(grid, v, 0.9, "proportional"),
-                                 model2, prop)
-        flat = bellman_step(ValueFunction(grid.without_wealth(), v, 0.9,
-                                          "proportional"), model2, prop)
-        np.testing.assert_array_equal(on_wealth.values, flat.values)
+        with pytest.raises(ValueError, match=r"values has shape \(5, 2\), "
+                           r"but tables on its grid have shape \(5, 8, 2\)"):
+            ValueFunction(grid, v, 0.9)
+        flat = ValueFunction(grid.without_wealth(), v, 0.9)
+        assert flat.variant == "proportional"
+        out = bellman_step(flat, model2, spec2.without_fixed())
+        assert out.grid is flat.grid and out.values.shape == (5, 2)
 
     def test_rejects_tables_of_the_other_variant(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=8)
         wealth_tables = build_tables(model2, spec2, grid)
         flat_tables = build_tables(model2, spec2.without_fixed(),
                                    grid.without_wealth())
-        prop = ValueFunction(grid, np.zeros((5, 2)), 0.9, "proportional")
-        fixed = ValueFunction(grid, np.zeros((5, 8, 2)), 0.9, "fixed")
+        prop = ValueFunction(grid.without_wealth(), np.zeros((5, 2)), 0.9)
+        fixed = ValueFunction(grid, np.zeros((5, 8, 2)), 0.9)
         with pytest.raises(ValueError, match="without a wealth axis"):
             bellman_step(prop, model2, spec2.without_fixed(), wealth_tables)
         with pytest.raises(ValueError, match="with a wealth axis"):
@@ -168,7 +166,7 @@ class TestBellmanStep:
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=8)
         coarse = build_tables(model2, spec2, StateGrid.build(
             2, 4, 2, x_min=1e-2, x_max=1e3, n_x=4))
-        fixed = ValueFunction(grid, np.zeros((5, 8, 2)), 0.9, "fixed")
+        fixed = ValueFunction(grid, np.zeros((5, 8, 2)), 0.9)
         with pytest.raises(ValueError, match="do not fit tables built for "
                            r"shape \(5, 4, 2\)"):
             bellman_step(fixed, model2, spec2, coarse)
@@ -177,7 +175,7 @@ class TestBellmanStep:
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=12)
         rng = np.random.default_rng(3)
         base = np.sort(rng.normal(size=(5, 12, 2)), axis=1)
-        v = ValueFunction(grid, base, 0.95, "fixed")
+        v = ValueFunction(grid, base, 0.95)
         for _ in range(5):
             v = bellman_step(v, model2, spec2)
             assert (np.diff(v.values, axis=1) >= -1e-12).all()
@@ -192,8 +190,7 @@ class TestBellmanStepOracle:
         rng = np.random.default_rng(7)
         v = rng.normal(size=(grid.n_nodes, 8, 2))
         beta = 0.93
-        out = bellman_step(ValueFunction(grid, v, beta, "fixed"), model2,
-                           spec2).values
+        out = bellman_step(ValueFunction(grid, v, beta), model2, spec2).values
         lw = np.log(grid.wealth)
         dlw = lw[1] - lw[0]
 
@@ -351,7 +348,7 @@ class TestOneTransactionRule:
                     val, _ = impulse_operator(vf, model2, spec2, (p, j, z))
                     if np.isfinite(val):
                         mv[p, j, z] = val
-        mvf = ValueFunction(grid, mv, vf.beta, "fixed")
+        mvf = ValueFunction(grid, mv, vf.beta)
         for p in range(grid.n_nodes):
             for j in range(8, grid.n_wealth - 1):
                 for z in range(2):
@@ -363,7 +360,7 @@ class TestOneTransactionRule:
 class TestSpan:
     def test_constant_value_zero_span(self):
         grid = StateGrid.build(2, 4, 2)
-        v = ValueFunction(grid, np.full((5, 2), 7.0), 0.9, "proportional")
+        v = ValueFunction(grid, np.full((5, 2), 7.0), 0.9)
         assert span_seminorm(v) == 0.0
 
     def test_free_rebalance_single_factor_span_zero(self):
@@ -394,7 +391,7 @@ class TestValueGap:
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e2, n_x=6)
         v_prop, _, _ = solve_discounted(model2, spec, grid, 0.9, tol=1e-8)
         fixed_like = ValueFunction(
-            grid, np.repeat(v_prop.values[:, None, :], 6, axis=1), 0.9, "fixed")
+            grid, np.repeat(v_prop.values[:, None, :], 6, axis=1), 0.9)
         rep = value_gap_check(fixed_like, v_prop, slack=1e-9)
         assert rep.ok
         assert abs(rep.min_gap) <= 1e-12

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from growthopt import StateGrid, simplex_mesh
+from growthopt import Policy, StateGrid, ValueFunction, simplex_mesh
 
 
 class TestSimplexMesh:
@@ -105,3 +105,43 @@ class TestWealthGrid:
         flat = grid.without_wealth()
         assert not flat.has_wealth_axis
         assert flat.n_nodes == grid.n_nodes
+
+
+class TestTableLayout:
+    def test_shape_follows_the_wealth_axis(self):
+        grid = StateGrid.build(2, 4, 3, x_min=1.0, x_max=10.0, n_x=6)
+        assert grid.shape == (5, 6, 3)
+        assert grid.without_wealth().shape == (5, 3)
+
+    def test_variant_and_wealth_free_follow_the_grid(self):
+        grid = StateGrid.build(2, 4, 2, x_min=1.0, x_max=10.0, n_x=4)
+        for g, variant in ((grid, "fixed"),
+                           (grid.without_wealth(), "proportional")):
+            v = ValueFunction(g, np.zeros(g.shape), 0.9)
+            pol = Policy(g, np.zeros(g.shape, dtype=bool),
+                         np.zeros(g.shape, dtype=np.int64), 0.9)
+            assert v.variant == variant == v.copy_with(v.values).variant
+            assert pol.wealth_free == (variant == "proportional")
+
+    def test_variant_is_not_settable(self):
+        grid = StateGrid.build(2, 4, 2)
+        v = ValueFunction(grid, np.zeros(grid.shape), 0.9)
+        with pytest.raises(AttributeError):
+            v.variant = "fixed"
+        with pytest.raises(TypeError):
+            ValueFunction(grid, np.zeros(grid.shape), 0.9, "proportional")
+
+    @pytest.mark.parametrize("wealth", [True, False])
+    def test_tables_of_another_shape_are_refused(self, wealth):
+        grid = StateGrid.build(2, 4, 2, x_min=1.0, x_max=10.0, n_x=4)
+        if not wealth:
+            grid = grid.without_wealth()
+        good = np.zeros(grid.shape)
+        for bad in (np.zeros((5, 4, 2) if not wealth else (5, 2)),
+                    np.zeros((4,) + grid.shape[1:]), np.zeros(grid.shape[:-1])):
+            with pytest.raises(ValueError, match="values has shape"):
+                ValueFunction(grid, bad, 0.9)
+            with pytest.raises(ValueError, match="impulse has shape"):
+                Policy(grid, bad.astype(bool), good.astype(np.int64), 0.9)
+            with pytest.raises(ValueError, match="target has shape"):
+                Policy(grid, good.astype(bool), bad.astype(np.int64), 0.9)

@@ -11,7 +11,7 @@ from growthopt import (CostSpec, FixedTargetStrategy, GridPolicyStrategy,
                        MarketModel, MimickingStrategy, NoTransactionStrategy,
                        StateGrid, Trajectory, average_growth, build_mimicking,
                        cost_constants, growth_floor, invariant_measure,
-                       ld_tail, make_rng, model_fingerprint, run,
+                       Policy, ld_tail, make_rng, run,
                        sample_factor_paths, simulate, solve_discounted,
                        solve_e_batch, to_share_holdings, wealth_floor_check)
 from growthopt.costs import worst_case_drag
@@ -241,9 +241,8 @@ def oracle_run(model, spec, strategy, pi0, x0, z0, T, seed, stream=0):
         t=np.arange(n), z=z_path[:n], xi=xi_path[:n],
         pi_prev=rec["pi_prev"][:n], transacted=rec["transacted"][:n],
         pi=rec["pi"][:n], e_applied=rec["e"][:n], x_prev=rec["x_prev"][:n],
-        x=rec["x"][:n], returns=rec["returns"][:n], seed=seed, stream=stream,
-        model_hash=model_fingerprint(model, spec), fixed_cost=spec.fixed > 0,
-        annihilated=annihilated, spec=spec,
+        x=rec["x"][:n], returns=rec["returns"][:n], annihilated=annihilated,
+        spec=spec,
     )
 
 
@@ -286,8 +285,7 @@ def engine_cases(two_asset):
 ENGINE_CASES = ["no_trade", "fixed_target", "fixed_target_annihilated",
                 "fixed_target_annihilated_at_once", "grid_policy_wealth",
                 "mimicking"]
-EXACT_FIELDS = ("t", "z", "xi", "transacted", "seed", "stream", "model_hash",
-                "fixed_cost", "annihilated")
+EXACT_FIELDS = ("t", "z", "xi", "transacted", "annihilated")
 FLOAT_FIELDS = ("pi_prev", "pi", "e_applied", "x_prev", "x", "returns")
 
 
@@ -358,6 +356,62 @@ class TestOneEngine:
         with pytest.raises(ValueError, match=message):
             average_growth(model2, spec2, NoTransactionStrategy(), [0.5, 0.5],
                            x0, z0, T=10, n_paths=3, seed=1)
+
+
+def oracle_mimicking_decide(mimicking, recovering, pi_prev, x_prev, z, t):
+    """The masks and fancy assignments that ``MimickingStrategy.decide_batch``
+    was before it became one mask expression; returns the new recovery bits
+    too."""
+    n = pi_prev.shape[0]
+    base_mask, base_tgt = GridPolicyStrategy(mimicking.base).decide_batch(
+        pi_prev, x_prev, z, t)
+    below = x_prev < mimicking.wealth_threshold
+    resync = recovering & (x_prev >= mimicking.resync_wealth)
+    waiting = recovering & ~resync
+    follow = ~below & ~recovering
+    mask = np.zeros(n, dtype=bool)
+    targets = pi_prev.copy()
+    mask[resync] = True
+    targets[resync] = base_tgt[resync]
+    mask[follow] = base_mask[follow]
+    targets[follow] = np.where(base_mask[follow, None], base_tgt[follow],
+                               targets[follow])
+    mask[below | waiting] = False
+    return mask, targets, (recovering | below) & ~resync
+
+
+class TestMimickingDecision:
+    def test_one_mask_expression_matches_the_assignments(self, two_asset):
+        model, spec = two_asset
+        rng = np.random.default_rng(19)
+        grid = StateGrid.build(2, 4, 2)
+        base = Policy(grid=grid, impulse=rng.random(grid.shape) < 0.5,
+                      target=rng.integers(grid.n_nodes, size=grid.shape),
+                      beta=0.99)
+        mimicking = build_mimicking(base, cost_constants(
+            spec, growth_floor(model)[0]))
+        m, m_star = mimicking.wealth_threshold, mimicking.resync_wealth
+        assert m_star >= m
+        strat = MimickingStrategy(mimicking)
+        n = 40
+        strat.reset(n)
+        recovering = np.zeros(n, dtype=bool)
+        reached = set()
+        for t in range(250):
+            pi_prev = rng.dirichlet(np.ones(2), n)
+            x_prev = np.exp(rng.uniform(np.log(m / 2), np.log(2 * m_star), n))
+            z = rng.integers(2, size=n)
+            cases = np.select(
+                [x_prev < m, recovering & (x_prev >= m_star), recovering],
+                ["below", "resync", "waiting"], "follow")
+            reached.update(cases.tolist())
+            mask, tgt = strat.decide_batch(pi_prev, x_prev, z, t)
+            want_mask, want_tgt, recovering = oracle_mimicking_decide(
+                mimicking, recovering, pi_prev, x_prev, z, t)
+            assert np.array_equal(mask, want_mask), t
+            assert np.array_equal(tgt[mask], want_tgt[mask]), t
+            assert np.array_equal(strat._recovering, recovering), t
+        assert reached == {"below", "waiting", "resync", "follow"}
 
 
 class TestWealthFloor:
