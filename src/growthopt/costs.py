@@ -110,46 +110,68 @@ def _cost_batch(spec, pi_prev, pi_tilde):
     return np.maximum(d, 0.0) @ spec.buy + np.maximum(-d, 0.0) @ spec.sell
 
 
-def _solve_prop_root_batch(spec, pi_prev, pi_new, target=None):
+def _solve_prop_root_batch(spec, pi_prev, pi_new, target):
     """Exact roots of cost(pi_prev, delta*pi_new) + delta = target, vectorized.
 
-    The left side is strictly increasing and piecewise linear with
+    The left side g is strictly increasing and piecewise linear with
     breakpoints at delta_i = pi_prev_i / pi_new_i; evaluating it on the
     sorted breakpoint grid brackets the root, which is then solved on its
     linear segment.  Callers guarantee a root exists in (0, 1]: the value
     at 0 is the total sell charge and the value at 1 is >= 1 >= target.
+
+    The batches of a simulation are a few rows, so the cost of a call is
+    the number of numpy calls: arrays are filled in place and the bracket
+    is read by flat ``take``.
     """
-    n = pi_prev.shape[0]
-    if target is None:
-        target = np.ones(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        brk = np.where(pi_new > 0.0, pi_prev / pi_new, np.inf)
-    cand = np.concatenate(
-        [np.zeros((n, 1)), np.clip(brk, 0.0, 1.0), np.ones((n, 1))], axis=1
-    )
+    n, d = pi_prev.shape
+    k = d + 2
+    # candidates 0, the breakpoints clipped to [0, 1], and 1; an asset with
+    # pi_new <= 0 has its breakpoint at infinity, which clips to 1
+    cand = np.empty((n, k))
+    cand.fill(1.0)
+    cand[:, 0] = 0.0
+    brk = cand[:, 1:-1]
+    np.divide(pi_prev, pi_new, out=brk, where=pi_new > 0.0)
+    np.maximum(0.0, brk, out=brk)
+    np.minimum(brk, 1.0, out=brk)
     cand.sort(axis=1)
-    tilde = cand[:, :, None] * pi_new[:, None, :]
-    diff = tilde - pi_prev[:, None, :]
-    g = (
-        np.maximum(diff, 0.0) @ spec.buy
-        + np.maximum(-diff, 0.0) @ spec.sell
-        + cand
-    )
+    diff = cand[:, :, None] * pi_new[:, None, :]
+    diff -= pi_prev[:, None, :]
+    g = np.maximum(diff, 0.0) @ spec.buy
+    np.negative(diff, out=diff)
+    np.maximum(diff, 0.0, out=diff)
+    g += diff @ spec.sell
+    g += cand
     below = g <= target[:, None]
-    # rightmost candidate below target brackets the root with its successor
-    idx = np.where(below, np.arange(cand.shape[1])[None, :], -1).max(axis=1)
-    rows = np.arange(n)
-    at_end = idx == cand.shape[1] - 1
-    idx_lo = np.where(at_end, idx - 1, idx)
-    d_lo = cand[rows, idx_lo]
-    d_hi = cand[rows, idx_lo + 1]
-    g_lo = g[rows, idx_lo]
-    g_hi = g[rows, idx_lo + 1]
-    width = np.where(d_hi > d_lo, d_hi - d_lo, 1.0)
-    slope = (g_hi - g_lo) / width
-    root = d_lo + (target - g_lo) / np.where(slope > 0, slope, np.inf)
-    root = np.clip(root, d_lo, d_hi)
-    return np.where(at_end, 1.0, root)
+    # the rightmost candidate at or below target brackets the root with its
+    # successor; g is monotone only in exact arithmetic, so search the mask
+    # from the right instead of counting it
+    last = np.arange(k - 1, n * k, k)  # flat position of each row's last
+    top = last - below[:, ::-1].argmax(axis=1)
+    at_end = top == last
+    lo = top - at_end
+    hi = lo + 1
+    ends = np.count_nonzero(at_end)
+    if ends:
+        # a row with no candidate at or below target brackets (last, first),
+        # which the clip below sends to 0; the others have their root at 1
+        none = at_end & ~below[:, -1]
+        at_end &= ~none
+        lo[none] += 1
+        hi[none] -= k - 1
+    d_lo, d_hi = cand.take(lo), cand.take(hi)
+    g_lo, g_hi = g.take(lo), g.take(hi)
+    width = d_hi - d_lo
+    slope = g_hi - g_lo
+    np.divide(slope, width, out=slope, where=width > 0.0)  # else width 1
+    root = target - g_lo
+    root /= np.where(slope > 0.0, slope, np.inf)
+    root += d_lo
+    np.maximum(root, d_lo, out=root)
+    np.minimum(root, d_hi, out=root)
+    if ends:
+        root[at_end] = 1.0
+    return root
 
 
 def solve_e_batch(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
@@ -157,32 +179,40 @@ def solve_e_batch(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
 
     Rows with no root in (0, 1] return 0, encoding an unaffordable
     transaction.  A rebalance onto itself with no fixed charge returns
-    exactly 1.0.
+    exactly 1.0: g(1) = cost + 1 is exactly 1 on a row that does not move,
+    so the segment solve returns 1.0 wherever the target is 1.
     """
     pi_prev = np.atleast_2d(np.asarray(pi_prev, dtype=float))
     pi_new = np.atleast_2d(np.asarray(pi_new, dtype=float))
     wealth = np.atleast_1d(np.asarray(wealth, dtype=float))
-    if (wealth <= 0.0).any():
+    n = pi_prev.shape[0]
+    if wealth.shape != (n,):
+        raise ValueError(f"need one wealth per rebalance: {wealth.shape[0]} "
+                         f"wealth values for {n} rows")
+    # np.count_nonzero skips the Python layer of .all(); NaN fails the test
+    if np.count_nonzero(wealth > 0.0) != n:
         raise ValueError("wealth must be strictly positive")
     fixed_frac = spec.fixed / wealth
-    identical = (pi_prev == pi_new).all(axis=1)
     if spec.variant == "additive":
         # root of cost + delta = 1 - C/wealth on the breakpoint grid
         target = 1.0 - fixed_frac
-        sell_all = pi_prev @ spec.sell
-        feasible = sell_all < target
-        out = np.zeros(pi_prev.shape[0])
-        if feasible.any():
+        feasible = pi_prev @ spec.sell < target
+        n_ok = np.count_nonzero(feasible)
+        if n_ok == n:
+            return _solve_prop_root_batch(spec, pi_prev, pi_new, target)
+        out = np.zeros(n)
+        if n_ok:
             out[feasible] = _solve_prop_root_batch(
                 spec, pi_prev[feasible], pi_new[feasible], target[feasible])
-        out[identical & (fixed_frac == 0.0)] = 1.0
+        # a row that does not move stays put even where selling it all
+        # would be unaffordable
+        out[(pi_prev == pi_new).all(axis=1) & (fixed_frac == 0.0)] = 1.0
         return out
     # max variant: the left side is the max of two increasing functions, so
     # the root is the smaller of their individual roots
-    prop_root = _solve_prop_root_batch(spec, pi_prev, pi_new)
-    prop_root[identical] = 1.0
+    out = _solve_prop_root_batch(spec, pi_prev, pi_new, np.ones(n))
     cap = 1.0 - fixed_frac
-    out = np.minimum(prop_root, cap)
+    np.minimum(out, cap, out=out)
     out[cap <= 0.0] = 0.0
     return out
 
@@ -339,16 +369,19 @@ def share_cost(spec: CostSpec, holdings_before, holdings_after, prices) -> float
     Buy rates charge increases of holdings value, sell rates decreases; this
     convention makes the share-space charge equal the proportion-space
     charge times pre-transaction wealth (plus the fixed part), so the two
-    descriptions of a self-financing trade balance exactly.
+    descriptions of a self-financing trade balance exactly.  Rows of 2-D
+    arguments are separate trades, and their charges return as an array.
     """
     n1 = np.asarray(holdings_before, dtype=float)
     n2 = np.asarray(holdings_after, dtype=float)
     s = np.asarray(prices, dtype=float)
     d = (n2 - n1) * s
-    prop = float(spec.buy @ np.clip(d, 0.0, None) + spec.sell @ np.clip(-d, 0.0, None))
+    prop = np.maximum(d, 0.0) @ spec.buy + np.maximum(-d, 0.0) @ spec.sell
     if spec.variant == "additive":
-        return prop + spec.fixed
-    return max(prop, spec.fixed)
+        cost = prop + spec.fixed
+    else:
+        cost = np.maximum(prop, spec.fixed)
+    return float(cost) if np.ndim(cost) == 0 else cost
 
 
 @dataclass

@@ -55,7 +55,7 @@ class StateGrid:
     interpolation: str = "nearest-linear"
     _keys: np.ndarray = field(init=False, repr=False)
     _perm: np.ndarray = field(init=False, repr=False)
-    _radix: np.ndarray = field(init=False, repr=False)
+    _key_sum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.interpolation not in INTERPOLATION_MODES:
@@ -67,11 +67,13 @@ class StateGrid:
                 raise ValueError("wealth grid must be strictly increasing")
             if self.wealth[0] <= 0:
                 raise ValueError("wealth grid must be positive")
-        # integer keys for O(log n) nearest-node lookup
+        # integer keys for O(log n) nearest-node lookup; one product with
+        # ``_key_sum`` gives a lattice point's key and its coordinate sum
         ints = np.rint(self.nodes * self.mesh_order).astype(np.int64)
-        self._radix = (self.mesh_order + 1) ** np.arange(self.n_assets - 1, -1, -1,
-                                                         dtype=np.int64)
-        keys = ints @ self._radix
+        radix = (self.mesh_order + 1) ** np.arange(self.n_assets - 1, -1, -1,
+                                                   dtype=np.int64)
+        self._key_sum = np.stack([radix, np.ones_like(radix)], axis=1)
+        keys = ints @ radix
         self._perm = np.argsort(keys)
         self._keys = keys[self._perm]
 
@@ -148,8 +150,9 @@ class StateGrid:
         pi = np.atleast_2d(np.asarray(pi, dtype=float))
         y = pi * self.mesh_order
         k = np.rint(y).astype(np.int64)
-        overshoot = k.sum(axis=1) - self.mesh_order
-        if overshoot.any():
+        key_sum = k @ self._key_sum
+        overshoot = key_sum[:, 1] - self.mesh_order
+        if np.count_nonzero(overshoot):
             resid = k - y
             for row in np.nonzero(overshoot)[0]:
                 d = int(overshoot[row])
@@ -159,8 +162,8 @@ class StateGrid:
                 else:
                     order = np.argsort(resid[row], kind="stable")
                     k[row, order[:-d]] += 1
-        pos = self._keys.searchsorted(k @ self._radix)
-        return self._perm[pos]
+            key_sum = k @ self._key_sum
+        return self._perm[self._keys.searchsorted(key_sum[:, 0])]
 
     def node_index(self, pi) -> int:
         return int(self.nearest_node(np.asarray(pi))[0])

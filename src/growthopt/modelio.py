@@ -54,15 +54,28 @@ def _renormalize_rows(mat, what):
     return mat / sums[:, None]
 
 
+def _key(doc: dict, key: str, where: str):
+    """``doc[key]``, or a ValueError naming the key and where it is missing."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
 def parse_model_dict(doc: dict):
     """Build (MarketModel, CostSpec or None) from a parsed model document."""
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k, {}), dict)
                                           for k in ("factors", "shocks", "costs"))):
         raise ValueError("a model must be a JSON object, and so must its "
                          "factors, shocks and costs sections")
-    transition = _renormalize_rows(doc["factors"]["transition"], "transition")
-    probs = _renormalize_rows(doc["shocks"]["probs"], "shock probs")[0]
-    returns = _to_float_array(doc["returns"])
+    factors = _key(doc, "factors", "model")
+    shocks = _key(doc, "shocks", "model")
+    transition = _renormalize_rows(
+        _key(factors, "transition", "model section 'factors'"), "transition")
+    probs = _renormalize_rows(_key(shocks, "probs", "model section 'shocks'"),
+                              "shock probs")[0]
+    returns = _to_float_array(_key(doc, "returns", "model"))
     if returns.ndim != 3:
         raise ValueError("returns must be nested [factor][shock][asset]")
     n_assets = int(doc.get("assets", returns.shape[2]))
@@ -77,8 +90,8 @@ def parse_model_dict(doc: dict):
     if "costs" in doc:
         c = doc["costs"]
         spec = CostSpec(
-            buy=_to_float_array(c["buy"]),
-            sell=_to_float_array(c["sell"]),
+            buy=_to_float_array(_key(c, "buy", "model section 'costs'")),
+            sell=_to_float_array(_key(c, "sell", "model section 'costs'")),
             fixed=float(c.get("fixed", 0.0)),
             variant=c.get("variant", "additive"),
         )
@@ -165,17 +178,23 @@ def load_policy(path_base: str) -> Policy:
     one state of that grid by in-range indices (a blank wealth index where
     the grid has no wealth axis), and every state must appear exactly once.
     """
-    with open(path_base + ".json", "r", encoding="utf-8") as fh:
+    header_path = path_base + ".json"
+    with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
-    g = header["grid"]
-    wealth = g.get("wealth")
-    grid = StateGrid.build(
-        n_assets=g["n_assets"], mesh_order=g["mesh_order"], n_z=g["n_z"],
-        x_min=None if wealth is None else wealth["x_min"],
-        x_max=None if wealth is None else wealth["x_max"],
-        n_x=None if wealth is None else wealth["n_x"],
-        interpolation=g["interpolation"],
-    )
+    g = _key(header, "grid", header_path)
+    beta = _key(header, "beta", header_path)
+    in_grid = f"{header_path} section 'grid'"
+    n_assets, mesh_order, n_z, interpolation = (
+        _key(g, k, in_grid)
+        for k in ("n_assets", "mesh_order", "n_z", "interpolation"))
+    x_min = x_max = n_x = None
+    if g.get("wealth") is not None:
+        x_min, x_max, n_x = (
+            _key(g["wealth"], k, f"{header_path} section 'grid.wealth'")
+            for k in ("x_min", "x_max", "n_x"))
+    grid = StateGrid.build(n_assets=n_assets, mesh_order=mesh_order, n_z=n_z,
+                           x_min=x_min, x_max=x_max, n_x=n_x,
+                           interpolation=interpolation)
     impulse = np.zeros(grid.shape, dtype=bool)
     target = np.zeros(grid.shape, dtype=np.int64)
     seen = np.zeros(grid.shape, dtype=bool)
@@ -200,13 +219,16 @@ def load_policy(path_base: str) -> Policy:
             if seen[idx]:
                 raise ValueError(f"{where}: state {idx} appears twice")
             seen[idx] = True
+            if row[imp_at] not in ("0", "1"):
+                raise ValueError(f"{where}: impulse cell {row[imp_at]!r} is "
+                                 "neither 0 nor 1")
             impulse[idx] = row[imp_at] == "1"
             target[idx] = grid.node_index(np.array(tgt))
     if not seen.all():
         missing = tuple(int(i) for i in np.argwhere(~seen)[0])
         raise ValueError(f"{path}: no row for state {missing} "
                          f"({int((~seen).sum())} states missing)")
-    return Policy(grid=grid, impulse=impulse, target=target, beta=header["beta"],
+    return Policy(grid=grid, impulse=impulse, target=target, beta=beta,
                   model_hash=header.get("model_hash"))
 
 
@@ -221,15 +243,13 @@ def trajectory_csv(traj) -> str:
     writer.writerow(["t", "z", "xi"] + [f"pi_prev_{i}" for i in range(d)]
                     + ["transacted"] + [f"pi_{i}" for i in range(d)]
                     + ["e_applied", "x_prev", "x"])
-    for k in range(traj.t.shape[0]):
-        writer.writerow(
-            [int(traj.t[k]), int(traj.z[k]), int(traj.xi[k])]
-            + [_float_cell(v) for v in traj.pi_prev[k]]
-            + [int(traj.transacted[k])]
-            + [_float_cell(v) for v in traj.pi[k]]
-            + [_float_cell(traj.e_applied[k]), _float_cell(traj.x_prev[k]),
-               _float_cell(traj.x[k])]
-        )
+    # one .tolist() per column: csv writes a Python float as its repr, the
+    # same text as _float_cell
+    for t, z, xi, pi_prev, transacted, pi, e, x_prev, x in zip(
+            traj.t.tolist(), traj.z.tolist(), traj.xi.tolist(),
+            traj.pi_prev.tolist(), traj.transacted.tolist(), traj.pi.tolist(),
+            traj.e_applied.tolist(), traj.x_prev.tolist(), traj.x.tolist()):
+        writer.writerow([t, z, xi, *pi_prev, int(transacted), *pi, e, x_prev, x])
     return buf.getvalue()
 
 

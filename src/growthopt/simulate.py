@@ -452,7 +452,10 @@ def to_share_holdings(traj: Trajectory, s0) -> ShareRecord:
     Between transactions holdings must stay constant; at a transaction the
     post-trade portfolio value must equal the pre-trade value minus the
     share-space transaction charge.  A residual above PATH_TOL times
-    wealth raises, since it indicates an engine inconsistency.
+    wealth raises, since it indicates an engine inconsistency.  All steps
+    are checked at once; the error names the first failing step, and within
+    a step the wealth reconstruction is checked first.  NaN residuals (from
+    an overflowed price) never raise.
     """
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (traj.pi.shape[1],) or s0.min() <= 0:
@@ -460,25 +463,35 @@ def to_share_holdings(traj: Trajectory, s0) -> ShareRecord:
     prices = s0 * np.cumprod(traj.returns, axis=0)
     with np.errstate(invalid="ignore"):
         holdings = traj.pi * traj.x[:, None] / prices
-    holdings[traj.x == 0.0] = 0.0
-    max_resid = 0.0
-    for t in range(1, traj.t.shape[0]):
-        prev_value = float(holdings[t - 1] @ prices[t])
-        scale = max(traj.x_prev[t], 1.0)
-        if abs(prev_value - traj.x_prev[t]) > PATH_TOL * scale:
+        holdings[traj.x == 0.0] = 0.0
+        # step t compares row t with row t - 1, at the prices of step t
+        before, after, p = holdings[:-1], holdings[1:], prices[1:]
+        x_prev, traded = traj.x_prev[1:], traj.transacted[1:]
+        prev_value = np.einsum("td,td->t", before, p)
+        scale = np.maximum(x_prev, 1.0)
+        recon = np.abs(prev_value - x_prev) > PATH_TOL * scale
+        trade = traded & (traj.x[1:] > 0.0)
+        resid = np.zeros(x_prev.shape[0])
+        resid[trade] = np.abs(
+            np.einsum("td,td->t", after[trade], p[trade])
+            - (prev_value[trade]
+               - share_cost(traj.spec, before[trade], after[trade], p[trade])))
+        financing = resid > PATH_TOL * scale
+        moved = np.abs(after - before).max(axis=1)
+        held = np.fmax(np.abs(before).max(axis=1), 1.0)
+        drift = ~traded & (moved > PATH_TOL * held)
+    failed = recon | financing | drift
+    if failed.any():
+        i = int(failed.argmax())
+        t = i + 1
+        if recon[i]:
             raise RuntimeError("pre-transaction wealth reconstruction failed "
                                f"at step {t}")
-        if traj.transacted[t] and traj.x[t] > 0.0:
-            cost = share_cost(traj.spec, holdings[t - 1], holdings[t], prices[t])
-            resid = abs(holdings[t] @ prices[t] - (prev_value - cost))
-            max_resid = max(max_resid, resid / scale)
-            if resid > PATH_TOL * scale:
-                raise RuntimeError(f"self-financing violated at step {t}: "
-                                   f"residual {resid:.3e}")
-        elif not traj.transacted[t]:
-            resid = float(np.abs(holdings[t] - holdings[t - 1]).max())
-            scale = max(1.0, float(np.abs(holdings[t - 1]).max()))
-            if resid > PATH_TOL * scale:
-                raise RuntimeError(f"holdings drifted without a transaction "
-                                   f"at step {t}")
+        if financing[i]:
+            raise RuntimeError(f"self-financing violated at step {t}: "
+                               f"residual {resid[i]:.3e}")
+        raise RuntimeError(f"holdings drifted without a transaction "
+                           f"at step {t}")
+    # fmax skips NaN ratios, as the loop's max() did
+    max_resid = float(np.fmax.reduce(resid / scale, initial=0.0))
     return ShareRecord(prices=prices, holdings=holdings, max_residual=max_resid)

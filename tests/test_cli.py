@@ -1,5 +1,7 @@
 """CLI subcommands, artifacts, exit codes, reproducibility."""
 
+import csv
+import io
 import json
 import re
 import subprocess
@@ -8,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from growthopt import (StateGrid, bundled_model_path, load_model,
-                       model_fingerprint, solve_discounted)
+from growthopt import (FixedTargetStrategy, StateGrid, bundled_model_path,
+                       load_model, model_fingerprint, run, solve_discounted)
 from growthopt.cli import main
-from growthopt.modelio import dump_solution, load_policy, parse_model_dict
+from growthopt.modelio import (dump_solution, load_policy, parse_model_dict,
+                               trajectory_csv)
 
 
 def write_model(tmp_path, mutate=None):
@@ -56,6 +59,24 @@ class TestValidateCommand:
         assert code == 1
         doc = json.loads((tmp_path / "o" / "validate.json").read_text())
         assert doc["checks"]["growth_exceeds_drag"]["passed"] is False
+
+    @pytest.mark.parametrize("section, key, message", [
+        (None, "shocks", "model: missing key 'shocks'"),
+        (None, "returns", "model: missing key 'returns'"),
+        ("shocks", "probs", "model section 'shocks': missing key 'probs'"),
+        ("factors", "transition",
+         "model section 'factors': missing key 'transition'"),
+        ("costs", "sell", "model section 'costs': missing key 'sell'")])
+    def test_missing_key_is_named(self, tmp_path, capsys, section, key,
+                                  message):
+        def mutate(doc):
+            del (doc if section is None else doc[section])[key]
+        path = write_model(tmp_path, mutate)
+        code = main(["--model", path, "--output-dir", str(tmp_path / "o"),
+                     "validate"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {message}" in err and "Traceback" not in err
 
     def test_bad_row_sums_rejected(self, tmp_path):
         def mutate(doc):
@@ -242,6 +263,87 @@ class TestPolicyDump:
         assert not (tmp_path / "sim").exists()
 
 
+    @pytest.mark.parametrize("cell", ["true", "", "2"])
+    def test_impulse_cells_other_than_0_or_1_are_refused(self, dumps,
+                                                         tmp_path, cell):
+        base, _ = dumps["fixed"]
+        col = open(base + ".csv").readline().strip().split(",").index("impulse")
+        bad = corrupt(dumps, tmp_path, "fixed",
+                      lambda ls: set_cell(ls, 3, col, cell))
+        with pytest.raises(ValueError, match=re.escape(bad + ".csv")
+                           + f" line 3: impulse cell '{cell}' is neither"):
+            load_policy(bad)
+
+    @pytest.mark.parametrize("drop, message", [
+        (("grid",), r"policy\.json: missing key 'grid'"),
+        (("beta",), r"policy\.json: missing key 'beta'"),
+        (("grid", "n_z"), r"policy\.json section 'grid': missing key 'n_z'"),
+        (("grid", "wealth", "n_x"),
+         r"policy\.json section 'grid\.wealth': missing key 'n_x'")])
+    def test_missing_header_keys_are_named(self, dumps, tmp_path, drop,
+                                           message):
+        base, _ = dumps["fixed"]
+        header = json.loads(open(base + ".json").read())
+        section = header
+        for key in drop[:-1]:
+            section = section[key]
+        del section[drop[-1]]
+        out = tmp_path / "policy"
+        (tmp_path / "policy.json").write_text(json.dumps(header))
+        (tmp_path / "policy.csv").write_text(open(base + ".csv").read())
+        with pytest.raises(ValueError, match=message):
+            load_policy(str(out))
+
+    @pytest.mark.parametrize("edit, message", [
+        ("true cells", "impulse cell 'true' is neither 0 nor 1"),
+        ("no grid", "value_beta.json: missing key 'grid'")])
+    def test_simulate_exits_1_on_a_bad_dump(self, tmp_path, capsys, edit,
+                                            message):
+        args = base_args(tmp_path, "p")
+        assert main(args + ["--mesh-order", "4", "solve", "--beta",
+                            "0.9"]) == 0
+        base = tmp_path / "p" / "value_beta"
+        if edit == "true cells":
+            csv_path = base.with_suffix(".csv")
+            text = csv_path.read_text()
+            col = text.splitlines()[0].split(",").index("impulse")
+            lines = text.splitlines(keepends=True)
+            for no in range(2, len(lines) + 1):
+                if lines[no - 1].rstrip("\n").split(",")[col] == "1":
+                    lines = set_cell(lines, no, col, "true")
+            csv_path.write_text("".join(lines))
+        else:
+            header = json.loads(base.with_suffix(".json").read_text())
+            del header["grid"]
+            base.with_suffix(".json").write_text(json.dumps(header))
+        code = main(base_args(tmp_path, "sim") + [
+            "--T", "50", "--n-paths", "2", "simulate", "--policy", str(base),
+            "--mimic", "off"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "value_beta." in err and message in err
+        assert "Traceback" not in err and not (tmp_path / "sim").exists()
+
+def oracle_trajectory_csv(traj):
+    """``trajectory_csv`` as it was before it read each column once: one
+    numpy scalar per cell, each through ``repr(float(v))``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    d = traj.pi.shape[1]
+    writer.writerow(["t", "z", "xi"] + [f"pi_prev_{i}" for i in range(d)]
+                    + ["transacted"] + [f"pi_{i}" for i in range(d)]
+                    + ["e_applied", "x_prev", "x"])
+    cell = lambda v: repr(float(v))  # noqa: E731
+    for k in range(traj.t.shape[0]):
+        writer.writerow(
+            [int(traj.t[k]), int(traj.z[k]), int(traj.xi[k])]
+            + [cell(v) for v in traj.pi_prev[k]]
+            + [int(traj.transacted[k])]
+            + [cell(v) for v in traj.pi[k]]
+            + [cell(traj.e_applied[k]), cell(traj.x_prev[k]), cell(traj.x[k])])
+    return buf.getvalue()
+
+
 class TestTrajectoryArtifact:
     def test_csv_round_trip(self, optimal_dir):
         from growthopt.modelio import read_trajectory_csv
@@ -260,6 +362,17 @@ class TestTrajectoryArtifact:
         np.testing.assert_allclose(data["pi_prev"].sum(axis=1), 1.0,
                                    atol=1e-12)
 
+
+    @pytest.mark.parametrize("name", ["fixed_target",
+                                      "fixed_target_annihilated"])
+    def test_writer_matches_the_per_cell_writer(self, two_asset, name):
+        model, spec = two_asset
+        x0 = 40.0 if name == "fixed_target" else 1.0
+        traj = run(model, spec, FixedTargetStrategy([0.3, 0.7]), [0.6, 0.4],
+                   x0, 0, 300, seed=61)
+        assert traj.transacted.any()
+        assert traj.annihilated == (name == "fixed_target_annihilated")
+        assert trajectory_csv(traj) == oracle_trajectory_csv(traj)
 
 class TestSimulateEngine:
     @pytest.mark.parametrize("mode, name", [("off", "policy"),

@@ -1,5 +1,6 @@
 """Transaction cost solver, bounds, and derived constants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,147 @@ class TestSolveE:
         oracle = float(bisect_e(spec, prev[None], new[None], np.array([x]))[0])
         assert exact == pytest.approx(oracle, abs=1e-10)
         assert (exact > 0) == (oracle > 0)
+
+
+    @pytest.mark.parametrize("variant", ["additive", "max"])
+    def test_rejects_nan_wealth(self, two_asset, variant):
+        spec = dataclasses.replace(two_asset[1], variant=variant)
+        with pytest.raises(ValueError, match="strictly positive"):
+            solve_e(spec, [0.5, 0.5], [1, 0], math.nan)
+        with pytest.raises(ValueError, match="strictly positive"):
+            solve_e_batch(spec, [[0.5, 0.5]] * 2, [[1, 0]] * 2,
+                          [3.0, math.nan])
+
+    @pytest.mark.parametrize("wealth", [[10.0], [0.05], [1.0, 2.0, 3.0]])
+    def test_rejects_a_wealth_count_other_than_the_row_count(self, wealth):
+        with pytest.raises(ValueError, match="one wealth per rebalance"):
+            solve_e_batch(spec_2(fixed=0.1), [[0.5, 0.5], [0.2, 0.8]],
+                          [[1, 0], [0, 1]], wealth)
+
+
+def oracle_solve_e_batch(spec, pi_prev, pi_new, wealth):
+    """``solve_e_batch`` as it was before the lean rewrite: the same segment
+    solve written with ``np.where``, ``np.clip``, ``np.concatenate`` and
+    2-D fancy gathers, and the identical-row checks run on every call."""
+
+    def prop_root(pi_prev, pi_new, target=None):
+        n = pi_prev.shape[0]
+        if target is None:
+            target = np.ones(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            brk = np.where(pi_new > 0.0, pi_prev / pi_new, np.inf)
+        cand = np.concatenate(
+            [np.zeros((n, 1)), np.clip(brk, 0.0, 1.0), np.ones((n, 1))],
+            axis=1)
+        cand.sort(axis=1)
+        tilde = cand[:, :, None] * pi_new[:, None, :]
+        diff = tilde - pi_prev[:, None, :]
+        g = (np.maximum(diff, 0.0) @ spec.buy
+             + np.maximum(-diff, 0.0) @ spec.sell + cand)
+        below = g <= target[:, None]
+        idx = np.where(below, np.arange(cand.shape[1])[None, :], -1).max(axis=1)
+        rows = np.arange(n)
+        at_end = idx == cand.shape[1] - 1
+        idx_lo = np.where(at_end, idx - 1, idx)
+        d_lo = cand[rows, idx_lo]
+        d_hi = cand[rows, idx_lo + 1]
+        g_lo = g[rows, idx_lo]
+        g_hi = g[rows, idx_lo + 1]
+        width = np.where(d_hi > d_lo, d_hi - d_lo, 1.0)
+        slope = (g_hi - g_lo) / width
+        root = d_lo + (target - g_lo) / np.where(slope > 0, slope, np.inf)
+        root = np.clip(root, d_lo, d_hi)
+        return np.where(at_end, 1.0, root)
+
+    pi_prev = np.atleast_2d(np.asarray(pi_prev, dtype=float))
+    pi_new = np.atleast_2d(np.asarray(pi_new, dtype=float))
+    wealth = np.atleast_1d(np.asarray(wealth, dtype=float))
+    fixed_frac = spec.fixed / wealth
+    identical = (pi_prev == pi_new).all(axis=1)
+    if spec.variant == "additive":
+        target = 1.0 - fixed_frac
+        feasible = pi_prev @ spec.sell < target
+        out = np.zeros(pi_prev.shape[0])
+        if feasible.any():
+            out[feasible] = prop_root(pi_prev[feasible], pi_new[feasible],
+                                      target[feasible])
+        out[identical & (fixed_frac == 0.0)] = 1.0
+        return out
+    root = prop_root(pi_prev, pi_new)
+    root[identical] = 1.0
+    cap = 1.0 - fixed_frac
+    out = np.minimum(root, cap)
+    out[cap <= 0.0] = 0.0
+    return out
+
+
+def random_rebalances(rng, n, d, kind):
+    """``n`` rebalances among ``d`` assets with wealth; ``kind`` mixes in
+    rows of one sort: identical, vertex, leveraged targets (a negative
+    proportion), leveraged holdings whose sell charge alone exceeds 1, exact
+    zero breakpoints (-0.0 holdings) or quarter-lattice proportions."""
+    prev, new = rng.dirichlet(np.ones(d), n), rng.dirichlet(np.ones(d), n)
+    rows = rng.random(n) < 0.4
+    m = int(rows.sum())
+    if kind == "identical":
+        new[rows] = prev[rows]
+    elif kind == "vertex":
+        prev[rows] = np.eye(d)[rng.integers(0, d, m)]
+        new[~rows] = np.eye(d)[rng.integers(0, d, n - m)]
+    elif kind == "leveraged_target" and d > 1:
+        new[rows, 0] += 1.5
+        new[rows, 1] -= 1.5
+    elif kind == "leveraged_holdings" and d > 1:
+        prev[rows, 0] += 40.0
+        prev[rows, 1] -= 40.0
+    elif kind == "signed_zero":
+        prev[rows, 0] = -0.0
+    elif kind == "lattice":
+        prev, new = np.round(prev * 4) / 4, np.round(new * 4) / 4
+    # low wealth makes fixed charges unaffordable, inf makes them vanish
+    wealth = rng.choice([0.05, 0.3, 1.0, 20.0, 1e4, np.inf], n)
+    return prev, new, wealth
+
+
+REBALANCE_KINDS = ["plain", "identical", "vertex", "leveraged_target",
+                   "leveraged_holdings", "signed_zero", "lattice"]
+
+
+class TestLeanSolver:
+    @pytest.mark.parametrize("variant", ["additive", "max"])
+    @pytest.mark.parametrize("fixed", [0.0, 0.1, 5.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_bit_identical_to_oracle(self, variant, fixed, d):
+        rng = np.random.default_rng([d, int(fixed * 10), len(variant)])
+        checked = 0
+        for kind in REBALANCE_KINDS:
+            for n in (1, 3, 200):
+                buy, sell = rng.uniform(0.0, 0.3, (2, d))
+                spec = CostSpec(buy=buy, sell=sell, fixed=fixed,
+                                variant=variant)
+                prev, new, wealth = random_rebalances(rng, n, d, kind)
+                got = solve_e_batch(spec, prev, new, wealth)
+                want = oracle_solve_e_batch(spec, prev, new, wealth)
+                assert got.tobytes() == want.tobytes(), (kind, n)
+                checked += n
+        assert checked == len(REBALANCE_KINDS) * 204
+
+    def test_cases_reach_every_branch(self):
+        # unaffordable rows, roots at 1, and rows with no candidate at or
+        # below the target (the max variant does not filter those)
+        rng = np.random.default_rng(5)
+        spec = CostSpec(buy=[0.3, 0.3], sell=[0.3, 0.3], fixed=5.0)
+        prev, new, wealth = random_rebalances(rng, 200, 2, "identical")
+        e = solve_e_batch(spec, prev, new, wealth)
+        assert (e == 0.0).any() and (e == 1.0).any() and (e > 0).any()
+        spec = dataclasses.replace(spec, variant="max")
+        prev, new, _ = random_rebalances(rng, 200, 2, "leveraged_holdings")
+        sell_all = np.maximum(prev, 0.0) @ spec.sell  # the charge at delta 0
+        assert (sell_all > 1.0).any()
+        got = solve_e_batch(spec, prev, new, np.full(200, 1e4))
+        want = oracle_solve_e_batch(spec, prev, new, np.full(200, 1e4))
+        assert got.tobytes() == want.tobytes()
+        assert (got[sell_all > 1.0] == 0.0).all()
 
 
 class TestDiminutionBounds:

@@ -62,6 +62,43 @@ class TestNearestNode:
         np.testing.assert_allclose(d_chosen, d_best, atol=1e-12)
 
 
+def oracle_nearest_node(grid, pi):
+    """``nearest_node`` as it was before it read the key and the coordinate
+    sum from one product: ``k.sum``, ``.any()`` and ``k @ radix``."""
+    pi = np.atleast_2d(np.asarray(pi, dtype=float))
+    y = pi * grid.mesh_order
+    k = np.rint(y).astype(np.int64)
+    overshoot = k.sum(axis=1) - grid.mesh_order
+    if overshoot.any():
+        resid = k - y
+        for row in np.nonzero(overshoot)[0]:
+            d = int(overshoot[row])
+            if d > 0:
+                order = np.argsort(-resid[row], kind="stable")
+                k[row, order[:d]] -= 1
+            else:
+                order = np.argsort(resid[row], kind="stable")
+                k[row, order[:-d]] += 1
+    radix = (grid.mesh_order + 1) ** np.arange(grid.n_assets - 1, -1, -1)
+    return grid._perm[grid._keys.searchsorted(k @ radix)]
+
+
+class TestNearestNodeOracle:
+    @pytest.mark.parametrize("d, m", [(1, 3), (2, 8), (3, 7), (5, 4)])
+    def test_matches_oracle(self, d, m):
+        rng = np.random.default_rng([d, m])
+        grid = StateGrid.build(d, m, 1)
+        pts = rng.dirichlet(np.ones(d), 400)
+        # lattice midpoints round every coordinate the same way, so their
+        # sums overshoot or undershoot m and need the repair loop
+        pts[:100] = (np.floor(pts[:100] * m) + 0.5) / m
+        for batch in (pts[:1], pts[:7], pts):
+            np.testing.assert_array_equal(grid.nearest_node(batch),
+                                          oracle_nearest_node(grid, batch))
+        np.testing.assert_array_equal(grid.nearest_node(pts[0]),
+                                      oracle_nearest_node(grid, pts[0]))
+
+
 class TestWealthGrid:
     def test_geometric_spacing(self):
         grid = StateGrid.build(2, 4, 1, x_min=0.5, x_max=8.0, n_x=5)

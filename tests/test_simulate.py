@@ -13,7 +13,8 @@ from growthopt import (CostSpec, FixedTargetStrategy, GridPolicyStrategy,
                        cost_constants, growth_floor, invariant_measure,
                        Policy, ld_tail, make_rng, run,
                        sample_factor_paths, simulate, solve_discounted,
-                       solve_e_batch, to_share_holdings, wealth_floor_check)
+                       share_cost, solve_e_batch, to_share_holdings,
+                       wealth_floor_check)
 from growthopt.costs import worst_case_drag
 from growthopt.market import DRAW_BUDGET, check_simplex
 
@@ -573,6 +574,100 @@ class TestShareHoldings:
                        [0.6, 0.4], 50.0, 0, 200, seed=53, stream=stream)
             rec = to_share_holdings(traj, [12.0, 8.0])
             assert rec.max_residual <= 1e-11
+
+
+def oracle_to_share_holdings(traj, s0):
+    """``to_share_holdings`` as it was before it checked all steps at once:
+    one Python iteration per step, raising at the first failing check."""
+    s0 = np.asarray(s0, dtype=float)
+    prices = s0 * np.cumprod(traj.returns, axis=0)
+    with np.errstate(invalid="ignore"):
+        holdings = traj.pi * traj.x[:, None] / prices
+    holdings[traj.x == 0.0] = 0.0
+    max_resid = 0.0
+    tol = simulate.PATH_TOL
+    for t in range(1, traj.t.shape[0]):
+        prev_value = float(holdings[t - 1] @ prices[t])
+        scale = max(traj.x_prev[t], 1.0)
+        if abs(prev_value - traj.x_prev[t]) > tol * scale:
+            raise RuntimeError("pre-transaction wealth reconstruction failed "
+                               f"at step {t}")
+        if traj.transacted[t] and traj.x[t] > 0.0:
+            cost = share_cost(traj.spec, holdings[t - 1], holdings[t],
+                              prices[t])
+            resid = abs(holdings[t] @ prices[t] - (prev_value - cost))
+            max_resid = max(max_resid, resid / scale)
+            if resid > tol * scale:
+                raise RuntimeError(f"self-financing violated at step {t}: "
+                                   f"residual {resid:.3e}")
+        elif not traj.transacted[t]:
+            resid = float(np.abs(holdings[t] - holdings[t - 1]).max())
+            scale = max(1.0, float(np.abs(holdings[t - 1]).max()))
+            if resid > tol * scale:
+                raise RuntimeError(f"holdings drifted without a transaction "
+                                   f"at step {t}")
+    return prices, holdings, max_resid
+
+
+def scaled(traj, **edits):
+    """Copy of ``traj`` with rows of some fields scaled: field=((row,
+    factor), ...)."""
+    fields = {}
+    for name, rows in edits.items():
+        arr = getattr(traj, name).copy()
+        for row, factor in rows:
+            arr[row] = arr[row] * factor
+        fields[name] = arr
+    return dataclasses.replace(traj, **fields)
+
+
+class TestShareHoldingsVectorized:
+    @pytest.mark.parametrize("name", ENGINE_CASES)
+    def test_matches_the_loop_on_engine_paths(self, engine_cases, name):
+        model, spec, make, pi0, x0, z0, T, seed = engine_cases[name]
+        for stream in (0, 3):
+            traj = run(model, spec, make(), pi0, x0, z0, T, seed,
+                       stream=stream)
+            rec = to_share_holdings(traj, [12.0, 8.0])
+            prices, holdings, max_resid = oracle_to_share_holdings(
+                traj, [12.0, 8.0])
+            np.testing.assert_array_equal(rec.prices, prices)
+            np.testing.assert_array_equal(rec.holdings, holdings)
+            assert abs(rec.max_residual - max_resid) <= 1e-15 * max(
+                1.0, max_resid)
+            if traj.transacted[1:].any() and not traj.annihilated:
+                assert max_resid > 0.0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a, b, c: {"x_prev": ((b, 1.001),)},
+         "pre-transaction wealth reconstruction failed at step {b}"),
+        (lambda a, b, c: {"x": ((a, 1.001),)},
+         "self-financing violated at step {a}"),
+        (lambda a, b, c: {"pi": ((b, 1.001),)},
+         "holdings drifted without a transaction at step {b}"),
+        # the first failing step wins, whatever fails later
+        (lambda a, b, c: {"pi": ((b, 1.001),), "x_prev": ((c, 1.001),)},
+         "holdings drifted without a transaction at step {b}"),
+        (lambda a, b, c: {"x": ((a, 1.001),), "pi": ((c, 1.001),)},
+         "self-financing violated at step {a}"),
+        # within a step the reconstruction is checked first
+        (lambda a, b, c: {"x_prev": ((a, 1.001),), "x": ((a, 1.001),)},
+         "pre-transaction wealth reconstruction failed at step {a}")])
+    def test_raises_like_the_loop(self, engine_cases, edit, message):
+        model, spec, make, pi0, x0, z0, T, seed = engine_cases["mimicking"]
+        traj = run(model, spec, make(), pi0, x0, z0, T, seed)
+        trades = np.nonzero(traj.transacted)[0]
+        a = int(trades[trades > 0][0])          # a trade
+        b = int(np.nonzero(~traj.transacted)[0][3])  # a hold
+        c = max(a, b) + 5
+        assert b != a and not traj.transacted[c]
+        bad = scaled(traj, **edit(a, b, c))
+        with pytest.raises(RuntimeError) as new:
+            to_share_holdings(bad, [12.0, 8.0])
+        with pytest.raises(RuntimeError) as old:
+            oracle_to_share_holdings(bad, [12.0, 8.0])
+        assert str(new.value) == str(old.value)
+        assert str(new.value).startswith(message.format(a=a, b=b))
 
 
 class TestStationaryStart:
