@@ -56,6 +56,8 @@ class StateGrid:
     _keys: np.ndarray = field(init=False, repr=False)
     _perm: np.ndarray = field(init=False, repr=False)
     _key_sum: np.ndarray = field(init=False, repr=False)
+    _lx0: Optional[float] = field(init=False, repr=False, default=None)
+    _dlx: Optional[float] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.interpolation not in INTERPOLATION_MODES:
@@ -67,6 +69,12 @@ class StateGrid:
                 raise ValueError("wealth grid must be strictly increasing")
             if self.wealth[0] <= 0:
                 raise ValueError("wealth grid must be positive")
+            if self.n_wealth > 1:
+                # origin and step of the grid in log-wealth, for wealth_pos
+                lx0 = np.log(self.wealth[0])
+                self._lx0 = float(lx0)
+                self._dlx = float((np.log(self.wealth[-1]) - lx0)
+                                  / (self.n_wealth - 1))
         # integer keys for O(log n) nearest-node lookup; one product with
         # ``_key_sum`` gives a lattice point's key and its coordinate sum
         ints = np.rint(self.nodes * self.mesh_order).astype(np.int64)
@@ -181,9 +189,13 @@ class StateGrid:
         if n_x == 1:
             j0 = np.zeros(x.shape, dtype=np.int64)
             return j0, np.zeros(x.shape)
-        lx0 = np.log(self.wealth[0])
-        dlx = (np.log(self.wealth[-1]) - lx0) / (n_x - 1)
-        pos = np.clip((np.log(x) - lx0) / dlx, 0.0, n_x - 1.0)
+        pos = np.log(x, out=np.empty(x.shape))
+        pos -= self._lx0
+        pos /= self._dlx
+        # np.clip(pos, 0.0, n_x - 1.0) bit for bit: the bound goes first, so
+        # that a -0.0 position stays -0.0 as it does in np.clip
+        np.maximum(0.0, pos, out=pos)
+        np.minimum(pos, n_x - 1.0, out=pos)
         j0 = np.minimum(pos.astype(np.int64), n_x - 2)
         frac = pos - j0
         if self.interpolation == "nearest-nearest":

@@ -254,7 +254,9 @@ def _walk(model: MarketModel, z0, T: int, rng):
     Each item is ``(t0, z, xi)``: time-major (k, n) integer arrays with the
     factor and shock states of steps t0..t0+k-1.  ``sample_factor_paths``
     stores the blocks; ``simulate.ld_tail`` folds each block into running
-    sums and drops it, so its memory does not grow with T.
+    sums and drops it, so its memory does not grow with T.  The walk reads
+    the last row of ``z`` again for the next block, but never ``xi``, which
+    its consumer may overwrite.
 
     Every step consumes a factor uniform and then a shock uniform.  A
     shared Generator draws a block as one (k, 2, n) array (factors of step
@@ -262,6 +264,13 @@ def _walk(model: MarketModel, z0, T: int, rng):
     draws (k, 2) for its own path only.  The block length comes from
     ``DRAW_BUDGET``, so the draw buffer stays near 0.5 MB for any batch;
     above half the budget in paths a block is one step.
+
+    A state is the count of cumulative probabilities at or below its
+    uniform, clamped to the last state: step by step for the factor, from
+    the row of the previous state, and for a whole block at once for the
+    shock, one comparison per atom.  On the non-decreasing cumulative rows
+    of a model with non-negative probabilities, the count is the
+    ``searchsorted(..., side="right")`` index that ``step`` draws.
     """
     n = z0.shape[0]
     if isinstance(rng, np.random.Generator):
@@ -287,8 +296,11 @@ def _walk(model: MarketModel, z0, T: int, rng):
         k = min(k_max, T + 1 - t0)
         u = draw(k)
         # shocks are i.i.d., so a whole block is sampled at once
-        xi = np.minimum(np.searchsorted(cum_nu, u[:, 1], side="right"),
-                        model.n_shocks - 1)
+        u_xi = u[:, 1]
+        xi = np.zeros((k, n), dtype=np.int64)
+        for c in cum_nu:
+            np.add(xi, u_xi >= c, out=xi)
+        np.minimum(xi, model.n_shocks - 1, out=xi)
         z = np.empty((k, n), dtype=np.int64)
         for j in range(k):
             hits = u[j, 0] >= cum_pT.take(prev, axis=1)

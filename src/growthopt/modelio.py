@@ -11,11 +11,12 @@ A model file is a single JSON document:
                   "variant": "additive"}
     }
 
-Probabilities may be numbers or decimal strings.  Rows off stochastic by at
-most 1e-9 are renormalized, larger errors are rejected.  Value functions
-and policies serialize as a CSV body plus a JSON side-car header carrying
-the grid spec, discount, model hash and seed; every CLI run additionally
-writes a manifest listing inputs, content hashes and wall time.
+Probabilities may be numbers or decimal strings.  A negative or non-finite
+probability is rejected.  Rows off stochastic by at most 1e-9 are
+renormalized, larger errors are rejected.  Value functions and policies
+serialize as a CSV body plus a JSON side-car header carrying the grid spec,
+discount, model hash and seed; every CLI run additionally writes a manifest
+listing inputs, content hashes and wall time.
 
 The grid owns the table layout: a dump has one CSV row per index of
 ``grid.shape``, and reading it back fills tables of the shape that the
@@ -47,6 +48,12 @@ def _to_float_array(obj):
 
 def _renormalize_rows(mat, what):
     mat = np.atleast_2d(_to_float_array(mat))
+    # NaN fails both comparisons
+    bad = ~((mat >= 0.0) & (mat < np.inf))
+    if bad.any():
+        row = int(np.nonzero(bad.any(axis=1))[0][0])
+        raise ValueError(f"{what} row {row} holds {mat[row].tolist()}: "
+                         "probabilities must be finite and non-negative")
     sums = mat.sum(axis=1)
     err = np.abs(sums - 1.0).max()
     if err > RENORM_TOL:
@@ -72,9 +79,10 @@ def parse_model_dict(doc: dict):
     factors = _key(doc, "factors", "model")
     shocks = _key(doc, "shocks", "model")
     transition = _renormalize_rows(
-        _key(factors, "transition", "model section 'factors'"), "transition")
+        _key(factors, "transition", "model section 'factors'"),
+        "model section 'factors': transition")
     probs = _renormalize_rows(_key(shocks, "probs", "model section 'shocks'"),
-                              "shock probs")[0]
+                              "model section 'shocks': probs")[0]
     returns = _to_float_array(_key(doc, "returns", "model"))
     if returns.ndim != 3:
         raise ValueError("returns must be nested [factor][shock][asset]")

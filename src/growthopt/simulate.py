@@ -390,8 +390,8 @@ def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int, seed: int,
     frequency is read off when the step count reaches a horizon.  Memory
     depends on ``n_paths`` only, not on the horizons.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     T_grid = sorted(int(t) for t in T_grid)
     if not T_grid:
         raise ValueError("T_grid must hold at least one horizon")
@@ -400,7 +400,8 @@ def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int, seed: int,
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     floor_rate, floor_returns = growth_floor(model)
-    log_floor = np.log(floor_returns)
+    # log_floor[z, xi] is entry xi * n_factors + z of this flat table
+    log_floor = np.log(floor_returns).T.ravel()
     rng = make_rng(seed)
     if z0 is None:
         theta = invariant_measure(model)
@@ -412,7 +413,11 @@ def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int, seed: int,
     # a sequential sum, as np.cumsum along time: the same bits per horizon
     csum = np.zeros(n_paths)
     for t0, z, xi in _walk(model, z_init, T_grid[-1], rng):
-        for t, lr in enumerate(log_floor[z, xi], start=t0):
+        # one flat gather per block, at indices made in place in the shock
+        # states, which the walk does not read again
+        xi *= model.n_factors
+        xi += z
+        for t, lr in enumerate(log_floor.take(xi), start=t0):
             csum += lr
             if t in tail:
                 tail[t] = float(np.mean(csum / t <= threshold))

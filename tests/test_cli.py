@@ -450,6 +450,15 @@ class TestLdcheckCommand:
         assert "--t-max must be at least 32" in capsys.readouterr().err
         assert not (tmp_path / "out" / "ld_tail.csv").exists()
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_bad_eps_exits_1(self, tmp_path, capsys, eps):
+        args = base_args(tmp_path)
+        assert main(args + ["--n-paths", "100", "ldcheck", "--eps", eps]) == 1
+        err = capsys.readouterr().err
+        assert "eps must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "ld_tail.csv").exists()
+
     def test_horizons_stay_within_t_max(self, tmp_path):
         args = base_args(tmp_path)
         assert main(args + ["--n-paths", "100", "ldcheck", "--t-max",
@@ -629,6 +638,30 @@ class TestBadInputs:
         assert code == 1
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("command", ["validate", "ldcheck"])
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("shocks", "probs", [float("nan"), 0.5],
+         "model section 'shocks': probs row 0"),
+        ("shocks", "probs", [1.25, -0.25],
+         "model section 'shocks': probs row 0"),
+        ("factors", "transition", [[0.9, 0.1], [1.2, -0.2]],
+         "model section 'factors': transition row 1"),
+        ("factors", "transition", [[0.9, 0.1], [float("inf"), 0.8]],
+         "model section 'factors': transition row 1")])
+    def test_bad_probabilities_exit_1(self, tmp_path, capsys, command,
+                                      section, key, value, message):
+        model = write_model(tmp_path,
+                            lambda doc: doc[section].update({key: value}))
+        out = tmp_path / "out"
+        assert main(["--model", model, "--output-dir", str(out),
+                     "--n-paths", "100", command]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "finite and non-negative" in err
+        assert "Traceback" not in err
+        assert not (out / "ld_tail.csv").exists()
+        assert not out.exists()
 
 
 class TestModelParsing:

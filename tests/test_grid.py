@@ -99,7 +99,44 @@ class TestNearestNodeOracle:
                                       oracle_nearest_node(grid, pts[0]))
 
 
+def oracle_wealth_pos(grid, x):
+    """The lookup with its constants computed on every call, via np.clip."""
+    x = np.asarray(x, dtype=float)
+    n_x = grid.n_wealth
+    if n_x == 1:
+        j0 = np.zeros(x.shape, dtype=np.int64)
+        return j0, np.zeros(x.shape)
+    lx0 = np.log(grid.wealth[0])
+    dlx = (np.log(grid.wealth[-1]) - lx0) / (n_x - 1)
+    pos = np.clip((np.log(x) - lx0) / dlx, 0.0, n_x - 1.0)
+    j0 = np.minimum(pos.astype(np.int64), n_x - 2)
+    frac = pos - j0
+    if grid.interpolation == "nearest-nearest":
+        frac = np.rint(frac)
+    return j0, frac
+
+
 class TestWealthGrid:
+    @pytest.mark.parametrize("interpolation", ["nearest-linear",
+                                               "nearest-nearest"])
+    @pytest.mark.parametrize("n_x", [1, 2, 16])
+    def test_positions_match_clip_oracle(self, n_x, interpolation):
+        grid = StateGrid.build(2, 4, 1, x_min=1e-3, x_max=1e4, n_x=n_x,
+                               interpolation=interpolation)
+        w = grid.wealth
+        between = np.sqrt(w[:-1] * w[1:]) if n_x > 1 else w
+        off = np.random.default_rng(n_x).uniform(0.01, 0.99, 64)
+        x = np.concatenate([[1e-9, 5e-4, np.nextafter(w[0], 0)], w,
+                            np.nextafter(w, np.inf), between,
+                            w[0] + off * (w[-1] - w[0]),
+                            [np.nextafter(w[-1], np.inf), 2e4, 1e30]])
+        for arg in (x, x[:, None], x[5]):
+            got, want = grid.wealth_pos(arg), oracle_wealth_pos(grid, arg)
+            for g, o in zip(got, want):
+                assert type(g) is type(o) and g.dtype == o.dtype
+                assert np.shape(g) == np.shape(o)
+                assert np.asarray(g).tobytes() == np.asarray(o).tobytes()
+
     def test_geometric_spacing(self):
         grid = StateGrid.build(2, 4, 1, x_min=0.5, x_max=8.0, n_x=5)
         ratios = grid.wealth[1:] / grid.wealth[:-1]

@@ -1,14 +1,16 @@
 """Factor chain, shocks and ergodic invariants."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from growthopt import (CostSpec, MarketModel, NoTransactionStrategy,
-                       dobrushin, ergodic_report, expected_log_return,
-                       growth_floor, invariant_measure, make_rng, mixing_step,
-                       sample_factor_paths, step, validate)
+                       bundled_model_path, dobrushin, ergodic_report,
+                       expected_log_return, growth_floor, invariant_measure,
+                       load_model, make_rng, mixing_step, sample_factor_paths,
+                       step, validate)
 from growthopt.market import DRAW_BUDGET
 from growthopt.simulate import run
 
@@ -261,6 +263,46 @@ def oracle_paths(model, z0, T, rng):
     return z, xi
 
 
+def searchsorted_paths(model, z0, T, rng):
+    """``oracle_paths`` with the shock draw the walk made before it counted
+    thresholds: ``searchsorted`` on the cumulative shock law, then the
+    clamp to the last shock state."""
+    n = len(z0)
+    cum_p = np.cumsum(model.transition, axis=1)
+    cum_nu = np.cumsum(model.shock_probs)
+    z = np.empty((n, T + 1), dtype=np.int64)
+    xi = np.empty((n, T + 1), dtype=np.int64)
+    z[:, 0] = z0
+    xi[:, 0] = -1
+    for t in range(1, T + 1):
+        u_z = rng.random(n)
+        idx = (u_z[:, None] >= cum_p[z[:, t - 1]]).sum(axis=1)
+        z[:, t] = np.minimum(idx, model.n_factors - 1)
+        xi[:, t] = np.minimum(np.searchsorted(cum_nu, rng.random(n),
+                                              side="right"),
+                              model.n_shocks - 1)
+    return z, xi
+
+
+# shock laws for the threshold-count oracle tests: zero-probability atoms
+# repeat a cumulative entry, and a law summing to 0.9 exercises the clamp
+SHOCK_LAWS = {
+    "one atom": [1.0],
+    "two atoms": [0.3, 0.7],
+    "three atoms": [0.2, 0.5, 0.3],
+    "five atoms": [0.1, 0.25, 0.15, 0.3, 0.2],
+    "zero atoms": [0.0, 0.4, 0.0, 0.0, 0.6],
+    "last entry below one": [0.3, 0.3, 0.3],
+}
+
+
+def shock_model(law):
+    rng = np.random.default_rng(len(law))
+    trans = rng.dirichlet(np.ones(3), size=3)
+    return MarketModel(transition=trans, shock_probs=law,
+                       returns=rng.uniform(0.85, 1.25, (3, len(law), 2)))
+
+
 class Scripted:
     """Per-path stand-in for a Generator that hands out given uniforms."""
 
@@ -345,10 +387,84 @@ class TestSampleFactorPaths:
         if n_z > 1:
             assert len(np.unique(want)) == n_z
 
+    @pytest.mark.parametrize("law", SHOCK_LAWS)
+    @pytest.mark.parametrize("n, T", [(7, 3 * block_steps(7) + 5),
+                                      (DRAW_BUDGET // 2 + 1, 3)])
+    def test_shared_generator_matches_searchsorted(self, law, n, T):
+        # blocks of many steps below half the budget, of one step above it
+        model = shock_model(SHOCK_LAWS[law])
+        z0 = np.arange(n) % model.n_factors
+        got = sample_factor_paths(model, z0, T, make_rng(6))
+        want = searchsorted_paths(model, z0, T, make_rng(6))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("law", SHOCK_LAWS)
+    def test_stream_list_matches_searchsorted(self, law):
+        model = shock_model(SHOCK_LAWS[law])
+        n, T = 5, 300
+        z0 = np.arange(n) % model.n_factors
+        z, xi = sample_factor_paths(model, z0, T,
+                                    [make_rng(4, i) for i in range(n)])
+        for i in range(n):
+            zo, xio = searchsorted_paths(model, z0[i:i + 1], T, make_rng(4, i))
+            assert z[i:i + 1].tobytes() == zo.tobytes()
+            assert xi[i:i + 1].tobytes() == xio.tobytes()
+
+    @pytest.mark.parametrize("law", SHOCK_LAWS)
+    def test_shock_on_a_cumulative_entry(self, law):
+        # uniforms exactly on each cumulative entry, at 0 and just below 1
+        model = shock_model(SHOCK_LAWS[law])
+        cum_nu = np.cumsum(model.shock_probs)
+        rng = np.random.default_rng(40)
+        n, T = 9, 40
+        u = rng.random((n, T, 2))
+        u[:, ::3, 1] = rng.choice(cum_nu, size=u[:, ::3, 1].shape)
+        u[:, 1::7, 1] = 1.0 - 1e-7
+        u[:, 2::11, 1] = 0.0
+        _, xi = sample_factor_paths(model, np.zeros(n, dtype=np.int64), T,
+                                    [Scripted(u[i]) for i in range(n)])
+        want = np.minimum(np.searchsorted(cum_nu, u[:, :, 1], side="right"),
+                          model.n_shocks - 1)
+        assert xi[:, 1:].tobytes() == want.tobytes()
+        assert np.isin(cum_nu, u[:, :, 1]).all()
+
     def test_rejects_wrong_generator_count(self):
         with pytest.raises(ValueError):
             sample_factor_paths(two_state(), np.zeros(3, dtype=np.int64), 5,
                                 [make_rng(0, i) for i in range(2)])
+
+
+def stream_digests(n, T, rng):
+    model, _ = load_model(bundled_model_path())
+    z, xi = sample_factor_paths(model, np.arange(n) % model.n_factors, T, rng)
+    return (hashlib.sha256(z.tobytes()).hexdigest(),
+            hashlib.sha256(xi.tobytes()).hexdigest())
+
+
+class TestStreamDigests:
+    """Factor and shock states of the bundled model, pinned by digest.
+
+    The other path tests compare the walk with oracles that draw from the
+    same generators, so a change in how the walk consumes its streams that
+    the oracles followed would pass them; these digests would not.
+    """
+
+    def test_shared_generator_many_steps_per_block(self):
+        assert stream_digests(1000, 300, make_rng(808)) == (
+            "617b1c190f82317a454968a5fccf851e0a2f3cf7a33920e6a1737114332f2214",
+            "8074f39ef71b1fb7ce043353c730d7eb8ba941c6ea82a66ce765b174b4b2587f")
+
+    def test_shared_generator_one_step_per_block(self):
+        assert stream_digests(DRAW_BUDGET // 2 + 1, 3, make_rng(808)) == (
+            "34690c22a713d2188fef58706e3a6babb2d7b74b5d824deed46210ed829e706c",
+            "5a5920d9796d0223251eb1148dbb6ffaba7d03172dd756cf899a97e4b48bad27")
+
+    def test_per_path_generators(self):
+        rngs = [make_rng(1003, s) for s in range(50)]
+        assert stream_digests(50, 2500, rngs) == (
+            "a1ed84a949d55245e853ba3c226ccea2124ef99a0d27594627e9271d826939c0",
+            "9143ca4bbd669fc80ca659129453faada654986923ba0d0681e2ef22d5a31728")
 
 
 class TestErgodicReport:

@@ -18,6 +18,8 @@ from growthopt import (CostSpec, FixedTargetStrategy, GridPolicyStrategy,
 from growthopt.costs import worst_case_drag
 from growthopt.market import DRAW_BUDGET, check_simplex
 
+from test_market import SHOCK_LAWS, searchsorted_paths, shock_model
+
 
 def deterministic_model(r1=1.1, r2=1.05):
     return MarketModel(transition=[[1.0]], shock_probs=[1.0],
@@ -468,6 +470,11 @@ class TestLdTail:
         with pytest.raises(ValueError):
             ld_tail(model2, [8], 0.0, 100, seed=1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_eps(self, model2, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            ld_tail(model2, [8], eps, 100, seed=1)
+
     @pytest.mark.parametrize("T_grid, n_paths", [
         ([0, 8], 100), ([-3, 8], 100), ([], 100), ([8], 0)])
     def test_rejects_bad_horizons_and_path_counts(self, model2, T_grid,
@@ -476,8 +483,10 @@ class TestLdTail:
             ld_tail(model2, T_grid, 0.01, n_paths, seed=1)
 
 
-def oracle_ld_tail(model, T_grid, eps, n_paths, seed, z0=None):
-    """Materializing ld_tail: all paths, then a cumulative sum over time."""
+def oracle_ld_tail(model, T_grid, eps, n_paths, seed, z0=None,
+                   paths=sample_factor_paths):
+    """Materializing ld_tail: all ``paths``, then log floor returns by a 2-D
+    fancy index and a cumulative sum over time."""
     T_grid = sorted(int(t) for t in T_grid)
     floor_rate, floor_returns = growth_floor(model)
     rng = make_rng(seed)
@@ -486,7 +495,7 @@ def oracle_ld_tail(model, T_grid, eps, n_paths, seed, z0=None):
                             p=invariant_measure(model))
     else:
         z_init = np.full(n_paths, z0, dtype=np.int64)
-    z, xi = sample_factor_paths(model, z_init, T_grid[-1], rng)
+    z, xi = paths(model, z_init, T_grid[-1], rng)
     csum = np.cumsum(np.log(floor_returns)[z[:, 1:], xi[:, 1:]], axis=1)
     rows = [{"T": T, "p_hat": floor_rate, "eps": eps,
              "tail_prob": float(np.mean(csum[:, T - 1] / T
@@ -536,6 +545,26 @@ class TestLdTailStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+class TestLdTailFold:
+    """ld_tail with threshold-count shocks and flat gathers against the
+    fold it replaced: ``searchsorted`` shocks and a 2-D fancy index."""
+
+    @pytest.mark.parametrize("law", SHOCK_LAWS)
+    @pytest.mark.parametrize("T_grid, n_paths", [
+        ([1, 2, 5, 40, 250], 300), ([1, 2, 3], DRAW_BUDGET // 2 + 1)])
+    def test_matches_searchsorted_oracle(self, law, T_grid, n_paths):
+        model = shock_model(SHOCK_LAWS[law])
+        eps = ld_eps(model)
+        got = ld_tail(model, T_grid, eps, n_paths, seed=71)
+        rows, slope, slope_se = oracle_ld_tail(model, T_grid, eps, n_paths,
+                                               seed=71,
+                                               paths=searchsorted_paths)
+        assert sum(r["tail_prob"] > 0 for r in rows) >= 2
+        assert got.rows == rows
+        assert np.array([got.slope, got.slope_se]).tobytes() == \
+            np.array([slope, slope_se]).tobytes()
 
 
 class TestShareHoldings:
