@@ -33,7 +33,6 @@ class RunConfig:
     x_min: float = 1e-3
     x_max: float = 1e4
     n_x: int = 16
-    interpolation: str = "nearest-linear"
     betas: list = field(default_factory=lambda: [0.9, 0.99, 0.995, 0.999])
     tol: float = 1e-6
     tie_eps: float = dp.TIE_EPS
@@ -58,7 +57,7 @@ class RunConfig:
 # keys of each config file section; each sets the RunConfig field of its
 # name, except grid.simplex_order, which sets mesh_order
 _CONFIG_KEYS = {(): ("model_path", "betas", "output_dir"),
-                ("grid",): ("simplex_order", "interpolation"),
+                ("grid",): ("simplex_order",),
                 ("grid", "wealth"): ("x_min", "x_max", "n_x"),
                 ("tolerances",): ("tol", "tie_eps"),
                 ("simulation",): ("T", "n_paths", "seed", "x0", "z0")}
@@ -151,8 +150,7 @@ class Runner:
         c = self.cfg
         return StateGrid.build(self.model.n_assets, c.mesh_order,
                                self.model.n_factors, x_min=c.x_min,
-                               x_max=c.x_max, n_x=c.n_x,
-                               interpolation=c.interpolation)
+                               x_max=c.x_max, n_x=c.n_x)
 
     def out(self, name: str) -> str:
         return f"{self.cfg.output_dir}/{name}"

@@ -5,8 +5,7 @@ are multiples of 1/m (mesh order m), listed in ascending lexicographic order
 of their integer coordinate tuples; node indices therefore give a canonical
 deterministic tie-break.  Wealth, when present, lives on a strictly
 increasing geometric grid and off-grid values are resolved linearly in
-log-wealth (or by nearest node, depending on the interpolation mode).
-Off-mesh proportions always snap to the nearest mesh node.
+log-wealth.  Off-mesh proportions always snap to the nearest mesh node.
 
 The grid owns the table layout: ``StateGrid.shape`` gives the shape of
 every value and policy table on it, with a wealth axis only where the grid
@@ -15,12 +14,10 @@ has one, and ``ValueFunction`` and ``Policy`` refuse tables of other shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-
-INTERPOLATION_MODES = ("nearest-linear", "nearest-nearest")
 
 
 def _compositions(total, parts):
@@ -52,7 +49,6 @@ class StateGrid:
     mesh_order: int
     n_z: int
     wealth: Optional[np.ndarray] = None
-    interpolation: str = "nearest-linear"
     _keys: np.ndarray = field(init=False, repr=False)
     _perm: np.ndarray = field(init=False, repr=False)
     _key_sum: np.ndarray = field(init=False, repr=False)
@@ -60,8 +56,6 @@ class StateGrid:
     _dlx: Optional[float] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if self.interpolation not in INTERPOLATION_MODES:
-            raise ValueError(f"interpolation must be one of {INTERPOLATION_MODES}")
         self.nodes = np.asarray(self.nodes, dtype=float)
         if self.wealth is not None:
             self.wealth = np.asarray(self.wealth, dtype=float)
@@ -88,8 +82,7 @@ class StateGrid:
     @classmethod
     def build(cls, n_assets: int, mesh_order: int, n_z: int,
               x_min: Optional[float] = None, x_max: Optional[float] = None,
-              n_x: Optional[int] = None,
-              interpolation: str = "nearest-linear") -> "StateGrid":
+              n_x: Optional[int] = None) -> "StateGrid":
         nodes = simplex_mesh(n_assets, mesh_order)
         wealth = None
         if x_min is not None:
@@ -98,8 +91,7 @@ class StateGrid:
             if not 0 < x_min < x_max:
                 raise ValueError("need 0 < x_min < x_max")
             wealth = np.geomspace(x_min, x_max, n_x)
-        return cls(nodes=nodes, mesh_order=mesh_order, n_z=n_z, wealth=wealth,
-                   interpolation=interpolation)
+        return cls(nodes=nodes, mesh_order=mesh_order, n_z=n_z, wealth=wealth)
 
     @property
     def n_assets(self) -> int:
@@ -124,16 +116,13 @@ class StateGrid:
         return (self.n_nodes,) + wealth + (self.n_z,)
 
     def without_wealth(self) -> "StateGrid":
-        return StateGrid(nodes=self.nodes, mesh_order=self.mesh_order,
-                         n_z=self.n_z, wealth=None,
-                         interpolation=self.interpolation)
+        return replace(self, wealth=None)
 
     def spec_dict(self) -> dict:
         out = {
             "n_assets": self.n_assets,
             "mesh_order": self.mesh_order,
             "n_z": self.n_z,
-            "interpolation": self.interpolation,
         }
         if self.wealth is not None:
             out["wealth"] = {
@@ -180,15 +169,14 @@ class StateGrid:
         """Lower index and interpolation weight for wealth values ``x``.
 
         Positions are computed linearly in log-wealth and clamped to the
-        grid range; in nearest mode the weight is rounded to 0 or 1.
+        grid range.
         """
         if self.wealth is None:
             raise ValueError("grid has no wealth axis")
         x = np.asarray(x, dtype=float)
         n_x = self.n_wealth
         if n_x == 1:
-            j0 = np.zeros(x.shape, dtype=np.int64)
-            return j0, np.zeros(x.shape)
+            return np.zeros(x.shape, dtype=np.int64), np.zeros(x.shape)
         pos = np.log(x, out=np.empty(x.shape))
         pos -= self._lx0
         pos /= self._dlx
@@ -197,10 +185,7 @@ class StateGrid:
         np.maximum(0.0, pos, out=pos)
         np.minimum(pos, n_x - 1.0, out=pos)
         j0 = np.minimum(pos.astype(np.int64), n_x - 2)
-        frac = pos - j0
-        if self.interpolation == "nearest-nearest":
-            frac = np.rint(frac)
-        return j0, frac
+        return j0, pos - j0
 
     def nearest_wealth(self, x) -> np.ndarray:
         j0, frac = self.wealth_pos(x)

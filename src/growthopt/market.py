@@ -29,9 +29,26 @@ MIXING_HORIZON = 64  # longest n searched for a Dobrushin coefficient < 1
 DRAW_BUDGET = 1 << 16  # uniforms held at once by the path sampler (~0.5 MB)
 
 
+def check_stochastic_rows(mat, what: str) -> np.ndarray:
+    """Row sums of the 2-D probability table ``mat``; a ValueError naming
+    ``what`` unless its entries are finite and non-negative and each row
+    sums to 1 within SIMPLEX_TOL."""
+    # NaN fails both comparisons
+    bad = ~((mat >= 0.0) & (mat < np.inf))
+    if bad.any():
+        row = int(np.nonzero(bad.any(axis=1))[0][0])
+        raise ValueError(f"{what} row {row} holds {mat[row].tolist()}: "
+                         "probabilities must be finite and non-negative")
+    sums = mat.sum(axis=1)
+    err = np.abs(sums - 1.0).max()
+    if err > SIMPLEX_TOL:
+        raise ValueError(f"{what} rows off stochastic by {err:.3e} "
+                         f"(> {SIMPLEX_TOL})")
+    return sums
+
+
 def _as_readonly(a):
-    arr = np.asarray(a, dtype=float)
-    arr = np.array(arr, copy=True)
+    arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -63,6 +80,8 @@ class MarketModel:
                 "returns must have shape (n_factors, n_shocks, n_assets), got %s"
                 % (self.returns.shape,)
             )
+        check_stochastic_rows(self.transition, "transition")
+        check_stochastic_rows(self.shock_probs[None], "shock_probs")
 
     @property
     def n_factors(self) -> int:

@@ -37,28 +37,12 @@ import numpy as np
 
 from .costs import CostSpec
 from .grid import Policy, StateGrid, ValueFunction
-from .market import MarketModel
-
-RENORM_TOL = 1e-9
-
-
-def _to_float_array(obj):
-    return np.array(obj, dtype=float)
+from .market import MarketModel, check_stochastic_rows
 
 
 def _renormalize_rows(mat, what):
-    mat = np.atleast_2d(_to_float_array(mat))
-    # NaN fails both comparisons
-    bad = ~((mat >= 0.0) & (mat < np.inf))
-    if bad.any():
-        row = int(np.nonzero(bad.any(axis=1))[0][0])
-        raise ValueError(f"{what} row {row} holds {mat[row].tolist()}: "
-                         "probabilities must be finite and non-negative")
-    sums = mat.sum(axis=1)
-    err = np.abs(sums - 1.0).max()
-    if err > RENORM_TOL:
-        raise ValueError(f"{what} rows off stochastic by {err:.3e} (> {RENORM_TOL})")
-    return mat / sums[:, None]
+    mat = np.atleast_2d(np.array(mat, dtype=float))
+    return mat / check_stochastic_rows(mat, what)[:, None]
 
 
 def _key(doc: dict, key: str, where: str):
@@ -83,7 +67,7 @@ def parse_model_dict(doc: dict):
         "model section 'factors': transition")
     probs = _renormalize_rows(_key(shocks, "probs", "model section 'shocks'"),
                               "model section 'shocks': probs")[0]
-    returns = _to_float_array(_key(doc, "returns", "model"))
+    returns = np.array(_key(doc, "returns", "model"), dtype=float)
     if returns.ndim != 3:
         raise ValueError("returns must be nested [factor][shock][asset]")
     n_assets = int(doc.get("assets", returns.shape[2]))
@@ -98,8 +82,8 @@ def parse_model_dict(doc: dict):
     if "costs" in doc:
         c = doc["costs"]
         spec = CostSpec(
-            buy=_to_float_array(_key(c, "buy", "model section 'costs'")),
-            sell=_to_float_array(_key(c, "sell", "model section 'costs'")),
+            buy=np.array(_key(c, "buy", "model section 'costs'"), dtype=float),
+            sell=np.array(_key(c, "sell", "model section 'costs'"), dtype=float),
             fixed=float(c.get("fixed", 0.0)),
             variant=c.get("variant", "additive"),
         )
@@ -192,17 +176,15 @@ def load_policy(path_base: str) -> Policy:
     g = _key(header, "grid", header_path)
     beta = _key(header, "beta", header_path)
     in_grid = f"{header_path} section 'grid'"
-    n_assets, mesh_order, n_z, interpolation = (
-        _key(g, k, in_grid)
-        for k in ("n_assets", "mesh_order", "n_z", "interpolation"))
+    n_assets, mesh_order, n_z = (
+        _key(g, k, in_grid) for k in ("n_assets", "mesh_order", "n_z"))
     x_min = x_max = n_x = None
     if g.get("wealth") is not None:
         x_min, x_max, n_x = (
             _key(g["wealth"], k, f"{header_path} section 'grid.wealth'")
             for k in ("x_min", "x_max", "n_x"))
     grid = StateGrid.build(n_assets=n_assets, mesh_order=mesh_order, n_z=n_z,
-                           x_min=x_min, x_max=x_max, n_x=n_x,
-                           interpolation=interpolation)
+                           x_min=x_min, x_max=x_max, n_x=n_x)
     impulse = np.zeros(grid.shape, dtype=bool)
     target = np.zeros(grid.shape, dtype=np.int64)
     seen = np.zeros(grid.shape, dtype=bool)

@@ -7,10 +7,12 @@ annihilates the path), then the market moves: proportions drift with the
 realized returns and wealth multiplies by the portfolio gross return.
 
 One step loop, ``_simulate``, steps a batch of paths vectorized across
-paths and records the first path of the batch as a ``Trajectory``.
-``average_growth`` runs it on streams 0..n_paths-1 and ``run`` on one
-stream, so ``run`` is a batch of one: path ``i`` of a batch consumes exactly
-the stream ``(seed, i)`` and ``run(..., stream=i)`` reproduces it bit for
+paths and records the first paths of the batch, row by row into path-major
+arrays, as one ``Trajectory`` each.  ``average_growth`` runs it on streams
+0..n_paths-1 and records path 0 only.  ``run`` records every path of its
+batch: an int stream is a batch of one, a sequence of streams one batch
+with a ``Trajectory`` per stream.  Path ``i`` of a batch consumes exactly
+the stream ``(seed, i)``, so ``run(..., stream=i)`` reproduces it bit for
 bit.  Wealth is tracked in logs so horizons of many thousands of steps
 cannot overflow.  A batch samples all its factor/shock paths in one call:
 one walk vectorized across paths over the per-path Philox streams, each
@@ -177,13 +179,13 @@ class Trajectory:
 
 
 def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
-              x0: float, z0: int, T: int, seed: int, streams):
+              x0: float, z0: int, T: int, seed: int, streams, record: int = 1):
     """The one step loop: paths of the given streams of ``seed``, T steps.
 
     Returns the final log wealth per path, the log wealth at step
-    T - T // 2, the surviving paths and the ``Trajectory`` of the first
-    stream, which ends at its annihilation row.  The loop stops early once
-    every path has annihilated.
+    T - T // 2, the surviving paths and a ``Trajectory`` for each of the
+    first ``record`` streams, which for an annihilated path ends at the row
+    of its trade.  The loop stops early once every path has annihilated.
     """
     pi0 = check_simplex(pi0, model.n_assets)
     if not x0 > 0:
@@ -192,8 +194,8 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
         raise ValueError(f"initial factor state {z0} outside "
                          f"[0, {model.n_factors})")
     if T < 1 or len(streams) < 1:
-        raise ValueError("T and n_paths must be >= 1")
-    n, d = len(streams), model.n_assets
+        raise ValueError("need T >= 1 and at least one stream")
+    n, d, r = len(streams), model.n_assets, record
     z, xi = sample_factor_paths(model, np.full(n, z0), T,
                                 [make_rng(seed, s) for s in streams])
     zeta = model.returns[z.T[1:], xi.T[1:]]  # (T, n, d): the step into t + 1
@@ -209,15 +211,17 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
     signed = bool((pi0 < 0).any())
     t_half = T - T // 2
     lx_half = np.empty(n)
-    rec_pi_prev = np.empty((T + 1, d))  # path 0, pre-transaction
-    rec_x_prev = np.empty(T + 1)
-    trades = []  # path 0: (t, e, post-transaction pi and log wealth)
+    # the recording of the first r paths, path-major: row t of a path holds
+    # its state before the decision at t and, where it trades, after it
+    rec_pi_prev, rec_pi = np.empty((r, T + 1, d)), np.empty((r, T + 1, d))
+    rec_lx_prev, rec_lx = np.zeros((r, T + 1)), np.zeros((r, T + 1))
+    rec_e, rec_traded = np.ones((r, T + 1)), np.zeros((r, T + 1), dtype=bool)
     for t in range(T):
         if t == t_half:
             lx_half[:] = lx
         x_prev = np.exp(np.minimum(lx, LOG_CAP))
-        rec_pi_prev[t] = pi_prev[0]
-        rec_x_prev[t] = x_prev[0]
+        rec_pi_prev[:, t] = pi_prev[:r]
+        rec_lx_prev[:, t] = lx[:r]
         mask, tgt = strategy.decide_batch(pi_prev, x_prev, z[:, t], t)
         go = mask & alive
         # np.count_nonzero and .nonzero() skip the Python layer of .any()
@@ -226,7 +230,7 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
             if idx.size:
                 new = tgt[idx]
                 e = solve_e_batch(spec, pi_prev[idx], new, x_prev[idx])
-                traded0, e0 = idx[0] == 0, e[0]
+                traded, e_all = idx, e
                 if np.count_nonzero(e > 0.0) < idx.size:
                     dead = idx[e == 0.0]
                     alive[dead] = False
@@ -236,8 +240,12 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
                 lx[idx] += np.log(e)
                 pi_prev[idx] = new
                 signed = signed or np.count_nonzero(new < 0.0) > 0
-                if traded0:
-                    trades.append((t, e0, pi_prev[0].copy(), lx[0]))
+                if traded[0] < r:  # a recorded path traded
+                    rec = traded[:traded.searchsorted(r)]
+                    rec_e[rec, t] = e_all[:rec.size]
+                    rec_traded[rec, t] = True
+                    rec_pi[rec, t] = pi_prev[rec]
+                    rec_lx[rec, t] = lx[rec]
         if not all_alive and not np.count_nonzero(alive):
             break
         step = zeta[t]
@@ -253,28 +261,35 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
         else:
             np.add(lx, np.log(growth), out=lx, where=alive)
             np.copyto(pi_prev, pi_next, where=alive[:, None])
-    rec_pi_prev[T] = pi_prev[0]
-    rec_x_prev[T] = np.exp(np.minimum(lx[0], LOG_CAP))
+    rec_pi_prev[:, T] = pi_prev[:r]
+    rec_lx_prev[:, T] = lx[:r]
+    rec_pi = np.where(rec_traded[:, :, None], rec_pi, rec_pi_prev)
 
-    rows = T + 1 if alive[0] else trades[-1][0] + 1
-    traj = Trajectory(
-        t=np.arange(rows), z=z[0, :rows].copy(), xi=xi[0, :rows].copy(),
-        pi_prev=rec_pi_prev[:rows], transacted=np.zeros(rows, dtype=bool),
-        pi=rec_pi_prev[:rows].copy(), e_applied=np.ones(rows),
-        x_prev=rec_x_prev[:rows], x=rec_x_prev[:rows].copy(),
-        returns=np.ones((rows, d)), annihilated=not alive[0], spec=spec)
-    traj.returns[1:] = zeta[:rows - 1, 0]
-    for t, e_t, pi_t, lx_t in trades:
-        traj.transacted[t], traj.e_applied[t], traj.pi[t] = True, e_t, pi_t
-        traj.x[t] = np.exp(np.minimum(lx_t, LOG_CAP))
-    return lx, lx_half, alive, traj
+    x_prev = np.exp(np.minimum(rec_lx_prev, LOG_CAP))
+    x = np.where(rec_traded, np.exp(np.minimum(rec_lx, LOG_CAP)), x_prev)
+    returns = np.ones((r, T + 1, d))
+    returns[:, 1:] = zeta[:, :r].swapaxes(0, 1)
+    # an annihilated path ends at the row of its trade with e == 0
+    rows = np.where(alive[:r], T + 1, rec_e.argmin(axis=1) + 1)
+    trajs = [Trajectory(
+        t=np.arange(m), z=z[k, :m].copy(), xi=xi[k, :m].copy(),
+        pi_prev=rec_pi_prev[k, :m], transacted=rec_traded[k, :m],
+        pi=rec_pi[k, :m], e_applied=rec_e[k, :m], x_prev=x_prev[k, :m],
+        x=x[k, :m], returns=returns[k, :m], annihilated=not alive[k],
+        spec=spec) for k, m in enumerate(rows.tolist())]
+    return lx, lx_half, alive, trajs
 
 
 def run(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0, x0: float,
-        z0: int, T: int, seed: int, stream: int = 0) -> Trajectory:
-    """Simulate stream ``stream`` of ``seed`` for T steps as a batch of one;
-    the path ends early on annihilation."""
-    return _simulate(model, spec, strategy, pi0, x0, z0, T, seed, [stream])[3]
+        z0: int, T: int, seed: int, stream=0):
+    """Simulate stream ``stream`` of ``seed`` for T steps; a path ends early
+    on annihilation.  An int ``stream`` gives its ``Trajectory``; a sequence
+    of streams runs as one batch and gives a list of one ``Trajectory`` per
+    stream, entry k equal to ``run(..., stream=stream[k])`` bit for bit."""
+    streams = np.atleast_1d(stream)
+    trajs = _simulate(model, spec, strategy, pi0, x0, z0, T, seed, streams,
+                      len(streams))[3]
+    return trajs[0] if np.ndim(stream) == 0 else trajs
 
 
 @dataclass
@@ -307,8 +322,8 @@ def average_growth(model: MarketModel, spec: CostSpec, strategy: Strategy,
     if T < 2:
         raise ValueError(f"average_growth needs T >= 2 for its second-half "
                          f"window, got T={T}")
-    lx, lx_half, alive, traj = _simulate(model, spec, strategy, pi0, x0, z0, T,
-                                         seed, range(n_paths))
+    lx, lx_half, alive, (traj,) = _simulate(model, spec, strategy, pi0, x0,
+                                            z0, T, seed, range(n_paths))
     per_path = lx / T  # (1/T) ln X_(T)
     n_dead = int((~alive).sum())
     if n_dead == 0:
@@ -351,10 +366,8 @@ def wealth_floor_check(traj: Trajectory, constants) -> FloorCheckReport:
     rate = constants.eta_m if traj.spec.fixed > 0 else constants.eta
     floor_lr = np.log(traj.returns.min(axis=1))
     floor_lr[0] = 0.0
-    n = traj.t.shape[0]
-    t_arr = np.arange(n)
     lhs = np.log(np.where(traj.x_prev > 0, traj.x_prev, np.nan))
-    bound = math.log(traj.x_prev[0]) - rate * t_arr + np.cumsum(floor_lr)
+    bound = math.log(traj.x_prev[0]) - rate * traj.t + np.cumsum(floor_lr)
     margin = lhs - bound
     violations = int(np.sum(margin < -PATH_TOL))
     if traj.annihilated:

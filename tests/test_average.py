@@ -125,10 +125,9 @@ def residual_cases(two_asset):
                            model, spec, rep.tables),
     }
     max_spec = CostSpec(spec.buy, spec.sell, spec.fixed, "max")
-    grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8,
-                           interpolation="nearest-nearest")
+    grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
     rep, pol = vanishing_discount(model, max_spec, grid, [0.9, 0.99], tol=1e-6)
-    cases["max_nearest"] = (pol, rep.relative_value, rep.growth_rate, model,
+    cases["max_variant"] = (pol, rep.relative_value, rep.growth_rate, model,
                             max_spec, None)
     model3 = random_model(np.random.default_rng(7), n_z=3, d=3)
     spec3 = CostSpec(buy=[0.01, 0.02, 0.015], sell=[0.02, 0.01, 0.005],
@@ -142,7 +141,7 @@ def residual_cases(two_asset):
 
 class TestBellmanResidual:
     @pytest.mark.parametrize("name", ["acceptance", "acceptance_prop",
-                                      "rate_plus_0.01", "max_nearest",
+                                      "rate_plus_0.01", "max_variant",
                                       "three_assets"])
     def test_matches_hand_written_branches(self, residual_cases, name):
         policy, w, rate, model, spec, tables = residual_cases[name]

@@ -294,6 +294,21 @@ class TestPolicyDump:
         with pytest.raises(ValueError, match=message):
             load_policy(str(out))
 
+    @pytest.mark.parametrize("mode", ["nearest-linear", "nearest-nearest"])
+    def test_dumps_with_an_interpolation_key_still_load(self, dumps,
+                                                        tmp_path, mode):
+        # dumps no longer write the key, older ones carry it; a loaded
+        # policy looks up nearest nodes, which it never changed
+        base, pol = dumps["fixed"]
+        header = json.loads(open(base + ".json").read())
+        assert "interpolation" not in header["grid"]
+        header["grid"]["interpolation"] = mode
+        (tmp_path / "policy.json").write_text(json.dumps(header))
+        (tmp_path / "policy.csv").write_text(open(base + ".csv").read())
+        back = load_policy(str(tmp_path / "policy"))
+        np.testing.assert_array_equal(back.impulse, pol.impulse)
+        np.testing.assert_array_equal(back.target, pol.target)
+
     @pytest.mark.parametrize("edit, message", [
         ("true cells", "impulse cell 'true' is neither 0 nor 1"),
         ("no grid", "value_beta.json: missing key 'grid'")])
@@ -513,7 +528,9 @@ class TestConfigKeys:
         ({"simulation": {"T": 10, "paths": 10}},
          "unknown config key 'paths' in section simulation"),
         ({"grid": {"wealth": 8}},
-         "config section grid.wealth must be a JSON object")])
+         "config section grid.wealth must be a JSON object"),
+        ({"grid": {"interpolation": "nearest-linear"}},
+         "unknown config key 'interpolation' in section grid")])
     def test_unknown_key_exits_1(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

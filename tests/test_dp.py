@@ -546,8 +546,6 @@ def kernel_cases():
                      fixed=0.05)
     return {
         "2-asset": (None, dict(n_assets=2, mesh_order=8, n_z=2)),
-        "2-asset nearest-nearest": (None, dict(
-            n_assets=2, mesh_order=8, n_z=2, interpolation="nearest-nearest")),
         "3-asset": ((model3, spec3), dict(n_assets=3, mesh_order=4, n_z=3)),
     }
 

@@ -110,19 +110,13 @@ def oracle_wealth_pos(grid, x):
     dlx = (np.log(grid.wealth[-1]) - lx0) / (n_x - 1)
     pos = np.clip((np.log(x) - lx0) / dlx, 0.0, n_x - 1.0)
     j0 = np.minimum(pos.astype(np.int64), n_x - 2)
-    frac = pos - j0
-    if grid.interpolation == "nearest-nearest":
-        frac = np.rint(frac)
-    return j0, frac
+    return j0, pos - j0
 
 
 class TestWealthGrid:
-    @pytest.mark.parametrize("interpolation", ["nearest-linear",
-                                               "nearest-nearest"])
     @pytest.mark.parametrize("n_x", [1, 2, 16])
-    def test_positions_match_clip_oracle(self, n_x, interpolation):
-        grid = StateGrid.build(2, 4, 1, x_min=1e-3, x_max=1e4, n_x=n_x,
-                               interpolation=interpolation)
+    def test_positions_match_clip_oracle(self, n_x):
+        grid = StateGrid.build(2, 4, 1, x_min=1e-3, x_max=1e4, n_x=n_x)
         w = grid.wealth
         between = np.sqrt(w[:-1] * w[1:]) if n_x > 1 else w
         off = np.random.default_rng(n_x).uniform(0.01, 0.99, 64)
@@ -155,12 +149,6 @@ class TestWealthGrid:
         j0, frac = grid.wealth_pos(np.array([x]))
         assert j0[0] == 0
         assert frac[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_nearest_mode_rounds(self):
-        grid = StateGrid.build(2, 4, 1, x_min=1.0, x_max=16.0, n_x=5,
-                               interpolation="nearest-nearest")
-        _, frac = grid.wealth_pos(np.array([1.9, 2.1]))
-        assert set(np.unique(frac)) <= {0.0, 1.0}
 
     def test_requires_increasing_positive(self):
         with pytest.raises(ValueError):

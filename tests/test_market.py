@@ -55,6 +55,31 @@ class TestValidate:
         assert not validate(m).ok
 
 
+class TestProbabilityChecks:
+    @pytest.mark.parametrize("transition, probs, message", [
+        # a law off the simplex that sums to 1, which sampled shock 0 at
+        # every step before the constructor checked it
+        ([[0.9, 0.1], [0.2, 0.8]], [1.25, -0.25],
+         r"shock_probs row 0 holds \[1.25, -0.25\]: probabilities must be "
+         "finite and non-negative"),
+        ([[0.9, 0.1], [0.2, 0.8]], [np.nan, 0.5], "shock_probs row 0"),
+        ([[0.9, 0.1], [np.inf, 0.8]], [0.5, 0.5], "transition row 1"),
+        ([[0.9, 0.1], [0.2, 0.7]], [0.5, 0.5],
+         r"transition rows off stochastic by 1\.000e-01 \(> 1e-09\)"),
+        ([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5 + 2e-9],
+         "shock_probs rows off stochastic by 2")])
+    def test_constructor_refuses(self, transition, probs, message):
+        with pytest.raises(ValueError, match=message):
+            MarketModel(transition=transition, shock_probs=probs,
+                        returns=np.ones((2, 2, 2)))
+
+    def test_rounding_within_tolerance_passes(self):
+        m = MarketModel(transition=[[0.9, 0.1 + 5e-10], [0.2, 0.8]],
+                        shock_probs=[0.5, 0.5 - 5e-10],
+                        returns=np.ones((2, 2, 2)))
+        assert m.n_factors == m.n_shocks == 2
+
+
 class TestInvariantMeasure:
     def test_single_state(self):
         m = MarketModel(transition=[[1.0]], shock_probs=[1.0],
@@ -296,11 +321,22 @@ SHOCK_LAWS = {
 }
 
 
+def unchecked_model(transition, shock_probs, returns):
+    """A MarketModel built past the constructor's probability checks, so
+    that its rows may end below 1: the walk clamps a uniform beyond the
+    last cumulative entry to the last state."""
+    model = object.__new__(MarketModel)
+    for name, table in (("transition", transition),
+                        ("shock_probs", shock_probs), ("returns", returns)):
+        object.__setattr__(model, name, np.asarray(table, dtype=float))
+    return model
+
+
 def shock_model(law):
     rng = np.random.default_rng(len(law))
     trans = rng.dirichlet(np.ones(3), size=3)
-    return MarketModel(transition=trans, shock_probs=law,
-                       returns=rng.uniform(0.85, 1.25, (3, len(law), 2)))
+    return unchecked_model(transition=trans, shock_probs=law,
+                           returns=rng.uniform(0.85, 1.25, (3, len(law), 2)))
 
 
 class Scripted:
@@ -372,8 +408,8 @@ class TestSampleFactorPaths:
         u = rng.random((n, T, 2))
         u[:, ::3, 0] = rng.choice(cum_p.ravel(), size=u[:, ::3, 0].shape)
         u[:, 1::7, 0] = 1.0 - 1e-7
-        model = MarketModel(transition=trans, shock_probs=[1.0],
-                            returns=np.ones((n_z, 1, 1)))
+        model = unchecked_model(transition=trans, shock_probs=[1.0],
+                                returns=np.ones((n_z, 1, 1)))
         z0 = np.arange(n) % n_z
         z, _ = sample_factor_paths(model, z0, T,
                                    [Scripted(u[i]) for i in range(n)])

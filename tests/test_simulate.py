@@ -282,6 +282,10 @@ def engine_cases(two_asset):
         # re-sync once wealth passes the resync level
         "mimicking": (model, spec, lambda: MimickingStrategy(mimicking),
                       [0.5, 0.5], 10.0, 0, 300, 73),
+        # streams 0 and 6 survive; the others annihilate at steps 23 to 38
+        "fixed_target_some_annihilated": (
+            model, spec, lambda: FixedTargetStrategy([0.5, 0.5]), [0.5, 0.5],
+            1.5, 0, 40, 23),
     }
 
 
@@ -322,6 +326,12 @@ class TestOneEngine:
         assert frozen[0] and not mim.transacted[frozen].any()
         resync = np.flatnonzero(mim.transacted)[0]
         assert mim.x_prev[resync] >= levels.resync_wealth
+        model, spec, make, pi0, x0, z0, T, seed = engine_cases[
+            "fixed_target_some_annihilated"]
+        batch = run(model, spec, make(), pi0, x0, z0, T, seed,
+                    stream=range(8))
+        assert [p.annihilated for p in batch].count(False) == 2
+        assert len({p.n_steps for p in batch}) > 2
 
     @pytest.mark.parametrize("name", ENGINE_CASES)
     def test_run_is_row_0_of_the_batch(self, engine_cases, name):
@@ -329,15 +339,10 @@ class TestOneEngine:
         one = run(model, spec, make(), pi0, x0, z0, T, seed, stream=0)
         est = average_growth(model, spec, make(), pi0, x0, z0, T, n_paths=5,
                              seed=seed)
-        for f in dataclasses.fields(Trajectory):
-            a, b = getattr(one, f.name), getattr(est.trajectory, f.name)
-            if isinstance(a, np.ndarray):
-                assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
-                assert a.tobytes() == b.tobytes(), f.name
-            elif f.name == "spec":
-                assert a is b
-            else:
-                assert a == b, f.name
+        assert_same_trajectory(one, est.trajectory)
+        batch = run(model, spec, make(), pi0, x0, z0, T, seed,
+                    stream=range(5))
+        assert_same_trajectory(batch[0], est.trajectory)
         # every row of a batch is its stream's batch of one, bit for bit
         lx = simulate._simulate(model, spec, make(), pi0, x0, z0, T, seed,
                                 range(5))[0]
@@ -359,6 +364,46 @@ class TestOneEngine:
         with pytest.raises(ValueError, match=message):
             average_growth(model2, spec2, NoTransactionStrategy(), [0.5, 0.5],
                            x0, z0, T=10, n_paths=3, seed=1)
+
+
+def assert_same_trajectory(a, b):
+    """Every field of two trajectories equal, arrays in dtype, shape and
+    bytes."""
+    for f in dataclasses.fields(Trajectory):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        elif f.name == "spec":
+            assert x is y
+        else:
+            assert x == y, f.name
+
+
+class TestRunOverManyStreams:
+    @pytest.mark.parametrize("streams", [range(8), [6, 0, 3, 5],
+                                         np.array([1, 6, 2])],
+                             ids=["range", "list", "numpy"])
+    @pytest.mark.parametrize("name", ["fixed_target_some_annihilated",
+                                      "mimicking"])
+    def test_entry_k_is_the_run_of_stream_k(self, engine_cases, name,
+                                            streams):
+        model, spec, make, pi0, x0, z0, T, seed = engine_cases[name]
+        batch = run(model, spec, make(), pi0, x0, z0, T, seed, stream=streams)
+        assert isinstance(batch, list) and len(batch) == len(streams)
+        for k, traj in enumerate(batch):
+            # a numpy array hands out numpy ints, each a batch of one
+            alone = run(model, spec, make(), pi0, x0, z0, T, seed,
+                        stream=streams[k])
+            assert isinstance(alone, Trajectory)
+            assert_same_trajectory(traj, alone)
+
+    @pytest.mark.parametrize("empty", [[], range(0), np.array([], dtype=int)],
+                             ids=["list", "range", "numpy"])
+    def test_empty_sequence_raises(self, model2, spec2, empty):
+        with pytest.raises(ValueError, match="at least one stream"):
+            run(model2, spec2, NoTransactionStrategy(), [0.5, 0.5], 1.0, 0,
+                10, seed=1, stream=empty)
 
 
 def oracle_mimicking_decide(mimicking, recovering, pi_prev, x_prev, z, t):
