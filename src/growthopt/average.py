@@ -7,12 +7,13 @@ ascending discount schedule, extracts the greedy policy at the largest
 discount, checks the stationarity (Bellman) inequality of the resulting
 (policy, relative value, growth rate) triple, and builds the wealth-gated
 strategy that lifts a proportional-cost policy to the fixed-cost problem.
-The stationarity check runs ``dp``'s sweep kernels at discount one, so it
+The stationarity check runs ``dp``'s sweep kernel at discount one, so it
 interpolates exactly as the sweeps do.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -53,6 +54,8 @@ class VanishingDiscountReport:
     fixed_value: Optional[ValueFunction] = None
     relative_value: Optional[np.ndarray] = None
     tables: Optional[DpTables] = None   # the returned policy's variant
+    # wall seconds per stage: "build_tables" and "solve.<variant>.<beta>"
+    stage_seconds: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,8 +99,11 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     has_fixed = spec.fixed > 0.0
     prop_spec = spec.without_fixed()
     prop_grid = grid.without_wealth()
+    seconds = {}
+    clock = time.perf_counter()
     prop_tables = build_tables(model, prop_spec, prop_grid)
     fixed_tables = build_tables(model, spec, grid) if has_fixed else None
+    seconds["build_tables"] = time.perf_counter() - clock
 
     peak, estimates, w_range, variant_peak = [], [], [], []
     iters = {}
@@ -105,14 +111,18 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     prev_policy = None
     change_fraction = float("nan")
     for beta in betas:
+        clock = time.perf_counter()
         v_prop, pol_prop, rep_p = solve_discounted(
             model, prop_spec, prop_grid, beta, tol=tol, tables=prop_tables,
             tie_eps=tie_eps)
+        seconds[f"solve.proportional.{beta}"] = time.perf_counter() - clock
         m_beta = float(v_prop.values.max())
         if has_fixed:
+            clock = time.perf_counter()
             v_fix, pol_fix, rep_f = solve_discounted(
                 model, spec, grid, beta, tol=tol, tables=fixed_tables,
                 tie_eps=tie_eps)
+            seconds[f"solve.fixed.{beta}"] = time.perf_counter() - clock
             w = m_beta - v_fix.values
             policy = pol_fix
             variant_sup = float(v_fix.values.max())
@@ -165,6 +175,7 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
         fixed_value=last["v_fix"],
         relative_value=last["w"],
         tables=fixed_tables if has_fixed else prop_tables,
+        stage_seconds=seconds,
     )
     return report, final_policy
 

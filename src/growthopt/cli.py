@@ -3,8 +3,9 @@
 Every subcommand loads a model JSON (plus costs), runs one stage of the
 pipeline and writes its artifacts atomically into the output directory
 together with a manifest recording inputs, content hashes, package version
-and wall time.  Configuration comes from an optional JSON config file with
-flag overrides; there is no interactive mode.
+and wall time, in total and per stage.  Configuration comes from an
+optional JSON config file with flag overrides; there is no interactive
+mode.
 
 Exit codes: 0 success, 1 domain or assumption failure, 2 usage error.
 """
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 domain or assumption failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -141,6 +143,7 @@ class Runner:
         self.command = command
         self.started = time.time()
         self.outputs = {}
+        self.stage_seconds = {}
         self.model, self.spec = modelio.load_model(cfg.model_path)
         if self.spec is None:
             raise ValueError("model file carries no 'costs' section")
@@ -167,6 +170,13 @@ class Runner:
     def register(self, name: str):
         self.outputs[name] = _sha256(self.out(name))
 
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Record the wall seconds of the block as the stage ``name``."""
+        clock = time.perf_counter()
+        yield
+        self.stage_seconds[name] = time.perf_counter() - clock
+
     def finish(self):
         manifest = {
             "command": self.command,
@@ -178,6 +188,8 @@ class Runner:
                 "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                             time.gmtime(self.started)),
                 "wall_time_s": round(time.time() - self.started, 3),
+                "stages_s": {k: round(v, 6)
+                             for k, v in self.stage_seconds.items()},
             },
         }
         modelio.atomic_write_text(self.out("manifest.json"),
@@ -231,8 +243,10 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_solve(cfg: RunConfig, beta: float) -> int:
     runner = Runner(cfg, "solve")
-    vf, pol, rep = dp.solve_discounted(runner.model, runner.spec, runner.grid(),
-                                       beta, tol=cfg.tol, tie_eps=cfg.tie_eps)
+    with runner.stage("solve"):
+        vf, pol, rep = dp.solve_discounted(runner.model, runner.spec,
+                                           runner.grid(), beta, tol=cfg.tol,
+                                           tie_eps=cfg.tie_eps)
     modelio.dump_solution(vf, pol, runner.out("value_beta"), runner.model_hash,
                           seed=cfg.seed)
     runner.register("value_beta.csv")
@@ -254,19 +268,23 @@ def cmd_optimal(cfg: RunConfig) -> int:
     report, policy = average.vanishing_discount(runner.model, runner.spec, grid,
                                                 cfg.betas, tol=cfg.tol,
                                                 tie_eps=cfg.tie_eps)
-    modelio.dump_solution(
-        report.fixed_value if report.fixed_value is not None else report.prop_value,
-        policy, runner.out("policy"), runner.model_hash, seed=cfg.seed)
-    runner.register("policy.csv")
-    runner.register("policy.json")
-    modelio.dump_solution(report.prop_value, report.prop_policy,
-                          runner.out("policy_prop"), runner.model_hash,
-                          seed=cfg.seed)
-    runner.register("policy_prop.csv")
-    runner.register("policy_prop.json")
-    residual = average.bellman_residual(policy, report.relative_value,
-                                        report.growth_rate, runner.model,
-                                        runner.spec, tables=report.tables)
+    runner.stage_seconds.update(report.stage_seconds)
+    with runner.stage("dump"):
+        modelio.dump_solution(
+            report.fixed_value if report.fixed_value is not None
+            else report.prop_value,
+            policy, runner.out("policy"), runner.model_hash, seed=cfg.seed)
+        runner.register("policy.csv")
+        runner.register("policy.json")
+        modelio.dump_solution(report.prop_value, report.prop_policy,
+                              runner.out("policy_prop"), runner.model_hash,
+                              seed=cfg.seed)
+        runner.register("policy_prop.csv")
+        runner.register("policy_prop.json")
+    with runner.stage("residual"):
+        residual = average.bellman_residual(policy, report.relative_value,
+                                            report.growth_rate, runner.model,
+                                            runner.spec, tables=report.tables)
     doc = report.to_json_dict()
     doc["policy_ref"] = "policy"
     doc["residual_summary"] = {"min_slack": residual.min_slack,

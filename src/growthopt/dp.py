@@ -17,22 +17,36 @@ fixed point by tol.
 For zero fixed cost the value carries no wealth axis and the same sweeps
 run on the collapsed grid.  The grid owns the table layout: every value
 table here has shape ``grid.shape`` of the grid it was built on, and
-``DpTables.variant`` names the sweep kernels that grid needs.
+``DpTables.variant`` names the layout of its gathers.
 
-``build_tables`` resolves the discretization once per grid into flat gather
-tables: positions in ``values.ravel()`` of the wealth corners reached by
-every market step and every rebalance, with their interpolation weights
-and ln e broadcast to the gathered shape.  A sweep is then a handful of
-``take`` calls and elementwise operations on arrays of a few thousand
-entries.  Sweeps keep only the best rebalance value per state; the argmax
-that names the target is taken once, when the converged values are turned
-into a policy.
+``build_tables`` resolves the discretization once per grid into gather
+tables: positions of the wealth corners reached by every market step and
+every rebalance, with their interpolation weights and ln e broadcast to
+the gathered shape.  One buffered, target-major kernel runs every sweep,
+the policy extraction and the stationarity residual, in few numpy calls:
+
+- the lo and hi wealth corners of a gather are stacked on a leading axis,
+  so a gather is one ``take``, one multiply and one add of the two halves;
+- rebalance values sit with their targets on axis 0, so the max over
+  targets is ``np.maximum.reduce`` over contiguous slabs;
+- the sentinel NEG that bars the no-op rebalance p' = p is written into
+  the kernel's ln e table once, when the tables are built;
+- results land in buffers allocated with the tables, and value iteration
+  alternates between two value buffers.
+
+The layout changes no bit: every entry is ln e + (w_lo v_lo +
+w_hi v_hi), h + beta * E v with E v from ``np.einsum``, and a max, so
+values, sweep counts and policies equal those of the reference kernels in
+the tests.  Entries barred by NEG hold NEG plus a hold value, far below
+holding, so they never win.  Sweeps keep only the best rebalance value
+per state; the argmax that names the target is taken once, when the
+converged values are turned into a policy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -44,46 +58,78 @@ from .market import MarketModel, mixing_step
 NEG = -1e18  # sentinel for unaffordable rebalances; never interpolated
 TIE_EPS = 1e-10  # rebalance must beat holding by more than this
 
+# np.einsum without its array-function dispatch, which costs about as much
+# as the contraction itself on a sweep's tables; same code, same bits
+_einsum = getattr(np.einsum, "__wrapped__", np.einsum)
+
 
 @dataclass
 class DpTables:
-    """Gather tables shared by all sweeps on one grid.
+    """Gather tables and sweep buffers shared by all sweeps on one grid.
 
-    Index tables hold flat positions into ``values.ravel()`` of a C-ordered
-    value table, shape (n_p, n_x, n_z) on grids with a wealth axis and
-    (n_p, n_z) without; weights and ln e come broadcast to the full shape
-    of the gather they scale.  A sweep is then a few flat takes and
-    elementwise operations, with no index arithmetic.
+    Value tables are C-ordered, shape (n_p, n_x, n_z) on grids with a
+    wealth axis and (n_p, n_z) without.  ``hold_idx`` holds flat positions
+    into ``values.ravel()``; ``move_rows`` holds rows of the hold values
+    viewed as (n_p * n_x, n_z), since a rebalance keeps the factor.  On
+    wealth grids a gather reads two wealth corners, stacked on axis 0 of
+    its index and weight tables (lo, hi; weights 1 - frac, frac).
+    Rebalance tables are target-major: axis 0 is the target p', axis 1 the
+    state's node p.  Weights and ln e come broadcast to the full shape of
+    the gather they scale, so a sweep is a few takes and elementwise
+    operations, with no index arithmetic.
+
+    The buffers are scratch of the kernel, overwritten by every sweep on
+    these tables; results read from them must be used before the next one.
     """
 
     grid: StateGrid
-    variant: str            # sweep kernels: "fixed" or "proportional"
+    variant: str            # gather layout: "fixed" or "proportional"
     w_zs: np.ndarray        # (n_z, n_z', n_s) transition x shock weights
     h_tab: np.ndarray       # (n_p, n_z) expected one-step log return
-    step_lo: np.ndarray     # (n_p, [n_x,] n_z', n_s) state after a market step
-    # proportional grids: ln of the surviving fraction of a rebalance p -> p'
-    ln_e_prop: Optional[np.ndarray] = None   # (n_p, n_p)
-    # wealth grids: the market step lands between the wealth nodes of
-    # step_lo and step_hi with weights step_w_lo = 1 - frac, step_w_hi = frac
-    step_hi: Optional[np.ndarray] = None
-    step_w_lo: Optional[np.ndarray] = None
-    step_w_hi: Optional[np.ndarray] = None
-    # wealth grids, rebalance p -> p' at wealth node j and factor z, all of
-    # shape (n_p, n_p, n_x, n_z): post-cost wealth cell of the target, its
-    # weights and ln e (NEG where the charge exceeds wealth)
-    imp_lo: Optional[np.ndarray] = None
-    imp_hi: Optional[np.ndarray] = None
-    imp_w_lo: Optional[np.ndarray] = None
-    imp_w_hi: Optional[np.ndarray] = None
-    imp_ln_e: Optional[np.ndarray] = None
-    # flat positions of the p' = p entries of a rebalance table
-    diag: Optional[np.ndarray] = None
+    # state after a market step: ([2,] n_p, [n_x,] n_z', n_s)
+    hold_idx: np.ndarray
+    # ln e of a rebalance p -> p', target-major, NEG where the charge
+    # exceeds wealth and on the diagonal p' = p: (n_p', n_p, [n_x,] n_z)
+    move_ln_e: np.ndarray
+    # wealth grids: weights of the two wealth corners of hold_idx
+    hold_w: Optional[np.ndarray] = None
+    # wealth grids: rows of the post-cost wealth corners of the target,
+    # (2, n_p', n_p, n_x), and their weights, (2, n_p', n_p, n_x, n_z)
+    move_rows: Optional[np.ndarray] = None
+    move_w: Optional[np.ndarray] = None
+    # proportional grids: ln of the surviving fraction of a rebalance
+    # p -> p', (n_p, n_p), without the sentinel
+    ln_e_prop: Optional[np.ndarray] = None
+    # kernel buffers: hold value (grid.shape), rebalance values (shape of
+    # move_ln_e), best rebalance value (grid.shape), blended market-step
+    # gather (wealth grids)
+    cont: np.ndarray = field(init=False, repr=False)
+    moves: np.ndarray = field(init=False, repr=False)
+    best: np.ndarray = field(init=False, repr=False)
+    blend: Optional[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        wealth = self.grid.has_wealth_axis
+        self.cont = np.empty(self.grid.shape)
+        self.moves = np.empty(self.move_ln_e.shape)
+        self.best = np.empty(self.grid.shape)
+        self.blend = np.empty(self.hold_w.shape[1:]) if wealth else None
+        # E v contracts the (q, s) axes of the gather; h broadcasts over
+        # the wealth axis; the rebalance gathers rows of the hold values,
+        # or broadcasts them over the state's node
+        self._ev = "pjqs,zqs->pjz" if wealth else "pqs,zqs->pz"
+        self._h = self.h_tab[:, None, :] if wealth else self.h_tab
+        self._cont_moves = (self.cont.reshape(-1, self.grid.n_z) if wealth
+                            else self.cont[:, None])
 
 
-def _diag_positions(n_p, tail):
-    mask = np.zeros((n_p, n_p) + tail, dtype=bool)
-    mask[np.arange(n_p), np.arange(n_p)] = True
-    return np.flatnonzero(mask)
+def _sentinel_diagonal(ln_e):
+    """Target-major copy of a source-major ln e table (axes p, p', ...),
+    with NEG on the diagonal so that no sweep takes the no-op rebalance."""
+    out = np.swapaxes(ln_e, 0, 1).copy()
+    idx = np.arange(out.shape[0])
+    out[idx, idx] = NEG
+    return out
 
 
 def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTables:
@@ -104,12 +150,12 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     new = np.tile(nodes, (n_p, 1))
 
     if not grid.has_wealth_axis:
-        e_prop = solve_e_batch(spec.without_fixed(), prev, new,
-                               np.ones(n_p * n_p)).reshape(n_p, n_p)
+        ln_e = np.log(solve_e_batch(spec.without_fixed(), prev, new,
+                                    np.ones(n_p * n_p)).reshape(n_p, n_p))
+        move_ln_e = np.repeat(_sentinel_diagonal(ln_e)[..., None], n_z, axis=2)
         return DpTables(grid=grid, variant="proportional", w_zs=w_zs,
-                        h_tab=h_tab, step_lo=dia_idx * n_z + q,
-                        ln_e_prop=np.log(e_prop),
-                        diag=_diag_positions(n_p, (n_z,)))
+                        h_tab=h_tab, hold_idx=dia_idx * n_z + q,
+                        move_ln_e=move_ln_e, ln_e_prop=ln_e)
 
     n_x = grid.n_wealth
     wealth = grid.wealth
@@ -119,81 +165,85 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     e_fac = solve_e_batch(spec, prev3, new3, x3).reshape(n_p, n_p, n_x)
     ln_e_fac = np.where(e_fac > 0.0, np.log(np.where(e_fac > 0.0, e_fac, 1.0)), NEG)
     x_after = np.where(e_fac > 0.0, wealth[None, None, :] * e_fac, wealth[0])
-    imp_j0, imp_frac = grid.wealth_pos(x_after)
+    imp_j0, imp_frac = grid.wealth_pos(np.swapaxes(x_after, 0, 1))
 
     x_step = wealth[None, :, None, None] * np.exp(step_lr[:, None, :, :])
     stp_j0, stp_frac = grid.wealth_pos(x_step)
 
-    def flat(node, j, z):
-        # position of (node, wealth node j, factor z) in values.ravel()
-        return (node * n_x + j) * n_z + z
+    def stacked(lo, hi, shape):
+        return np.ascontiguousarray(np.broadcast_to(np.stack([lo, hi]),
+                                                    (2,) + shape))
+
+    def rows(node, j0):
+        # rows (node, wealth node j0 or the one above it) of a value table
+        # viewed as (n_p * n_x, n_z)
+        lo = node * n_x + j0
+        hi = node * n_x + np.minimum(j0 + 1, n_x - 1)
+        return stacked(lo, hi, lo.shape)
 
     # weights and ln e are stored at the full gathered shape: multiplying
     # by a broadcast (..., 1) operand instead made a sweep about 30 % slower
     full = (n_p, n_p, n_x, n_z)
-    tgt, z = np.arange(n_p)[None, :, None, None], np.arange(n_z)
-    imp_j0 = imp_j0[..., None]
-    imp_frac = np.broadcast_to(imp_frac[..., None], full)
     return DpTables(
         grid=grid, variant="fixed", w_zs=w_zs, h_tab=h_tab,
-        step_lo=flat(dia_idx[:, None], stp_j0, q),
-        step_hi=flat(dia_idx[:, None], np.minimum(stp_j0 + 1, n_x - 1), q),
-        step_w_lo=1.0 - stp_frac,
-        step_w_hi=stp_frac,
-        imp_lo=flat(tgt, imp_j0, z),
-        imp_hi=flat(tgt, np.minimum(imp_j0 + 1, n_x - 1), z),
-        imp_w_lo=1.0 - imp_frac,
-        imp_w_hi=np.ascontiguousarray(imp_frac),
-        imp_ln_e=np.ascontiguousarray(
-            np.broadcast_to(ln_e_fac[..., None], full)),
-        diag=_diag_positions(n_p, (n_x, n_z)),
+        hold_idx=rows(dia_idx[:, None], stp_j0) * n_z + q,
+        hold_w=stacked(1.0 - stp_frac, stp_frac, stp_frac.shape),
+        move_rows=rows(np.arange(n_p)[:, None, None], imp_j0),
+        move_w=stacked((1.0 - imp_frac)[..., None], imp_frac[..., None], full),
+        move_ln_e=np.repeat(_sentinel_diagonal(ln_e_fac)[..., None], n_z,
+                            axis=3),
     )
 
 
 # ----------------------------------------------------------------------
-# sweep kernels
+# the sweep kernel
 # ----------------------------------------------------------------------
 
-def _continuation_prop(values, t: DpTables, beta: float):
-    # values: (n_p, n_z) -> hold-branch value h + beta * E v
-    ev = np.einsum("pqs,zqs->pz", values.take(t.step_lo), t.w_zs)
-    return t.h_tab + beta * ev
+def _gather(values, idx, w, out, axis=None):
+    """Values at the positions ``idx`` along ``axis``; given weights, the
+    blend w[0] * v[idx[0]] + w[1] * v[idx[1]] of two wealth corners, into
+    out."""
+    g = values.take(idx, axis=axis)
+    if w is None:
+        return g
+    np.multiply(g, w, out=g)
+    return np.add(g[0], g[1], out=out)
 
 
-def _transaction_prop(cont, t: DpTables):
-    # cont: (n_p, n_z) -> (n_p, n_p', n_z) rebalance value of every target
-    vals = t.ln_e_prop[:, :, None] + cont
-    vals.put(t.diag, NEG)
-    return vals
+def _hold(values, t: DpTables, beta: float, out):
+    """Hold-branch value h + beta * E v of every state, into out."""
+    _einsum(t._ev, _gather(values, t.hold_idx, t.hold_w, t.blend), t.w_zs,
+            out=out)
+    np.multiply(out, beta, out=out)
+    return np.add(out, t._h, out=out)
 
 
-def _continuation_fixed(values, t: DpTables, beta: float):
-    # values: (n_p, n_x, n_z)
-    vw = (t.step_w_lo * values.take(t.step_lo)
-          + t.step_w_hi * values.take(t.step_hi))
-    ev = np.einsum("pjqs,zqs->pjz", vw, t.w_zs)
-    return t.h_tab[:, None, :] + beta * ev
+def _moves(t: DpTables):
+    """Rebalance value ln e + hold value at the target, from the hold values
+    in ``t.cont``, of every (target, state), targets on axis 0, into
+    ``t.moves``."""
+    cont = t._cont_moves
+    if t.move_rows is not None:
+        cont = _gather(cont, t.move_rows, t.move_w, t.moves, axis=0)
+    return np.add(t.move_ln_e, cont, out=t.moves)
 
 
-def _transaction_fixed(cont, t: DpTables):
-    # cont: (n_p, n_x, n_z) -> (n_p, n_p', n_x, n_z)
-    gw = t.imp_w_lo * cont.take(t.imp_lo) + t.imp_w_hi * cont.take(t.imp_hi)
-    vals = t.imp_ln_e + gw
-    vals.put(t.diag, NEG)
-    return vals
+def _sweep(values, t: DpTables, beta: float, out):
+    """One Bellman sweep: the better of holding and the best rebalance."""
+    cont = _hold(values, t, beta, t.cont)
+    np.maximum.reduce(_moves(t), axis=0, out=t.best)
+    return np.maximum(cont, t.best, out=out)
 
 
 def _branches(values, t: DpTables, beta: float):
     """Hold value per state and rebalance value per (state, target).
 
-    Targets sit on axis 1 of the rebalance table; the sweep keeps only its
-    max, the policy extraction also takes its argmax.
+    Targets sit on axis 1 of the returned rebalance table, a view of the
+    kernel's target-major buffer; the policy extraction takes its max and
+    argmax, the residual the entry at the policy's target.
     """
-    if t.variant == "proportional":
-        cont = _continuation_prop(values, t, beta)
-        return cont, _transaction_prop(cont, t)
-    cont = _continuation_fixed(values, t, beta)
-    return cont, _transaction_fixed(cont, t)
+    cont = _hold(values, t, beta, t.cont)
+    return cont, np.moveaxis(_moves(t), 0, 1)
 
 
 def _require_fit(values, t: DpTables, what: str):
@@ -218,8 +268,8 @@ def bellman_step(v: ValueFunction, model: MarketModel, spec: CostSpec,
     if tables is None:
         tables = build_tables(model, spec, v.grid)
     _require_fit(v.values, tables, f"{v.variant} values")
-    cont, vals = _branches(v.values, tables, v.beta)
-    return v.copy_with(np.maximum(cont, vals.max(axis=1)))
+    return v.copy_with(_sweep(v.values, tables, v.beta,
+                              np.empty(tables.grid.shape)))
 
 
 def impulse_operator(v: ValueFunction, model: MarketModel, spec: CostSpec,
@@ -272,10 +322,12 @@ def _iterate(update, v, beta, stop_tol, what):
     """
     cap = None
     k = 0
+    step = np.empty_like(v)
     while True:
         k += 1
         v_new = update(v)
-        diff = float(np.abs(v_new - v).max())
+        np.subtract(v_new, v, out=step)
+        diff = float(np.abs(step, out=step).max())
         v = v_new
         if diff <= stop_tol:
             return v, k, diff
@@ -314,17 +366,17 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
     if not stop_tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    hold = (_continuation_prop if tables.variant == "proportional"
-            else _continuation_fixed)
-    v_init, k_init, _ = _iterate(lambda v: hold(v, tables, beta),
-                                 np.zeros(grid.shape), beta, stop_tol,
-                                 "hold-only warm start")
+    # the sweeps alternate between two value buffers: each writes the one
+    # its input does not occupy
+    bufs = (np.empty(grid.shape), np.empty(grid.shape))
 
-    def update(v):
-        cont, vals = _branches(v, tables, beta)
-        return np.maximum(cont, vals.max(axis=1))
+    def sweeps(kernel):
+        return lambda v: kernel(v, tables, beta,
+                                bufs[1] if v is bufs[0] else bufs[0])
 
-    values, k_main, diff = _iterate(update, v_init, beta, stop_tol,
+    v_init, k_init, _ = _iterate(sweeps(_hold), np.zeros(grid.shape), beta,
+                                 stop_tol, "hold-only warm start")
+    values, k_main, diff = _iterate(sweeps(_sweep), v_init, beta, stop_tol,
                                     "value iteration")
 
     cont, vals = _branches(values, tables, beta)
@@ -362,6 +414,8 @@ def span_bound(model: MarketModel, spec: CostSpec, grid: StateGrid) -> float:
         raise RuntimeError("factor chain does not mix; span bound undefined")
     tables = build_tables(model, spec.without_fixed(), grid.without_wealth())
     h_sp = float(tables.h_tab.max() - tables.h_tab.min())
+    # the worst drag of a real rebalance: ln_e_prop, not the sweeps'
+    # move_ln_e, whose sentinel diagonal would make the bound vacuous
     ln_e_min = float(tables.ln_e_prop.min())
     return (n * h_sp - (n + 2) * ln_e_min) / (1.0 - kappa)
 

@@ -8,12 +8,25 @@ which Philox guarantees to be non-overlapping.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Return a Philox generator keyed by (seed, stream)."""
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be non-negative integers")
-    key = np.array([seed, stream], dtype=np.uint64)
+    """Return a Philox generator keyed by (seed, stream).
+
+    Both must be integers in [0, 2**64), Python or numpy; a float is
+    refused rather than truncated, so stream 1.7 never runs as stream 1.
+    """
+    key = []
+    for name, val in (("seed", seed), ("stream", stream)):
+        try:
+            key.append(operator.index(val))
+        except TypeError:
+            key.append(-1)  # not an integer: refused below
+        if not 0 <= key[-1] < 2**64:
+            raise ValueError(f"{name} must be an integer in [0, 2**64), "
+                             f"got {val!r}")
+    key = np.array(key, dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -286,7 +286,7 @@ def run(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0, x0: float,
     on annihilation.  An int ``stream`` gives its ``Trajectory``; a sequence
     of streams runs as one batch and gives a list of one ``Trajectory`` per
     stream, entry k equal to ``run(..., stream=stream[k])`` bit for bit."""
-    streams = np.atleast_1d(stream)
+    streams = [stream] if np.ndim(stream) == 0 else list(stream)
     trajs = _simulate(model, spec, strategy, pi0, x0, z0, T, seed, streams,
                       len(streams))[3]
     return trajs[0] if np.ndim(stream) == 0 else trajs

@@ -11,7 +11,8 @@ from growthopt import (CostConstants, CostSpec, GridPolicyStrategy,
                        bellman_residual, build_mimicking, build_tables,
                        cross_check_costs, expected_log_return,
                        invariant_measure, span_bound, vanishing_discount)
-from growthopt.dp import _continuation_fixed, _continuation_prop
+from dp_oracle import (oracle_continuation_fixed, oracle_continuation_prop,
+                       oracle_tables)
 
 BETAS = [0.9, 0.99, 0.995, 0.999]
 
@@ -82,29 +83,30 @@ class TestVanishingDiscount:
         assert set(doc) >= {"betas", "m_beta", "lambda_estimates", "lambda"}
 
 
-def oracle_bellman_residual(policy, w, growth_rate, model, spec, tables=None):
-    """Slack per state from hand-written gathers over the dp tables, one
-    per Bellman branch, independent of the sweeps' rebalance kernels."""
-    if tables is None:
-        tables = build_tables(model, spec, policy.grid)
+def oracle_bellman_residual(policy, w, growth_rate, model, spec):
+    """Slack per state from hand-written gathers, one per Bellman branch,
+    over reference tables built independently of ``dp``'s gather tables
+    and sweep kernels."""
+    t = oracle_tables(model, spec, policy.grid)
+    tgt = policy.target
     if policy.wealth_free:
-        w_cont = _continuation_prop(w, tables, 1.0) - tables.h_tab
+        w_cont = oracle_continuation_prop(w, t, 1.0) - t.h_tab
         n_p, n_z = w.shape
         p_idx, z_idx = np.ogrid[:n_p, :n_z]
-        tgt = policy.target
-        hold_slack = tables.h_tab + w - w_cont - growth_rate
-        trans_eta = tables.h_tab[tgt, z_idx] + tables.ln_e_prop[p_idx, tgt]
+        hold_slack = t.h_tab + w - w_cont - growth_rate
+        trans_eta = t.h_tab[tgt, z_idx] + t.ln_e_prop[p_idx, tgt]
         trans_slack = trans_eta + w - w_cont[tgt, z_idx] - growth_rate
     else:
-        w_cont = _continuation_fixed(w, tables, 1.0) - tables.h_tab[:, None, :]
+        w_cont = oracle_continuation_fixed(w, t, 1.0) - t.h_tab[:, None, :]
         n_p, n_x, n_z = w.shape
         p_idx, j_idx, z_idx = np.ogrid[:n_p, :n_x, :n_z]
-        tgt = policy.target
-        hold_slack = tables.h_tab[:, None, :] + w - w_cont - growth_rate
-        at = (p_idx, tgt, j_idx, z_idx)
-        ew = (tables.imp_w_lo[at] * w_cont.take(tables.imp_lo[at])
-              + tables.imp_w_hi[at] * w_cont.take(tables.imp_hi[at]))
-        trans_slack = (tables.h_tab[tgt, z_idx] + tables.imp_ln_e[at] + w - ew
+        hold_slack = t.h_tab[:, None, :] + w - w_cont - growth_rate
+        # post-cost wealth cell of the target, interpolated in log-wealth
+        at = (p_idx, tgt, j_idx)
+        j0, frac = t.imp_j0[at], t.imp_frac[at]
+        j1 = np.minimum(j0 + 1, n_x - 1)
+        ew = (1.0 - frac) * w_cont[tgt, j0, z_idx] + frac * w_cont[tgt, j1, z_idx]
+        trans_slack = (t.h_tab[tgt, z_idx] + t.ln_e_fac[at] + w - ew
                        - growth_rate)
     return np.where(policy.impulse, trans_slack, hold_slack)
 
@@ -148,7 +150,7 @@ class TestBellmanResidual:
         # both branches occur, so both gathers are compared
         assert policy.impulse.any() and not policy.impulse.all()
         res = bellman_residual(policy, w, rate, model, spec, tables=tables)
-        ref = oracle_bellman_residual(policy, w, rate, model, spec, tables)
+        ref = oracle_bellman_residual(policy, w, rate, model, spec)
         assert np.abs(res.slack - ref).max() <= 1e-12
 
     def test_rejects_tables_that_do_not_fit(self, residual_cases):

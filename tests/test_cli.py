@@ -95,6 +95,7 @@ class TestSolveCommand:
         assert pol.impulse.shape == (5, 16, 2)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "value_beta.csv" in manifest["outputs"]
+        assert list(manifest["timing"]["stages_s"]) == ["solve"]
 
     def test_proportional_model_drops_wealth_axis(self, tmp_path):
         def mutate(doc):
@@ -579,6 +580,19 @@ class TestReproducibility:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
+    def test_manifest_times_every_stage(self, tmp_path):
+        model = write_model(tmp_path)
+        assert main(["--model", model, "--output-dir", str(tmp_path / "o"),
+                     "--mesh-order", "2", "optimal"]) == 0
+        doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        stages = doc["timing"]["stages_s"]
+        betas = doc["config"]["betas"]
+        assert set(stages) == ({"build_tables", "dump", "residual"}
+                               | {f"solve.{v}.{b}" for b in betas
+                                  for v in ("proportional", "fixed")})
+        assert all(s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) <= doc["timing"]["wall_time_s"] + 1e-3
+
     def test_manifests_identical_modulo_timing(self, tmp_path):
         model = write_model(tmp_path)
         docs = []
@@ -679,6 +693,17 @@ class TestBadInputs:
         assert "Traceback" not in err
         assert not (out / "ld_tail.csv").exists()
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_1(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        assert main(["--model", write_model(tmp_path), "--output-dir",
+                     str(out), "--n-paths", "10", "--seed", seed,
+                     "ldcheck"]) == 1
+        err = capsys.readouterr().err
+        assert f"seed must be an integer in [0, 2**64), got {seed}" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestModelParsing:

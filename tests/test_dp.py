@@ -1,17 +1,19 @@
 """Discounted impulse DP: operators, solver, span, gap checks."""
 
+import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import random_model
+from dp_oracle import (oracle_branches, oracle_continuation_fixed,
+                       oracle_continuation_prop, oracle_tables)
 from growthopt import (CostSpec, MarketModel, StateGrid, ValueFunction,
-                       bellman_step, build_tables, expected_log_return,
-                       impulse_operator, solve_discounted, solve_e,
-                       solve_e_batch, span_bound, span_seminorm,
-                       value_gap_check)
+                       bellman_step, build_tables, bundled_model_path,
+                       expected_log_return, impulse_operator, load_model,
+                       solve_discounted, solve_e, solve_e_batch, span_bound,
+                       span_seminorm, value_gap_check)
 from growthopt import dp
 
 
@@ -269,6 +271,7 @@ class TestSolveDiscounted:
         vf, _, rep = solve_discounted(model2, spec2, grid, beta, tol=1e-6)
         tables = build_tables(model2, spec2.without_fixed(), grid.without_wealth())
         bound = (rep.h_inf + abs(float(tables.ln_e_prop.min()))) / (1 - beta)
+        assert bound < 10.0  # ln e without the sentinel on the diagonal
         assert np.abs(vf.values).max() <= bound + 1e-9
 
     def test_wealth_monotone_after_convergence(self, model2, spec2):
@@ -299,6 +302,29 @@ class TestSolveDiscounted:
             with pytest.raises(ValueError):
                 solve_discounted(model2, spec2.without_fixed(), grid, 0.9,
                                  tol=tol)
+
+
+class TestSolveDigests:
+    """Values and policies of the bundled model at acceptance scale, pinned
+    by digest, so that a sweep kernel that moves a single bit fails here."""
+
+    @pytest.mark.parametrize("fixed, digests", [
+        (True, ("50e5c3e1a2d5b27a99bc0670b61c156cfb299d59ea450dfcdcae047ff55cfa56",
+                "7339b759b6ab3b7d8ff0da538a6fe66f00a2e8ddec18105ac817b7741666eaa2")),
+        (False, ("e9f5a74dfd95b2455362209282a9eae345e2a03fb586df28257548cec815c3b3",
+                 "6a285e485c60b13619b1f2cd380dbbf672dfa48f3fde67f4582122e02ee12086")),
+    ])
+    def test_bundled_model_beta_099(self, fixed, digests):
+        model, spec = load_model(bundled_model_path())
+        if not fixed:
+            spec = spec.without_fixed()
+        grid = StateGrid.build(2, 8, 2, x_min=1e-3, x_max=1e4, n_x=16)
+        vf, pol, rep = solve_discounted(model, spec, grid, 0.99, tol=1e-7)
+        assert (rep.init_iterations, rep.iterations) == (1791, 1668)
+        assert (hashlib.sha256(vf.values.tobytes()).hexdigest(),
+                hashlib.sha256(pol.impulse.tobytes()
+                               + pol.target.astype(np.int64).tobytes()
+                               ).hexdigest()) == digests
 
 
 class TestStopRule:
@@ -379,6 +405,8 @@ class TestSpan:
     def test_span_below_bound_moderate_beta(self, model2, spec2):
         grid = StateGrid.build(2, 8, 2)
         bound = span_bound(model2, spec2, grid)
+        # ln e read with the sweeps' sentinel diagonal would give about 1e18
+        assert bound == 0.26606097162684333
         for beta in (0.9, 0.99):
             vf, _, _ = solve_discounted(model2, spec2.without_fixed(), grid,
                                         beta, tol=1e-7)
@@ -421,90 +449,6 @@ class TestGridRefinement:
                                         beta, tol=1e-8)
             est.append((1 - beta) * vf.values.max())
         assert abs(est[2] - est[1]) <= abs(est[1] - est[0]) + 1e-12
-
-
-# ----------------------------------------------------------------------
-# reference kernels: per-sweep broadcast fancy indexing into the value
-# table, as the solver computed its sweeps before the flat gather tables
-# ----------------------------------------------------------------------
-
-def oracle_tables(model, spec, grid):
-    nodes = grid.nodes
-    n_p = grid.n_nodes
-    port = np.einsum("pd,qsd->pqs", nodes, model.returns)
-    step_lr = np.log(port)
-    dia = nodes[:, None, None, :] * model.returns[None, :, :, :] / port[..., None]
-    dia_idx = grid.nearest_node(dia.reshape(-1, grid.n_assets)).reshape(port.shape)
-    w_zs = model.transition[:, :, None] * model.shock_probs[None, None, :]
-    h_tab = np.einsum("pqs,zqs->pz", step_lr, w_zs)
-    prev = np.repeat(nodes, n_p, axis=0)
-    new = np.tile(nodes, (n_p, 1))
-    e_prop = solve_e_batch(spec.without_fixed(), prev, new,
-                           np.ones(n_p * n_p)).reshape(n_p, n_p)
-    t = SimpleNamespace(w_zs=w_zs, dia_idx=dia_idx, h_tab=h_tab,
-                        ln_e_prop=np.log(e_prop))
-    if not grid.has_wealth_axis:
-        return t
-    n_x = grid.n_wealth
-    wealth = grid.wealth
-    e_fac = solve_e_batch(spec, np.repeat(prev, n_x, axis=0),
-                          np.repeat(new, n_x, axis=0),
-                          np.tile(wealth, n_p * n_p)).reshape(n_p, n_p, n_x)
-    t.ln_e_fac = np.where(e_fac > 0.0,
-                          np.log(np.where(e_fac > 0.0, e_fac, 1.0)), dp.NEG)
-    x_after = np.where(e_fac > 0.0, wealth[None, None, :] * e_fac, wealth[0])
-    t.imp_j0, t.imp_frac = grid.wealth_pos(x_after)
-    x_step = wealth[None, :, None, None] * np.exp(step_lr[:, None, :, :])
-    t.stp_j0, t.stp_frac = grid.wealth_pos(x_step)
-    t.stp_j1 = np.minimum(t.stp_j0 + 1, n_x - 1)
-    return t
-
-
-def oracle_continuation_prop(values, t, beta):
-    zb = np.arange(t.w_zs.shape[0])[None, :, None]
-    gathered = values[t.dia_idx, zb]
-    ev = np.einsum("pqs,zqs->pz", gathered, t.w_zs)
-    return t.h_tab + beta * ev
-
-
-def oracle_transaction_prop(cont, t):
-    n_p = cont.shape[0]
-    vals = t.ln_e_prop[:, :, None] + cont[None, :, :]
-    idx = np.arange(n_p)
-    vals[idx, idx, :] = dp.NEG
-    return vals.max(axis=1), vals.argmax(axis=1)
-
-
-def oracle_continuation_fixed(values, t, beta):
-    n_z = t.w_zs.shape[0]
-    dia = t.dia_idx[:, None, :, :]
-    zb = np.arange(n_z)[None, None, :, None]
-    v_lo = values[dia, t.stp_j0, zb]
-    v_hi = values[dia, t.stp_j1, zb]
-    vw = (1.0 - t.stp_frac) * v_lo + t.stp_frac * v_hi
-    ev = np.einsum("pjqs,zqs->pjz", vw, t.w_zs)
-    return t.h_tab[:, None, :] + beta * ev
-
-
-def oracle_transaction_fixed(cont, t):
-    n_p, n_x, n_z = cont.shape
-    tgt = np.arange(n_p)[None, :, None]
-    j1 = np.minimum(t.imp_j0 + 1, n_x - 1)
-    g_lo = cont[tgt, t.imp_j0]
-    g_hi = cont[tgt, j1]
-    gw = (1.0 - t.imp_frac[..., None]) * g_lo + t.imp_frac[..., None] * g_hi
-    vals = t.ln_e_fac[..., None] + gw
-    idx = np.arange(n_p)
-    vals[idx, idx, :, :] = dp.NEG
-    return vals.max(axis=1), vals.argmax(axis=1)
-
-
-def oracle_branches(values, t, beta, variant):
-    if variant == "proportional":
-        cont = oracle_continuation_prop(values, t, beta)
-        return (cont,) + oracle_transaction_prop(cont, t)
-    cont = oracle_continuation_fixed(values, t, beta)
-    return (cont,) + oracle_transaction_fixed(cont, t)
 
 
 def oracle_solve(model, spec, grid, beta, tol):

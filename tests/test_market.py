@@ -478,6 +478,31 @@ def stream_digests(n, T, rng):
             hashlib.sha256(xi.tobytes()).hexdigest())
 
 
+class TestMakeRng:
+    def test_float_seed_raises(self):
+        with pytest.raises(ValueError, match=r"seed must be an integer in "
+                           r"\[0, 2\*\*64\), got 3\.9"):
+            make_rng(3.9)
+
+    @pytest.mark.parametrize("stream", [1.7, "1", None])
+    def test_non_integer_stream_raises(self, stream):
+        with pytest.raises(ValueError, match=f"stream .*got {stream!r}"):
+            make_rng(0, stream)
+
+    def test_out_of_range_raises(self):
+        # 2**64 must not escape as an OverflowError from the key array
+        for args in ((-1,), (0, -2), (2**64,), (0, 2**64)):
+            with pytest.raises(ValueError, match=r"in \[0, 2\*\*64\)"):
+                make_rng(*args)
+        make_rng(2**64 - 1, np.uint64(2**64 - 1))
+
+    def test_numpy_integers_key_the_same_stream(self):
+        want = make_rng(5, 3).random(4)
+        for seed, stream in ((np.int64(5), np.uint32(3)), (5, np.int8(3)),
+                             (np.uint64(5), 3)):
+            assert np.array_equal(make_rng(seed, stream).random(4), want)
+
+
 class TestStreamDigests:
     """Factor and shock states of the bundled model, pinned by digest.
 

@@ -405,6 +405,15 @@ class TestRunOverManyStreams:
             run(model2, spec2, NoTransactionStrategy(), [0.5, 0.5], 1.0, 0,
                 10, seed=1, stream=empty)
 
+    @pytest.mark.parametrize("stream", [1.7, "a", [0, 2.5]],
+                             ids=["float", "text", "float-in-list"])
+    def test_non_integer_stream_raises(self, model2, spec2, stream):
+        # a cast to uint64 would run stream 1.7 as stream 1
+        bad = stream[-1] if isinstance(stream, list) else stream
+        with pytest.raises(ValueError, match=f"stream .*got {bad!r}"):
+            run(model2, spec2, NoTransactionStrategy(), [0.5, 0.5], 1.0, 0,
+                10, seed=1, stream=stream)
+
 
 def oracle_mimicking_decide(mimicking, recovering, pi_prev, x_prev, z, t):
     """The masks and fancy assignments that ``MimickingStrategy.decide_batch``
