@@ -23,10 +23,9 @@ from .costs import (CostConstants, CostSpec, bisect_e, cost_constants,
 from .dp import (bellman_step, build_tables, impulse_operator, solve_discounted,
                  span_bound, span_seminorm, value_gap_check)
 from .grid import Policy, StateGrid, ValueFunction, simplex_mesh
-from .market import (ErgodicReport, MarketModel, ValidationReport, dobrushin,
-                     ergodic_report, expected_log_return, growth_floor,
-                     invariant_measure, mixing_step, sample_factor_paths, step,
-                     validate)
+from .market import (ErgodicReport, MarketModel, dobrushin, ergodic_report,
+                     expected_log_return, growth_floor, invariant_measure,
+                     mixing_step, sample_factor_paths, step)
 from .modelio import bundled_model_path, load_model, parse_model_dict
 from .rng import make_rng
 from .simulate import (FixedTargetStrategy, GridPolicyStrategy, GrowthEstimate,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .costs import CostConstants, CostSpec
-from .dp import (TIE_EPS, DpTables, _branches, _require_fit, build_tables,
+from .dp import (DpTables, _branches, _require_fit, build_tables,
                  solve_discounted)
 from .grid import Policy, StateGrid, ValueFunction
 from .market import MarketModel
@@ -79,14 +79,13 @@ def _policy_difference(a: Policy, b: Policy) -> float:
 
 
 def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
-                       betas: Sequence[float], tol: float = 1e-6,
-                       tie_eps: float = TIE_EPS):
+                       betas: Sequence[float], tol: float = 1e-6):
     """Sweep the discount schedule and extract the average-growth policy.
 
     For a fixed-cost spec both discounted problems are solved per discount:
     the proportional one supplies the peak value, the fixed-cost one the
-    relative value and the returned policy.  ``tie_eps`` is the margin by
-    which a rebalance must beat holding in both.  Returns (report, policy).
+    relative value and the returned policy.  In both, a rebalance must beat
+    holding by more than ``dp.TIE_EPS``.  Returns (report, policy).
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -113,15 +112,13 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     for beta in betas:
         clock = time.perf_counter()
         v_prop, pol_prop, rep_p = solve_discounted(
-            model, prop_spec, prop_grid, beta, tol=tol, tables=prop_tables,
-            tie_eps=tie_eps)
+            model, prop_spec, prop_grid, beta, tol=tol, tables=prop_tables)
         seconds[f"solve.proportional.{beta}"] = time.perf_counter() - clock
         m_beta = float(v_prop.values.max())
         if has_fixed:
             clock = time.perf_counter()
             v_fix, pol_fix, rep_f = solve_discounted(
-                model, spec, grid, beta, tol=tol, tables=fixed_tables,
-                tie_eps=tie_eps)
+                model, spec, grid, beta, tol=tol, tables=fixed_tables)
             seconds[f"solve.fixed.{beta}"] = time.perf_counter() - clock
             w = m_beta - v_fix.values
             policy = pol_fix

@@ -37,7 +37,6 @@ class RunConfig:
     n_x: int = 16
     betas: list = field(default_factory=lambda: [0.9, 0.99, 0.995, 0.999])
     tol: float = 1e-6
-    tie_eps: float = dp.TIE_EPS
     T: int = 2000
     n_paths: int = 100
     seed: int = 12345
@@ -46,8 +45,8 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate_fields(self):
-        if self.tol <= 0 or self.tie_eps <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.mesh_order < 1:
             raise ValueError("mesh_order must be >= 1")
         if self.n_x < 1:
@@ -61,7 +60,7 @@ class RunConfig:
 _CONFIG_KEYS = {(): ("model_path", "betas", "output_dir"),
                 ("grid",): ("simplex_order",),
                 ("grid", "wealth"): ("x_min", "x_max", "n_x"),
-                ("tolerances",): ("tol", "tie_eps"),
+                ("tolerances",): ("tol",),
                 ("simulation",): ("T", "n_paths", "seed", "x0", "z0")}
 
 
@@ -197,11 +196,15 @@ class Runner:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    # loading the model ran the structural checks: a model that was built
+    # is row stochastic with finite, positive returns
     runner = Runner(cfg, "validate")
-    report = market.validate(runner.model)
-    doc = {"checks": {k: {"passed": p, "detail": d}
-                      for k, (p, d) in report.checks.items()}}
-    ok = report.ok
+    n, kappa = market.mixing_step(runner.model)
+    ok = n is not None
+    doc = {"checks": {"uniform_mixing": {
+        "passed": ok,
+        "detail": f"kappa_{n} = {kappa:.6f}" if ok
+        else f"kappa_n = 1 for all n <= {market.MIXING_HORIZON}"}}}
     if ok:
         eta = worst_case_drag(runner.spec)
         erg = market.ergodic_report(runner.model, eta=eta)
@@ -245,8 +248,7 @@ def cmd_solve(cfg: RunConfig, beta: float) -> int:
     runner = Runner(cfg, "solve")
     with runner.stage("solve"):
         vf, pol, rep = dp.solve_discounted(runner.model, runner.spec,
-                                           runner.grid(), beta, tol=cfg.tol,
-                                           tie_eps=cfg.tie_eps)
+                                           runner.grid(), beta, tol=cfg.tol)
     modelio.dump_solution(vf, pol, runner.out("value_beta"), runner.model_hash,
                           seed=cfg.seed)
     runner.register("value_beta.csv")
@@ -266,8 +268,7 @@ def cmd_optimal(cfg: RunConfig) -> int:
     runner = Runner(cfg, "optimal")
     grid = runner.grid()
     report, policy = average.vanishing_discount(runner.model, runner.spec, grid,
-                                                cfg.betas, tol=cfg.tol,
-                                                tie_eps=cfg.tie_eps)
+                                                cfg.betas, tol=cfg.tol)
     runner.stage_seconds.update(report.stage_seconds)
     with runner.stage("dump"):
         modelio.dump_solution(

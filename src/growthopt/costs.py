@@ -26,14 +26,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .market import check_simplex
+from .market import check_simplex, readonly_table
 
 VARIANTS = ("additive", "max")
 
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Per-asset proportional rates plus a fixed charge per transaction."""
+    """Per-asset proportional rates plus a fixed charge per transaction.
+
+    Construction refuses, with a ValueError naming the field, rates outside
+    [0, 1) (NaN included) and a fixed charge that is not finite and >= 0.
+    """
 
     buy: np.ndarray
     sell: np.ndarray
@@ -41,20 +45,29 @@ class CostSpec:
     variant: str = "additive"
 
     def __post_init__(self):
-        buy = np.array(self.buy, dtype=float)
-        sell = np.array(self.sell, dtype=float)
-        buy.setflags(write=False)
-        sell.setflags(write=False)
-        object.__setattr__(self, "buy", buy)
-        object.__setattr__(self, "sell", sell)
-        if buy.shape != sell.shape or buy.ndim != 1:
-            raise ValueError("buy and sell rates must be vectors of equal length")
-        if buy.min() < 0 or sell.min() < 0 or buy.max() >= 1 or sell.max() >= 1:
-            raise ValueError("proportional rates must lie in [0, 1)")
-        if self.fixed < 0:
-            raise ValueError("fixed cost must be >= 0")
+        buy = readonly_table(self.buy, "buy")
+        sell = readonly_table(self.sell, "sell")
+        try:  # a bool is not a charge; NaN is refused below
+            fixed = (math.nan if isinstance(self.fixed, bool)
+                     else float(self.fixed))
+        except (TypeError, ValueError):
+            fixed = math.nan
+        if buy.shape != sell.shape or buy.ndim != 1 or buy.size == 0:
+            raise ValueError("buy and sell rates must be non-empty vectors "
+                             "of equal length")
+        for name, rates in (("buy", buy), ("sell", sell)):
+            # NaN fails both comparisons
+            if not ((rates >= 0.0) & (rates < 1.0)).all():
+                raise ValueError(f"{name} rates {rates.tolist()} must lie "
+                                 "in [0, 1)")
+        if not 0.0 <= fixed < math.inf:
+            raise ValueError(f"fixed cost {self.fixed!r} must be finite "
+                             "and >= 0")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        object.__setattr__(self, "buy", buy)
+        object.__setattr__(self, "sell", sell)
+        object.__setattr__(self, "fixed", fixed)
 
     @property
     def n_assets(self) -> int:

@@ -344,8 +344,7 @@ def _iterate(update, v, beta, stop_tol, what):
 
 def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
                      beta: float, tol: float = 1e-6,
-                     tables: Optional[DpTables] = None,
-                     tie_eps: float = TIE_EPS):
+                     tables: Optional[DpTables] = None):
     """Value iteration to the discounted fixed point, with greedy policy.
 
     Returns (ValueFunction, Policy, IterationReport).  A spec with a fixed
@@ -380,7 +379,7 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
                                     "value iteration")
 
     cont, vals = _branches(values, tables, beta)
-    impulse = vals.max(axis=1) > cont + tie_eps
+    impulse = vals.max(axis=1) > cont + TIE_EPS
     own = np.arange(grid.n_nodes).reshape((-1,) + (1,) * (values.ndim - 1))
     target = np.where(impulse, vals.argmax(axis=1), own)
     vf = ValueFunction(grid=grid, values=values, beta=beta)

@@ -6,6 +6,12 @@ stochastic transition matrix, and an i.i.d. shock sequence on
 ``n_assets`` assets are read from ``returns[z, xi, i]`` where ``z`` is the
 factor state realized at the *end* of the step and ``xi`` the shock.
 
+``MarketModel`` is the one owner of model validity: it refuses, with a
+ValueError naming the field, tables of the wrong shape, probability rows
+that are not finite, non-negative and stochastic within ``SIMPLEX_TOL``
+(``check_stochastic_rows``), and any return that is not finite and > 0.
+A model that was built can be solved, simulated and checked.
+
 Besides holding the model, this module computes its ergodic invariants:
 stationary distribution, Dobrushin mixing coefficient, the stationary growth
 floor of the worst asset, and the conditional expected log return of a fixed
@@ -19,7 +25,7 @@ from bounded blocks of uniforms; it yields the states block by block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,20 +53,25 @@ def check_stochastic_rows(mat, what: str) -> np.ndarray:
     return sums
 
 
-def _as_readonly(a):
-    arr = np.array(a, dtype=float)
+def readonly_table(a, name: str) -> np.ndarray:
+    """``a`` as a read-only float array; a ValueError naming ``name`` if it
+    is not a (possibly nested) list of numbers of one shape."""
+    try:
+        arr = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a table of numbers: {exc}") from None
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Immutable market description.
+    """Immutable market description; construction refuses invalid tables.
 
     Attributes:
         transition: (n_z, n_z) row-stochastic factor transition matrix.
         shock_probs: (n_s,) probability vector of the shock atoms.
-        returns: (n_z, n_s, d) strictly positive gross return factors.
+        returns: (n_z, n_s, d) finite, strictly positive gross return factors.
     """
 
     transition: np.ndarray
@@ -68,20 +79,28 @@ class MarketModel:
     returns: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "transition", _as_readonly(self.transition))
-        object.__setattr__(self, "shock_probs", _as_readonly(self.shock_probs))
-        object.__setattr__(self, "returns", _as_readonly(self.returns))
+        for name in ("transition", "shock_probs", "returns"):
+            object.__setattr__(self, name,
+                               readonly_table(getattr(self, name), name))
         if self.transition.ndim != 2 or self.transition.shape[0] != self.transition.shape[1]:
             raise ValueError("transition must be a square matrix")
         if self.shock_probs.ndim != 1:
             raise ValueError("shock_probs must be a vector")
-        if self.returns.shape != (self.n_factors, self.n_shocks, self.n_assets):
+        if (self.returns.ndim != 3 or self.n_assets < 1
+                or self.returns.shape[:2] != (self.n_factors, self.n_shocks)):
             raise ValueError(
-                "returns must have shape (n_factors, n_shocks, n_assets), got %s"
-                % (self.returns.shape,)
-            )
+                "returns must have shape (n_factors, n_shocks, n_assets) = "
+                f"({self.n_factors}, {self.n_shocks}, d >= 1), got "
+                f"{self.returns.shape}")
         check_stochastic_rows(self.transition, "transition")
         check_stochastic_rows(self.shock_probs[None], "shock_probs")
+        # NaN fails both comparisons
+        bad = ~((self.returns > 0.0) & (self.returns < np.inf))
+        if bad.any():
+            z, xi, i = (int(k) for k in np.argwhere(bad)[0])
+            raise ValueError(f"returns[{z}][{xi}][{i}] is "
+                             f"{self.returns[z, xi, i]}: returns must be "
+                             "finite and > 0")
 
     @property
     def n_factors(self) -> int:
@@ -94,23 +113,6 @@ class MarketModel:
     @property
     def n_assets(self) -> int:
         return self.returns.shape[2]
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of the numeric model checks, one entry per named check."""
-
-    checks: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for passed, _ in self.checks.values())
-
-    def add(self, name, passed, detail=""):
-        self.checks[name] = (bool(passed), detail)
-
-    def failures(self):
-        return [name for name, (passed, _) in self.checks.items() if not passed]
 
 
 @dataclass
@@ -325,33 +327,6 @@ def _walk(model: MarketModel, z0, T: int, rng):
             hits = u[j, 0] >= cum_pT.take(prev, axis=1)
             prev = np.minimum(hits.sum(axis=0), model.n_factors - 1, out=z[j])
         yield t0, z, xi
-
-
-def validate(model: MarketModel) -> ValidationReport:
-    """Run all structural and mixing checks, report-style (never raises)."""
-    report = ValidationReport()
-    row_err = np.abs(model.transition.sum(axis=1) - 1.0).max()
-    report.add(
-        "transition_row_stochastic",
-        row_err <= 1e-12 and model.transition.min() >= 0.0,
-        f"max row-sum error {row_err:.2e}",
-    )
-    shock_err = abs(model.shock_probs.sum() - 1.0)
-    report.add(
-        "shock_probs_normalized",
-        shock_err <= 1e-12 and model.shock_probs.min() >= 0.0,
-        f"sum error {shock_err:.2e}",
-    )
-    rmin = model.returns.min()
-    report.add("returns_positive", rmin > 0.0, f"min return {rmin}")
-    n, kappa = mixing_step(model)
-    report.add(
-        "uniform_mixing",
-        n is not None,
-        f"kappa_{n} = {kappa:.6f}" if n is not None
-        else f"kappa_n = 1 for all n <= {MIXING_HORIZON}",
-    )
-    return report
 
 
 def ergodic_report(model: MarketModel, eta: Optional[float] = None

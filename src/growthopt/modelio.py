@@ -11,12 +11,18 @@ A model file is a single JSON document:
                   "variant": "additive"}
     }
 
-Probabilities may be numbers or decimal strings.  A negative or non-finite
-probability is rejected.  Rows off stochastic by at most 1e-9 are
-renormalized, larger errors are rejected.  Value functions and policies
-serialize as a CSV body plus a JSON side-car header carrying the grid spec,
-discount, model hash and seed; every CLI run additionally writes a manifest
-listing inputs, content hashes and wall time.
+Probabilities may be numbers or decimal strings; each row passes
+``market.check_stochastic_rows`` (finite, non-negative, stochastic within
+1e-9) and is then renormalized.  The optional ``assets`` key, when present,
+must be the integer length of the last axis of ``returns``.  Every other
+rule belongs to the constructors: ``MarketModel`` refuses returns that are
+not finite and > 0, ``CostSpec`` rates outside [0, 1) and a fixed charge
+that is not finite and >= 0, each with a ValueError naming the field.
+
+Value functions and policies serialize as a CSV body plus a JSON side-car
+header carrying the grid spec, discount, model hash and seed; every CLI run
+additionally writes a manifest listing inputs, content hashes and wall
+time.
 
 The grid owns the table layout: a dump has one CSV row per index of
 ``grid.shape``, and reading it back fills tables of the shape that the
@@ -37,11 +43,11 @@ import numpy as np
 
 from .costs import CostSpec
 from .grid import Policy, StateGrid, ValueFunction
-from .market import MarketModel, check_stochastic_rows
+from .market import MarketModel, check_stochastic_rows, readonly_table
 
 
 def _renormalize_rows(mat, what):
-    mat = np.atleast_2d(np.array(mat, dtype=float))
+    mat = np.atleast_2d(readonly_table(mat, what))
     return mat / check_stochastic_rows(mat, what)[:, None]
 
 
@@ -67,24 +73,21 @@ def parse_model_dict(doc: dict):
         "model section 'factors': transition")
     probs = _renormalize_rows(_key(shocks, "probs", "model section 'shocks'"),
                               "model section 'shocks': probs")[0]
-    returns = np.array(_key(doc, "returns", "model"), dtype=float)
-    if returns.ndim != 3:
-        raise ValueError("returns must be nested [factor][shock][asset]")
-    n_assets = int(doc.get("assets", returns.shape[2]))
-    if returns.shape != (transition.shape[0], probs.shape[0], n_assets):
-        raise ValueError(
-            f"returns shape {returns.shape} inconsistent with "
-            f"{transition.shape[0]} factors, {probs.shape[0]} shocks, "
-            f"{n_assets} assets"
-        )
-    model = MarketModel(transition=transition, shock_probs=probs, returns=returns)
+    model = MarketModel(transition=transition, shock_probs=probs,
+                        returns=_key(doc, "returns", "model"))
+    n_assets = doc.get("assets", model.n_assets)
+    if (isinstance(n_assets, bool) or not isinstance(n_assets, int)
+            or n_assets != model.n_assets):
+        raise ValueError(f"model key 'assets' must be the integer "
+                         f"{model.n_assets}, the length of the last axis of "
+                         f"returns, got {n_assets!r}")
     spec = None
     if "costs" in doc:
         c = doc["costs"]
         spec = CostSpec(
-            buy=np.array(_key(c, "buy", "model section 'costs'"), dtype=float),
-            sell=np.array(_key(c, "sell", "model section 'costs'"), dtype=float),
-            fixed=float(c.get("fixed", 0.0)),
+            buy=_key(c, "buy", "model section 'costs'"),
+            sell=_key(c, "sell", "model section 'costs'"),
+            fixed=c.get("fixed", 0.0),
             variant=c.get("variant", "additive"),
         )
         if spec.n_assets != n_assets:

@@ -494,15 +494,6 @@ class TestOptimalSettings:
                     + ["optimal"]) == 0
         return tmp_path / out
 
-    def test_tie_eps_reaches_the_policy(self, tmp_path):
-        default = self.run_optimal(tmp_path, "default", {})
-        wide = self.run_optimal(tmp_path, "wide", {"tie_eps": 0.5})
-        for name in ("policy.csv", "policy_prop.csv"):
-            assert (default / name).read_bytes() != (wide / name).read_bytes()
-        doc = json.loads((wide / "manifest.json").read_text())
-        assert doc["config"]["tie_eps"] == 0.5
-        assert "cross_tol" not in doc["config"]
-
     def test_tables_built_once_per_variant(self, tmp_path, monkeypatch):
         from growthopt import average
         calls = []
@@ -526,6 +517,8 @@ class TestConfigKeys:
          "unknown config key 'xmax' in section grid.wealth"),
         ({"tolerances": {"tol": 1e-6, "cross_tol": 1e-3}},
          "unknown config key 'cross_tol' in section tolerances"),
+        ({"tolerances": {"tol": 1e-6, "tie_eps": 1e-10}},
+         "unknown config key 'tie_eps' in section tolerances"),
         ({"simulation": {"T": 10, "paths": 10}},
          "unknown config key 'paths' in section simulation"),
         ({"grid": {"wealth": 8}},
@@ -632,7 +625,7 @@ class TestUsageErrors:
             "grid": {"simplex_order": 4,
                      "wealth": {"x_min": 1e-3, "x_max": 1e4, "n_x": 8}},
             "betas": [0.9, 0.99],
-            "tolerances": {"tol": 1e-5, "tie_eps": 1e-10},
+            "tolerances": {"tol": 1e-5},
             "simulation": {"T": 100, "n_paths": 10, "seed": 5},
             "output_dir": str(tmp_path / "cfgout"),
         }))
@@ -695,6 +688,47 @@ class TestBadInputs:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["validate", "optimal", "ldcheck"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["returns"][1][0].__setitem__(1, 0.0),
+         "returns[1][0][1] is 0.0: returns must be finite and > 0"),
+        (lambda doc: doc["returns"][1][0].__setitem__(1, -0.5),
+         "returns[1][0][1] is -0.5: returns must be finite and > 0"),
+        (lambda doc: doc["returns"][1][0].__setitem__(1, float("nan")),
+         "returns[1][0][1] is nan: returns must be finite and > 0"),
+        (lambda doc: doc["returns"][1][0].__setitem__(1, float("inf")),
+         "returns[1][0][1] is inf: returns must be finite and > 0"),
+        (lambda doc: doc["returns"].__setitem__(1, [1.05, 1.0]),
+         "returns is not a table of numbers"),
+        (lambda doc: doc.__setitem__("returns", [r[0] for r in doc["returns"]]),
+         "returns must have shape (n_factors, n_shocks, n_assets) = "
+         "(2, 2, d >= 1), got (2, 2)"),
+        (lambda doc: doc["costs"].__setitem__("fixed", float("nan")),
+         "fixed cost nan must be finite and >= 0"),
+        (lambda doc: doc["costs"].__setitem__("fixed", float("inf")),
+         "fixed cost inf must be finite and >= 0"),
+        (lambda doc: doc["costs"].__setitem__("fixed", None),
+         "fixed cost None must be finite and >= 0"),
+        (lambda doc: doc["costs"].__setitem__("buy", [float("nan"), 0.003]),
+         "buy rates [nan, 0.003] must lie in [0, 1)"),
+        (lambda doc: doc["costs"].__setitem__("sell", "0.003"),
+         "buy and sell rates must be non-empty vectors of equal length"),
+        (lambda doc: doc["costs"].__setitem__("sell", ["a", "b"]),
+         "sell is not a table of numbers")],
+        ids=["return_0", "return_neg", "return_nan", "return_inf",
+             "ragged_returns", "returns_2d", "fixed_nan", "fixed_inf",
+             "fixed_null", "buy_nan", "sell_scalar", "sell_strings"])
+    def test_bad_model_exits_1_naming_the_field(self, tmp_path, capsys,
+                                                command, edit, message):
+        # the JSON carries NaN and Infinity literals, which json reads
+        model = write_model(tmp_path, edit)
+        out = tmp_path / "out"
+        assert main(["--model", model, "--output-dir", str(out),
+                     "--n-paths", "100", command]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_1(self, tmp_path, capsys, seed):
         out = tmp_path / "out"
@@ -721,6 +755,23 @@ class TestModelParsing:
         }
         model, _ = parse_model_dict(doc)
         assert model.transition[0, 0] == 1.0
+
+    @pytest.mark.parametrize("assets", [2.7, 2.0, "2", "two", True, 3, None])
+    def test_assets_must_be_the_integer_asset_count(self, assets):
+        with open(bundled_model_path()) as fh:
+            doc = json.load(fh)
+        doc["assets"] = assets
+        with pytest.raises(ValueError, match=re.escape(
+                "model key 'assets' must be the integer 2, the length of the "
+                f"last axis of returns, got {assets!r}")):
+            parse_model_dict(doc)
+
+    def test_assets_may_be_left_out(self):
+        with open(bundled_model_path()) as fh:
+            doc = json.load(fh)
+        del doc["assets"]
+        model, spec = parse_model_dict(doc)
+        assert model.n_assets == spec.n_assets == 2
 
     def test_shape_mismatch_rejected(self):
         doc = {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,43 @@ def bisect_min_trade_wealth(spec, bisect_iters=128):
         else:
             lo = mid
     return hi
+
+
+class TestCostSpecChecks:
+    @pytest.mark.parametrize("fixed", [math.nan, math.inf, -0.1, None,
+                                       "abc", [0.1], True])
+    def test_fixed_must_be_finite_and_non_negative(self, fixed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"fixed cost {fixed!r} must be finite and >= 0")):
+            CostSpec([0.01, 0.01], [0.01, 0.01], fixed)
+
+    def test_fixed_is_stored_as_a_float(self):
+        spec = CostSpec([0.01, 0.01], [0.01, 0.01], 1)
+        assert type(spec.fixed) is float and spec.fixed == 1.0
+
+    @pytest.mark.parametrize("buy", ["abc", [[0.01], 0.01]])
+    def test_rates_must_be_numbers(self, buy):
+        with pytest.raises(ValueError, match="buy is not a table of numbers"):
+            CostSpec(buy, [0.01, 0.01])
+
+    @pytest.mark.parametrize("field", ["buy", "sell"])
+    @pytest.mark.parametrize("rate", [math.nan, -0.01, 1.0, math.inf])
+    def test_rates_must_lie_in_unit_interval(self, field, rate):
+        rates = {"buy": [0.01, 0.01], "sell": [0.01, 0.01]}
+        rates[field] = [0.01, rate]
+        with pytest.raises(ValueError, match=rf"{field} rates \[0\.01, "
+                           rf".*\] must lie in \[0, 1\)"):
+            CostSpec(**rates, fixed=0.1)
+
+    @pytest.mark.parametrize("buy, sell", [([], []), ([0.01], [0.01, 0.01]),
+                                           ([[0.01]], [[0.01]])])
+    def test_rates_must_be_equal_vectors(self, buy, sell):
+        with pytest.raises(ValueError, match="non-empty vectors"):
+            CostSpec(buy, sell)
+
+    def test_edges_are_accepted(self):
+        spec = CostSpec([0.0, 0.999], [0.0, 0.5], 0.0)
+        assert spec.max_rate == 0.999 and min_trade_wealth(spec) == 0.0
 
 
 class TestProportionalCost:

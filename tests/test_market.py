@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from growthopt import (CostSpec, MarketModel, NoTransactionStrategy,
                        bundled_model_path, dobrushin, ergodic_report,
                        expected_log_return, growth_floor, invariant_measure,
                        load_model, make_rng, mixing_step, sample_factor_paths,
-                       step, validate)
+                       step)
+from growthopt.cli import main
 from growthopt.market import DRAW_BUDGET
 from growthopt.simulate import run
 
@@ -25,34 +28,77 @@ def two_state(p00=0.9, p11=0.8):
     )
 
 
-class TestValidate:
-    def test_identity_transition_fails_mixing(self):
-        m = MarketModel(transition=np.eye(2), shock_probs=[1.0],
-                        returns=np.ones((2, 1, 1)))
-        report = validate(m)
-        assert not report.ok
-        assert "uniform_mixing" in report.failures()
+def validate_cli(tmp_path, transition=None):
+    """Run CLI ``validate`` on the bundled model, its factor chain replaced
+    by ``transition`` if given; returns (exit code, validate.json)."""
+    with open(bundled_model_path()) as fh:
+        doc = json.load(fh)
+    if transition is not None:
+        doc["factors"]["transition"] = transition
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    code = main(["--model", str(tmp_path / "model.json"), "--output-dir",
+                 str(tmp_path / "out"), "validate"])
+    return code, json.loads((tmp_path / "out" / "validate.json").read_text())
 
-    def test_checks_are_the_computed_four(self):
-        assert set(validate(two_state()).checks) == {
-            "transition_row_stochastic", "shock_probs_normalized",
-            "returns_positive", "uniform_mixing"}
+
+class TestValidate:
+    @pytest.mark.parametrize("transition", [[[1.0, 0.0], [0.0, 1.0]],
+                                            [[0.0, 1.0], [1.0, 0.0]]],
+                             ids=["identity", "periodic"])
+    def test_non_mixing_chain_fails(self, tmp_path, transition):
+        m = MarketModel(transition=transition, shock_probs=[1.0],
+                        returns=np.ones((2, 1, 1)))
+        assert mixing_step(m) == (None, 1.0)
+        code, doc = validate_cli(tmp_path, transition)
+        assert code == 1 and doc["ok"] is False
+        assert doc["checks"] == {"uniform_mixing": {
+            "passed": False, "detail": "kappa_n = 1 for all n <= 64"}}
+
+    def test_checks_are_the_computed_ones(self, tmp_path):
+        code, doc = validate_cli(tmp_path)
+        assert code == 0 and doc["ok"] is True
+        assert doc["checks"] == {"uniform_mixing": {
+            "passed": True, "detail": "kappa_1 = 0.700000"}}
+        assert set(doc["constants"]) == {"eta_m", "wealth_threshold",
+                                         "resync_wealth", "x_star"}
 
     def test_mixing_chain_passes_with_step_one(self):
-        report = validate(two_state())
-        assert report.ok
-        assert "kappa_1" in report.checks["uniform_mixing"][1]
+        n, kappa = mixing_step(two_state())
+        assert n == 1 and kappa == pytest.approx(0.7)
 
-    def test_zero_return_fails_positivity(self):
-        m = MarketModel(transition=[[1.0]], shock_probs=[1.0],
+    def test_zero_return_raises_at_construction(self):
+        with pytest.raises(ValueError, match=r"returns\[0\]\[0\]\[0\] is "
+                           r"0\.0: returns must be finite and > 0"):
+            MarketModel(transition=[[1.0]], shock_probs=[1.0],
                         returns=[[[0.0]]])
-        report = validate(m)
-        assert "returns_positive" in report.failures()
 
-    def test_periodic_chain_fails(self):
-        m = MarketModel(transition=[[0.0, 1.0], [1.0, 0.0]],
-                        shock_probs=[1.0], returns=np.ones((2, 1, 1)))
-        assert not validate(m).ok
+
+class TestReturnChecks:
+    @pytest.mark.parametrize("value", [0.0, -0.5, np.nan, np.inf, -np.inf])
+    def test_constructor_refuses_bad_return(self, value):
+        returns = np.full((2, 2, 2), 1.05)
+        returns[1, 0, 1] = value
+        with pytest.raises(ValueError, match=r"returns\[1\]\[0\]\[1\] is "
+                           ".*: returns must be finite and > 0"):
+            MarketModel(transition=np.eye(2), shock_probs=[0.5, 0.5],
+                        returns=returns)
+
+    @pytest.mark.parametrize("returns", [[[[1.0], [1.0, 2.0]]],
+                                         [[["1.05", "x"]]]])
+    def test_constructor_refuses_non_numbers(self, returns):
+        with pytest.raises(ValueError, match="returns is not a table of "
+                           "numbers"):
+            MarketModel(transition=[[1.0]], shock_probs=[1.0],
+                        returns=returns)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2, 1), (2, 2, 0),
+                                       (1, 2, 2), (2, 3, 2)])
+    def test_constructor_refuses_bad_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                "returns must have shape (n_factors, n_shocks, n_assets) = "
+                f"(2, 2, d >= 1), got {shape}")):
+            MarketModel(transition=np.eye(2), shock_probs=[0.5, 0.5],
+                        returns=np.ones(shape))
 
 
 class TestProbabilityChecks:
