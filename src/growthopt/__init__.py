@@ -20,8 +20,8 @@ from .average import (MimickingPolicy, VanishingDiscountReport,
 from .costs import (CostConstants, CostSpec, bisect_e, cost_constants,
                     general_cost_check, min_diminution, min_trade_wealth,
                     proportional_cost, share_cost, solve_e, solve_e_batch)
-from .dp import (bellman_step, build_tables, impulse_operator, solve_discounted,
-                 span_bound, span_seminorm, value_gap_check)
+from .dp import (bellman_step, build_tables, solve_discounted, span_bound,
+                 span_seminorm, value_gap_check)
 from .grid import Policy, StateGrid, ValueFunction, simplex_mesh
 from .market import (ErgodicReport, MarketModel, dobrushin, ergodic_report,
                      expected_log_return, growth_floor, invariant_measure,

@@ -105,7 +105,7 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     seconds["build_tables"] = time.perf_counter() - clock
 
     peak, estimates, w_range, variant_peak = [], [], [], []
-    iters = {}
+    iters, warm, steps = {}, {}, {}
     last = {}
     prev_policy = None
     change_fraction = float("nan")
@@ -123,13 +123,16 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
             w = m_beta - v_fix.values
             policy = pol_fix
             variant_sup = float(v_fix.values.max())
-            iters[beta] = (rep_p.iterations, rep_f.iterations)
+            reps = (rep_p, rep_f)
         else:
             v_fix = None
             w = m_beta - v_prop.values
             policy = pol_prop
             variant_sup = m_beta
-            iters[beta] = (rep_p.iterations,)
+            reps = (rep_p,)
+        iters[beta] = tuple(r.iterations for r in reps)
+        warm[beta] = tuple(r.init_iterations for r in reps)
+        steps[beta] = tuple(r.final_diff for r in reps)
         peak.append(m_beta)
         estimates.append((1.0 - beta) * m_beta)
         w_range.append((float(w.min()), float(w.max())))
@@ -162,7 +165,11 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
         policy_change_fraction=change_fraction,
         converged=True,
         diagnostics={
+            # per beta, proportional solve first: main and warm-start
+            # sweeps, and the step of the sweep returned
             "iterations": {str(b): v for b, v in iters.items()},
+            "warm_iterations": {str(b): v for b, v in warm.items()},
+            "final_step": {str(b): v for b, v in steps.items()},
             "last_step": abs(estimates[-1] - estimates[-2]) if len(betas) >= 2 else 0.0,
             "tol": tol,
         },

@@ -10,9 +10,12 @@ the better of two branches:
 Expectations are exact finite sums over (next factor, shock); off-grid
 proportions snap to the nearest mesh node and off-grid wealth interpolates
 linearly in log-wealth, with dynamics clamped to the wealth grid range.
-Value iteration runs from the pure-hold value and stops when the sup-norm
-step is below tol*(1-beta)/beta, which bounds the distance to the grid
-fixed point by tol.
+Value iteration runs from the pure-hold value and stops at the first sweep
+whose sup-norm step is at most tol*(1-beta)/beta, which bounds the distance
+to the grid fixed point by tol.  The stop rule looks back over a batch of
+sweeps: one pass over the batch gives the step of every sweep in it, and
+the sweep returned is exactly the one that a check after every sweep
+would return, with the same count and step.
 
 For zero fixed cost the value carries no wealth axis and the same sweeps
 run on the collapsed grid.  The grid owns the table layout: every value
@@ -32,7 +35,7 @@ the policy extraction and the stationarity residual, in few numpy calls:
 - the sentinel NEG that bars the no-op rebalance p' = p is written into
   the kernel's ln e table once, when the tables are built;
 - results land in buffers allocated with the tables, and value iteration
-  alternates between two value buffers.
+  writes a batch of sweeps into a ring of value tables.
 
 The layout changes no bit: every entry is ln e + (w_lo v_lo +
 w_hi v_hi), h + beta * E v with E v from ``np.einsum``, and a max, so
@@ -57,6 +60,8 @@ from .market import MarketModel, mixing_step
 
 NEG = -1e18  # sentinel for unaffordable rebalances; never interpolated
 TIE_EPS = 1e-10  # rebalance must beat holding by more than this
+SWEEP_BATCH = 64  # sweeps of value iteration per check of the stop rule
+RING_BUDGET = 1 << 20  # bytes of value tables one batch holds (~1 MB)
 
 # np.einsum without its array-function dispatch, which costs about as much
 # as the contraction itself on a sweep's tables; same code, same bits
@@ -272,35 +277,6 @@ def bellman_step(v: ValueFunction, model: MarketModel, spec: CostSpec,
                               np.empty(tables.grid.shape)))
 
 
-def impulse_operator(v: ValueFunction, model: MarketModel, spec: CostSpec,
-                     state):
-    """Best single rebalance value at a grid state, with its target node.
-
-    Unaffordable targets are excluded; when every target is unaffordable
-    the value is -inf and the target None.  Ties resolve to the lowest node
-    index (lexicographic order of the mesh).
-    """
-    grid = v.grid
-    nodes = grid.nodes
-    n_p = grid.n_nodes
-    if grid.has_wealth_axis:
-        p0, j, z = state
-        x = grid.wealth[j]
-    else:
-        p0, z = state
-        x = 1.0
-    e = solve_e_batch(spec, np.repeat(nodes[p0][None, :], n_p, axis=0),
-                      nodes, np.full(n_p, x))
-    feasible = e > 0.0
-    if not feasible.any():
-        return float("-inf"), None
-    vals = np.full(n_p, NEG)
-    cont = grid.interp(v.values, np.arange(n_p)[feasible], x * e[feasible], z)
-    vals[feasible] = np.log(e[feasible]) + cont
-    best = int(vals.argmax())
-    return float(vals[best]), best
-
-
 @dataclass
 class IterationReport:
     beta: float
@@ -313,26 +289,50 @@ class IterationReport:
     h_inf: float
 
 
-def _iterate(update, v, beta, stop_tol, what):
-    """Apply ``update`` until the sup-norm step is at most ``stop_tol``.
+def _iterate(update, v, beta, stop_tol, what, *args):
+    """Apply ``update(v, *args, out)``, which writes the next values into
+    ``out``, until the sup-norm step is at most ``stop_tol``; return the
+    values of that sweep, its count and its step.
 
     The update is a beta-contraction, so from a first step d_1 the step
     reaches stop_tol within 1 + log(stop_tol / d_1) / log(beta) sweeps in
     exact arithmetic; a run past twice that has stalled on rounding.
+
+    The rule looks back over a batch of sweeps, written into a ring of value
+    tables: one subtract, abs and row max give the step of every sweep in
+    it, bit for bit, and the first at most stop_tol is returned; the sweeps
+    after it are dropped.  The first batch is one sweep, whose step sets the
+    cap; each later batch ends at the last sweep the cap allows.  So the
+    sweep returned, or named by an error, is the one that a check after
+    every sweep finds.  Sweeps after a non-finite one run on inf or NaN, so
+    their floating-point warnings are silenced.
     """
+    v = np.asarray(v, dtype=float)
+    n_max = max(1, min(SWEEP_BATCH, RING_BUDGET // max(1, 2 * v.nbytes)))
+    ring = np.empty((n_max + 1,) + v.shape)
+    steps = np.empty((n_max,) + v.shape)
+    tabs = list(ring)
+    ring[0] = v
     cap = None
     k = 0
-    step = np.empty_like(v)
+    n = 1
     while True:
-        k += 1
-        v_new = update(v)
-        np.subtract(v_new, v, out=step)
-        diff = float(np.abs(step, out=step).max())
-        v = v_new
-        if diff <= stop_tol:
-            return v, k, diff
-        if not math.isfinite(diff):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
+                update(tabs[i], *args, tabs[i + 1])
+            d = np.subtract(ring[1:n + 1], ring[:n], out=steps[:n])
+            d = np.abs(d, out=d).reshape(n, -1).max(axis=1)
+            # NaN fails both comparisons
+            ends = np.flatnonzero(~((d > stop_tol) & (d < np.inf)))
+        if ends.size:
+            i = int(ends[0])
+            k += i + 1
+            diff = float(d[i])
+            if diff <= stop_tol:
+                return ring[i + 1].copy(), k, diff
             raise RuntimeError(f"{what}: non-finite step {diff} at sweep {k}")
+        k += n
+        diff = float(d[-1])
         if cap is None:
             cap = 2.0 * math.log(stop_tol / diff) / math.log(beta) + 16
         if k > cap:
@@ -340,6 +340,9 @@ def _iterate(update, v, beta, stop_tol, what):
                 f"{what} did not reach step tolerance {stop_tol:.3e} within "
                 f"{k} sweeps (last step {diff:.3e}); the tolerance is below "
                 "what rounding allows")
+        ring[0] = ring[n]
+        # the first sweep count above the cap is the last one run
+        n = min(n_max, math.floor(cap) + 1 - k)
 
 
 def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
@@ -365,18 +368,10 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
     if not stop_tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    # the sweeps alternate between two value buffers: each writes the one
-    # its input does not occupy
-    bufs = (np.empty(grid.shape), np.empty(grid.shape))
-
-    def sweeps(kernel):
-        return lambda v: kernel(v, tables, beta,
-                                bufs[1] if v is bufs[0] else bufs[0])
-
-    v_init, k_init, _ = _iterate(sweeps(_hold), np.zeros(grid.shape), beta,
-                                 stop_tol, "hold-only warm start")
-    values, k_main, diff = _iterate(sweeps(_sweep), v_init, beta, stop_tol,
-                                    "value iteration")
+    v_init, k_init, _ = _iterate(_hold, np.zeros(grid.shape), beta, stop_tol,
+                                 "hold-only warm start", tables, beta)
+    values, k_main, diff = _iterate(_sweep, v_init, beta, stop_tol,
+                                    "value iteration", tables, beta)
 
     cont, vals = _branches(values, tables, beta)
     impulse = vals.max(axis=1) > cont + TIE_EPS

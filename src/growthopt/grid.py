@@ -191,15 +191,6 @@ class StateGrid:
         j0, frac = self.wealth_pos(x)
         return j0 + np.rint(frac).astype(np.int64)
 
-    def interp(self, values: np.ndarray, node_idx, x, z):
-        """Evaluate a value table at (node index, wealth, factor) points."""
-        if not self.has_wealth_axis:
-            return values[node_idx, z]
-        j0, frac = self.wealth_pos(x)
-        lo = values[node_idx, j0, z]
-        hi = values[node_idx, np.minimum(j0 + 1, self.n_wealth - 1), z]
-        return (1.0 - frac) * lo + frac * hi
-
 
 def _require_shape(grid: StateGrid, **tables):
     for name, table in tables.items():

@@ -7,8 +7,9 @@ stochastic transition matrix, and an i.i.d. shock sequence on
 factor state realized at the *end* of the step and ``xi`` the shock.
 
 ``MarketModel`` is the one owner of model validity: it refuses, with a
-ValueError naming the field, tables of the wrong shape, probability rows
-that are not finite, non-negative and stochastic within ``SIMPLEX_TOL``
+ValueError naming the field, tables that hold anything but numbers (a
+boolean included), tables of the wrong shape, probability rows that are
+not finite, non-negative and stochastic within ``SIMPLEX_TOL``
 (``check_stochastic_rows``), and any return that is not finite and > 0.
 A model that was built can be solved, simulated and checked.
 
@@ -53,9 +54,28 @@ def check_stochastic_rows(mat, what: str) -> np.ndarray:
     return sums
 
 
+def _first_bool(a, name: str):
+    """Name of the first boolean entry of a (possibly nested) list, or
+    None."""
+    if isinstance(a, (bool, np.bool_)):
+        return f"{name} is {bool(a)}"
+    if isinstance(a, np.ndarray) and a.dtype.kind == "b":
+        return f"{name} is a boolean array"
+    if isinstance(a, (list, tuple)):
+        for i, x in enumerate(a):
+            found = _first_bool(x, f"{name}[{i}]")
+            if found is not None:
+                return found
+    return None
+
+
 def readonly_table(a, name: str) -> np.ndarray:
     """``a`` as a read-only float array; a ValueError naming ``name`` if it
-    is not a (possibly nested) list of numbers of one shape."""
+    is not a (possibly nested) list of numbers of one shape.  A boolean is
+    not a number here, although float() reads JSON true as 1.0."""
+    found = _first_bool(a, name)
+    if found is not None:
+        raise ValueError(f"{found}: a table must hold numbers, not booleans")
     try:
         arr = np.array(a, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -286,12 +306,14 @@ def _walk(model: MarketModel, z0, T: int, rng):
     ``DRAW_BUDGET``, so the draw buffer stays near 0.5 MB for any batch;
     above half the budget in paths a block is one step.
 
-    A state is the count of cumulative probabilities at or below its
-    uniform, clamped to the last state: step by step for the factor, from
-    the row of the previous state, and for a whole block at once for the
-    shock, one comparison per atom.  On the non-decreasing cumulative rows
-    of a model with non-negative probabilities, the count is the
-    ``searchsorted(..., side="right")`` index that ``step`` draws.
+    A state is the count of cumulative probabilities, all but the last, at
+    or below its uniform: step by step for the factor, from the row of the
+    previous state, and for a whole block at once for the shock, one
+    comparison per atom.  On the non-decreasing cumulative rows of a model
+    with non-negative probabilities, the last atom could only raise a count
+    from n - 1 to n, which ``step`` clamps back to n - 1, so the count is
+    the clamped ``searchsorted(..., side="right")`` index that ``step``
+    draws.
     """
     n = z0.shape[0]
     if isinstance(rng, np.random.Generator):
@@ -309,8 +331,8 @@ def _walk(model: MarketModel, z0, T: int, rng):
             return u
     # transposed cumulative rows: a step gathers one column per path and
     # counts down the short factor axis, the same counts as along rows
-    cum_pT = np.cumsum(model.transition, axis=1).T
-    cum_nu = np.cumsum(model.shock_probs)
+    cum_pT = np.cumsum(model.transition, axis=1)[:, :-1].T
+    cum_nu = np.cumsum(model.shock_probs)[:-1]
     k_max = max(1, DRAW_BUDGET // max(1, 2 * n))
     prev = z0
     for t0 in range(1, T + 1, k_max):
@@ -321,11 +343,12 @@ def _walk(model: MarketModel, z0, T: int, rng):
         xi = np.zeros((k, n), dtype=np.int64)
         for c in cum_nu:
             np.add(xi, u_xi >= c, out=xi)
-        np.minimum(xi, model.n_shocks - 1, out=xi)
         z = np.empty((k, n), dtype=np.int64)
         for j in range(k):
             hits = u[j, 0] >= cum_pT.take(prev, axis=1)
-            prev = np.minimum(hits.sum(axis=0), model.n_factors - 1, out=z[j])
+            # np.add.reduce with the count's dtype: np.sum(hits, out=...)
+            # costs about 2 us more per step of a one-path walk
+            prev = np.add.reduce(hits, axis=0, dtype=np.int64, out=z[j])
         yield t0, z, xi
 
 

@@ -11,13 +11,14 @@ A model file is a single JSON document:
                   "variant": "additive"}
     }
 
-Probabilities may be numbers or decimal strings; each row passes
-``market.check_stochastic_rows`` (finite, non-negative, stochastic within
-1e-9) and is then renormalized.  The optional ``assets`` key, when present,
-must be the integer length of the last axis of ``returns``.  Every other
-rule belongs to the constructors: ``MarketModel`` refuses returns that are
-not finite and > 0, ``CostSpec`` rates outside [0, 1) and a fixed charge
-that is not finite and >= 0, each with a ValueError naming the field.
+Probabilities may be numbers or decimal strings, never booleans; each row
+passes ``market.check_stochastic_rows`` (finite, non-negative, stochastic
+within 1e-9) and is then renormalized.  The optional ``assets`` key, when
+present, must be the integer length of the last axis of ``returns``.
+Every other rule belongs to the constructors: ``MarketModel`` refuses
+returns that are not finite and > 0, ``CostSpec`` rates outside [0, 1) and
+a fixed charge that is not finite and >= 0, and both refuse booleans in
+their tables, each with a ValueError naming the field.
 
 Value functions and policies serialize as a CSV body plus a JSON side-car
 header carrying the grid spec, discount, model hash and seed; every CLI run

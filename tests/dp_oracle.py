@@ -1,13 +1,79 @@
 """Reference Bellman kernels for the tests: per-sweep broadcast fancy
 indexing into the value table, as the solver computed its sweeps before
 its gather tables, on tables built here from the model and the cost spec
-and not from ``dp.DpTables``."""
+and not from ``dp.DpTables``.  Also the per-state impulse operator, and
+value iteration with the stop rule checked after every sweep."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
 from growthopt import dp, solve_e_batch
+
+
+def grid_interp(grid, values, node_idx, x, z):
+    """Evaluate a value table at (node index, wealth, factor) points,
+    linearly in log-wealth between the two wealth nodes around ``x``."""
+    if not grid.has_wealth_axis:
+        return values[node_idx, z]
+    j0, frac = grid.wealth_pos(x)
+    lo = values[node_idx, j0, z]
+    hi = values[node_idx, np.minimum(j0 + 1, grid.n_wealth - 1), z]
+    return (1.0 - frac) * lo + frac * hi
+
+
+def impulse_operator(v, model, spec, state):
+    """Best single rebalance value at a grid state, with its target node.
+
+    Unaffordable targets are excluded; when every target is unaffordable
+    the value is -inf and the target None.  Ties resolve to the lowest node
+    index (lexicographic order of the mesh).
+    """
+    grid = v.grid
+    nodes = grid.nodes
+    n_p = grid.n_nodes
+    if grid.has_wealth_axis:
+        p0, j, z = state
+        x = grid.wealth[j]
+    else:
+        p0, z = state
+        x = 1.0
+    e = solve_e_batch(spec, np.repeat(nodes[p0][None, :], n_p, axis=0),
+                      nodes, np.full(n_p, x))
+    feasible = e > 0.0
+    if not feasible.any():
+        return float("-inf"), None
+    vals = np.full(n_p, dp.NEG)
+    cont = grid_interp(grid, v.values, np.arange(n_p)[feasible],
+                       x * e[feasible], z)
+    vals[feasible] = np.log(e[feasible]) + cont
+    best = int(vals.argmax())
+    return float(vals[best]), best
+
+
+def per_sweep_iterate(update, v, beta, stop_tol, what):
+    """Apply ``update(v)``, which returns new values, and check the stop
+    rule after every sweep: the sweep count, step and errors that the
+    solver's look-back over batches must reproduce."""
+    cap = None
+    k = 0
+    while True:
+        k += 1
+        v_new = update(v)
+        diff = float(np.abs(v_new - v).max())
+        v = v_new
+        if diff <= stop_tol:
+            return v, k, diff
+        if not math.isfinite(diff):
+            raise RuntimeError(f"{what}: non-finite step {diff} at sweep {k}")
+        if cap is None:
+            cap = 2.0 * math.log(stop_tol / diff) / math.log(beta) + 16
+        if k > cap:
+            raise RuntimeError(
+                f"{what} did not reach step tolerance {stop_tol:.3e} within "
+                f"{k} sweeps (last step {diff:.3e}); the tolerance is below "
+                "what rounding allows")
 
 
 def oracle_tables(model, spec, grid):
@@ -89,3 +155,27 @@ def oracle_branches(values, t, beta, variant):
     return (cont,) + oracle_transaction_fixed(cont, t)
 
 
+
+
+def oracle_solve(model, spec, grid, beta, tol):
+    """Value iteration with the reference kernels and the stop rule checked
+    after every sweep: (values, impulse, target, warm sweeps, main sweeps)."""
+    variant = "fixed" if spec.fixed > 0 else "proportional"
+    t = oracle_tables(model, spec, grid)
+    stop_tol = tol * (1.0 - beta) / beta
+    hold = oracle_continuation_fixed if variant == "fixed" \
+        else oracle_continuation_prop
+    v_init, k_init, _ = per_sweep_iterate(
+        lambda v: hold(v, t, beta), np.zeros(grid.shape), beta, stop_tol,
+        "hold-only warm start")
+
+    def update(v):
+        cont, trans, _ = oracle_branches(v, t, beta, variant)
+        return np.maximum(cont, trans)
+
+    values, k_main, _ = per_sweep_iterate(update, v_init, beta, stop_tol,
+                                          "value iteration")
+    cont, trans, argmax = oracle_branches(values, t, beta, variant)
+    impulse = trans > cont + dp.TIE_EPS
+    own = np.arange(grid.n_nodes).reshape((-1,) + (1,) * (values.ndim - 1))
+    return values, impulse, np.where(impulse, argmax, own), k_init, k_main

@@ -586,6 +586,30 @@ class TestReproducibility:
         assert all(s >= 0.0 for s in stages.values())
         assert sum(stages.values()) <= doc["timing"]["wall_time_s"] + 1e-3
 
+    def test_convergence_diagnostics_byte_identical(self, tmp_path):
+        model = write_model(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"betas": [0.9, 0.99]}))
+        texts = []
+        for out in ("d1", "d2"):
+            assert main(["--config", str(tmp_path / "cfg.json"), "--model",
+                         model, "--output-dir", str(tmp_path / out),
+                         "--mesh-order", "2", "optimal"]) == 0
+            texts.append((tmp_path / out / "optimal.json").read_text())
+        assert texts[0] == texts[1]
+        doc = json.loads(texts[0])
+        diag = doc["diagnostics"]
+        assert set(diag["warm_iterations"]) == set(diag["final_step"]) \
+            == set(diag["iterations"]) == {str(b) for b in doc["betas"]}
+        for b in doc["betas"]:
+            warm, steps = diag["warm_iterations"][str(b)], \
+                diag["final_step"][str(b)]
+            assert len(warm) == len(steps) == 2  # proportional, fixed
+            assert all(type(k) is int and k > 0 for k in warm)
+            assert all(0.0 <= d <= diag["tol"] * (1.0 - b) / b for d in steps)
+        # the benchmark reads the main sweeps in this format
+        assert all(len(v) == 2 and all(type(k) is int for k in v)
+                   for v in diag["iterations"].values())
+
     def test_manifests_identical_modulo_timing(self, tmp_path):
         model = write_model(tmp_path)
         docs = []
@@ -714,10 +738,26 @@ class TestBadInputs:
         (lambda doc: doc["costs"].__setitem__("sell", "0.003"),
          "buy and sell rates must be non-empty vectors of equal length"),
         (lambda doc: doc["costs"].__setitem__("sell", ["a", "b"]),
-         "sell is not a table of numbers")],
+         "sell is not a table of numbers"),
+        # JSON true and false, which float() reads as 1.0 and 0.0
+        (lambda doc: doc["returns"][1][0].__setitem__(1, True),
+         "returns[1][0][1] is True: a table must hold numbers, not booleans"),
+        (lambda doc: doc["factors"].__setitem__("transition",
+                                                [[0.9, 0.1], [True, False]]),
+         "model section 'factors': transition[1][0] is True: a table must "
+         "hold numbers, not booleans"),
+        (lambda doc: doc["shocks"].__setitem__("probs", ["0.5", True]),
+         "model section 'shocks': probs[1] is True: a table must hold "
+         "numbers, not booleans"),
+        (lambda doc: doc["costs"].__setitem__("buy", [False, 0.003]),
+         "buy[0] is False: a table must hold numbers, not booleans"),
+        (lambda doc: doc["costs"].__setitem__("sell", [0.003, False]),
+         "sell[1] is False: a table must hold numbers, not booleans")],
         ids=["return_0", "return_neg", "return_nan", "return_inf",
              "ragged_returns", "returns_2d", "fixed_nan", "fixed_inf",
-             "fixed_null", "buy_nan", "sell_scalar", "sell_strings"])
+             "fixed_null", "buy_nan", "sell_scalar", "sell_strings",
+             "return_bool", "transition_bool", "probs_bool", "buy_bool",
+             "sell_bool"])
     def test_bad_model_exits_1_naming_the_field(self, tmp_path, capsys,
                                                 command, edit, message):
         # the JSON carries NaN and Infinity literals, which json reads

@@ -84,6 +84,15 @@ class TestCostSpecChecks:
             CostSpec(buy, [0.01, 0.01])
 
     @pytest.mark.parametrize("field", ["buy", "sell"])
+    def test_rates_must_not_be_booleans(self, field):
+        rates = {"buy": [0.01, 0.01], "sell": [0.01, 0.01]}
+        rates[field] = [0.01, False]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field}[1] is False: a table must hold numbers, not "
+                "booleans")):
+            CostSpec(**rates, fixed=0.1)
+
+    @pytest.mark.parametrize("field", ["buy", "sell"])
     @pytest.mark.parametrize("rate", [math.nan, -0.01, 1.0, math.inf])
     def test_rates_must_lie_in_unit_interval(self, field, rate):
         rates = {"buy": [0.01, 0.01], "sell": [0.01, 0.01]}

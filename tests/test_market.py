@@ -91,6 +91,26 @@ class TestReturnChecks:
             MarketModel(transition=[[1.0]], shock_probs=[1.0],
                         returns=returns)
 
+    def test_constructor_refuses_booleans(self):
+        # float() reads JSON true as 1.0, so a boolean return or
+        # probability would pass every later check
+        returns = np.full((2, 2, 2), 1.05).tolist()
+        returns[0][0][0] = True
+        with pytest.raises(ValueError, match=re.escape(
+                "returns[0][0][0] is True: a table must hold numbers, not "
+                "booleans")):
+            MarketModel(transition=np.eye(2), shock_probs=[0.5, 0.5],
+                        returns=returns)
+        with pytest.raises(ValueError, match=re.escape(
+                "transition[0][0] is True: a table must hold numbers")):
+            MarketModel(transition=[[True, False], [0.5, 0.5]],
+                         shock_probs=[0.5, 0.5], returns=np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="shock_probs is a boolean "
+                           "array"):
+            MarketModel(transition=np.eye(2), shock_probs=np.array([True,
+                                                                    False]),
+                        returns=np.ones((2, 2, 2)))
+
     @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2, 1), (2, 2, 0),
                                        (1, 2, 2), (2, 3, 2)])
     def test_constructor_refuses_bad_shape(self, shape):
