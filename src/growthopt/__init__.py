@@ -21,11 +21,11 @@ from .costs import (CostConstants, CostSpec, bisect_e, cost_constants,
                     general_cost_check, min_diminution, min_trade_wealth,
                     proportional_cost, share_cost, solve_e, solve_e_batch)
 from .dp import (bellman_step, build_tables, solve_discounted, span_bound,
-                 span_seminorm, value_gap_check)
+                 span_seminorm)
 from .grid import Policy, StateGrid, ValueFunction, simplex_mesh
 from .market import (ErgodicReport, MarketModel, dobrushin, ergodic_report,
                      expected_log_return, growth_floor, invariant_measure,
-                     mixing_step, sample_factor_paths, step)
+                     mixing_step, sample_factor_paths)
 from .modelio import bundled_model_path, load_model, parse_model_dict
 from .rng import make_rng
 from .simulate import (FixedTargetStrategy, GridPolicyStrategy, GrowthEstimate,

@@ -85,7 +85,10 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     For a fixed-cost spec both discounted problems are solved per discount:
     the proportional one supplies the peak value, the fixed-cost one the
     relative value and the returned policy.  In both, a rebalance must beat
-    holding by more than ``dp.TIE_EPS``.  Returns (report, policy).
+    holding by more than ``dp.TIE_EPS``.  The proportional problem is
+    solved on the fixed-cost tables' wealth-free companion, so the hold-only
+    warm start runs once per discount, in the proportional solve's stage,
+    and serves both.  Returns (report, policy).
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -97,11 +100,17 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
 
     has_fixed = spec.fixed > 0.0
     prop_spec = spec.without_fixed()
-    prop_grid = grid.without_wealth()
     seconds = {}
     clock = time.perf_counter()
-    prop_tables = build_tables(model, prop_spec, prop_grid)
-    fixed_tables = build_tables(model, spec, grid) if has_fixed else None
+    if has_fixed:
+        # the proportional problem runs on the fixed-cost tables' wealth-free
+        # companion, so both solves of a discount share one warm start
+        fixed_tables = build_tables(model, spec, grid)
+        prop_tables = fixed_tables.free
+    else:
+        fixed_tables = None
+        prop_tables = build_tables(model, prop_spec, grid.without_wealth())
+    prop_grid = prop_tables.grid
     seconds["build_tables"] = time.perf_counter() - clock
 
     peak, estimates, w_range, variant_peak = [], [], [], []

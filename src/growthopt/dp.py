@@ -17,6 +17,17 @@ sweeps: one pass over the batch gives the step of every sweep in it, and
 the sweep returned is exactly the one that a check after every sweep
 would return, with the same count and step.
 
+Holding pays no charge and h(p, z) has no wealth axis, so from zero every
+hold-only iterate on a wealth grid is constant along wealth and, in exact
+arithmetic, equal to the iterate without the wealth axis: the lo/hi corner
+blend only re-weights equal values (in floating point the two differ by
+rounding of the blend, which the main sweeps contract away).  The pure-hold
+warm start therefore runs on wealth-free tables, the ``free`` companion of
+the tables of a wealth grid, and is kept there for the next solve at the same
+discount and tolerance: the proportional and the fixed-cost solve of one
+discount share it, and the fixed-cost solve starts from it broadcast along
+wealth.
+
 For zero fixed cost the value carries no wealth axis and the same sweeps
 run on the collapsed grid.  The grid owns the table layout: every value
 table here has shape ``grid.shape`` of the grid it was built on, and
@@ -83,6 +94,10 @@ class DpTables:
     the gather they scale, so a sweep is a few takes and elementwise
     operations, with no index arithmetic.
 
+    Tables of a wealth grid carry ``free``, the tables of the same grid
+    without its wealth axis and of the cost without its fixed charge; the
+    proportional solve and every hold-only warm start run on those.
+
     The buffers are scratch of the kernel, overwritten by every sweep on
     these tables; results read from them must be used before the next one.
     """
@@ -105,6 +120,12 @@ class DpTables:
     # proportional grids: ln of the surviving fraction of a rebalance
     # p -> p', (n_p, n_p), without the sentinel
     ln_e_prop: Optional[np.ndarray] = None
+    # wealth grids: the wealth-free companion, built on grid.without_wealth()
+    # with spec.without_fixed(), on which the hold-only warm start runs
+    free: Optional["DpTables"] = None
+    # wealth-free tables: the last hold-only warm start run on them,
+    # ((beta, stop_tol), values, sweeps)
+    warm: Optional[tuple] = field(default=None, init=False, repr=False)
     # kernel buffers: hold value (grid.shape), rebalance values (shape of
     # move_ln_e), best rebalance value (grid.shape), blended market-step
     # gather (wealth grids)
@@ -191,6 +212,7 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     full = (n_p, n_p, n_x, n_z)
     return DpTables(
         grid=grid, variant="fixed", w_zs=w_zs, h_tab=h_tab,
+        free=build_tables(model, spec.without_fixed(), grid.without_wealth()),
         hold_idx=rows(dia_idx[:, None], stp_j0) * n_z + q,
         hold_w=stacked(1.0 - stp_frac, stp_frac, stp_frac.shape),
         move_rows=rows(np.arange(n_p)[:, None, None], imp_j0),
@@ -354,6 +376,14 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
     cost is solved on the grid, which must then have a wealth axis; one
     without is solved on the grid without its wealth axis.  The policy
     argmax over targets is taken once, on the converged values.
+
+    The hold-only warm start runs on wealth-free tables: ``tables.free``,
+    or the tables themselves when they have no wealth axis.  Its result is
+    kept there, keyed by (beta, stop_tol), so a second solve at the same
+    discount and tolerance on tables sharing it, as the proportional and
+    the fixed-cost solve of ``average.vanishing_discount`` do, runs it
+    once; ``init_iterations`` reports its sweeps either way.  A fixed-cost
+    solve starts its main sweeps from it broadcast along wealth.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
@@ -368,8 +398,16 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
     if not stop_tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    v_init, k_init, _ = _iterate(_hold, np.zeros(grid.shape), beta, stop_tol,
-                                 "hold-only warm start", tables, beta)
+    free = tables if tables.free is None else tables.free
+    key = (beta, stop_tol)
+    if free.warm is None or free.warm[0] != key:
+        v_free, k, _ = _iterate(_hold, np.zeros(free.grid.shape), beta,
+                                stop_tol, "hold-only warm start", free, beta)
+        v_free.setflags(write=False)
+        free.warm = (key, v_free, k)
+    _, v_init, k_init = free.warm
+    if grid.has_wealth_axis:
+        v_init = np.broadcast_to(v_init[:, None, :], grid.shape)
     values, k_main, diff = _iterate(_sweep, v_init, beta, stop_tol,
                                     "value iteration", tables, beta)
 
@@ -412,35 +450,3 @@ def span_bound(model: MarketModel, spec: CostSpec, grid: StateGrid) -> float:
     # move_ln_e, whose sentinel diagonal would make the bound vacuous
     ln_e_min = float(tables.ln_e_prop.min())
     return (n * h_sp - (n + 2) * ln_e_min) / (1.0 - kappa)
-
-
-@dataclass
-class GapReport:
-    """Comparison of proportional and fixed-cost values on shared axes."""
-
-    nonnegative: bool
-    monotone_in_wealth: bool
-    min_gap: float
-    max_gap_per_wealth: np.ndarray
-
-    @property
-    def ok(self) -> bool:
-        return self.nonnegative and self.monotone_in_wealth
-
-
-def value_gap_check(v_fixed: ValueFunction, v_prop: ValueFunction,
-                    slack: float = 1e-6) -> GapReport:
-    """Check prop value >= fixed value and that the gap shrinks with wealth.
-
-    ``slack`` absorbs the value-iteration tolerances of the two solves.
-    """
-    if v_fixed.variant != "fixed" or v_prop.variant != "proportional":
-        raise ValueError("expected a fixed-cost and a proportional value function")
-    gap = v_prop.values[:, None, :] - v_fixed.values  # (n_p, n_x, n_z)
-    worse_with_wealth = np.diff(gap, axis=1).max() if gap.shape[1] > 1 else 0.0
-    return GapReport(
-        nonnegative=bool(gap.min() >= -slack),
-        monotone_in_wealth=bool(worse_with_wealth <= slack),
-        min_gap=float(gap.min()),
-        max_gap_per_wealth=gap.max(axis=(0, 2)),
-    )

@@ -249,29 +249,13 @@ def expected_log_return(model: MarketModel, pi, z: int) -> float:
     return float(model.transition[z] @ (np.log(port) @ model.shock_probs))
 
 
-def step(model: MarketModel, z: int, rng: np.random.Generator):
-    """Draw (z', xi') for one step from factor state ``z``.
-
-    The factor uniform is consumed before the shock uniform; the batched
-    path sampler uses the same order so single steps and whole paths agree
-    draw for draw.
-    """
-    if not 0 <= z < model.n_factors:
-        raise ValueError(f"factor state {z} out of range")
-    cum_p = np.cumsum(model.transition[z])
-    cum_nu = np.cumsum(model.shock_probs)
-    z_next = int(np.searchsorted(cum_p, rng.random(), side="right"))
-    xi_next = int(np.searchsorted(cum_nu, rng.random(), side="right"))
-    return min(z_next, model.n_factors - 1), min(xi_next, model.n_shocks - 1)
-
-
 def sample_factor_paths(model: MarketModel, z0, T: int, rng):
     """Simulate ``len(z0)`` factor/shock paths of length T, vectorized.
 
     ``rng`` is either one Generator shared by all paths or a sequence of
     Generators, one per path; ``_walk`` describes the order in which they
     are drawn.  Path ``i`` of a per-path batch equals a one-path call on
-    ``rng[i]`` and a run of ``step`` on it, draw for draw.
+    ``rng[i]``, draw for draw.
 
     Returns integer arrays z, xi of shape (n, T+1); column 0 holds the
     initial factor states and xi[:, 0] = -1 (no shock arrives at time 0).
@@ -297,7 +281,9 @@ def _walk(model: MarketModel, z0, T: int, rng):
     stores the blocks; ``simulate.ld_tail`` folds each block into running
     sums and drops it, so its memory does not grow with T.  The walk reads
     the last row of ``z`` again for the next block, but never ``xi``, which
-    its consumer may overwrite.
+    its consumer may overwrite.  Every block is written over the previous
+    one, into buffers allocated once per walk, so a consumer must be done
+    with a block before it asks for the next.
 
     Every step consumes a factor uniform and then a shock uniform.  A
     shared Generator draws a block as one (k, 2, n) array (factors of step
@@ -311,21 +297,28 @@ def _walk(model: MarketModel, z0, T: int, rng):
     previous state, and for a whole block at once for the shock, one
     comparison per atom.  On the non-decreasing cumulative rows of a model
     with non-negative probabilities, the last atom could only raise a count
-    from n - 1 to n, which ``step`` clamps back to n - 1, so the count is
-    the clamped ``searchsorted(..., side="right")`` index that ``step``
-    draws.
+    from n - 1 to n, so the count is the ``searchsorted(..., side="right")``
+    index of the uniform in the full cumulative row, clamped to n - 1: the
+    draw of one step taken alone.
     """
     n = z0.shape[0]
+    k_max = max(1, min(T, DRAW_BUDGET // max(1, 2 * n)))
+    # a walk of many paths has one-step blocks: fresh arrays of its width
+    # every step made a step's cost hang on whether the allocator kept or
+    # returned their memory, which page faults then paid for
+    u_buf = np.empty((k_max, 2, n))
+    z_buf = np.empty((k_max, n), dtype=np.int64)
+    xi_buf = np.empty((k_max, n), dtype=np.int64)
     if isinstance(rng, np.random.Generator):
         def draw(k):
-            return rng.random((k, 2, n))
+            return rng.random(out=u_buf[:k])
     else:
         rngs = list(rng)
         if len(rngs) != n:
             raise ValueError(f"need one generator per path: {len(rngs)} for {n}")
 
         def draw(k):
-            u = np.empty((k, 2, n))
+            u = u_buf[:k]
             for c, r in enumerate(rngs):
                 u[:, :, c] = r.random((k, 2))
             return u
@@ -333,17 +326,17 @@ def _walk(model: MarketModel, z0, T: int, rng):
     # counts down the short factor axis, the same counts as along rows
     cum_pT = np.cumsum(model.transition, axis=1)[:, :-1].T
     cum_nu = np.cumsum(model.shock_probs)[:-1]
-    k_max = max(1, DRAW_BUDGET // max(1, 2 * n))
     prev = z0
     for t0 in range(1, T + 1, k_max):
         k = min(k_max, T + 1 - t0)
         u = draw(k)
         # shocks are i.i.d., so a whole block is sampled at once
         u_xi = u[:, 1]
-        xi = np.zeros((k, n), dtype=np.int64)
+        xi = xi_buf[:k]
+        xi.fill(0)
         for c in cum_nu:
             np.add(xi, u_xi >= c, out=xi)
-        z = np.empty((k, n), dtype=np.int64)
+        z = z_buf[:k]
         for j in range(k):
             hits = u[j, 0] >= cum_pT.take(prev, axis=1)
             # np.add.reduce with the count's dtype: np.sum(hits, out=...)

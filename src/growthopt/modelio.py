@@ -247,25 +247,6 @@ def trajectory_csv(traj) -> str:
     return buf.getvalue()
 
 
-def read_trajectory_csv(path: str) -> dict:
-    """Load a trajectory dump as a dict of column arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        cols = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.array(rows)
-    out = {}
-    d = sum(1 for c in cols if c.startswith("pi_prev_"))
-    for name in ("t", "z", "xi"):
-        out[name] = data[:, cols.index(name)].astype(np.int64)
-    out["pi_prev"] = data[:, cols.index("pi_prev_0"):cols.index("pi_prev_0") + d]
-    out["pi"] = data[:, cols.index("pi_0"):cols.index("pi_0") + d]
-    out["transacted"] = data[:, cols.index("transacted")].astype(bool)
-    for name in ("e_applied", "x_prev", "x"):
-        out[name] = data[:, cols.index(name)]
-    return out
-
-
 def ld_tail_csv(result) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

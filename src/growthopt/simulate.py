@@ -425,12 +425,17 @@ def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int, seed: int,
     tail = dict.fromkeys(T_grid)
     # a sequential sum, as np.cumsum along time: the same bits per horizon
     csum = np.zeros(n_paths)
+    lr_buf = None
     for t0, z, xi in _walk(model, z_init, T_grid[-1], rng):
         # one flat gather per block, at indices made in place in the shock
         # states, which the walk does not read again
         xi *= model.n_factors
         xi += z
-        for t, lr in enumerate(log_floor.take(xi), start=t0):
+        # into one buffer, as the walk writes its blocks
+        if lr_buf is None:
+            lr_buf = np.empty(xi.shape)
+        lrs = log_floor.take(xi, out=lr_buf[:len(xi)])
+        for t, lr in enumerate(lrs, start=t0):
             csum += lr
             if t in tail:
                 tail[t] = float(np.mean(csum / t <= threshold))

@@ -360,9 +360,27 @@ def oracle_trajectory_csv(traj):
     return buf.getvalue()
 
 
+def read_trajectory_csv(path: str) -> dict:
+    """Load a trajectory dump as a dict of column arrays."""
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        cols = next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    data = np.array(rows)
+    out = {}
+    d = sum(1 for c in cols if c.startswith("pi_prev_"))
+    for name in ("t", "z", "xi"):
+        out[name] = data[:, cols.index(name)].astype(np.int64)
+    out["pi_prev"] = data[:, cols.index("pi_prev_0"):cols.index("pi_prev_0") + d]
+    out["pi"] = data[:, cols.index("pi_0"):cols.index("pi_0") + d]
+    out["transacted"] = data[:, cols.index("transacted")].astype(bool)
+    for name in ("e_applied", "x_prev", "x"):
+        out[name] = data[:, cols.index(name)]
+    return out
+
+
 class TestTrajectoryArtifact:
     def test_csv_round_trip(self, optimal_dir):
-        from growthopt.modelio import read_trajectory_csv
         model_path = str(optimal_dir / "model.json")
         assert main(["--model", model_path, "--output-dir",
                      str(optimal_dir / "traj"), "--T", "100", "--n-paths", "2",
@@ -495,7 +513,7 @@ class TestOptimalSettings:
         return tmp_path / out
 
     def test_tables_built_once_per_variant(self, tmp_path, monkeypatch):
-        from growthopt import average
+        from growthopt import average, dp
         calls = []
         build = average.build_tables
 
@@ -503,9 +521,51 @@ class TestOptimalSettings:
             calls.append(spec.fixed > 0)
             return build(model, spec, grid)
 
+        # the wealth-free tables are built inside dp, as the companion of
+        # the fixed-cost ones
         monkeypatch.setattr(average, "build_tables", counted)
+        monkeypatch.setattr(dp, "build_tables", counted)
         self.run_optimal(tmp_path, "out", {})
         assert sorted(calls) == [False, True]
+
+    def test_one_wealth_free_warm_start_per_beta(self, tmp_path, monkeypatch):
+        # holding pays no charge, so the hold-only iteration has no wealth
+        # axis: it runs once per discount, on the wealth-free tables, and
+        # serves both the proportional and the fixed-cost solve
+        from growthopt import dp
+        iterate, hold = dp._iterate, dp._hold
+        warm, warm_ndims, inside = [], [], []
+
+        def spy_iterate(update, v, beta, stop_tol, what, *args):
+            if what != "hold-only warm start":
+                return iterate(update, v, beta, stop_tol, what, *args)
+            warm.append((beta, np.ndim(v)))
+            inside.append(True)
+            try:
+                return iterate(update, v, beta, stop_tol, what, *args)
+            finally:
+                inside.pop()
+
+        def spy_hold(values, *args):
+            if inside:
+                warm_ndims.append(np.ndim(values))
+            return hold(values, *args)
+
+        monkeypatch.setattr(dp, "_iterate", spy_iterate)
+        monkeypatch.setattr(dp, "_hold", spy_hold)
+        betas = [0.9, 0.95, 0.99]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"simplex_order": 4},
+                                   "betas": betas}))
+        assert main(["--config", str(cfg)] + base_args(tmp_path)
+                    + ["optimal"]) == 0
+        assert warm == [(b, 2) for b in betas]
+        assert warm_ndims and set(warm_ndims) == {2}
+        doc = json.loads((tmp_path / "out" / "optimal.json").read_text())
+        counts = doc["diagnostics"]["warm_iterations"]
+        assert list(counts) == [str(b) for b in betas]
+        for k_prop, k_fixed in counts.values():
+            assert type(k_prop) is int and k_prop == k_fixed > 0
 
 
 class TestConfigKeys:

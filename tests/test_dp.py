@@ -2,18 +2,19 @@
 
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from conftest import random_model
-from dp_oracle import (impulse_operator, oracle_branches, oracle_solve,
-                       oracle_tables, per_sweep_iterate)
+from dp_oracle import (impulse_operator, oracle_branches,
+                       oracle_continuation_fixed, oracle_continuation_prop,
+                       oracle_solve, oracle_tables, per_sweep_iterate)
 from growthopt import (CostSpec, MarketModel, StateGrid, ValueFunction,
                        bellman_step, build_tables, bundled_model_path,
                        expected_log_return, load_model, solve_discounted,
-                       solve_e, solve_e_batch, span_bound, span_seminorm,
-                       value_gap_check)
+                       solve_e, solve_e_batch, span_bound, span_seminorm)
 from growthopt import dp
 
 
@@ -516,6 +517,38 @@ class TestSpan:
             assert span_seminorm(vf) <= bound
 
 
+@dataclass
+class GapReport:
+    """Comparison of proportional and fixed-cost values on shared axes."""
+
+    nonnegative: bool
+    monotone_in_wealth: bool
+    min_gap: float
+    max_gap_per_wealth: np.ndarray
+
+    @property
+    def ok(self) -> bool:
+        return self.nonnegative and self.monotone_in_wealth
+
+
+def value_gap_check(v_fixed: ValueFunction, v_prop: ValueFunction,
+                    slack: float = 1e-6) -> GapReport:
+    """Check prop value >= fixed value and that the gap shrinks with wealth.
+
+    ``slack`` absorbs the value-iteration tolerances of the two solves.
+    """
+    if v_fixed.variant != "fixed" or v_prop.variant != "proportional":
+        raise ValueError("expected a fixed-cost and a proportional value function")
+    gap = v_prop.values[:, None, :] - v_fixed.values  # (n_p, n_x, n_z)
+    worse_with_wealth = np.diff(gap, axis=1).max() if gap.shape[1] > 1 else 0.0
+    return GapReport(
+        nonnegative=bool(gap.min() >= -slack),
+        monotone_in_wealth=bool(worse_with_wealth <= slack),
+        min_gap=float(gap.min()),
+        max_gap_per_wealth=gap.max(axis=(0, 2)),
+    )
+
+
 class TestValueGap:
     def test_zero_fixed_cost_zero_gap(self, model2):
         spec = CostSpec(buy=[0.01, 0.01], sell=[0.01, 0.01], fixed=0.0)
@@ -611,3 +644,61 @@ class TestKernelsMatchReference:
             assert np.array_equal(pol.impulse, impulse)
             assert np.array_equal(pol.target, target)
             assert (rep.init_iterations, rep.iterations) == (k_init, k_main)
+
+
+class TestWealthFreeWarmStart:
+    """Holding pays no charge and h has no wealth axis, so from zero every
+    hold-only iterate on a wealth grid is constant along wealth and equals
+    the wealth-free iterate; the solver runs the warm start without the
+    wealth axis and broadcasts it."""
+
+    @pytest.mark.parametrize("x_min, x_max, n_x", [(1e-3, 1e4, 16),
+                                                   (0.99, 1.01, 4)],
+                             ids=["acceptance", "clamped"])
+    def test_fixed_grid_hold_iteration_is_the_broadcast(self, model2, spec2,
+                                                        x_min, x_max, n_x):
+        grid = StateGrid.build(2, 8, 2, x_min=x_min, x_max=x_max, n_x=n_x)
+        flat = grid.without_wealth()
+        port = np.einsum("pd,qsd->pqs", grid.nodes, model2.returns)
+        x_step = grid.wealth[None, :, None, None] * port[:, None]
+        # market steps leave the wealth range at both ends, where the
+        # gathers clamp
+        assert (x_step < x_min).any() and (x_step > x_max).any()
+        t = oracle_tables(model2, spec2, grid)
+        t_flat = oracle_tables(model2, spec2, flat)
+        tables = build_tables(model2, spec2, grid)
+        for beta in (0.9, 0.99):
+            stop_tol = 1e-7 * (1.0 - beta) / beta
+            v_fix, k_fix, _ = per_sweep_iterate(
+                lambda v: oracle_continuation_fixed(v, t, beta),
+                np.zeros(grid.shape), beta, stop_tol, "fixed-grid hold")
+            v_free, k_free, _ = per_sweep_iterate(
+                lambda v: oracle_continuation_prop(v, t_flat, beta),
+                np.zeros(flat.shape), beta, stop_tol, "wealth-free hold")
+            assert k_fix == k_free
+            gap = np.abs(v_fix - v_free[:, None, :]).max()
+            assert gap <= 1e-12 * np.abs(v_fix).max()
+            _, _, rep = solve_discounted(model2, spec2, grid, beta, tol=1e-7,
+                                         tables=tables)
+            assert rep.init_iterations == k_fix
+            key, v_warm, k_warm = tables.free.warm
+            assert key == (beta, stop_tol) and k_warm == k_fix
+            assert np.array_equal(v_warm, v_free)
+
+    def test_kept_warm_start_is_keyed_by_beta_and_tol(self, model2, spec2):
+        # solves that share tables reuse the warm start only at the same
+        # (beta, tol); every solve equals one on tables of its own
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        tables = build_tables(model2, spec2, grid)
+        for beta, tol in [(0.9, 1e-7), (0.9, 1e-5), (0.95, 1e-5),
+                          (0.9, 1e-7)]:
+            for s, t in [(spec2.without_fixed(), tables.free),
+                         (spec2, tables)]:
+                vf, pol, rep = solve_discounted(model2, s, t.grid, beta,
+                                                tol=tol, tables=t)
+                vf1, pol1, rep1 = solve_discounted(model2, s, grid, beta,
+                                                   tol=tol)
+                assert np.array_equal(vf.values, vf1.values)
+                assert np.array_equal(pol.target, pol1.target)
+                assert (rep.init_iterations, rep.iterations) == (
+                    rep1.init_iterations, rep1.iterations)

@@ -11,8 +11,7 @@ import pytest
 from growthopt import (CostSpec, MarketModel, NoTransactionStrategy,
                        bundled_model_path, dobrushin, ergodic_report,
                        expected_log_return, growth_floor, invariant_measure,
-                       load_model, make_rng, mixing_step, sample_factor_paths,
-                       step)
+                       load_model, make_rng, mixing_step, sample_factor_paths)
 from growthopt.cli import main
 from growthopt.market import DRAW_BUDGET
 from growthopt.simulate import run
@@ -293,6 +292,22 @@ class TestExpectedLogReturn:
         m = two_state()
         with pytest.raises(ValueError):
             expected_log_return(m, [0.7, 0.7], 0)
+
+
+def step(model: MarketModel, z: int, rng: np.random.Generator):
+    """Scalar draw oracle: (z', xi') for one step from factor state ``z``.
+
+    The factor uniform is consumed before the shock uniform; the batched
+    path sampler uses the same order so single steps and whole paths agree
+    draw for draw.
+    """
+    if not 0 <= z < model.n_factors:
+        raise ValueError(f"factor state {z} out of range")
+    cum_p = np.cumsum(model.transition[z])
+    cum_nu = np.cumsum(model.shock_probs)
+    z_next = int(np.searchsorted(cum_p, rng.random(), side="right"))
+    xi_next = int(np.searchsorted(cum_nu, rng.random(), side="right"))
+    return min(z_next, model.n_factors - 1), min(xi_next, model.n_shocks - 1)
 
 
 class TestStep:
