@@ -99,18 +99,12 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
         raise ValueError("betas must be strictly ascending")
 
     has_fixed = spec.fixed > 0.0
-    prop_spec = spec.without_fixed()
     seconds = {}
     clock = time.perf_counter()
-    if has_fixed:
-        # the proportional problem runs on the fixed-cost tables' wealth-free
-        # companion, so both solves of a discount share one warm start
-        fixed_tables = build_tables(model, spec, grid)
-        prop_tables = fixed_tables.free
-    else:
-        fixed_tables = None
-        prop_tables = build_tables(model, prop_spec, grid.without_wealth())
-    prop_grid = prop_tables.grid
+    tables = build_tables(model, spec, grid)
+    # the proportional problem of a fixed charge runs on the tables'
+    # wealth-free companion, so both solves of a discount share one warm start
+    prop_tables = tables.free or tables
     seconds["build_tables"] = time.perf_counter() - clock
 
     peak, estimates, w_range, variant_peak = [], [], [], []
@@ -120,14 +114,12 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     change_fraction = float("nan")
     for beta in betas:
         clock = time.perf_counter()
-        v_prop, pol_prop, rep_p = solve_discounted(
-            model, prop_spec, prop_grid, beta, tol=tol, tables=prop_tables)
+        v_prop, pol_prop, rep_p = solve_discounted(prop_tables, beta, tol=tol)
         seconds[f"solve.proportional.{beta}"] = time.perf_counter() - clock
         m_beta = float(v_prop.values.max())
         if has_fixed:
             clock = time.perf_counter()
-            v_fix, pol_fix, rep_f = solve_discounted(
-                model, spec, grid, beta, tol=tol, tables=fixed_tables)
+            v_fix, pol_fix, rep_f = solve_discounted(tables, beta, tol=tol)
             seconds[f"solve.fixed.{beta}"] = time.perf_counter() - clock
             w = m_beta - v_fix.values
             policy = pol_fix
@@ -187,7 +179,7 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
         prop_value=last["v_prop"],
         fixed_value=last["v_fix"],
         relative_value=last["w"],
-        tables=fixed_tables if has_fixed else prop_tables,
+        tables=tables,
         stage_seconds=seconds,
     )
     return report, final_policy
@@ -206,20 +198,18 @@ class ResidualReport:
 
 
 def bellman_residual(policy: Policy, w: np.ndarray, growth_rate: float,
-                     model: MarketModel, spec: CostSpec,
-                     tables: Optional[DpTables] = None) -> ResidualReport:
+                     tables: DpTables) -> ResidualReport:
     """Slack of reward(action) + w - E_q w - growth_rate at every state.
 
-    ``w`` is the nonnegative relative value (peak minus value).  The slack
+    ``tables`` describe the problem the policy was solved for, as built by
+    ``build_tables``; tables built for another shape are refused.  ``w`` is
+    the nonnegative relative value (peak minus value).  The slack
     realizes the limit stationarity inequality; plugging in the greedy
     solution of a discounted problem makes it exactly minus (1-beta) times
     the expected relative value, so it approaches zero from below as the
     discount schedule tightens and acceptance thresholds should budget for
     (1-beta) times the largest relative value.
     """
-    grid = policy.grid
-    if tables is None:
-        tables = build_tables(model, spec, grid)
     w = np.asarray(w, dtype=float)
     if w.shape != policy.impulse.shape:
         raise ValueError("relative value and policy shapes disagree")

@@ -105,12 +105,10 @@ def _load_config(args) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if not doc:
-            raise SystemExit(2)
         cfg = RunConfig(**_config_fields(doc))
     for name in ("model", "output_dir", "seed", "T", "n_paths", "mesh_order",
                  "x_max"):
-        val = getattr(args, name.replace("-", "_"), None)
+        val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, "model_path" if name == "model" else name, val)
     cfg.validate_fields()
@@ -247,8 +245,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig, beta: float) -> int:
     runner = Runner(cfg, "solve")
     with runner.stage("solve"):
-        vf, pol, rep = dp.solve_discounted(runner.model, runner.spec,
-                                           runner.grid(), beta, tol=cfg.tol)
+        tables = dp.build_tables(runner.model, runner.spec, runner.grid())
+        vf, pol, rep = dp.solve_discounted(tables, beta, tol=cfg.tol)
     modelio.dump_solution(vf, pol, runner.out("value_beta"), runner.model_hash,
                           seed=cfg.seed)
     runner.register("value_beta.csv")
@@ -284,8 +282,7 @@ def cmd_optimal(cfg: RunConfig) -> int:
         runner.register("policy_prop.json")
     with runner.stage("residual"):
         residual = average.bellman_residual(policy, report.relative_value,
-                                            report.growth_rate, runner.model,
-                                            runner.spec, tables=report.tables)
+                                            report.growth_rate, report.tables)
     doc = report.to_json_dict()
     doc["policy_ref"] = "policy"
     doc["residual_summary"] = {"min_slack": residual.min_slack,

@@ -28,12 +28,15 @@ discount and tolerance: the proportional and the fixed-cost solve of one
 discount share it, and the fixed-cost solve starts from it broadcast along
 wealth.
 
-For zero fixed cost the value carries no wealth axis and the same sweeps
-run on the collapsed grid.  The grid owns the table layout: every value
-table here has shape ``grid.shape`` of the grid it was built on, and
-``DpTables.variant`` names the layout of its gathers.
+``build_tables(model, spec, grid)`` alone maps a cost to its grid: a fixed
+charge needs the wealth axis, and a spec without one is built on
+``grid.without_wealth()``.  Its ``DpTables`` are the one description of a
+discounted problem, all that ``solve_discounted(tables, beta)``,
+``bellman_step(v, tables)`` and ``average.bellman_residual`` take.  Every
+value table has shape ``tables.grid.shape``; ``DpTables.variant`` names the
+layout of the gathers.
 
-``build_tables`` resolves the discretization once per grid into gather
+``build_tables`` resolves the discretization once per problem into gather
 tables: positions of the wealth corners reached by every market step and
 every rebalance, with their interpolation weights and ln e broadcast to
 the gathered shape.  One buffered, target-major kernel runs every sweep,
@@ -94,9 +97,9 @@ class DpTables:
     the gather they scale, so a sweep is a few takes and elementwise
     operations, with no index arithmetic.
 
-    Tables of a wealth grid carry ``free``, the tables of the same grid
-    without its wealth axis and of the cost without its fixed charge; the
-    proportional solve and every hold-only warm start run on those.
+    Tables of a fixed charge carry ``free``, the tables of the cost
+    without it, so on the grid without its wealth axis; the proportional
+    solve and every hold-only warm start run on those.
 
     The buffers are scratch of the kernel, overwritten by every sweep on
     these tables; results read from them must be used before the next one.
@@ -120,8 +123,8 @@ class DpTables:
     # proportional grids: ln of the surviving fraction of a rebalance
     # p -> p', (n_p, n_p), without the sentinel
     ln_e_prop: Optional[np.ndarray] = None
-    # wealth grids: the wealth-free companion, built on grid.without_wealth()
-    # with spec.without_fixed(), on which the hold-only warm start runs
+    # wealth grids: the wealth-free companion, built with
+    # spec.without_fixed(), on which the hold-only warm start runs
     free: Optional["DpTables"] = None
     # wealth-free tables: the last hold-only warm start run on them,
     # ((beta, stop_tol), values, sweeps)
@@ -159,6 +162,13 @@ def _sentinel_diagonal(ln_e):
 
 
 def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTables:
+    """Tables of the discounted problem of ``spec``: on ``grid`` (with a
+    wealth axis) for a fixed charge, else on ``grid.without_wealth()``."""
+    if spec.fixed > 0.0:
+        if not grid.has_wealth_axis:
+            raise ValueError("fixed-cost problems need a wealth axis on the grid")
+    elif grid.has_wealth_axis:
+        grid = grid.without_wealth()
     if grid.n_assets != model.n_assets or grid.n_assets != spec.n_assets:
         raise ValueError("model, cost spec and grid disagree on asset count")
     if grid.n_z != model.n_factors:
@@ -176,7 +186,7 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     new = np.tile(nodes, (n_p, 1))
 
     if not grid.has_wealth_axis:
-        ln_e = np.log(solve_e_batch(spec.without_fixed(), prev, new,
+        ln_e = np.log(solve_e_batch(spec, prev, new,
                                     np.ones(n_p * n_p)).reshape(n_p, n_p))
         move_ln_e = np.repeat(_sentinel_diagonal(ln_e)[..., None], n_z, axis=2)
         return DpTables(grid=grid, variant="proportional", w_zs=w_zs,
@@ -212,7 +222,7 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     full = (n_p, n_p, n_x, n_z)
     return DpTables(
         grid=grid, variant="fixed", w_zs=w_zs, h_tab=h_tab,
-        free=build_tables(model, spec.without_fixed(), grid.without_wealth()),
+        free=build_tables(model, spec.without_fixed(), grid),
         hold_idx=rows(dia_idx[:, None], stp_j0) * n_z + q,
         hold_w=stacked(1.0 - stp_frac, stp_frac, stp_frac.shape),
         move_rows=rows(np.arange(n_p)[:, None, None], imp_j0),
@@ -285,15 +295,11 @@ def _require_fit(values, t: DpTables, what: str):
                          f"tables built for shape {t.grid.shape}")
 
 
-def bellman_step(v: ValueFunction, model: MarketModel, spec: CostSpec,
-                 tables: Optional[DpTables] = None) -> ValueFunction:
-    """One application of the two-branch Bellman operator.
+def bellman_step(v: ValueFunction, tables: DpTables) -> ValueFunction:
+    """One application of the two-branch Bellman operator of ``tables``.
 
-    Tables are built on the values' own grid; tables built for values of
-    another shape are refused.
+    Tables built for values of another shape are refused.
     """
-    if tables is None:
-        tables = build_tables(model, spec, v.grid)
     _require_fit(v.values, tables, f"{v.variant} values")
     return v.copy_with(_sweep(v.values, tables, v.beta,
                               np.empty(tables.grid.shape)))
@@ -302,13 +308,11 @@ def bellman_step(v: ValueFunction, model: MarketModel, spec: CostSpec,
 @dataclass
 class IterationReport:
     beta: float
-    tol: float
     variant: str
     init_iterations: int
     iterations: int
     final_diff: float
     error_bound: float
-    h_inf: float
 
 
 def _iterate(update, v, beta, stop_tol, what, *args):
@@ -367,15 +371,12 @@ def _iterate(update, v, beta, stop_tol, what, *args):
         n = min(n_max, math.floor(cap) + 1 - k)
 
 
-def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
-                     beta: float, tol: float = 1e-6,
-                     tables: Optional[DpTables] = None):
+def solve_discounted(tables: DpTables, beta: float, tol: float = 1e-6):
     """Value iteration to the discounted fixed point, with greedy policy.
 
-    Returns (ValueFunction, Policy, IterationReport).  A spec with a fixed
-    cost is solved on the grid, which must then have a wealth axis; one
-    without is solved on the grid without its wealth axis.  The policy
-    argmax over targets is taken once, on the converged values.
+    Returns (ValueFunction, Policy, IterationReport) on ``tables.grid``,
+    the grid that ``build_tables`` chose for the cost.  The policy argmax
+    over targets is taken once, on the converged values.
 
     The hold-only warm start runs on wealth-free tables: ``tables.free``,
     or the tables themselves when they have no wealth axis.  Its result is
@@ -387,18 +388,12 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    if spec.fixed > 0.0:
-        if not grid.has_wealth_axis:
-            raise ValueError("fixed-cost problems need a wealth axis on the grid")
-    elif grid.has_wealth_axis:
-        grid = grid.without_wealth()
-    if tables is None or tables.grid is not grid:
-        tables = build_tables(model, spec, grid)
     stop_tol = tol * (1.0 - beta) / beta
     if not stop_tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    free = tables if tables.free is None else tables.free
+    grid = tables.grid
+    free = tables.free or tables
     key = (beta, stop_tol)
     if free.warm is None or free.warm[0] != key:
         v_free, k, _ = _iterate(_hold, np.zeros(free.grid.shape), beta,
@@ -418,10 +413,9 @@ def solve_discounted(model: MarketModel, spec: CostSpec, grid: StateGrid,
     vf = ValueFunction(grid=grid, values=values, beta=beta)
     pol = Policy(grid=grid, impulse=impulse, target=target, beta=beta)
     report = IterationReport(
-        beta=beta, tol=tol, variant=tables.variant, init_iterations=k_init,
+        beta=beta, variant=tables.variant, init_iterations=k_init,
         iterations=k_main, final_diff=diff,
         error_bound=diff * beta / (1.0 - beta),
-        h_inf=float(np.abs(tables.h_tab).max()),
     )
     return vf, pol, report
 
@@ -444,7 +438,7 @@ def span_bound(model: MarketModel, spec: CostSpec, grid: StateGrid) -> float:
     n, kappa = mixing_step(model)
     if n is None:
         raise RuntimeError("factor chain does not mix; span bound undefined")
-    tables = build_tables(model, spec.without_fixed(), grid.without_wealth())
+    tables = build_tables(model, spec.without_fixed(), grid)
     h_sp = float(tables.h_tab.max() - tables.h_tab.min())
     # the worst drag of a real rebalance: ln_e_prop, not the sweeps'
     # move_ln_e, whose sentinel diagonal would make the bound vacuous

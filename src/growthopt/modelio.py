@@ -61,6 +61,18 @@ def _key(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _positive(doc: dict, key: str, where: str, kind=int):
+    """``doc[key]``, or a ValueError naming the key unless it is a positive
+    integer (``kind`` int) or a positive number (``kind`` float)."""
+    val = _key(doc, key, where)
+    if (isinstance(val, bool) or not isinstance(val, (int, kind))
+            or not val > 0):
+        what = "integer" if kind is int else "number"
+        raise ValueError(f"{where}: key {key!r} must be a positive {what}, "
+                         f"got {val!r}")
+    return val
+
+
 def parse_model_dict(doc: dict):
     """Build (MarketModel, CostSpec or None) from a parsed model document."""
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k, {}), dict)
@@ -173,6 +185,8 @@ def load_policy(path_base: str) -> Policy:
     The header's grid spec decides the table shape.  Every CSV row must name
     one state of that grid by in-range indices (a blank wealth index where
     the grid has no wealth axis), and every state must appear exactly once.
+    Anything else is refused with a ValueError naming the file, and the key
+    or line where there is one.
     """
     header_path = path_base + ".json"
     with open(header_path, "r", encoding="utf-8") as fh:
@@ -180,22 +194,28 @@ def load_policy(path_base: str) -> Policy:
     g = _key(header, "grid", header_path)
     beta = _key(header, "beta", header_path)
     in_grid = f"{header_path} section 'grid'"
-    n_assets, mesh_order, n_z = (
-        _key(g, k, in_grid) for k in ("n_assets", "mesh_order", "n_z"))
-    x_min = x_max = n_x = None
+    spec = {k: _positive(g, k, in_grid)
+            for k in ("n_assets", "mesh_order", "n_z")}
     if g.get("wealth") is not None:
-        x_min, x_max, n_x = (
-            _key(g["wealth"], k, f"{header_path} section 'grid.wealth'")
-            for k in ("x_min", "x_max", "n_x"))
-    grid = StateGrid.build(n_assets=n_assets, mesh_order=mesh_order, n_z=n_z,
-                           x_min=x_min, x_max=x_max, n_x=n_x)
+        in_wealth = f"{header_path} section 'grid.wealth'"
+        spec.update((k, _positive(g["wealth"], k, in_wealth, kind)) for k, kind
+                    in (("x_min", float), ("x_max", float), ("n_x", int)))
+    try:
+        grid = StateGrid.build(**spec)
+    except ValueError as exc:
+        raise ValueError(f"{in_grid}: {exc}") from None
     impulse = np.zeros(grid.shape, dtype=bool)
     target = np.zeros(grid.shape, dtype=np.int64)
     seen = np.zeros(grid.shape, dtype=bool)
     path = path_base + ".csv"
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        cols = next(reader)
+        cols = next(reader, None)
+        if cols is None:
+            raise ValueError(f"{path}: empty, no header row")
+        for col in ("target_0", "impulse"):
+            if col not in cols:
+                raise ValueError(f"{path}: header has no {col!r} column")
         d = grid.n_assets
         tgt_at, imp_at = cols.index("target_0"), cols.index("impulse")
         for row in reader:

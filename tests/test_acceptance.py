@@ -127,7 +127,8 @@ def test_criterion_3_discounted_solver_oracle(bundle):
     free = go.CostSpec(buy=[0.0, 0.0], sell=[0.0, 0.0], fixed=0.0)
     grid = go.StateGrid.build(2, 8, 2)
     beta = 0.95
-    vf, _, _ = go.solve_discounted(model, free, grid, beta, tol=1e-8)
+    vf, _, _ = go.solve_discounted(go.build_tables(model, free, grid),
+                                   beta, tol=1e-8)
     # independent oracle: free rebalancing collapses the state to the factor
     h = np.array([[go.expected_log_return(model, node, z) for z in range(2)]
                   for node in grid.nodes])
@@ -141,10 +142,8 @@ def test_criterion_3_discounted_solver_oracle(bundle):
     contraction_ok = True
     for _ in range(100):
         a, b = rng.normal(size=(2, grid.n_nodes, 2))
-        ta = go.bellman_step(go.ValueFunction(grid, a, beta), model, free,
-                             tables).values
-        tb = go.bellman_step(go.ValueFunction(grid, b, beta), model, free,
-                             tables).values
+        ta = go.bellman_step(go.ValueFunction(grid, a, beta), tables).values
+        tb = go.bellman_step(go.ValueFunction(grid, b, beta), tables).values
         if np.abs(ta - tb).max() > beta * np.abs(a - b).max() + 1e-12:
             contraction_ok = False
     ok = sup_gap <= 1e-6 and contraction_ok
@@ -156,9 +155,9 @@ def test_criterion_4_span_bound(bundle, grid_main):
     model, spec = bundle
     bound = go.span_bound(model, spec, grid_main)
     spans, sups = [], []
+    tables = go.build_tables(model, spec.without_fixed(), grid_main)
     for beta in (0.9, 0.99, 0.999, 0.9999):
-        vf, _, _ = go.solve_discounted(model, spec.without_fixed(), grid_main,
-                                       beta, tol=1e-3)
+        vf, _, _ = go.solve_discounted(tables, beta, tol=1e-3)
         spans.append(go.span_seminorm(vf))
         sups.append(vf.sup_norm())
     blow_up = all(a < b for a, b in zip(sups, sups[1:]))

@@ -122,7 +122,7 @@ def residual_cases(two_asset):
         "acceptance": (pol, rep.relative_value, rep.growth_rate, model, spec,
                        rep.tables),
         "acceptance_prop": (rep.prop_policy, w_prop, rep.growth_rate, model,
-                            spec, None),
+                            spec, rep.tables.free),
         "rate_plus_0.01": (pol, rep.relative_value, rep.growth_rate + 0.01,
                            model, spec, rep.tables),
     }
@@ -130,14 +130,14 @@ def residual_cases(two_asset):
     grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
     rep, pol = vanishing_discount(model, max_spec, grid, [0.9, 0.99], tol=1e-6)
     cases["max_variant"] = (pol, rep.relative_value, rep.growth_rate, model,
-                            max_spec, None)
+                            max_spec, rep.tables)
     model3 = random_model(np.random.default_rng(7), n_z=3, d=3)
     spec3 = CostSpec(buy=[0.01, 0.02, 0.015], sell=[0.02, 0.01, 0.005],
                      fixed=0.05)
     grid = StateGrid.build(3, 3, 3, x_min=1e-2, x_max=1e3, n_x=6)
     rep, pol = vanishing_discount(model3, spec3, grid, [0.9, 0.95], tol=1e-6)
     cases["three_assets"] = (pol, rep.relative_value, rep.growth_rate, model3,
-                             spec3, None)
+                             spec3, rep.tables)
     return cases
 
 
@@ -149,7 +149,7 @@ class TestBellmanResidual:
         policy, w, rate, model, spec, tables = residual_cases[name]
         # both branches occur, so both gathers are compared
         assert policy.impulse.any() and not policy.impulse.all()
-        res = bellman_residual(policy, w, rate, model, spec, tables=tables)
+        res = bellman_residual(policy, w, rate, tables)
         ref = oracle_bellman_residual(policy, w, rate, model, spec)
         assert np.abs(res.slack - ref).max() <= 1e-12
 
@@ -159,15 +159,14 @@ class TestBellmanResidual:
         flat = build_tables(model, spec.without_fixed(),
                             policy.grid.without_wealth())
         with pytest.raises(ValueError, match="with a wealth axis"):
-            bellman_residual(policy, w, rate, model, spec, tables=flat)
+            bellman_residual(policy, w, rate, flat)
         with pytest.raises(ValueError, match="without a wealth axis"):
-            bellman_residual(prop_policy, w_prop, rate, model, spec,
-                             tables=tables)
+            bellman_residual(prop_policy, w_prop, rate, tables)
         coarse = build_tables(model, spec, StateGrid.build(
             2, 8, 2, x_min=1e-3, x_max=1e4, n_x=4))
         with pytest.raises(ValueError, match=r"\(9, 16, 2\) do not fit "
                            r"tables built for shape \(9, 4, 2\)"):
-            bellman_residual(policy, w, rate, model, spec, tables=coarse)
+            bellman_residual(policy, w, rate, coarse)
 
     def test_single_state_slack_zero(self, single_asset_model):
         spec = CostSpec(buy=[0.01], sell=[0.01], fixed=0.0)
@@ -175,7 +174,8 @@ class TestBellmanResidual:
         report, policy = vanishing_discount(single_asset_model, spec, grid,
                                             [0.9, 0.99], tol=1e-9)
         res = bellman_residual(policy, report.relative_value,
-                               report.growth_rate, single_asset_model, spec)
+                               report.growth_rate,
+                               build_tables(single_asset_model, spec, grid))
         assert abs(res.min_slack) <= 1e-8
         assert abs(res.mean_slack) <= 1e-8
 
@@ -187,7 +187,8 @@ class TestBellmanResidual:
         report, policy = vanishing_discount(model2, spec, grid,
                                             [0.999, 0.9999], tol=1e-7)
         res = bellman_residual(policy, report.relative_value,
-                               report.growth_rate, model2, spec)
+                               report.growth_rate,
+                               build_tables(model2, spec, grid))
         assert res.min_slack >= -1e-6
         assert res.ok(grid_tol=1e-6)
 
@@ -196,7 +197,8 @@ class TestBellmanResidual:
         report, policy = vanishing_discount(model2, spec2, grid, BETAS,
                                             tol=1e-6)
         res = bellman_residual(policy, report.relative_value,
-                               report.growth_rate + 0.01, model2, spec2)
+                               report.growth_rate + 0.01,
+                               build_tables(model2, spec2, grid))
         assert res.min_slack <= -0.009
 
 
@@ -231,7 +233,8 @@ class TestMimicking:
     def test_rejects_wealth_indexed_base(self, model2, spec2):
         from growthopt import solve_discounted
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=4)
-        _, pol, _ = solve_discounted(model2, spec2, grid, 0.9, tol=1e-4)
+        _, pol, _ = solve_discounted(build_tables(model2, spec2, grid),
+                                     0.9, tol=1e-4)
         with pytest.raises(ValueError):
             build_mimicking(pol, constants())
 

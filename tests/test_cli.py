@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from growthopt import (FixedTargetStrategy, StateGrid, bundled_model_path,
-                       load_model, model_fingerprint, run, solve_discounted)
+from growthopt import (FixedTargetStrategy, StateGrid, build_tables,
+                       bundled_model_path, load_model, model_fingerprint, run,
+                       solve_discounted)
 from growthopt.cli import main
 from growthopt.modelio import (dump_solution, load_policy, parse_model_dict,
                                trajectory_csv)
@@ -190,7 +191,8 @@ def dumps(tmp_path_factory, two_asset):
     grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
     out = {}
     for name, s in (("fixed", spec), ("proportional", spec.without_fixed())):
-        vf, pol, _ = solve_discounted(model, s, grid, 0.9, tol=1e-5)
+        vf, pol, _ = solve_discounted(build_tables(model, s, grid),
+                                      0.9, tol=1e-5)
         dump_solution(vf, pol, str(tmp / name), "hash", seed=1)
         out[name] = (str(tmp / name), pol)
     return out
@@ -294,6 +296,43 @@ class TestPolicyDump:
         (tmp_path / "policy.csv").write_text(open(base + ".csv").read())
         with pytest.raises(ValueError, match=message):
             load_policy(str(out))
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda h, ls: [], r"policy\.csv: empty, no header row",
+                     id="empty csv"),
+        pytest.param(lambda h, ls: [ls[0].replace("target_0", "t0")] + ls[1:],
+                     r"policy\.csv: header has no 'target_0' column",
+                     id="no target_0"),
+        pytest.param(lambda h, ls: [ls[0].replace("impulse", "i")] + ls[1:],
+                     r"policy\.csv: header has no 'impulse' column",
+                     id="no impulse"),
+        pytest.param(lambda h, ls: h["grid"].update(n_assets="2") or ls,
+                     r"policy\.json section 'grid': key 'n_assets' must be "
+                     r"a positive integer, got '2'", id="n_assets string"),
+        pytest.param(lambda h, ls: h["grid"].update(mesh_order=2.5) or ls,
+                     r"policy\.json section 'grid': key 'mesh_order' must be "
+                     r"a positive integer, got 2\.5", id="mesh_order float"),
+        pytest.param(lambda h, ls: h["grid"]["wealth"].update(x_max="1e3")
+                     or ls, r"policy\.json section 'grid\.wealth': key "
+                     r"'x_max' must be a positive number, got '1e3'",
+                     id="x_max string")])
+    def test_simulate_exits_1_on_a_bad_header_or_column(self, dumps, tmp_path,
+                                                        capsys, edit, message):
+        base, _ = dumps["fixed"]
+        header = json.loads(open(base + ".json").read())
+        lines = edit(header,
+                     open(base + ".csv").read().splitlines(keepends=True))
+        (tmp_path / "policy.json").write_text(json.dumps(header))
+        (tmp_path / "policy.csv").write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path)) + ".*"
+                           + message):
+            load_policy(str(tmp_path / "policy"))
+        code = main(base_args(tmp_path, "sim") + [
+            "--T", "50", "--n-paths", "2", "simulate", "--policy",
+            str(tmp_path / "policy"), "--mimic", "off"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.search(message, err) and "Traceback" not in err
 
     @pytest.mark.parametrize("mode", ["nearest-linear", "nearest-nearest"])
     def test_dumps_with_an_interpolation_key_still_load(self, dumps,
@@ -690,12 +729,34 @@ class TestUsageErrors:
             main([])
         assert err.value.code == 2
 
-    def test_empty_config_exits_2(self, tmp_path):
+    def test_empty_config_exits_2(self, tmp_path, capsys):
+        # an empty config sets nothing, so no model is given
         cfg = tmp_path / "empty.json"
         cfg.write_text("{}")
-        with pytest.raises(SystemExit) as err:
-            main(["--config", str(cfg), "validate"])
-        assert err.value.code == 2
+        assert main(["--config", str(cfg), "validate"]) == 2
+        assert "no model file given" in capsys.readouterr().err
+
+    def test_empty_config_runs_on_the_defaults(self, tmp_path):
+        cfg = tmp_path / "empty.json"
+        cfg.write_text("{}")
+        assert main(["--config", str(cfg)] + base_args(tmp_path, "a")
+                    + ["validate"]) == 0
+        assert main(base_args(tmp_path, "b") + ["validate"]) == 0
+        configs = [json.loads((tmp_path / out / "manifest.json").read_text()
+                              )["config"] for out in ("a", "b")]
+        assert configs[0] == dict(configs[1], output_dir=str(tmp_path / "a"))
+
+    @pytest.mark.parametrize("text", ["[]", "null", "0", "[{}]"])
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys,
+                                                  text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["--config", str(cfg)] + base_args(tmp_path)
+                    + ["validate"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config top level must be a JSON object" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_model_is_domain_error(self, tmp_path):
         assert main(["--model", str(tmp_path / "nope.json"), "--output-dir",

@@ -103,7 +103,7 @@ class TestBellmanStep:
         h = math.log(1.05)
         beta = 0.9
         v = ValueFunction(grid, np.full((1, 1), h / (1 - beta)), beta)
-        out = bellman_step(v, model, spec)
+        out = bellman_step(v, build_tables(model, spec, grid))
         np.testing.assert_allclose(out.values, v.values, atol=1e-12)
 
     def test_one_step_from_zero_by_hand(self, model2):
@@ -111,7 +111,7 @@ class TestBellmanStep:
         spec = CostSpec(buy=[0.02, 0.02], sell=[0.02, 0.02], fixed=0.0)
         grid = StateGrid.build(2, 1, 2)
         v = ValueFunction(grid, np.zeros((2, 2)), 0.9)
-        out = bellman_step(v, model2, spec)
+        out = bellman_step(v, build_tables(model2, spec, grid))
         ln_e = math.log(solve_e(spec, [1, 0], [0, 1], 1.0))
         for z in range(2):
             h = [expected_log_return(model2, grid.nodes[p], z) for p in range(2)]
@@ -132,10 +132,8 @@ class TestBellmanStep:
         for _ in range(100):
             a = rng.normal(size=grid.shape)
             b = rng.normal(size=grid.shape)
-            ta = bellman_step(ValueFunction(grid, a, beta), model2, spec,
-                              tables).values
-            tb = bellman_step(ValueFunction(grid, b, beta), model2, spec,
-                              tables).values
+            ta = bellman_step(ValueFunction(grid, a, beta), tables).values
+            tb = bellman_step(ValueFunction(grid, b, beta), tables).values
             assert np.abs(ta - tb).max() <= beta * np.abs(a - b).max() + 1e-12
 
     def test_proportional_values_on_a_wealth_grid(self, model2, spec2):
@@ -148,7 +146,8 @@ class TestBellmanStep:
             ValueFunction(grid, v, 0.9)
         flat = ValueFunction(grid.without_wealth(), v, 0.9)
         assert flat.variant == "proportional"
-        out = bellman_step(flat, model2, spec2.without_fixed())
+        out = bellman_step(flat, build_tables(model2, spec2.without_fixed(),
+                                              flat.grid))
         assert out.grid is flat.grid and out.values.shape == (5, 2)
 
     def test_rejects_tables_of_the_other_variant(self, model2, spec2):
@@ -159,9 +158,9 @@ class TestBellmanStep:
         prop = ValueFunction(grid.without_wealth(), np.zeros((5, 2)), 0.9)
         fixed = ValueFunction(grid, np.zeros((5, 8, 2)), 0.9)
         with pytest.raises(ValueError, match="without a wealth axis"):
-            bellman_step(prop, model2, spec2.without_fixed(), wealth_tables)
+            bellman_step(prop, wealth_tables)
         with pytest.raises(ValueError, match="with a wealth axis"):
-            bellman_step(fixed, model2, spec2, flat_tables)
+            bellman_step(fixed, flat_tables)
 
     def test_rejects_tables_of_a_smaller_grid(self, model2, spec2):
         # the gathers of a 4-node wealth axis stay inside an 8-node value
@@ -172,15 +171,16 @@ class TestBellmanStep:
         fixed = ValueFunction(grid, np.zeros((5, 8, 2)), 0.9)
         with pytest.raises(ValueError, match="do not fit tables built for "
                            r"shape \(5, 4, 2\)"):
-            bellman_step(fixed, model2, spec2, coarse)
+            bellman_step(fixed, coarse)
 
     def test_preserves_wealth_monotonicity(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=12)
         rng = np.random.default_rng(3)
         base = np.sort(rng.normal(size=(5, 12, 2)), axis=1)
         v = ValueFunction(grid, base, 0.95)
+        tables = build_tables(model2, spec2, grid)
         for _ in range(5):
-            v = bellman_step(v, model2, spec2)
+            v = bellman_step(v, tables)
             assert (np.diff(v.values, axis=1) >= -1e-12).all()
 
 
@@ -193,7 +193,8 @@ class TestBellmanStepOracle:
         rng = np.random.default_rng(7)
         v = rng.normal(size=(grid.n_nodes, 8, 2))
         beta = 0.93
-        out = bellman_step(ValueFunction(grid, v, beta), model2, spec2).values
+        out = bellman_step(ValueFunction(grid, v, beta),
+                           build_tables(model2, spec2, grid)).values
         lw = np.log(grid.wealth)
         dlw = lw[1] - lw[0]
 
@@ -242,12 +243,67 @@ class TestBellmanStepOracle:
             assert out[p0, j, z] == pytest.approx(best, abs=1e-10)
 
 
+class TestBuildTables:
+    """``build_tables`` alone maps a cost to its grid: a fixed charge needs
+    the wealth axis, a spec without one is built without it."""
+
+    def test_refuses_a_fixed_charge_without_a_wealth_axis(self, model2,
+                                                          spec2):
+        # built as proportional tables before, dropping the fixed charge
+        with pytest.raises(ValueError, match="fixed-cost problems need a "
+                           "wealth axis on the grid"):
+            build_tables(model2, spec2, StateGrid.build(2, 4, 2))
+
+    def test_builds_a_proportional_spec_without_the_wealth_axis(self, model2,
+                                                                spec2):
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        prop = spec2.without_fixed()
+        t = build_tables(model2, prop, grid)
+        flat = build_tables(model2, prop, grid.without_wealth())
+        assert t.variant == "proportional" and t.free is None
+        assert not t.grid.has_wealth_axis and t.grid.shape == (5, 2)
+        for name in ("h_tab", "hold_idx", "move_ln_e", "ln_e_prop"):
+            assert np.array_equal(getattr(t, name), getattr(flat, name))
+
+    def test_companion_holds_the_cost_without_its_fixed_charge(self, model2,
+                                                               spec2):
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        free = build_tables(model2, spec2, grid).free
+        prop = build_tables(model2, spec2.without_fixed(), grid)
+        assert free.variant == "proportional" and free.grid.shape == (5, 2)
+        for name in ("h_tab", "hold_idx", "move_ln_e", "ln_e_prop"):
+            assert np.array_equal(getattr(free, name), getattr(prop, name))
+
+    def test_companion_then_owner_solve_builds_nothing(self, model2, spec2,
+                                                       monkeypatch):
+        # the proportional solve on ``t.free`` and the fixed-cost solve on
+        # ``t`` take the tables as they are: no build, one warm start
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        t = build_tables(model2, spec2, grid)
+        built, warm = [], []
+        iterate = dp._iterate
+
+        def spy_iterate(update, v, beta, stop_tol, what, *args):
+            if what == "hold-only warm start":
+                warm.append(beta)
+            return iterate(update, v, beta, stop_tol, what, *args)
+
+        monkeypatch.setattr(dp, "build_tables", lambda *a: built.append(a))
+        monkeypatch.setattr(dp, "_iterate", spy_iterate)
+        vp, _, rep_p = solve_discounted(t.free, 0.9, tol=1e-7)
+        vf, _, rep_f = solve_discounted(t, 0.9, tol=1e-7)
+        assert built == [] and warm == [0.9]
+        assert vp.grid is t.free.grid and vf.grid is t.grid
+        assert rep_p.init_iterations == rep_f.init_iterations > 0
+
+
 class TestSolveDiscounted:
     def test_single_asset_value_and_empty_impulse_region(self):
         model = flat_model(1.05)
         spec = zero_spec(1)
         grid = StateGrid.build(1, 1, 1)
-        vf, pol, rep = solve_discounted(model, spec, grid, 0.9, tol=1e-9)
+        vf, pol, rep = solve_discounted(build_tables(model, spec, grid),
+                                        0.9, tol=1e-9)
         assert vf.values[0, 0] == pytest.approx(math.log(1.05) / 0.1, abs=1e-7)
         assert not pol.impulse.any()
 
@@ -257,7 +313,8 @@ class TestSolveDiscounted:
         # machinery involved
         grid = StateGrid.build(2, 8, 2)
         beta = 0.95
-        vf, pol, _ = solve_discounted(model2, free_spec2, grid, beta, tol=1e-8)
+        vf, pol, _ = solve_discounted(build_tables(model2, free_spec2, grid),
+                                      beta, tol=1e-8)
         h = np.array([[expected_log_return(model2, node, z) for z in range(2)]
                       for node in grid.nodes])
         v_or = np.zeros(2)
@@ -269,20 +326,24 @@ class TestSolveDiscounted:
     def test_value_sup_bound(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
         beta = 0.9
-        vf, _, rep = solve_discounted(model2, spec2, grid, beta, tol=1e-6)
+        vf, _, rep = solve_discounted(build_tables(model2, spec2, grid),
+                                      beta, tol=1e-6)
         tables = build_tables(model2, spec2.without_fixed(), grid.without_wealth())
-        bound = (rep.h_inf + abs(float(tables.ln_e_prop.min()))) / (1 - beta)
+        h_inf = float(np.abs(tables.h_tab).max())
+        bound = (h_inf + abs(float(tables.ln_e_prop.min()))) / (1 - beta)
         assert bound < 10.0  # ln e without the sentinel on the diagonal
         assert np.abs(vf.values).max() <= bound + 1e-9
 
     def test_wealth_monotone_after_convergence(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=10)
-        vf, _, _ = solve_discounted(model2, spec2, grid, 0.95, tol=1e-7)
+        vf, _, _ = solve_discounted(build_tables(model2, spec2, grid),
+                                    0.95, tol=1e-7)
         assert (np.diff(vf.values, axis=1) >= -1e-10).all()
 
     def test_policy_targets_always_affordable(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=10)
-        vf, pol, _ = solve_discounted(model2, spec2, grid, 0.95, tol=1e-7)
+        vf, pol, _ = solve_discounted(build_tables(model2, spec2, grid),
+                                      0.95, tol=1e-7)
         p, j, z = np.nonzero(pol.impulse)
         e = solve_e_batch(spec2, grid.nodes[p], grid.nodes[pol.target[p, j, z]],
                           grid.wealth[j])
@@ -291,8 +352,9 @@ class TestSolveDiscounted:
     def test_stop_rule_close_to_fixed_point(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
         tol = 1e-5
-        vf, _, rep = solve_discounted(model2, spec2, grid, 0.9, tol=tol)
-        again = bellman_step(vf, model2, spec2)
+        vf, _, rep = solve_discounted(build_tables(model2, spec2, grid),
+                                      0.9, tol=tol)
+        again = bellman_step(vf, build_tables(model2, spec2, grid))
         assert np.abs(again.values - vf.values).max() <= tol * (1 - 0.9) / 0.9
         assert rep.error_bound <= tol
 
@@ -301,8 +363,8 @@ class TestSolveDiscounted:
         grid = StateGrid.build(2, 4, 2)
         for tol in (0.0, -1e-6, float("nan")):
             with pytest.raises(ValueError):
-                solve_discounted(model2, spec2.without_fixed(), grid, 0.9,
-                                 tol=tol)
+                solve_discounted(build_tables(model2, spec2.without_fixed(),
+                                              grid), 0.9, tol=tol)
 
 
 class TestSolveDigests:
@@ -320,7 +382,8 @@ class TestSolveDigests:
         if not fixed:
             spec = spec.without_fixed()
         grid = StateGrid.build(2, 8, 2, x_min=1e-3, x_max=1e4, n_x=16)
-        vf, pol, rep = solve_discounted(model, spec, grid, 0.99, tol=1e-7)
+        vf, pol, rep = solve_discounted(build_tables(model, spec, grid),
+                                        0.99, tol=1e-7)
         assert (rep.init_iterations, rep.iterations) == (1791, 1668)
         assert (hashlib.sha256(vf.values.tobytes()).hexdigest(),
                 hashlib.sha256(pol.impulse.tobytes()
@@ -358,7 +421,8 @@ class TestStopRule:
         # on this grid the sweeps land on an exact floating-point fixed
         # point, so a tol far below rounding still ends, within the cap
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e2, n_x=6)
-        _, _, rep = solve_discounted(model2, spec2, grid, 0.9, tol=1e-300)
+        _, _, rep = solve_discounted(build_tables(model2, spec2, grid),
+                                     0.9, tol=1e-300)
         assert rep.final_diff == 0.0
 
 
@@ -393,7 +457,8 @@ class TestLookBackStop:
         beta = 0.9
         offsets = set()
         for tol in np.logspace(-1.5, -10.0, 30):
-            vf, pol, rep = solve_discounted(model2, spec, grid, beta, tol=tol)
+            vf, pol, rep = solve_discounted(build_tables(model2, spec, grid),
+                                            beta, tol=tol)
             values, impulse, target, k_init, k_main = oracle_solve(
                 model2, spec, prop_grid, beta, tol)
             assert np.array_equal(vf.values, values)
@@ -408,10 +473,11 @@ class TestLookBackStop:
     def test_one_sweep_batches_give_the_same_solve(self, model2, spec2,
                                                    monkeypatch):
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
-        vf, pol, rep = solve_discounted(model2, spec2, grid, 0.95, tol=1e-8)
+        vf, pol, rep = solve_discounted(build_tables(model2, spec2, grid),
+                                        0.95, tol=1e-8)
         monkeypatch.setattr(dp, "RING_BUDGET", 0)
-        vf1, pol1, rep1 = solve_discounted(model2, spec2, grid, 0.95,
-                                           tol=1e-8)
+        vf1, pol1, rep1 = solve_discounted(build_tables(model2, spec2, grid),
+                                           0.95, tol=1e-8)
         assert np.array_equal(vf.values, vf1.values)
         assert np.array_equal(pol.target, pol1.target)
         assert (rep.init_iterations, rep.iterations, rep.final_diff) == (
@@ -468,7 +534,8 @@ class TestLookBackStop:
 class TestOneTransactionRule:
     def test_second_impulse_never_improves(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=16)
-        vf, _, _ = solve_discounted(model2, spec2, grid, 0.95, tol=1e-7)
+        vf, _, _ = solve_discounted(build_tables(model2, spec2, grid),
+                                    0.95, tol=1e-7)
         # apply the impulse operator to every state, then once more on top;
         # stay on high wealth nodes so stencils avoid the unaffordable region
         mv = np.full_like(vf.values, -1e18)
@@ -497,12 +564,14 @@ class TestSpan:
         model = MarketModel(transition=[[1.0]], shock_probs=[0.6, 0.4],
                             returns=[[[1.1, 0.95], [0.9, 1.08]]])
         grid = StateGrid.build(2, 8, 1)
-        vf, _, _ = solve_discounted(model, zero_spec(2), grid, 0.95, tol=1e-9)
+        vf, _, _ = solve_discounted(build_tables(model, zero_spec(2), grid),
+                                    0.95, tol=1e-9)
         assert span_seminorm(vf) <= 1e-7
 
     def test_rejects_fixed_variant(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e2, n_x=4)
-        vf, _, _ = solve_discounted(model2, spec2, grid, 0.9, tol=1e-5)
+        vf, _, _ = solve_discounted(build_tables(model2, spec2, grid),
+                                    0.9, tol=1e-5)
         with pytest.raises(ValueError):
             span_seminorm(vf)
 
@@ -511,9 +580,9 @@ class TestSpan:
         bound = span_bound(model2, spec2, grid)
         # ln e read with the sweeps' sentinel diagonal would give about 1e18
         assert bound == 0.26606097162684333
+        prop_tables = build_tables(model2, spec2.without_fixed(), grid)
         for beta in (0.9, 0.99):
-            vf, _, _ = solve_discounted(model2, spec2.without_fixed(), grid,
-                                        beta, tol=1e-7)
+            vf, _, _ = solve_discounted(prop_tables, beta, tol=1e-7)
             assert span_seminorm(vf) <= bound
 
 
@@ -553,7 +622,8 @@ class TestValueGap:
     def test_zero_fixed_cost_zero_gap(self, model2):
         spec = CostSpec(buy=[0.01, 0.01], sell=[0.01, 0.01], fixed=0.0)
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e2, n_x=6)
-        v_prop, _, _ = solve_discounted(model2, spec, grid, 0.9, tol=1e-8)
+        v_prop, _, _ = solve_discounted(build_tables(model2, spec, grid),
+                                        0.9, tol=1e-8)
         fixed_like = ValueFunction(
             grid, np.repeat(v_prop.values[:, None, :], 6, axis=1), 0.9)
         rep = value_gap_check(fixed_like, v_prop, slack=1e-9)
@@ -564,9 +634,10 @@ class TestValueGap:
     def test_fixed_cost_gap_positive_and_monotone(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=10)
         beta = 0.95
-        v_fix, _, _ = solve_discounted(model2, spec2, grid, beta, tol=1e-7)
-        v_prop, _, _ = solve_discounted(model2, spec2.without_fixed(), grid,
-                                        beta, tol=1e-7)
+        v_fix, _, _ = solve_discounted(build_tables(model2, spec2, grid),
+                                       beta, tol=1e-7)
+        v_prop, _, _ = solve_discounted(
+            build_tables(model2, spec2.without_fixed(), grid), beta, tol=1e-7)
         rep = value_gap_check(v_fix, v_prop, slack=1e-5)
         assert rep.ok
         assert rep.max_gap_per_wealth[0] > 1e-3  # scarce wealth hurts
@@ -581,8 +652,9 @@ class TestGridRefinement:
         est = []
         for order in (4, 8, 16):
             grid = StateGrid.build(2, order, 2)
-            vf, _, _ = solve_discounted(model2, spec2.without_fixed(), grid,
-                                        beta, tol=1e-8)
+            vf, _, _ = solve_discounted(
+                build_tables(model2, spec2.without_fixed(), grid), beta,
+                tol=1e-8)
             est.append((1 - beta) * vf.values.max())
         assert abs(est[2] - est[1]) <= abs(est[1] - est[0]) + 1e-12
 
@@ -637,7 +709,8 @@ class TestKernelsMatchReference:
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
         prop_grid = grid if fixed else grid.without_wealth()
         for beta in (0.9, 0.97):
-            vf, pol, rep = solve_discounted(model2, spec, grid, beta, tol=1e-7)
+            vf, pol, rep = solve_discounted(build_tables(model2, spec, grid),
+                                            beta, tol=1e-7)
             values, impulse, target, k_init, k_main = oracle_solve(
                 model2, spec, prop_grid, beta, 1e-7)
             assert np.array_equal(vf.values, values)
@@ -678,8 +751,7 @@ class TestWealthFreeWarmStart:
             assert k_fix == k_free
             gap = np.abs(v_fix - v_free[:, None, :]).max()
             assert gap <= 1e-12 * np.abs(v_fix).max()
-            _, _, rep = solve_discounted(model2, spec2, grid, beta, tol=1e-7,
-                                         tables=tables)
+            _, _, rep = solve_discounted(tables, beta, tol=1e-7)
             assert rep.init_iterations == k_fix
             key, v_warm, k_warm = tables.free.warm
             assert key == (beta, stop_tol) and k_warm == k_fix
@@ -694,10 +766,9 @@ class TestWealthFreeWarmStart:
                           (0.9, 1e-7)]:
             for s, t in [(spec2.without_fixed(), tables.free),
                          (spec2, tables)]:
-                vf, pol, rep = solve_discounted(model2, s, t.grid, beta,
-                                                tol=tol, tables=t)
-                vf1, pol1, rep1 = solve_discounted(model2, s, grid, beta,
-                                                   tol=tol)
+                vf, pol, rep = solve_discounted(t, beta, tol=tol)
+                vf1, pol1, rep1 = solve_discounted(
+                    build_tables(model2, s, grid), beta, tol=tol)
                 assert np.array_equal(vf.values, vf1.values)
                 assert np.array_equal(pol.target, pol1.target)
                 assert (rep.init_iterations, rep.iterations) == (

@@ -10,8 +10,8 @@ import pytest
 from growthopt import (CostSpec, FixedTargetStrategy, GridPolicyStrategy,
                        MarketModel, MimickingStrategy, NoTransactionStrategy,
                        StateGrid, Trajectory, average_growth, build_mimicking,
-                       cost_constants, growth_floor, invariant_measure,
-                       Policy, ld_tail, make_rng, run,
+                       build_tables, cost_constants, growth_floor,
+                       invariant_measure, Policy, ld_tail, make_rng, run,
                        sample_factor_paths, simulate, solve_discounted,
                        share_cost, solve_e_batch, to_share_holdings,
                        wealth_floor_check)
@@ -254,12 +254,12 @@ def engine_cases(two_asset):
     """name -> (model, spec, strategy factory, pi0, x0, z0, T, seed)."""
     model, spec = two_asset
     wealth_grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
-    _, wealth_policy, _ = solve_discounted(model, spec, wealth_grid, 0.95,
-                                           tol=1e-6)
+    _, wealth_policy, _ = solve_discounted(
+        build_tables(model, spec, wealth_grid), 0.95, tol=1e-6)
     assert not wealth_policy.wealth_free
-    _, prop_policy, _ = solve_discounted(model, spec.without_fixed(),
-                                         StateGrid.build(2, 8, 2), 0.95,
-                                         tol=1e-6)
+    _, prop_policy, _ = solve_discounted(
+        build_tables(model, spec.without_fixed(), StateGrid.build(2, 8, 2)),
+        0.95, tol=1e-6)
     mimicking = build_mimicking(prop_policy,
                                 cost_constants(spec, growth_floor(model)[0]))
     fixed = CostSpec(buy=[0.01, 0.01], sell=[0.01, 0.01], fixed=1.0)
