@@ -85,10 +85,13 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     For a fixed-cost spec both discounted problems are solved per discount:
     the proportional one supplies the peak value, the fixed-cost one the
     relative value and the returned policy.  In both, a rebalance must beat
-    holding by more than ``dp.TIE_EPS``.  The proportional problem is
-    solved on the fixed-cost tables' wealth-free companion, so the hold-only
-    warm start runs once per discount, in the proportional solve's stage,
-    and serves both.  Returns (report, policy).
+    holding by more than ``dp.TIE_EPS``.  The fixed-cost solve runs first:
+    it runs the hold-only warm start, once per discount, and sweeps the
+    proportional problem along in the x = inf column of its tables, then
+    keeps that solution on their wealth-free companion.  The proportional
+    solve there takes it and only extracts its policy, so its stage holds
+    no sweeps; both reports carry the counts and steps of their variant
+    solved alone.  Returns (report, policy).
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -102,8 +105,8 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     seconds = {}
     clock = time.perf_counter()
     tables = build_tables(model, spec, grid)
-    # the proportional problem of a fixed charge runs on the tables'
-    # wealth-free companion, so both solves of a discount share one warm start
+    # the proportional problem of a fixed charge is solved by the fixed-cost
+    # solve and kept on the tables' wealth-free companion
     prop_tables = tables.free or tables
     seconds["build_tables"] = time.perf_counter() - clock
 
@@ -113,14 +116,15 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     prev_policy = None
     change_fraction = float("nan")
     for beta in betas:
+        if has_fixed:
+            clock = time.perf_counter()
+            v_fix, pol_fix, rep_f = solve_discounted(tables, beta, tol=tol)
+            seconds[f"solve.fixed.{beta}"] = time.perf_counter() - clock
         clock = time.perf_counter()
         v_prop, pol_prop, rep_p = solve_discounted(prop_tables, beta, tol=tol)
         seconds[f"solve.proportional.{beta}"] = time.perf_counter() - clock
         m_beta = float(v_prop.values.max())
         if has_fixed:
-            clock = time.perf_counter()
-            v_fix, pol_fix, rep_f = solve_discounted(tables, beta, tol=tol)
-            seconds[f"solve.fixed.{beta}"] = time.perf_counter() - clock
             w = m_beta - v_fix.values
             policy = pol_fix
             variant_sup = float(v_fix.values.max())

@@ -28,12 +28,23 @@ discount and tolerance: the proportional and the fixed-cost solve of one
 discount share it, and the fixed-cost solve starts from it broadcast along
 wealth.
 
+As wealth grows the fixed charge C / x vanishes, so the proportional
+problem is the fixed-cost one at x = inf.  The fixed-cost tables carry it
+as one more wealth column, which gathers only its own entries, with the
+wealth-free gathers and ln e and corner weights (1, 0); as 1.0 * v +
+0.0 * v == v, one sweep advances both problems, each bit for bit as alone.
+A fixed-cost solve checks the stop rule of each on its own, finishes the
+proportional one on the wealth-free tables if it stops later, and keeps
+its solution there for the proportional solve of the same discount and
+tolerance, which then only extracts the policy.
+
 ``build_tables(model, spec, grid)`` alone maps a cost to its grid: a fixed
 charge needs the wealth axis, and a spec without one is built on
 ``grid.without_wealth()``.  Its ``DpTables`` are the one description of a
 discounted problem, all that ``solve_discounted(tables, beta)``,
 ``bellman_step(v, tables)`` and ``average.bellman_residual`` take.  Every
-value table has shape ``tables.grid.shape``; ``DpTables.variant`` names the
+value table they take or return has shape ``tables.grid.shape``; the kernel
+pads and slices the x = inf column itself.  ``DpTables.variant`` names the
 layout of the gathers.
 
 ``build_tables`` resolves the discretization once per problem into gather
@@ -86,20 +97,25 @@ _einsum = getattr(np.einsum, "__wrapped__", np.einsum)
 class DpTables:
     """Gather tables and sweep buffers shared by all sweeps on one grid.
 
-    Value tables are C-ordered, shape (n_p, n_x, n_z) on grids with a
-    wealth axis and (n_p, n_z) without.  ``hold_idx`` holds flat positions
-    into ``values.ravel()``; ``move_rows`` holds rows of the hold values
-    viewed as (n_p * n_x, n_z), since a rebalance keeps the factor.  On
-    wealth grids a gather reads two wealth corners, stacked on axis 0 of
-    its index and weight tables (lo, hi; weights 1 - frac, frac).
-    Rebalance tables are target-major: axis 0 is the target p', axis 1 the
-    state's node p.  Weights and ln e come broadcast to the full shape of
-    the gather they scale, so a sweep is a few takes and elementwise
-    operations, with no index arithmetic.
+    The kernel's value tables are C-ordered, of shape ``kernel_shape``:
+    (n_p, n_x + 1, n_z) on grids with a wealth axis, (n_p, n_z) without.
+    Column n_x of the wealth axis is x = inf, where the fixed charge C / x
+    vanishes: it holds the proportional problem of ``free``, and no
+    entry on the grid reads it, nor it an entry on the grid.  ``hold_idx``
+    holds flat positions into ``values.ravel()``; ``move_rows`` holds rows
+    of the hold values viewed as (n_p * (n_x + 1), n_z), since a rebalance
+    keeps the factor.  On wealth grids a gather reads two wealth corners,
+    stacked on axis 0 of its index and weight tables (lo, hi; weights
+    1 - frac, frac); the x = inf column reads its own entry as both, with
+    weights (1, 0).  Rebalance tables are target-major: axis 0 is the
+    target p', axis 1 the state's node p.  Weights and ln e come broadcast
+    to the full shape of the gather they scale, so a sweep is a few takes
+    and elementwise operations, with no index arithmetic.
 
     Tables of a fixed charge carry ``free``, the tables of the cost
-    without it, so on the grid without its wealth axis; the proportional
-    solve and every hold-only warm start run on those.
+    without it, so on the grid without its wealth axis; every hold-only
+    warm start runs on those, and the proportional main sweeps continue
+    there once the fixed-cost ones have stopped.
 
     The buffers are scratch of the kernel, overwritten by every sweep on
     these tables; results read from them must be used before the next one.
@@ -109,15 +125,15 @@ class DpTables:
     variant: str            # gather layout: "fixed" or "proportional"
     w_zs: np.ndarray        # (n_z, n_z', n_s) transition x shock weights
     h_tab: np.ndarray       # (n_p, n_z) expected one-step log return
-    # state after a market step: ([2,] n_p, [n_x,] n_z', n_s)
+    # state after a market step: ([2,] n_p, [n_x + 1,] n_z', n_s)
     hold_idx: np.ndarray
     # ln e of a rebalance p -> p', target-major, NEG where the charge
-    # exceeds wealth and on the diagonal p' = p: (n_p', n_p, [n_x,] n_z)
+    # exceeds wealth and on the diagonal p' = p: (n_p', n_p, [n_x + 1,] n_z)
     move_ln_e: np.ndarray
     # wealth grids: weights of the two wealth corners of hold_idx
     hold_w: Optional[np.ndarray] = None
     # wealth grids: rows of the post-cost wealth corners of the target,
-    # (2, n_p', n_p, n_x), and their weights, (2, n_p', n_p, n_x, n_z)
+    # (2, n_p', n_p, n_x + 1), and their weights, (2, n_p', n_p, n_x + 1, n_z)
     move_rows: Optional[np.ndarray] = None
     move_w: Optional[np.ndarray] = None
     # proportional grids: ln of the surviving fraction of a rebalance
@@ -127,10 +143,12 @@ class DpTables:
     # spec.without_fixed(), on which the hold-only warm start runs
     free: Optional["DpTables"] = None
     # wealth-free tables: the last hold-only warm start run on them,
-    # ((beta, stop_tol), values, sweeps)
+    # ((beta, stop_tol), values, sweeps), and the last main sweeps,
+    # ((beta, stop_tol), values, sweeps, step), kept by either solve
     warm: Optional[tuple] = field(default=None, init=False, repr=False)
-    # kernel buffers: hold value (grid.shape), rebalance values (shape of
-    # move_ln_e), best rebalance value (grid.shape), blended market-step
+    kept: Optional[tuple] = field(default=None, init=False, repr=False)
+    # kernel buffers: hold value (kernel_shape), rebalance values (shape of
+    # move_ln_e), best rebalance value (kernel_shape), blended market-step
     # gather (wealth grids)
     cont: np.ndarray = field(init=False, repr=False)
     moves: np.ndarray = field(init=False, repr=False)
@@ -139,9 +157,10 @@ class DpTables:
 
     def __post_init__(self):
         wealth = self.grid.has_wealth_axis
-        self.cont = np.empty(self.grid.shape)
+        self.kernel_shape = self.move_ln_e.shape[1:]
+        self.cont = np.empty(self.kernel_shape)
         self.moves = np.empty(self.move_ln_e.shape)
-        self.best = np.empty(self.grid.shape)
+        self.best = np.empty(self.kernel_shape)
         self.blend = np.empty(self.hold_w.shape[1:]) if wealth else None
         # E v contracts the (q, s) axes of the gather; h broadcasts over
         # the wealth axis; the rebalance gathers rows of the hold values,
@@ -194,7 +213,9 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
                         move_ln_e=move_ln_e, ln_e_prop=ln_e)
 
     n_x = grid.n_wealth
+    n_c = n_x + 1  # wealth columns of the kernel: the grid's and x = inf
     wealth = grid.wealth
+    free = build_tables(model, spec.without_fixed(), grid)
     prev3 = np.repeat(prev, n_x, axis=0)
     new3 = np.repeat(new, n_x, axis=0)
     x3 = np.tile(wealth, n_p * n_p)
@@ -206,29 +227,39 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     x_step = wealth[None, :, None, None] * np.exp(step_lr[:, None, :, :])
     stp_j0, stp_frac = grid.wealth_pos(x_step)
 
+    def with_inf(a, col, axis):
+        # a with the x = inf entries col appended on its wealth axis
+        shape = a.shape[:axis] + (1,) + a.shape[axis + 1:]
+        return np.concatenate([a, np.broadcast_to(col, shape)], axis=axis)
+
     def stacked(lo, hi, shape):
         return np.ascontiguousarray(np.broadcast_to(np.stack([lo, hi]),
                                                     (2,) + shape))
 
-    def rows(node, j0):
+    def rows(node, j0, axis):
         # rows (node, wealth node j0 or the one above it) of a value table
-        # viewed as (n_p * n_x, n_z)
-        lo = node * n_x + j0
-        hi = node * n_x + np.minimum(j0 + 1, n_x - 1)
+        # viewed as (n_p * n_c, n_z); the node's x = inf row is both
+        # corners of the appended column, so that column reads only itself
+        inf = node * n_c + n_x
+        lo = with_inf(node * n_c + j0, inf, axis)
+        hi = with_inf(node * n_c + np.minimum(j0 + 1, n_x - 1), inf, axis)
         return stacked(lo, hi, lo.shape)
 
+    # the x = inf column blends its one corner with weights (1, 0): exactly
+    # the value, so it sweeps the proportional problem bit for bit
+    stp_frac = with_inf(stp_frac, 0.0, 1)
+    imp_frac = with_inf(imp_frac, 0.0, 2)
     # weights and ln e are stored at the full gathered shape: multiplying
     # by a broadcast (..., 1) operand instead made a sweep about 30 % slower
-    full = (n_p, n_p, n_x, n_z)
+    full = (n_p, n_p, n_c, n_z)
+    move_ln_e = np.repeat(_sentinel_diagonal(ln_e_fac)[..., None], n_z, axis=3)
     return DpTables(
-        grid=grid, variant="fixed", w_zs=w_zs, h_tab=h_tab,
-        free=build_tables(model, spec.without_fixed(), grid),
-        hold_idx=rows(dia_idx[:, None], stp_j0) * n_z + q,
+        grid=grid, variant="fixed", w_zs=w_zs, h_tab=h_tab, free=free,
+        hold_idx=rows(dia_idx[:, None], stp_j0, 1) * n_z + q,
         hold_w=stacked(1.0 - stp_frac, stp_frac, stp_frac.shape),
-        move_rows=rows(np.arange(n_p)[:, None, None], imp_j0),
+        move_rows=rows(np.arange(n_p)[:, None, None], imp_j0, 2),
         move_w=stacked((1.0 - imp_frac)[..., None], imp_frac[..., None], full),
-        move_ln_e=np.repeat(_sentinel_diagonal(ln_e_fac)[..., None], n_z,
-                            axis=3),
+        move_ln_e=with_inf(move_ln_e, free.move_ln_e[:, :, None], 2),
     )
 
 
@@ -272,15 +303,32 @@ def _sweep(values, t: DpTables, beta: float, out):
     return np.maximum(cont, t.best, out=out)
 
 
+def _padded(values, t: DpTables):
+    """Values of ``t.grid.shape`` in the kernel's layout: on wealth grids
+    with a zero x = inf column, which no entry on the grid reads."""
+    if not t.grid.has_wealth_axis:
+        return values
+    out = np.zeros(t.kernel_shape)
+    out[:, :-1] = values
+    return out
+
+
+def _on_grid(a, t: DpTables):
+    """The entries of a kernel table that lie on the grid: on wealth grids,
+    all but the x = inf column, the last but one axis."""
+    return a[..., :-1, :] if t.grid.has_wealth_axis else a
+
+
 def _branches(values, t: DpTables, beta: float):
-    """Hold value per state and rebalance value per (state, target).
+    """Hold value per state and rebalance value per (state, target), of
+    values of ``t.grid.shape``.
 
     Targets sit on axis 1 of the returned rebalance table, a view of the
     kernel's target-major buffer; the policy extraction takes its max and
     argmax, the residual the entry at the policy's target.
     """
-    cont = _hold(values, t, beta, t.cont)
-    return cont, np.moveaxis(_moves(t), 0, 1)
+    cont = _hold(_padded(values, t), t, beta, t.cont)
+    return _on_grid(cont, t), _on_grid(np.moveaxis(_moves(t), 0, 1), t)
 
 
 def _require_fit(values, t: DpTables, what: str):
@@ -301,8 +349,9 @@ def bellman_step(v: ValueFunction, tables: DpTables) -> ValueFunction:
     Tables built for values of another shape are refused.
     """
     _require_fit(v.values, tables, f"{v.variant} values")
-    return v.copy_with(_sweep(v.values, tables, v.beta,
-                              np.empty(tables.grid.shape)))
+    out = _sweep(_padded(v.values, tables), tables, v.beta,
+                 np.empty(tables.kernel_shape))
+    return v.copy_with(np.ascontiguousarray(_on_grid(out, tables)))
 
 
 @dataclass
@@ -332,43 +381,76 @@ def _iterate(update, v, beta, stop_tol, what, *args):
     sweep returned, or named by an error, is the one that a check after
     every sweep finds.  Sweeps after a non-finite one run on inf or NaN, so
     their floating-point warnings are silenced.
+
+    A fused iteration advances problems that do not read each other's
+    entries with one update.  It passes for ``what`` a tuple of parts
+    ``(name, index, alone)``: the values ``v[index]`` of each part are
+    checked by the rule on their own, as if iterated alone, and named
+    ``name`` in its errors, the earliest sweep's first; the values, count
+    and step of every part are returned in a list.  When only one part is
+    left running and its ``alone`` is ``(update, *args)``, it continues
+    from its own values with that update, which sweeps them as the fused
+    one does.
     """
+    parts = [(what, (), None)] if isinstance(what, str) else list(what)
+    found = [None] * len(parts)
+    caps = [None] * len(parts)
     v = np.asarray(v, dtype=float)
-    n_max = max(1, min(SWEEP_BATCH, RING_BUDGET // max(1, 2 * v.nbytes)))
-    ring = np.empty((n_max + 1,) + v.shape)
-    steps = np.empty((n_max,) + v.shape)
-    tabs = list(ring)
-    ring[0] = v
-    cap = None
+    ring = None
     k = 0
-    n = 1
-    while True:
+    live = list(range(len(parts)))
+    while live:
+        if ring is None:
+            n_max = max(1, min(SWEEP_BATCH,
+                               RING_BUDGET // max(1, 2 * v.nbytes)))
+            ring = np.empty((n_max + 1,) + v.shape)
+            steps = np.empty((n_max,) + v.shape)
+            tabs = list(ring)
+            ring[0] = v
+        # the first sweep count above the smallest cap is the last one run
+        n = 1 if k == 0 else min(
+            [n_max] + [math.floor(caps[i]) + 1 - k for i in live])
+        errors = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n):
-                update(tabs[i], *args, tabs[i + 1])
+            for j in range(n):
+                update(tabs[j], *args, tabs[j + 1])
             d = np.subtract(ring[1:n + 1], ring[:n], out=steps[:n])
-            d = np.abs(d, out=d).reshape(n, -1).max(axis=1)
-            # NaN fails both comparisons
-            ends = np.flatnonzero(~((d > stop_tol) & (d < np.inf)))
-        if ends.size:
-            i = int(ends[0])
-            k += i + 1
-            diff = float(d[i])
-            if diff <= stop_tol:
-                return ring[i + 1].copy(), k, diff
-            raise RuntimeError(f"{what}: non-finite step {diff} at sweep {k}")
+            d = np.abs(d, out=d)
+            for i in live:
+                name, index, _ = parts[i]
+                d_i = d[(slice(None),) + index].reshape(n, -1).max(axis=1)
+                # NaN fails both comparisons
+                ends = np.flatnonzero(~((d_i > stop_tol) & (d_i < np.inf)))
+                if ends.size:
+                    j = int(ends[0])
+                    diff = float(d_i[j])
+                    if diff <= stop_tol:
+                        found[i] = (ring[j + 1][index].copy(), k + j + 1, diff)
+                    else:
+                        errors.append((k + j + 1, i, f"{name}: non-finite "
+                                       f"step {diff} at sweep {k + j + 1}"))
+                    continue
+                diff = float(d_i[-1])
+                if caps[i] is None:
+                    caps[i] = (2.0 * math.log(stop_tol / diff) / math.log(beta)
+                               + 16)
+                if k + n > caps[i]:
+                    errors.append((k + n, i, (
+                        f"{name} did not reach step tolerance {stop_tol:.3e} "
+                        f"within {k + n} sweeps (last step {diff:.3e}); the "
+                        "tolerance is below what rounding allows")))
+        if errors:
+            raise RuntimeError(min(errors)[2])
         k += n
-        diff = float(d[-1])
-        if cap is None:
-            cap = 2.0 * math.log(stop_tol / diff) / math.log(beta) + 16
-        if k > cap:
-            raise RuntimeError(
-                f"{what} did not reach step tolerance {stop_tol:.3e} within "
-                f"{k} sweeps (last step {diff:.3e}); the tolerance is below "
-                "what rounding allows")
-        ring[0] = ring[n]
-        # the first sweep count above the cap is the last one run
-        n = min(n_max, math.floor(cap) + 1 - k)
+        live = [i for i in live if found[i] is None]
+        if len(live) == 1 and parts[live[0]][2] is not None:
+            name, index, (update, *args) = parts[live[0]]
+            parts[live[0]] = (name, (), None)
+            v = ring[n][index]
+            ring = None
+        else:
+            ring[0] = ring[n]
+    return found[0] if isinstance(what, str) else found
 
 
 def solve_discounted(tables: DpTables, beta: float, tol: float = 1e-6):
@@ -381,10 +463,14 @@ def solve_discounted(tables: DpTables, beta: float, tol: float = 1e-6):
     The hold-only warm start runs on wealth-free tables: ``tables.free``,
     or the tables themselves when they have no wealth axis.  Its result is
     kept there, keyed by (beta, stop_tol), so a second solve at the same
-    discount and tolerance on tables sharing it, as the proportional and
-    the fixed-cost solve of ``average.vanishing_discount`` do, runs it
-    once; ``init_iterations`` reports its sweeps either way.  A fixed-cost
-    solve starts its main sweeps from it broadcast along wealth.
+    discount and tolerance on tables sharing it runs it once;
+    ``init_iterations`` reports its sweeps either way.  A fixed-cost solve
+    starts its main sweeps from it broadcast along wealth.
+
+    The proportional main sweeps are kept there too, under the same key: a
+    fixed-cost solve runs them in the x = inf column of its tables unless
+    they are kept already, and a proportional solve at that key takes them
+    instead of sweeping, bit for bit what it would find.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
@@ -401,10 +487,24 @@ def solve_discounted(tables: DpTables, beta: float, tol: float = 1e-6):
         v_free.setflags(write=False)
         free.warm = (key, v_free, k)
     _, v_init, k_init = free.warm
+    kept = free.kept is not None and free.kept[0] == key
     if grid.has_wealth_axis:
-        v_init = np.broadcast_to(v_init[:, None, :], grid.shape)
-    values, k_main, diff = _iterate(_sweep, v_init, beta, stop_tol,
-                                    "value iteration", tables, beta)
+        parts = (("value iteration", np.s_[:, :-1], None),
+                 ("proportional value iteration", np.s_[:, -1],
+                  (_sweep, free, beta)))
+        found = _iterate(_sweep, np.broadcast_to(v_init[:, None, :],
+                                                 tables.kernel_shape),
+                         beta, stop_tol, parts[:1] if kept else parts,
+                         tables, beta)
+        values, k_main, diff = found[0]
+        if not kept:
+            free.kept = (key,) + found[1]
+    else:
+        if not kept:
+            free.kept = (key,) + _iterate(_sweep, v_init, beta, stop_tol,
+                                          "value iteration", tables, beta)
+        values, k_main, diff = free.kept[1:]
+        values = values.copy()  # the caller may write to what it gets
 
     cont, vals = _branches(values, tables, beta)
     impulse = vals.max(axis=1) > cont + TIE_EPS

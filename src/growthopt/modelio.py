@@ -193,6 +193,10 @@ def load_policy(path_base: str) -> Policy:
         header = json.load(fh)
     g = _key(header, "grid", header_path)
     beta = _key(header, "beta", header_path)
+    if beta != "average" and not (isinstance(beta, float)
+                                  and 0.0 < beta < 1.0):
+        raise ValueError(f"{header_path}: key 'beta' must be a number in "
+                         f"(0, 1) or \"average\", got {beta!r}")
     in_grid = f"{header_path} section 'grid'"
     spec = {k: _positive(g, k, in_grid)
             for k in ("n_assets", "mesh_order", "n_z")}

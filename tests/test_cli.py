@@ -315,7 +315,16 @@ class TestPolicyDump:
         pytest.param(lambda h, ls: h["grid"]["wealth"].update(x_max="1e3")
                      or ls, r"policy\.json section 'grid\.wealth': key "
                      r"'x_max' must be a positive number, got '1e3'",
-                     id="x_max string")])
+                     id="x_max string"),
+        pytest.param(lambda h, ls: h.update(beta="nonsense") or ls,
+                     r"policy\.json: key 'beta' must be a number in \(0, 1\) "
+                     r"or \"average\", got 'nonsense'", id="beta string"),
+        pytest.param(lambda h, ls: h.update(beta=1.0) or ls,
+                     r"policy\.json: key 'beta' must be a number in \(0, 1\) "
+                     r"or \"average\", got 1\.0", id="beta 1.0"),
+        pytest.param(lambda h, ls: h.update(beta=True) or ls,
+                     r"policy\.json: key 'beta' must be a number in \(0, 1\) "
+                     r"or \"average\", got True", id="beta true")])
     def test_simulate_exits_1_on_a_bad_header_or_column(self, dumps, tmp_path,
                                                         capsys, edit, message):
         base, _ = dumps["fixed"]

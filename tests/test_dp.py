@@ -773,3 +773,226 @@ class TestWealthFreeWarmStart:
                 assert np.array_equal(pol.target, pol1.target)
                 assert (rep.init_iterations, rep.iterations) == (
                     rep1.init_iterations, rep1.iterations)
+
+
+# grids on which the proportional problem that rides in the x = inf column
+# stops with the fixed-cost one (acceptance) or long after it, on the bundled
+# model at beta 0.99 and tol 1e-7: name -> (mesh, x_min, x_max, n_x, fixed
+# charge or None for the bundled one, fixed-cost and proportional sweeps)
+FUSED_GRIDS = {
+    "acceptance": (8, 1e-3, 1e4, 16, None, 1668, 1668),
+    "narrow": (4, 0.5, 2.0, 4, 0.3, 181, 1668),
+    "clamped": (4, 0.99, 1.01, 4, None, 1534, 1668),
+}
+
+
+@pytest.fixture(params=sorted(FUSED_GRIDS))
+def fused_case(request):
+    mesh, x_min, x_max, n_x, fixed, k_fix, k_prop = FUSED_GRIDS[request.param]
+    model, spec = load_model(bundled_model_path())
+    if fixed is not None:
+        spec = CostSpec(buy=spec.buy, sell=spec.sell, fixed=fixed)
+    grid = StateGrid.build(2, mesh, 2, x_min=x_min, x_max=x_max, n_x=n_x)
+    return model, spec, grid, k_fix, k_prop
+
+
+def solve_bits(vf, pol, rep):
+    return (vf.values.tobytes(), pol.impulse.tobytes(), pol.target.tobytes(),
+            rep.init_iterations, rep.iterations, rep.final_diff)
+
+
+class TestFusedSweeps:
+    """A fixed-cost solve sweeps the proportional problem along in the
+    x = inf column of its tables and keeps its solution on ``free``; each
+    problem stops at its own sweep, bit for bit as when solved alone."""
+
+    BETA, TOL = 0.99, 1e-7
+
+    def test_kept_proportional_solve_equals_a_standalone_one(self,
+                                                             fused_case):
+        model, spec, grid, k_fix, k_prop = fused_case
+        t = build_tables(model, spec, grid)
+        fixed = solve_discounted(t, self.BETA, tol=self.TOL)
+        assert t.free.kept is not None
+        kept = solve_discounted(t.free, self.BETA, tol=self.TOL)
+        alone = solve_discounted(build_tables(model, spec.without_fixed(),
+                                              grid), self.BETA, tol=self.TOL)
+        assert solve_bits(*kept) == solve_bits(*alone)
+        assert (fixed[2].iterations, kept[2].iterations) == (k_fix, k_prop)
+        # each variant is the iteration checked after every sweep, from the
+        # warm start, with the reference kernels
+        stop_tol = self.TOL * (1.0 - self.BETA) / self.BETA
+        v_warm = t.free.warm[1]
+        for (vf, _, rep), variant, g, s in [
+                (fixed, "fixed", grid, spec),
+                (kept, "proportional", grid.without_wealth(),
+                 spec.without_fixed())]:
+            ref = oracle_tables(model, s, g)
+            v0 = np.broadcast_to(v_warm[:, None, :], g.shape) \
+                if variant == "fixed" else v_warm
+            values, k, diff = per_sweep_iterate(
+                lambda v: np.maximum(*oracle_branches(v, ref, self.BETA,
+                                                      variant)[:2]),
+                v0, self.BETA, stop_tol, "value iteration")
+            assert np.array_equal(vf.values, values)
+            assert (rep.iterations, rep.final_diff) == (k, diff)
+
+    def test_no_more_sweeps_than_two_separate_loops(self, fused_case,
+                                                    monkeypatch):
+        # two loops: the proportional solve first keeps its solution, so the
+        # fixed-cost solve after it sweeps the fixed-cost problem alone
+        model, spec, grid, _, _ = fused_case
+        sweep = dp._sweep
+        calls = []
+
+        def spy_sweep(values, t, beta, out):
+            calls.append(t.variant)
+            return sweep(values, t, beta, out)
+
+        monkeypatch.setattr(dp, "_sweep", spy_sweep)
+        counts = {}
+        for order in ("separate", "fused"):
+            t = build_tables(model, spec, grid)
+            solves = [t.free, t] if order == "separate" else [t, t.free]
+            calls.clear()
+            for tables in solves:
+                solve_discounted(tables, self.BETA, tol=self.TOL)
+            counts[order] = (calls.count("fixed"), calls.count("proportional"))
+        (f_sep, p_sep), (f_fused, p_fused) = (counts["separate"],
+                                              counts["fused"])
+        assert f_fused == f_sep and p_fused <= p_sep
+        assert f_fused + p_fused == max(f_sep, p_sep)
+
+    def test_either_order_gives_the_same_bits_and_one_warm_start(
+            self, model2, spec2, monkeypatch):
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        iterate = dp._iterate
+        runs = []
+
+        def spy_iterate(update, v, beta, stop_tol, what, *args):
+            runs.append(what if isinstance(what, str)
+                        else tuple(part[0] for part in what))
+            return iterate(update, v, beta, stop_tol, what, *args)
+
+        monkeypatch.setattr(dp, "_iterate", spy_iterate)
+        bits = {}
+        for order in ("proportional first", "fixed first"):
+            t = build_tables(model2, spec2, grid)
+            solves = ([t.free, t] if order == "proportional first"
+                      else [t, t.free])
+            runs.clear()
+            out = {tables.variant: solve_bits(*solve_discounted(tables, 0.9,
+                                                                tol=1e-7))
+                   for tables in solves}
+            bits[order] = out
+            assert runs.count("hold-only warm start") == 1
+            assert len(runs) == (3 if order == "proportional first" else 2)
+        assert bits["proportional first"] == bits["fixed first"]
+
+    def test_a_solve_at_another_key_sweeps_afresh(self, model2, spec2,
+                                                  monkeypatch):
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        t = build_tables(model2, spec2, grid)
+        solve_discounted(t, 0.9, tol=1e-7)
+        iterate = dp._iterate
+        runs = []
+
+        def spy_iterate(update, v, beta, stop_tol, what, *args):
+            runs.append(what)
+            return iterate(update, v, beta, stop_tol, what, *args)
+
+        monkeypatch.setattr(dp, "_iterate", spy_iterate)
+        for beta, tol, swept in [(0.9, 1e-7, []),
+                                 (0.9, 1e-5, ["hold-only warm start",
+                                              "value iteration"]),
+                                 (0.95, 1e-5, ["hold-only warm start",
+                                               "value iteration"]),
+                                 (0.95, 1e-5, [])]:
+            runs.clear()
+            got = solve_discounted(t.free, beta, tol=tol)
+            assert runs == swept
+            fresh = solve_discounted(
+                build_tables(model2, spec2.without_fixed(), grid), beta,
+                tol=tol)
+            assert solve_bits(*got) == solve_bits(*fresh)
+            assert t.free.kept[0] == (beta, tol * (1.0 - beta) / beta)
+
+    def test_kept_values_are_not_the_callers(self, model2, spec2):
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        t = build_tables(model2, spec2, grid)
+        solve_discounted(t, 0.9, tol=1e-7)
+        vp, _, _ = solve_discounted(t.free, 0.9, tol=1e-7)
+        want = vp.values.copy()
+        vp.values[:] = 0.0
+        again, _, _ = solve_discounted(t.free, 0.9, tol=1e-7)
+        assert np.array_equal(again.values, want)
+
+
+def halve(v, out):
+    np.multiply(v, 0.5, out=out)
+    return np.add(out, 1.0, out=out)
+
+
+class TestFusedStopRule:
+    """A fused iteration checks every part on its own: a part that blows up
+    or stalls raises the error, at the sweep, that the check after every
+    sweep of that part alone raises, also after the other part has stopped
+    and it continues alone."""
+
+    PARTS = (("halve", np.s_[:, 0], None),)
+
+    def fused_outcome(self, part, v, beta, stop_tol):
+        def fused(u, out):
+            halve(u[:, 0], out[:, 0])
+            part(u[:, 1], out[:, 1])
+            return out
+
+        def alone(u, out):
+            return part(u, out)
+
+        try:
+            return dp._iterate(fused, np.zeros((3, 2)), beta, stop_tol,
+                               self.PARTS + (("update", np.s_[:, 1],
+                                              (alone,)),))
+        except RuntimeError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("at", [2, 3, 40, 65, 66, 100])
+    def test_non_finite_step_in_one_part(self, bad, at):
+        def update(v, out):
+            calls.append(1)
+            np.multiply(v, 0.99, out=out)
+            np.add(out, 1.0, out=out)
+            if len(calls) == at:
+                out[1] = bad
+            return out
+
+        calls = []
+        want = per_sweep_outcome(update, np.zeros(3), 0.99, 1e-300)
+        calls = []
+        got = self.fused_outcome(update, np.zeros(3), 0.99, 1e-300)
+        assert got == want == (
+            f"update: non-finite step {abs(bad)} at sweep {at}")
+
+    @pytest.mark.parametrize("beta, stop_tol", [
+        (0.9, 1e-12), (0.5, 1e-9), (0.99, 1e-6), (0.999, 1e-3)])
+    def test_stall_in_one_part(self, beta, stop_tol):
+        def stuck(v, out):
+            return np.subtract(1.0, v, out=out)
+
+        want = per_sweep_outcome(stuck, np.zeros(3), beta, stop_tol)
+        got = self.fused_outcome(stuck, np.zeros(3), beta, stop_tol)
+        assert "did not reach step tolerance" in want
+        assert got == want
+
+    @pytest.mark.parametrize("stop_tol", [0.3, 1e-3, 1e-7, 1e-12])
+    def test_each_part_stops_at_its_own_sweep(self, stop_tol):
+        def slow(v, out):
+            np.multiply(v, 0.9, out=out)
+            return np.add(out, 1.0, out=out)
+
+        got = self.fused_outcome(slow, np.zeros(3), 0.9, stop_tol)
+        for (values, k, diff), update in zip(got, [halve, slow]):
+            want = per_sweep_outcome(update, np.zeros(3), 0.9, stop_tol)
+            assert np.array_equal(values, want[0]) and (k, diff) == want[1:]
