@@ -191,9 +191,17 @@ def solve_e_batch(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
     """Surviving wealth fractions for a batch of rebalances (exact).
 
     Rows with no root in (0, 1] return 0, encoding an unaffordable
-    transaction.  A rebalance onto itself with no fixed charge returns
-    exactly 1.0: g(1) = cost + 1 is exactly 1 on a row that does not move,
-    so the segment solve returns 1.0 wherever the target is 1.
+    transaction.  In the additive variant these are the rows whose sell-all
+    charge ``pi_prev @ sell`` reaches the target 1 - C/wealth; they return
+    +0.0 without a solve.  The segment solve alone would agree, up to the
+    sign of a zero, on a target in the simplex, where g increases from the
+    sell-all charge, but not on a target with a negative proportion: there
+    g can fall below the target past 0, and the solve would return the
+    root after the dip.  A
+    rebalance onto itself with no fixed charge returns exactly 1.0: g(1) =
+    cost + 1 is exactly 1 on a row that does not move, so the segment solve
+    returns 1.0 wherever the target is 1, and such a row keeps 1.0 even
+    where selling everything would be unaffordable.
     """
     pi_prev = np.atleast_2d(np.asarray(pi_prev, dtype=float))
     pi_new = np.atleast_2d(np.asarray(pi_new, dtype=float))

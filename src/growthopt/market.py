@@ -19,7 +19,8 @@ floor of the worst asset, and the conditional expected log return of a fixed
 proportion vector.
 
 Paths are sampled by one walk, ``_walk``, vectorized across paths and fed
-from bounded blocks of uniforms; it yields the states block by block.
+from bounded blocks of uniforms; it yields the states block by block, and
+a narrow walk composes the factor steps of a block by doubling.
 ``sample_factor_paths`` stores them as (n, T+1) arrays, and
 ``simulate.ld_tail`` folds each block into running sums as it arrives.
 """
@@ -254,8 +255,10 @@ def sample_factor_paths(model: MarketModel, z0, T: int, rng):
 
     ``rng`` is either one Generator shared by all paths or a sequence of
     Generators, one per path; ``_walk`` describes the order in which they
-    are drawn.  Path ``i`` of a per-path batch equals a one-path call on
-    ``rng[i]``, draw for draw.
+    are drawn, and how a narrow walk reads the factor states of a chunk of
+    steps through composed one-step maps.  The states are those of a
+    step-by-step draw, and path ``i`` of a per-path batch equals a one-path
+    call on ``rng[i]``, draw for draw.
 
     Returns integer arrays z, xi of shape (n, T+1); column 0 holds the
     initial factor states and xi[:, 0] = -1 (no shock arrives at time 0).
@@ -293,16 +296,34 @@ def _walk(model: MarketModel, z0, T: int, rng):
     above half the budget in paths a block is one step.
 
     A state is the count of cumulative probabilities, all but the last, at
-    or below its uniform: step by step for the factor, from the row of the
-    previous state, and for a whole block at once for the shock, one
-    comparison per atom.  On the non-decreasing cumulative rows of a model
-    with non-negative probabilities, the last atom could only raise a count
+    or below its uniform, one comparison per atom: for the shock, for a
+    whole block at once; for the factor, against the row of the previous
+    state.  On the non-decreasing cumulative rows of a model with
+    non-negative probabilities, the last atom could only raise a count
     from n - 1 to n, so the count is the ``searchsorted(..., side="right")``
     index of the uniform in the full cumulative row, clamped to n - 1: the
     draw of one step taken alone.
+
+    The factor of a block is walked in chunks.  The first step of a chunk
+    counts from the previous state.  Each later step is a map of every
+    state to its count, and doubling composes the maps into prefix maps
+    (step j after step j - 1, then j - 2, j - 4, ...), so that one gather
+    of the chunk's first state reads every later state of the chunk.  The
+    counts are those of the step-by-step walk, so the states are too.  A
+    map of n paths has n_factors * n entries and takes n_factors - 1
+    comparisons per entry; the comparisons of a chunk, and each of the two
+    buffers its maps fill, hold at most ``DRAW_BUDGET // 32`` entries.  A
+    walk too wide for 16 maps per chunk (n_factors * (n_factors - 1) * n
+    above 128), and so any walk of one-step blocks, counts every step from
+    the previous state.
     """
     n = z0.shape[0]
+    n_z = model.n_factors
     k_max = max(1, min(T, DRAW_BUDGET // max(1, 2 * n)))
+    # steps per chunk: the first and the ones its maps hold; fewer than
+    # 16 maps cost more numpy calls than the steps they replace
+    n_maps = DRAW_BUDGET // 32 // (n_z * max(1, n_z - 1) * n) if n else 0
+    chunk = min(k_max, n_maps + 1) if n_maps >= 16 else 1
     # a walk of many paths has one-step blocks: fresh arrays of its width
     # every step made a step's cost hang on whether the allocator kept or
     # returned their memory, which page faults then paid for
@@ -326,6 +347,11 @@ def _walk(model: MarketModel, z0, T: int, rng):
     # counts down the short factor axis, the same counts as along rows
     cum_pT = np.cumsum(model.transition, axis=1)[:, :-1].T
     cum_nu = np.cumsum(model.shock_probs)[:-1]
+    if chunk > 1:
+        maps = np.empty((2, chunk - 1, n_z, n), dtype=np.int64)
+        # flat start of each step's map
+        offs = np.arange(0, (chunk - 1) * n_z * n, n_z * n).reshape(-1, 1, 1)
+        col = np.arange(n)
     prev = z0
     for t0 in range(1, T + 1, k_max):
         k = min(k_max, T + 1 - t0)
@@ -337,12 +363,50 @@ def _walk(model: MarketModel, z0, T: int, rng):
         for c in cum_nu:
             np.add(xi, u_xi >= c, out=xi)
         z = z_buf[:k]
-        for j in range(k):
+        for j in range(0, k, chunk):
             hits = u[j, 0] >= cum_pT.take(prev, axis=1)
             # np.add.reduce with the count's dtype: np.sum(hits, out=...)
             # costs about 2 us more per step of a one-path walk
             prev = np.add.reduce(hits, axis=0, dtype=np.int64, out=z[j])
+            m = min(chunk, k - j) - 1
+            if m:
+                out = z[j + 1:j + 1 + m]
+                _compose(u[j + 1:j + 1 + m, 0], cum_pT, prev,
+                         maps[:, :m], offs[:m], col, out)
+                prev = out[-1]
         yield t0, z, xi
+
+
+def _compose(u_z, cum_pT, prev, maps, offs, col, out):
+    """``out[i]`` = the factor states after steps 0..i of the factor
+    uniforms ``u_z`` (m, n), from the states ``prev``.
+
+    Entry (i, s, c) of a map is ``n * state + c``: the state after step i
+    from state s on path c, at its flat position in a step's (n_z, n) map.
+    Adding the flat start of step i then addresses step i's map, so one
+    gather composes a map with an earlier one.
+    """
+    m, n = u_z.shape
+    a, b = maps
+    np.add.reduce(u_z[:, None, None, :] >= cum_pT[:, :, None], axis=1,
+                  dtype=np.int64, out=a)
+    a *= n
+    a += col
+    shift = 1
+    while shift < m:
+        # b[i] = a[i] after a[i - shift], gathered in place of its indices:
+        # each is read before its slot is written, and mode "raise" would
+        # copy the output
+        idx = b[shift:]
+        np.add(a[:-shift], offs[shift:], out=idx)
+        np.take(a.reshape(-1), idx, out=idx, mode="clip")
+        b[:shift] = a[:shift]
+        a, b = b, a
+        shift *= 2
+    idx = offs[:, 0] + (prev * n + col)
+    np.take(a.reshape(-1), idx, out=idx, mode="clip")
+    idx -= col
+    np.floor_divide(idx, n, out=out)
 
 
 def ergodic_report(model: MarketModel, eta: Optional[float] = None

@@ -16,9 +16,16 @@ the stream ``(seed, i)``, so ``run(..., stream=i)`` reproduces it bit for
 bit.  Wealth is tracked in logs so horizons of many thousands of steps
 cannot overflow.  A batch samples all its factor/shock paths in one call:
 one walk vectorized across paths over the per-path Philox streams, each
-drawn in bounded blocks (``market.sample_factor_paths``).  The
+drawn in bounded blocks (``market.sample_factor_paths``); a narrow batch,
+a single path above all, reads the factor states of a block through
+one-step maps composed by doubling rather than one step at a time.  The
 large-deviations check ``ld_tail`` consumes the same walk block by block
 and keeps only a running sum per path.
+
+A step costs a few numpy calls on arrays of a few rows, so the strategies
+keep their per-step work to a handful of calls: ``GridPolicyStrategy``
+reads a decision by two ``take``s from flat tables built once, and
+``MimickingStrategy`` gates it with two ``where``s.
 """
 
 from __future__ import annotations
@@ -96,17 +103,27 @@ class GridPolicyStrategy(Strategy):
 
     The rebalance/hold decision is discrete, so lookups snap to the nearest
     simplex node (and nearest wealth node for wealth-dependent policies)
-    instead of interpolating.
+    instead of interpolating.  The policy is read into flat tables once, at
+    construction: the impulse flags and the target proportions of every
+    state in the order of ``grid.shape``, so that a decision is two
+    ``take``s at the state's flat index.
     """
 
     def __init__(self, policy: Policy):
         self.policy = policy
+        grid = policy.grid
+        self._impulse = policy.impulse.ravel()
+        self._targets = grid.nodes[policy.target.ravel()]
+        # flat index of a state: node * stride (+ wealth node * n_z) + z
+        self._stride = math.prod(grid.shape[1:])
 
     def decide_batch(self, pi_prev, x_prev, z, t):
         grid = self.policy.grid
-        wealth = (grid.nearest_wealth(x_prev),) if grid.has_wealth_axis else ()
-        idx = (grid.nearest_node(pi_prev),) + wealth + (z,)
-        return self.policy.impulse[idx], grid.nodes[self.policy.target[idx]]
+        # fresh sums: on a few rows an in-place add costs more than a new one
+        idx = grid.nearest_node(pi_prev) * self._stride + z
+        if grid.has_wealth_axis:
+            idx = idx + grid.nearest_wealth(x_prev) * grid.n_z
+        return self._impulse.take(idx), self._targets.take(idx, axis=0)
 
 
 class MimickingStrategy(Strategy):
@@ -116,7 +133,10 @@ class MimickingStrategy(Strategy):
     flag; it re-syncs to the base target once wealth passes the resync
     level, and otherwise follows the base policy.  The resync level is at
     least the threshold (``cost_constants`` sets it to M exp(eta_m)), so a
-    path below the threshold never re-syncs.
+    path below the threshold never re-syncs, and the gate reads each
+    recovering path's wealth against the resync level alone and every
+    other path's against the threshold alone.  Rows without a trade keep
+    their proportions as targets.
     """
 
     def __init__(self, mimicking: MimickingPolicy):
@@ -128,15 +148,17 @@ class MimickingStrategy(Strategy):
         self._recovering = np.zeros(n_paths, dtype=bool)
 
     def decide_batch(self, pi_prev, x_prev, z, t):
-        if self._recovering.shape[0] != pi_prev.shape[0]:
+        rec = self._recovering
+        if rec.shape[0] != pi_prev.shape[0]:
             raise RuntimeError("call reset(n_paths) before a new batch")
         base_mask, base_tgt = self.base.decide_batch(pi_prev, x_prev, z, t)
+        resync = x_prev >= self.mimicking.resync_wealth
         below = x_prev < self.mimicking.wealth_threshold
-        resync = self._recovering & (x_prev >= self.mimicking.resync_wealth)
-        mask = ~below & (resync | (base_mask & ~self._recovering))
-        targets = np.where(mask[:, None], base_tgt, pi_prev)
-        self._recovering = (self._recovering | below) & ~resync
-        return mask, targets
+        # NaN wealth is neither below nor resynced: it follows the base
+        # policy when not recovering, as ~below lets it
+        mask = np.where(rec, resync, base_mask & ~below)
+        self._recovering = np.where(rec, ~resync, below)
+        return mask, np.where(mask[:, None], base_tgt, pi_prev)
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +210,9 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
     of its trade.  The loop stops early once every path has annihilated.
     """
     pi0 = check_simplex(pi0, model.n_assets)
-    if not x0 > 0:
-        raise ValueError(f"initial wealth must be positive, got {x0}")
+    if not 0 < x0 < math.inf:
+        raise ValueError(f"initial wealth must be positive and finite, "
+                         f"got {x0}")
     if not 0 <= z0 < model.n_factors:
         raise ValueError(f"initial factor state {z0} outside "
                          f"[0, {model.n_factors})")
@@ -223,7 +246,7 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
         rec_pi_prev[:, t] = pi_prev[:r]
         rec_lx_prev[:, t] = lx[:r]
         mask, tgt = strategy.decide_batch(pi_prev, x_prev, z[:, t], t)
-        go = mask & alive
+        go = mask if all_alive else mask & alive
         # np.count_nonzero and .nonzero() skip the Python layer of .any()
         if np.count_nonzero(go):
             idx = (go & (tgt != pi_prev).any(axis=1)).nonzero()[0]

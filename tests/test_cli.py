@@ -513,6 +513,21 @@ class TestSimulateEngine:
         assert not (tmp_path / "sim" / "trajectory.csv").exists()
         assert not (tmp_path / "sim" / "simulate.json").exists()
 
+    def test_non_finite_initial_wealth_exits_1(self, optimal_dir, tmp_path,
+                                               capsys):
+        # JSON reads 1e400 as inf; a run from it printed growth inf +- nan
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"simulation": {"T": 20, "n_paths": 2, "x0": 1e400}}')
+        code = main(["--config", str(cfg), "--model",
+                     str(optimal_dir / "model.json"), "--output-dir",
+                     str(tmp_path / "sim"), "simulate", "--policy",
+                     str(optimal_dir / "out" / "policy"), "--mimic", "off"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "initial wealth must be positive and finite, got inf" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim" / "simulate.json").exists()
+
 
 class TestLdcheckCommand:
     def test_emits_csv_and_slope(self, tmp_path):

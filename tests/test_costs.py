@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from growthopt import (CostSpec, bisect_e, cost_constants,
                        general_cost_check, min_diminution, min_trade_wealth,
                        proportional_cost, share_cost, solve_e, solve_e_batch)
-from growthopt.costs import drag_at_wealth, transaction_equation, worst_case_drag
+from growthopt.costs import (_solve_prop_root_batch, drag_at_wealth,
+                             transaction_equation, worst_case_drag)
 
 
 def spec_2(buy=0.01, sell=0.01, fixed=0.0, variant="additive"):
@@ -350,6 +351,115 @@ class TestLeanSolver:
         want = oracle_solve_e_batch(spec, prev, new, np.full(200, 1e4))
         assert got.tobytes() == want.tobytes()
         assert (got[sell_all > 1.0] == 0.0).all()
+
+
+@st.composite
+def mixed_rebalances(draw):
+    """An additive spec and a batch mixing plain, vertex, unmoved, leveraged
+    and lattice rows with wealth from unaffordable to infinite."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 10))
+    rate = st.floats(0.0, 0.3)
+    spec = CostSpec(buy=draw(st.lists(rate, min_size=d, max_size=d)),
+                    sell=draw(st.lists(rate, min_size=d, max_size=d)),
+                    fixed=draw(st.sampled_from([0.0, 0.1, 0.75, 5.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prev, new = rng.dirichlet(np.ones(d), n), rng.dirichlet(np.ones(d), n)
+    for i in range(n):
+        kind = draw(st.sampled_from(["plain", "vertex", "unmoved",
+                                     "leveraged_holdings", "leveraged_target",
+                                     "lattice"]))
+        if kind == "vertex":
+            prev[i] = np.eye(d)[rng.integers(d)]
+        elif kind == "unmoved":
+            new[i] = prev[i]
+        elif kind == "leveraged_holdings" and d > 1:
+            prev[i, 0] += 4.0
+            prev[i, 1] -= 4.0
+        elif kind == "leveraged_target" and d > 1:
+            new[i, 0] += 1.5
+            new[i, 1] -= 1.5
+        elif kind == "lattice":
+            prev[i], new[i] = np.round(prev[i] * 4) / 4, np.round(new[i] * 4) / 4
+    wealth = np.array(draw(st.lists(
+        st.sampled_from([0.05, 0.3, 0.75, 1.0, 20.0, 1e4, np.inf])
+        | st.floats(1e-3, 1e6), min_size=n, max_size=n)))
+    return spec, prev, new, wealth
+
+
+class TestUnaffordableRows:
+    """The additive solve's zeros: +0.0 where the sell-all charge reaches
+    the target, 1.0 on unmoved rows at fixed 0, and rows solved as they
+    would be alone."""
+
+    @staticmethod
+    def spec(fixed):
+        # the sell-all charge of holding asset 0 only is exactly 0.25
+        return CostSpec(buy=[0.01, 0.02], sell=[0.25, 0.1], fixed=fixed)
+
+    @pytest.mark.parametrize("fixed, case", [(0.75, "g(0) = target"),
+                                             (0.8, "g(0) > target"),
+                                             (5.0, "target < 0")])
+    def test_unaffordable_rows_return_plus_zero(self, fixed, case):
+        spec = self.spec(fixed)
+        prev = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        new = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+        if case == "g(0) = target":
+            assert prev[0] @ spec.sell == 1.0 - fixed / 1.0 == 0.25
+        e = solve_e_batch(spec, prev, new, np.ones(3))
+        assert e.tobytes() == np.zeros(3).tobytes()  # +0.0, sign bit clear
+        # a -0.0 holding puts a -0.0 breakpoint next to the candidate 0
+        e = solve_e_batch(spec, [[1.0, -0.0]], [[0.5, 0.5]], [1.0])
+        assert e.tobytes() == np.zeros(1).tobytes()
+
+    def test_affordable_just_above_the_target(self):
+        # one ulp more wealth than the g(0) = target row needs
+        spec = self.spec(0.75)
+        wealth = np.nextafter(1.0, 2.0)
+        e = solve_e_batch(spec, [[1.0, 0.0]], [[0.0, 1.0]], [wealth])
+        assert 0.0 < e[0] < 1e-12
+
+    def test_unmoved_rows_at_fixed_zero_return_one(self):
+        # the second row sells 4 and buys 3: its sell-all charge alone is
+        # above 1, so no move away from it is affordable
+        spec = CostSpec(buy=[0.2, 0.3], sell=[0.3, 0.0], fixed=0.0)
+        prev = np.array([[0.3, 0.7], [4.0, -3.0], [4.0, -3.0], [1.0, 0.0]])
+        new = np.array([[0.3, 0.7], [4.0, -3.0], [3.0, -2.0], [0.0, 1.0]])
+        assert prev[1] @ spec.sell > 1.0
+        e = solve_e_batch(spec, prev, new, np.full(4, 2.0))
+        assert e[:2].tolist() == [1.0, 1.0]
+        assert e[2] == 0.0 and not np.signbit(e[2]) and 0.0 < e[3] < 1.0
+
+    def test_a_leveraged_target_is_refused_by_its_sell_all_charge(self):
+        # g(0) is above the target, but g falls with delta until asset 0's
+        # breakpoint and crosses the target again near 0.069: the segment
+        # solve alone finds that root, while the sell-all test refuses the
+        # row, as it did before the solve was batched
+        spec = CostSpec(buy=[0.23493513, 0.11664212, 0.06551107],
+                        sell=[0.47782538, 0.03539573, 0.264653], fixed=0.75)
+        prev = np.array([[0.15718383, 0.74512427, 0.09769189]])
+        new = np.array([[2.40690689, -1.42487664, 0.01796975]])
+        prev /= prev.sum()
+        new /= new.sum()
+        wealth = np.array([0.999 * 0.75 / (1.0 - prev[0] @ spec.sell)])
+        target = 1.0 - spec.fixed / wealth
+        assert prev @ spec.sell > target
+        alone = _solve_prop_root_batch(spec, prev, new, target)
+        assert 0.06 < alone[0] < 0.08
+        assert solve_e_batch(spec, prev, new, wealth).tobytes() == \
+            np.zeros(1).tobytes()
+
+    @given(mixed_rebalances())
+    @settings(max_examples=300, deadline=None)
+    def test_batches_match_rows_and_the_oracle(self, case):
+        spec, prev, new, wealth = case
+        got = solve_e_batch(spec, prev, new, wealth)
+        rows = np.concatenate([solve_e_batch(spec, prev[i:i + 1],
+                                             new[i:i + 1], wealth[i:i + 1])
+                               for i in range(len(wealth))])
+        assert got.tobytes() == rows.tobytes()
+        assert got.tobytes() == oracle_solve_e_batch(
+            spec, prev, new, wealth).tobytes()
 
 
 class TestDiminutionBounds:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from growthopt import (CostSpec, MarketModel, NoTransactionStrategy,
                        bundled_model_path, dobrushin, ergodic_report,
                        expected_log_return, growth_floor, invariant_measure,
                        load_model, make_rng, mixing_step, sample_factor_paths)
+from growthopt import market
 from growthopt.cli import main
 from growthopt.market import DRAW_BUDGET
 from growthopt.simulate import run
@@ -546,10 +548,195 @@ class TestSampleFactorPaths:
         assert xi[:, 1:].tobytes() == want.tobytes()
         assert np.isin(cum_nu, u[:, :, 1]).all()
 
+    @pytest.mark.parametrize("rng", [make_rng(1), []],
+                             ids=["shared", "per path"])
+    def test_no_paths(self, rng):
+        z, xi = sample_factor_paths(two_state(), np.zeros(0, dtype=np.int64),
+                                    50, rng)
+        assert z.shape == xi.shape == (0, 51)
+
     def test_rejects_wrong_generator_count(self):
         with pytest.raises(ValueError):
             sample_factor_paths(two_state(), np.zeros(3, dtype=np.int64), 5,
                                 [make_rng(0, i) for i in range(2)])
+
+
+def chunk_sizes(T, n, n_z):
+    """Steps of every chunk of a walk of n paths over T steps, block by
+    block: a chunk is the first step and as many maps as have their
+    comparisons, n_z * (n_z - 1) * n each, within DRAW_BUDGET // 32, or
+    one step where fewer than 16 maps fit."""
+    k_max = min(T, block_steps(n))
+    n_maps = DRAW_BUDGET // 32 // (n_z * max(1, n_z - 1) * n)
+    chunk = min(k_max, n_maps + 1) if n_maps >= 16 else 1
+    sizes = []
+    for t0 in range(0, T, k_max):
+        k = min(k_max, T - t0)
+        sizes += [min(chunk, k - j) for j in range(0, k, chunk)]
+    return sizes
+
+
+@pytest.fixture()
+def composed(monkeypatch):
+    """The map count of every composition the walk runs, in order."""
+    lengths = []
+    compose = market._compose
+
+    def counted(u_z, *args):
+        lengths.append(len(u_z))
+        return compose(u_z, *args)
+
+    monkeypatch.setattr(market, "_compose", counted)
+    return lengths
+
+
+def assert_same_states(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+class TestComposedWalk:
+    """The factor walk through one-step maps composed by doubling, against
+    the step-by-step oracle at and around chunk boundaries.  Each test also
+    checks which chunks were composed, so that a walk that fell back to
+    single steps could not pass it.
+
+    The chain mostly steps s -> s + 1 mod 3, so that most one-step maps
+    are permutations: the maps of a mixing chain soon send every state to
+    one, and a composition that dropped an early map would still read the
+    right states.
+    """
+
+    model = MarketModel(transition=np.roll(np.eye(3), 1, axis=1) * 0.9
+                        + 0.1 / 3,
+                        shock_probs=[0.1, 0.25, 0.3, 0.35],
+                        returns=np.full((3, 4, 2), 1.01))
+
+    @staticmethod
+    def chunk(n, n_z=3):
+        return DRAW_BUDGET // 32 // (n_z * max(1, n_z - 1) * n) + 1
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("where", ["chunk - 1", "chunk", "chunk + 1",
+                                       "several chunks"])
+    def test_stream_list_at_chunk_boundaries(self, composed, n, where):
+        size = self.chunk(n)
+        T = {"chunk - 1": size - 1, "chunk": size, "chunk + 1": size + 1,
+             "several chunks": 3 * size + 5}[where]
+        z0 = np.arange(n) % self.model.n_factors
+        got = sample_factor_paths(self.model, z0, T,
+                                  [make_rng(4, i) for i in range(n)])
+        for i in range(n):
+            want = oracle_paths(self.model, z0[i:i + 1], T, make_rng(4, i))
+            assert_same_states((got[0][i:i + 1], got[1][i:i + 1]), want)
+        sizes = chunk_sizes(T, n, 3)
+        assert composed == [c - 1 for c in sizes if c > 1]
+        assert max(sizes) == min(T, size)
+
+    @pytest.mark.parametrize("where", ["chunk - 1", "chunk", "chunk + 1",
+                                       "several chunks", "several blocks"])
+    def test_shared_generator_at_chunk_boundaries(self, composed, where):
+        n = 7
+        size = self.chunk(n)
+        T = {"chunk - 1": size - 1, "chunk": size, "chunk + 1": size + 1,
+             "several chunks": 3 * size + 5,
+             "several blocks": 2 * block_steps(n) + size + 1}[where]
+        z0 = np.random.default_rng(n).integers(self.model.n_factors, size=n)
+        got = sample_factor_paths(self.model, z0, T, make_rng(6))
+        assert_same_states(got, oracle_paths(self.model, z0, T, make_rng(6)))
+        assert composed == [c - 1 for c in chunk_sizes(T, n, 3) if c > 1]
+
+    def test_every_map_count_up_to_70(self, composed):
+        # a one-path walk of T <= 70 steps is one chunk of T - 1 maps, so
+        # these cover every count of doubling passes up to 7, and the
+        # counts just past each power of two
+        for T in range(1, 71):
+            z0 = np.array([T % self.model.n_factors])
+            got = sample_factor_paths(self.model, z0, T, [make_rng(8, T)])
+            assert_same_states(got, oracle_paths(self.model, z0, T,
+                                                 make_rng(8, T)))
+        assert composed == list(range(1, 70))
+
+    def test_one_factor_model(self, composed):
+        # cum_pT is empty: every map sends the one state to itself
+        model = MarketModel(transition=[[1.0]], shock_probs=[0.2, 0.5, 0.3],
+                            returns=[[[1.1], [0.9], [1.0]]])
+        n = 3
+        T = 3 * self.chunk(n, 1) + 2
+        got = sample_factor_paths(model, np.zeros(n, dtype=np.int64), T,
+                                  [make_rng(9, i) for i in range(n)])
+        for i in range(n):
+            want = oracle_paths(model, np.zeros(1, dtype=np.int64), T,
+                                make_rng(9, i))
+            assert_same_states((got[0][i:i + 1], got[1][i:i + 1]), want)
+        assert not got[0].any() and len(composed) >= 3
+
+    @pytest.mark.parametrize("n_z", [2, 4])
+    def test_rows_ending_below_one(self, composed, n_z):
+        # a uniform above the last cumulative entry clamps to the last
+        # state, and one on an entry counts it, in every composed chunk
+        rng = np.random.default_rng(50 + n_z)
+        trans = rng.dirichlet(np.ones(n_z), size=n_z)
+        trans[::2] *= 1.0 - 1e-3
+        cum_p = np.cumsum(trans, axis=1)
+        n = 2
+        T = 3 * self.chunk(n, n_z) + 7
+        u = rng.random((n, T, 2))
+        u[:, ::3, 0] = rng.choice(cum_p.ravel(), size=u[:, ::3, 0].shape)
+        u[:, 1::7, 0] = 1.0 - 1e-7
+        model = unchecked_model(transition=trans, shock_probs=[1.0],
+                                returns=np.ones((n_z, 1, 1)))
+        z0 = np.arange(n) % n_z
+        z, _ = sample_factor_paths(model, z0, T,
+                                   [Scripted(u[i]) for i in range(n)])
+        want = np.empty((n, T + 1), dtype=np.int64)
+        want[:, 0] = z0
+        for t in range(1, T + 1):
+            idx = (u[:, t - 1, 0][:, None]
+                   >= cum_p[want[:, t - 1]]).sum(axis=1)
+            want[:, t] = np.minimum(idx, n_z - 1)
+        assert z.tobytes() == want.tobytes()
+        assert (want == n_z - 1).any() and len(composed) >= 3
+
+    # 3 factors: 21 paths hold 16 maps per chunk, 22 paths 15, and half the
+    # draw budget in paths makes one-step blocks
+    @pytest.mark.parametrize("n, composes", [(21, True), (22, False),
+                                             (DRAW_BUDGET // 2 + 1, False)])
+    def test_width_limits_of_the_composition(self, composed, n, composes):
+        T = 3 * min(self.chunk(n), block_steps(n)) + 5
+        z0 = np.arange(n) % self.model.n_factors
+        got = sample_factor_paths(self.model, z0, T, make_rng(12))
+        assert_same_states(got, oracle_paths(self.model, z0, T, make_rng(12)))
+        assert bool(composed) == composes
+        assert composed == [c - 1 for c in chunk_sizes(T, n, 3) if c > 1]
+
+    def test_memory_stays_within_the_buffers(self, two_asset):
+        # the draw buffer and the two state buffers, allocated once per
+        # walk; beyond them the shock count of a block takes a comparison
+        # array and numpy's cast buffer, and the maps of a chunk at most
+        # 64 KB more (scanning a whole block at once would take 1 MB)
+        model = two_asset[0]
+        n, T = 50, 2500
+        k = block_steps(n)
+        buffers = k * 2 * n * 8 + 2 * k * n * 8
+        xi, u = np.zeros((k, n), dtype=np.int64), np.random.random((k, 2, n))
+        tracemalloc.start()
+        try:
+            np.add(xi, u[:, 1] >= 0.5, out=xi)
+            shock_count = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rngs = [make_rng(5, i) for i in range(n)]
+        z0 = np.zeros(n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            for _ in market._walk(model, z0, T, rngs):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers + shock_count + 64 * 1024, (
+            peak - buffers - shock_count)
 
 
 def stream_digests(n, T, rng):

@@ -1,6 +1,7 @@
 """Trajectory engine, growth estimates, pathwise checks."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -355,6 +356,8 @@ class TestOneEngine:
         (0.0, 0, "initial wealth must be positive"),
         (-1.0, 0, "initial wealth must be positive"),
         (float("nan"), 0, "initial wealth must be positive"),
+        (math.inf, 0, "initial wealth must be positive and finite, got inf"),
+        (float("nan"), 0, "positive and finite, got nan"),
         (1.0, 2, "initial factor state 2 outside"),
         (1.0, -1, "initial factor state -1 outside")])
     def test_rejects_bad_start(self, model2, spec2, x0, z0, message):
@@ -469,6 +472,110 @@ class TestMimickingDecision:
             assert np.array_equal(tgt[mask], want_tgt[mask]), t
             assert np.array_equal(strat._recovering, recovering), t
         assert reached == {"below", "waiting", "resync", "follow"}
+
+
+def oracle_grid_decide(policy, pi_prev, x_prev, z):
+    """``GridPolicyStrategy.decide_batch`` before its flat tables: a tuple
+    fancy index into the policy tables and a gather through the nodes."""
+    grid = policy.grid
+    wealth = (grid.nearest_wealth(x_prev),) if grid.has_wealth_axis else ()
+    idx = (grid.nearest_node(pi_prev),) + wealth + (z,)
+    return policy.impulse[idx], grid.nodes[policy.target[idx]]
+
+
+def random_policy(rng, grid):
+    return Policy(grid=grid, impulse=rng.random(grid.shape) < 0.5,
+                  target=rng.integers(grid.n_nodes, size=grid.shape),
+                  beta=0.99)
+
+
+class TestGridDecisionTables:
+    @pytest.mark.parametrize("d, wealth", [(2, False), (2, True), (3, False),
+                                           (3, True)])
+    def test_flat_tables_match_the_tuple_index(self, d, wealth):
+        rng = np.random.default_rng(10 * d + wealth)
+        m, n_z = 4, 3
+        grid = StateGrid.build(d, m, n_z, *((1e-2, 1e3, 6) if wealth else ()))
+        policy = random_policy(rng, grid)
+        strat = GridPolicyStrategy(policy)
+        # random rows; midpoints of two nodes, whose coordinates sit
+        # halfway between lattice points where the nodes differ by an odd
+        # count; the nodes
+        nodes = grid.nodes
+        pairs = rng.integers(grid.n_nodes, size=(40, 2))
+        halfway = 0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]])
+        pi = np.vstack([rng.dirichlet(np.ones(d), 60), halfway, nodes])
+        n = pi.shape[0]
+        # wealth on the grid, halfway between nodes in log-wealth, and
+        # beyond both ends
+        grid_x = grid.wealth if wealth else np.geomspace(1e-2, 1e3, 6)
+        x = np.concatenate([
+            np.exp(rng.uniform(np.log(1e-4), np.log(1e5), n - 19)),
+            grid_x, np.sqrt(grid_x[1:] * grid_x[:-1]),
+            [1e-300, 1e-3, 5e3, 1e300, np.inf, 1e-2, 1e3, 50.0]])
+        z = rng.integers(n_z, size=n)
+        mask, tgt = strat.decide_batch(pi, x, z, 0)
+        want_mask, want_tgt = oracle_grid_decide(policy, pi, x, z)
+        assert mask.dtype == want_mask.dtype
+        assert mask.tobytes() == want_mask.tobytes()
+        assert tgt.shape == want_tgt.shape
+        assert tgt.tobytes() == want_tgt.tobytes()
+        if wealth:  # the lookups reach both ends of the wealth grid
+            j = grid.nearest_wealth(x)
+            assert j.min() == 0 and j.max() == grid.n_wealth - 1
+
+    def test_one_row_batches(self):
+        rng = np.random.default_rng(3)
+        grid = StateGrid.build(2, 8, 2, 1e-3, 1e4, 16)
+        policy = random_policy(rng, grid)
+        strat = GridPolicyStrategy(policy)
+        for _ in range(50):
+            pi = rng.dirichlet(np.ones(2), 1)
+            x = np.exp(rng.uniform(-10.0, 12.0, 1))
+            z = rng.integers(2, size=1)
+            got = strat.decide_batch(pi, x, z, 0)
+            want = oracle_grid_decide(policy, pi, x, z)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+class TestMimickingGateTruthTable:
+    """Every recovery bit, wealth case and base decision at once."""
+
+    @pytest.mark.parametrize("base_trades", [False, True])
+    def test_matches_the_assignments(self, two_asset, base_trades):
+        model, spec = two_asset
+        rng = np.random.default_rng(7)
+        grid = StateGrid.build(2, 4, 2)
+        base = Policy(grid=grid, impulse=np.full(grid.shape, base_trades),
+                      target=rng.integers(grid.n_nodes, size=grid.shape),
+                      beta=0.99)
+        mimicking = build_mimicking(base, cost_constants(
+            spec, growth_floor(model)[0]))
+        m, m_star = mimicking.wealth_threshold, mimicking.resync_wealth
+        assert m < m_star
+        wealth = {"below": m / 2, "at threshold": m,
+                  "between": 0.5 * (m + m_star), "at resync": m_star,
+                  "above": 2 * m_star, "nan": np.nan}
+        cases = list(itertools.product([False, True], wealth))
+        n = len(cases)
+        recovering = np.array([rec for rec, _ in cases])
+        x = np.array([wealth[w] for _, w in cases])
+        pi = rng.dirichlet(np.ones(2), n)
+        z = rng.integers(2, size=n)
+        strat = MimickingStrategy(mimicking)
+        strat.reset(n)
+        strat._recovering = recovering.copy()
+        mask, tgt = strat.decide_batch(pi, x, z, 0)
+        want_mask, want_tgt, want_rec = oracle_mimicking_decide(
+            mimicking, recovering, pi, x, z, 0)
+        assert mask.tobytes() == want_mask.tobytes()
+        # rows without a trade keep their proportions
+        assert tgt.tobytes() == want_tgt.tobytes()
+        assert strat._recovering.tobytes() == want_rec.tobytes()
+        follow = dict(zip(cases, mask.tolist()))
+        assert follow[False, "nan"] == base_trades
+        assert follow[True, "at resync"] and not follow[True, "nan"]
+        assert not any(follow[rec, "below"] for rec in (False, True))
 
 
 class TestWealthFloor:
