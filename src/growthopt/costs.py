@@ -7,10 +7,13 @@ survives with a wealth fraction delta in (0, 1] solving
     max(cost(pi_prev, delta * pi), C / wealth) + delta = 1    (max variant)
 
 where ``cost`` charges buy rates on proportion increases and sell rates on
-decreases.  Both left-hand sides are strictly increasing piecewise-linear
-functions of delta, so the root is unique when it exists; ``solve_e``
-computes it exactly by scanning the linear segments.  ``bisect_e`` is an
-independent bracketing oracle kept for verification.
+decreases.  Both left-hand sides are convex piecewise-linear functions of
+delta, at least 1 at delta = 1.  For a target in the simplex they are
+strictly increasing, so the root is unique when it exists; a target with a
+negative proportion can make them dip below the right-hand side past 0, and
+the root taken is then the largest.  ``solve_e`` computes it exactly by
+scanning the linear segments.  ``bisect_e`` is an independent bracketing
+oracle kept for verification.
 
 The module also derives the cost constants that gate the average-growth
 theory: the worst-case log drag ``eta`` of a proportional rebalance, its
@@ -124,13 +127,15 @@ def _cost_batch(spec, pi_prev, pi_tilde):
 
 
 def _solve_prop_root_batch(spec, pi_prev, pi_new, target):
-    """Exact roots of cost(pi_prev, delta*pi_new) + delta = target, vectorized.
+    """Largest roots of cost(pi_prev, delta*pi_new) + delta = target in
+    [0, 1], vectorized; 0 where there is none.
 
-    The left side g is strictly increasing and piecewise linear with
-    breakpoints at delta_i = pi_prev_i / pi_new_i; evaluating it on the
-    sorted breakpoint grid brackets the root, which is then solved on its
-    linear segment.  Callers guarantee a root exists in (0, 1]: the value
-    at 0 is the total sell charge and the value at 1 is >= 1 >= target.
+    The left side g is convex and piecewise linear with breakpoints at
+    delta_i = pi_prev_i / pi_new_i, and g(1) >= 1, so {g <= target} is an
+    interval and its right end is the largest root.  Evaluating g on the
+    sorted breakpoint grid brackets that root, which is then solved on its
+    linear segment.  g increases when pi_new lies in the simplex; a
+    negative proportion in pi_new can make it fall below the target past 0.
 
     The batches of a simulation are a few rows, so the cost of a call is
     the number of numpy calls: arrays are filled in place and the bracket
@@ -180,8 +185,11 @@ def _solve_prop_root_batch(spec, pi_prev, pi_new, target):
     root = target - g_lo
     root /= np.where(slope > 0.0, slope, np.inf)
     root += d_lo
-    np.maximum(root, d_lo, out=root)
-    np.minimum(root, d_hi, out=root)
+    # np.clip(root, d_lo, d_hi) bit for bit: on a tie np.maximum and
+    # np.minimum return their second operand, and np.clip keeps the root,
+    # so a +0.0 root stays +0.0 at a -0.0 breakpoint
+    np.maximum(d_lo, root, out=root)
+    np.minimum(d_hi, root, out=root)
     if ends:
         root[at_end] = 1.0
     return root
@@ -190,18 +198,15 @@ def _solve_prop_root_batch(spec, pi_prev, pi_new, target):
 def solve_e_batch(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
     """Surviving wealth fractions for a batch of rebalances (exact).
 
-    Rows with no root in (0, 1] return 0, encoding an unaffordable
-    transaction.  In the additive variant these are the rows whose sell-all
-    charge ``pi_prev @ sell`` reaches the target 1 - C/wealth; they return
-    +0.0 without a solve.  The segment solve alone would agree, up to the
-    sign of a zero, on a target in the simplex, where g increases from the
-    sell-all charge, but not on a target with a negative proportion: there
-    g can fall below the target past 0, and the solve would return the
-    root after the dip.  A
+    Rows with no root in (0, 1] return +0.0, encoding an unaffordable
+    transaction.  The segment solve decides every row: it returns the
+    largest root, so a target with a negative proportion, whose g can dip
+    below the target 1 - C/wealth past 0, is affordable at the root after
+    the dip even where its sell-all charge g(0) exceeds that target.  A
     rebalance onto itself with no fixed charge returns exactly 1.0: g(1) =
     cost + 1 is exactly 1 on a row that does not move, so the segment solve
-    returns 1.0 wherever the target is 1, and such a row keeps 1.0 even
-    where selling everything would be unaffordable.
+    returns 1.0 wherever the target is 1, also where selling everything
+    would be unaffordable.
     """
     pi_prev = np.atleast_2d(np.asarray(pi_prev, dtype=float))
     pi_new = np.atleast_2d(np.asarray(pi_new, dtype=float))
@@ -216,21 +221,9 @@ def solve_e_batch(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
     fixed_frac = spec.fixed / wealth
     if spec.variant == "additive":
         # root of cost + delta = 1 - C/wealth on the breakpoint grid
-        target = 1.0 - fixed_frac
-        feasible = pi_prev @ spec.sell < target
-        n_ok = np.count_nonzero(feasible)
-        if n_ok == n:
-            return _solve_prop_root_batch(spec, pi_prev, pi_new, target)
-        out = np.zeros(n)
-        if n_ok:
-            out[feasible] = _solve_prop_root_batch(
-                spec, pi_prev[feasible], pi_new[feasible], target[feasible])
-        # a row that does not move stays put even where selling it all
-        # would be unaffordable
-        out[(pi_prev == pi_new).all(axis=1) & (fixed_frac == 0.0)] = 1.0
-        return out
-    # max variant: the left side is the max of two increasing functions, so
-    # the root is the smaller of their individual roots
+        return _solve_prop_root_batch(spec, pi_prev, pi_new, 1.0 - fixed_frac)
+    # max variant: the left side is the max of two convex functions, so its
+    # largest root is the smaller of theirs
     out = _solve_prop_root_batch(spec, pi_prev, pi_new, np.ones(n))
     cap = 1.0 - fixed_frac
     np.minimum(out, cap, out=out)

@@ -59,6 +59,12 @@ the policy extraction and the stationarity residual, in few numpy calls:
   targets is ``np.maximum.reduce`` over contiguous slabs;
 - the sentinel NEG that bars the no-op rebalance p' = p is written into
   the kernel's ln e table once, when the tables are built;
+- the rebalance tables cover the wealth columns from the first that holds
+  an affordable rebalance p' != p, and x = inf: in the columns below it
+  the fixed charge bars every rebalance from every state, so no sweep
+  evaluates one there.  Those columns of the best rebalance value are
+  -inf, set once with the buffers, so that the better branch there is
+  the hold value, as it is with the barred rebalances evaluated;
 - results land in buffers allocated with the tables, and value iteration
   writes a batch of sweeps into a ring of value tables.
 
@@ -68,7 +74,8 @@ values, sweep counts and policies equal those of the reference kernels in
 the tests.  Entries barred by NEG hold NEG plus a hold value, far below
 holding, so they never win.  Sweeps keep only the best rebalance value
 per state; the argmax that names the target is taken once, when the
-converged values are turned into a policy.
+converged values are turned into a policy, on rebalance values of every
+wealth column, NEG in those the tables leave out.
 """
 
 from __future__ import annotations
@@ -108,9 +115,14 @@ class DpTables:
     stacked on axis 0 of its index and weight tables (lo, hi; weights
     1 - frac, frac); the x = inf column reads its own entry as both, with
     weights (1, 0).  Rebalance tables are target-major: axis 0 is the
-    target p', axis 1 the state's node p.  Weights and ln e come broadcast
-    to the full shape of the gather they scale, so a sweep is a few takes
-    and elementwise operations, with no index arithmetic.
+    target p', axis 1 the state's node p.  On wealth grids they cover the
+    columns n_barred to n_x of the state's wealth axis: the first
+    ``n_barred`` columns, in which every rebalance p' != p is unaffordable
+    (all n_x when none on the grid is affordable), are left out, and x =
+    inf always stays.  ``n_barred`` is read from their shape.  Weights, ln
+    e and h come broadcast to the full shape of the operation they enter,
+    so a sweep is a few takes and elementwise operations, with no index
+    arithmetic.
 
     Tables of a fixed charge carry ``free``, the tables of the cost
     without it, so on the grid without its wealth axis; every hold-only
@@ -128,12 +140,13 @@ class DpTables:
     # state after a market step: ([2,] n_p, [n_x + 1,] n_z', n_s)
     hold_idx: np.ndarray
     # ln e of a rebalance p -> p', target-major, NEG where the charge
-    # exceeds wealth and on the diagonal p' = p: (n_p', n_p, [n_x + 1,] n_z)
+    # exceeds wealth and on the diagonal p' = p: (n_p', n_p, [n_m,] n_z),
+    # n_m = n_x + 1 - n_barred wealth columns
     move_ln_e: np.ndarray
     # wealth grids: weights of the two wealth corners of hold_idx
     hold_w: Optional[np.ndarray] = None
     # wealth grids: rows of the post-cost wealth corners of the target,
-    # (2, n_p', n_p, n_x + 1), and their weights, (2, n_p', n_p, n_x + 1, n_z)
+    # (2, n_p', n_p, n_m), and their weights, (2, n_p', n_p, n_m, n_z)
     move_rows: Optional[np.ndarray] = None
     move_w: Optional[np.ndarray] = None
     # proportional grids: ln of the surviving fraction of a rebalance
@@ -148,8 +161,9 @@ class DpTables:
     warm: Optional[tuple] = field(default=None, init=False, repr=False)
     kept: Optional[tuple] = field(default=None, init=False, repr=False)
     # kernel buffers: hold value (kernel_shape), rebalance values (shape of
-    # move_ln_e), best rebalance value (kernel_shape), blended market-step
-    # gather (wealth grids)
+    # move_ln_e), best rebalance value (kernel_shape, -inf in the columns
+    # the rebalance tables leave out), blended market-step gather (wealth
+    # grids)
     cont: np.ndarray = field(init=False, repr=False)
     moves: np.ndarray = field(init=False, repr=False)
     best: np.ndarray = field(init=False, repr=False)
@@ -157,18 +171,30 @@ class DpTables:
 
     def __post_init__(self):
         wealth = self.grid.has_wealth_axis
-        self.kernel_shape = self.move_ln_e.shape[1:]
+        n_p, n_z = self.grid.n_nodes, self.grid.n_z
+        self.kernel_shape = ((n_p, self.grid.n_wealth + 1, n_z) if wealth
+                             else (n_p, n_z))
+        # leading wealth columns that the rebalance tables leave out
+        self.n_barred = (self.kernel_shape[1] - self.move_ln_e.shape[2]
+                         if wealth else 0)
         self.cont = np.empty(self.kernel_shape)
         self.moves = np.empty(self.move_ln_e.shape)
-        self.best = np.empty(self.kernel_shape)
+        # no sweep writes the left-out columns: -inf there makes the better
+        # branch the hold value, as the barred rebalances did
+        self.best = np.full(self.kernel_shape, -np.inf)
         self.blend = np.empty(self.hold_w.shape[1:]) if wealth else None
-        # E v contracts the (q, s) axes of the gather; h broadcasts over
-        # the wealth axis; the rebalance gathers rows of the hold values,
-        # or broadcasts them over the state's node
+        # E v contracts the (q, s) axes of the gather; h is stored at the
+        # kernel's shape, as an add of a broadcast operand is about three
+        # times slower; the rebalance gathers rows of the hold values, or
+        # broadcasts them over the state's node, and reduces into the
+        # columns of best that the rebalance tables cover
         self._ev = "pjqs,zqs->pjz" if wealth else "pqs,zqs->pz"
-        self._h = self.h_tab[:, None, :] if wealth else self.h_tab
-        self._cont_moves = (self.cont.reshape(-1, self.grid.n_z) if wealth
+        self._h = (np.ascontiguousarray(np.broadcast_to(
+            self.h_tab[:, None, :], self.kernel_shape)) if wealth
+            else self.h_tab)
+        self._cont_moves = (self.cont.reshape(-1, n_z) if wealth
                             else self.cont[:, None])
+        self._best_moves = self.best[:, self.n_barred:]
 
 
 def _sentinel_diagonal(ln_e):
@@ -249,17 +275,27 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     # the value, so it sweeps the proportional problem bit for bit
     stp_frac = with_inf(stp_frac, 0.0, 1)
     imp_frac = with_inf(imp_frac, 0.0, 2)
+    # the rebalance tables cover the wealth columns from the first that
+    # holds an affordable rebalance p' != p, and x = inf, appended as open;
+    # below it every rebalance is barred from every state, so no sweep
+    # evaluates them
+    ln_e_t = _sentinel_diagonal(ln_e_fac)
+    open_cols = np.append((ln_e_t > NEG).any(axis=(0, 1)), True)
+    n_barred = int(np.argmax(open_cols))
     # weights and ln e are stored at the full gathered shape: multiplying
     # by a broadcast (..., 1) operand instead made a sweep about 30 % slower
-    full = (n_p, n_p, n_c, n_z)
-    move_ln_e = np.repeat(_sentinel_diagonal(ln_e_fac)[..., None], n_z, axis=3)
+    imp_frac = imp_frac[..., n_barred:, None]
+    full = imp_frac.shape[:-1] + (n_z,)
+    move_ln_e = with_inf(np.repeat(ln_e_t[..., None], n_z, axis=3),
+                         free.move_ln_e[:, :, None], 2)
     return DpTables(
         grid=grid, variant="fixed", w_zs=w_zs, h_tab=h_tab, free=free,
         hold_idx=rows(dia_idx[:, None], stp_j0, 1) * n_z + q,
         hold_w=stacked(1.0 - stp_frac, stp_frac, stp_frac.shape),
-        move_rows=rows(np.arange(n_p)[:, None, None], imp_j0, 2),
-        move_w=stacked((1.0 - imp_frac)[..., None], imp_frac[..., None], full),
-        move_ln_e=with_inf(move_ln_e, free.move_ln_e[:, :, None], 2),
+        move_rows=np.ascontiguousarray(
+            rows(np.arange(n_p)[:, None, None], imp_j0, 2)[..., n_barred:]),
+        move_w=stacked(1.0 - imp_frac, imp_frac, full),
+        move_ln_e=np.ascontiguousarray(move_ln_e[:, :, n_barred:]),
     )
 
 
@@ -299,7 +335,7 @@ def _moves(t: DpTables):
 def _sweep(values, t: DpTables, beta: float, out):
     """One Bellman sweep: the better of holding and the best rebalance."""
     cont = _hold(values, t, beta, t.cont)
-    np.maximum.reduce(_moves(t), axis=0, out=t.best)
+    np.maximum.reduce(_moves(t), axis=0, out=t._best_moves)
     return np.maximum(cont, t.best, out=out)
 
 
@@ -324,11 +360,18 @@ def _branches(values, t: DpTables, beta: float):
     values of ``t.grid.shape``.
 
     Targets sit on axis 1 of the returned rebalance table, a view of the
-    kernel's target-major buffer; the policy extraction takes its max and
-    argmax, the residual the entry at the policy's target.
+    kernel's target-major buffer, or, where the rebalance tables leave out
+    wealth columns, a copy of it with NEG in those: every wealth column is
+    there.  The policy extraction takes its max and argmax, the residual
+    the entry at the policy's target.
     """
     cont = _hold(_padded(values, t), t, beta, t.cont)
-    return _on_grid(cont, t), _on_grid(np.moveaxis(_moves(t), 0, 1), t)
+    moves = _moves(t)
+    if t.n_barred:
+        full = np.full(moves.shape[:2] + t.kernel_shape[1:], NEG)
+        full[:, :, t.n_barred:] = moves
+        moves = full
+    return _on_grid(cont, t), _on_grid(np.moveaxis(moves, 0, 1), t)
 
 
 def _require_fit(values, t: DpTables, what: str):

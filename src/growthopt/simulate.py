@@ -454,10 +454,12 @@ def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int, seed: int,
         # states, which the walk does not read again
         xi *= model.n_factors
         xi += z
-        # into one buffer, as the walk writes its blocks
+        # into one buffer, as the walk writes its blocks; the indices are in
+        # range by construction, and mode "clip" writes straight into out,
+        # where the default mode "raise" copies through a temporary
         if lr_buf is None:
             lr_buf = np.empty(xi.shape)
-        lrs = log_floor.take(xi, out=lr_buf[:len(xi)])
+        lrs = log_floor.take(xi, out=lr_buf[:len(xi)], mode="clip")
         for t, lr in enumerate(lrs, start=t0):
             csum += lr
             if t in tail:

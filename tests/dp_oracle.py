@@ -1,8 +1,9 @@
 """Reference Bellman kernels for the tests: per-sweep broadcast fancy
 indexing into the value table, as the solver computed its sweeps before
 its gather tables, on tables built here from the model and the cost spec
-and not from ``dp.DpTables``.  Also the per-state impulse operator, and
-value iteration with the stop rule checked after every sweep."""
+and not from ``dp.DpTables``.  Also the per-state impulse operator, value
+iteration with the stop rule checked after every sweep, the greedy policy
+and the stationarity slack of a policy."""
 
 import math
 from types import SimpleNamespace
@@ -115,11 +116,17 @@ def oracle_continuation_prop(values, t, beta):
     return t.h_tab + beta * ev
 
 
-def oracle_transaction_prop(cont, t):
+def oracle_moves_prop(cont, t):
+    """Rebalance value of every (state, target), targets on axis 1."""
     n_p = cont.shape[0]
     vals = t.ln_e_prop[:, :, None] + cont[None, :, :]
     idx = np.arange(n_p)
     vals[idx, idx, :] = dp.NEG
+    return vals
+
+
+def oracle_transaction_prop(cont, t):
+    vals = oracle_moves_prop(cont, t)
     return vals.max(axis=1), vals.argmax(axis=1)
 
 
@@ -134,7 +141,8 @@ def oracle_continuation_fixed(values, t, beta):
     return t.h_tab[:, None, :] + beta * ev
 
 
-def oracle_transaction_fixed(cont, t):
+def oracle_moves_fixed(cont, t):
+    """Rebalance value of every (state, target), targets on axis 1."""
     n_p, n_x, n_z = cont.shape
     tgt = np.arange(n_p)[None, :, None]
     j1 = np.minimum(t.imp_j0 + 1, n_x - 1)
@@ -144,6 +152,11 @@ def oracle_transaction_fixed(cont, t):
     vals = t.ln_e_fac[..., None] + gw
     idx = np.arange(n_p)
     vals[idx, idx, :, :] = dp.NEG
+    return vals
+
+
+def oracle_transaction_fixed(cont, t):
+    vals = oracle_moves_fixed(cont, t)
     return vals.max(axis=1), vals.argmax(axis=1)
 
 
@@ -154,6 +167,27 @@ def oracle_branches(values, t, beta, variant):
     cont = oracle_continuation_fixed(values, t, beta)
     return (cont,) + oracle_transaction_fixed(cont, t)
 
+
+def oracle_policy(values, t, beta, variant):
+    """Greedy (impulse, target) of converged values: a rebalance where it
+    beats holding by more than the tie margin, else the state's own node."""
+    cont, trans, argmax = oracle_branches(values, t, beta, variant)
+    impulse = trans > cont + dp.TIE_EPS
+    own = np.arange(values.shape[0]).reshape((-1,) + (1,) * (values.ndim - 1))
+    return impulse, np.where(impulse, argmax, own)
+
+
+def oracle_slack(impulse, target, w, growth_rate, t, variant):
+    """Stationarity slack of a policy: the branch it takes of -w at
+    beta = 1, plus w, minus the growth rate."""
+    if variant == "proportional":
+        cont = oracle_continuation_prop(-w, t, 1.0)
+        vals = oracle_moves_prop(cont, t)
+    else:
+        cont = oracle_continuation_fixed(-w, t, 1.0)
+        vals = oracle_moves_fixed(cont, t)
+    moved = np.take_along_axis(vals, target[:, None], axis=1)[:, 0]
+    return np.where(impulse, moved, cont) + w - growth_rate
 
 
 
@@ -175,7 +209,5 @@ def oracle_solve(model, spec, grid, beta, tol):
 
     values, k_main, _ = per_sweep_iterate(update, v_init, beta, stop_tol,
                                           "value iteration")
-    cont, trans, argmax = oracle_branches(values, t, beta, variant)
-    impulse = trans > cont + dp.TIE_EPS
-    own = np.arange(grid.n_nodes).reshape((-1,) + (1,) * (values.ndim - 1))
-    return values, impulse, np.where(impulse, argmax, own), k_init, k_main
+    impulse, target = oracle_policy(values, t, beta, variant)
+    return values, impulse, target, k_init, k_main

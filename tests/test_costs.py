@@ -231,7 +231,10 @@ class TestSolveE:
 def oracle_solve_e_batch(spec, pi_prev, pi_new, wealth):
     """``solve_e_batch`` as it was before the lean rewrite: the same segment
     solve written with ``np.where``, ``np.clip``, ``np.concatenate`` and
-    2-D fancy gathers, and the identical-row checks run on every call."""
+    2-D fancy gathers, and the identical-row check of the max variant run on
+    every call; the segment solve decides every additive row, and a row with
+    no candidate at or below its target brackets (1, 0), which the clip
+    sends to 0."""
 
     def prop_root(pi_prev, pi_new, target=None):
         n = pi_prev.shape[0]
@@ -268,14 +271,7 @@ def oracle_solve_e_batch(spec, pi_prev, pi_new, wealth):
     fixed_frac = spec.fixed / wealth
     identical = (pi_prev == pi_new).all(axis=1)
     if spec.variant == "additive":
-        target = 1.0 - fixed_frac
-        feasible = pi_prev @ spec.sell < target
-        out = np.zeros(pi_prev.shape[0])
-        if feasible.any():
-            out[feasible] = prop_root(pi_prev[feasible], pi_new[feasible],
-                                      target[feasible])
-        out[identical & (fixed_frac == 0.0)] = 1.0
-        return out
+        return prop_root(pi_prev, pi_new, 1.0 - fixed_frac)
     root = prop_root(pi_prev, pi_new)
     root[identical] = 1.0
     cap = 1.0 - fixed_frac
@@ -388,9 +384,9 @@ def mixed_rebalances(draw):
 
 
 class TestUnaffordableRows:
-    """The additive solve's zeros: +0.0 where the sell-all charge reaches
-    the target, 1.0 on unmoved rows at fixed 0, and rows solved as they
-    would be alone."""
+    """The additive solve's zeros and ones: +0.0 where no delta in [0, 1]
+    brings the charges to the target, 1.0 on unmoved rows at fixed 0, and
+    rows solved as they would be alone."""
 
     @staticmethod
     def spec(fixed):
@@ -430,11 +426,10 @@ class TestUnaffordableRows:
         assert e[:2].tolist() == [1.0, 1.0]
         assert e[2] == 0.0 and not np.signbit(e[2]) and 0.0 < e[3] < 1.0
 
-    def test_a_leveraged_target_is_refused_by_its_sell_all_charge(self):
+    def test_a_leveraged_target_is_affordable_past_its_dip(self):
         # g(0) is above the target, but g falls with delta until asset 0's
         # breakpoint and crosses the target again near 0.069: the segment
-        # solve alone finds that root, while the sell-all test refuses the
-        # row, as it did before the solve was batched
+        # solve decides the row and returns that root
         spec = CostSpec(buy=[0.23493513, 0.11664212, 0.06551107],
                         sell=[0.47782538, 0.03539573, 0.264653], fixed=0.75)
         prev = np.array([[0.15718383, 0.74512427, 0.09769189]])
@@ -444,10 +439,16 @@ class TestUnaffordableRows:
         wealth = np.array([0.999 * 0.75 / (1.0 - prev[0] @ spec.sell)])
         target = 1.0 - spec.fixed / wealth
         assert prev @ spec.sell > target
-        alone = _solve_prop_root_batch(spec, prev, new, target)
-        assert 0.06 < alone[0] < 0.08
-        assert solve_e_batch(spec, prev, new, wealth).tobytes() == \
-            np.zeros(1).tobytes()
+        e = solve_e_batch(spec, prev, new, wealth)
+        assert 0.06 < e[0] < 0.08
+        assert e.tobytes() == _solve_prop_root_batch(spec, prev, new,
+                                                     target).tobytes()
+        # transaction_equation refuses a target outside the sub-simplex, so
+        # its left side is written out: the charges plus C / x plus delta
+        d = e[0] * new[0] - prev[0]
+        lhs = (spec.buy @ np.maximum(d, 0.0) + spec.sell @ np.maximum(-d, 0.0)
+               + spec.fixed / wealth[0] + e[0])
+        assert lhs == pytest.approx(1.0, abs=1e-12)
 
     @given(mixed_rebalances())
     @settings(max_examples=300, deadline=None)

@@ -10,11 +10,13 @@ import pytest
 from conftest import random_model
 from dp_oracle import (impulse_operator, oracle_branches,
                        oracle_continuation_fixed, oracle_continuation_prop,
-                       oracle_solve, oracle_tables, per_sweep_iterate)
+                       oracle_policy, oracle_slack, oracle_solve,
+                       oracle_tables, per_sweep_iterate)
 from growthopt import (CostSpec, MarketModel, StateGrid, ValueFunction,
-                       bellman_step, build_tables, bundled_model_path,
-                       expected_log_return, load_model, solve_discounted,
-                       solve_e, solve_e_batch, span_bound, span_seminorm)
+                       bellman_residual, bellman_step, build_tables,
+                       bundled_model_path, expected_log_return, load_model,
+                       min_trade_wealth, solve_discounted, solve_e,
+                       solve_e_batch, span_bound, span_seminorm)
 from growthopt import dp
 
 
@@ -685,23 +687,38 @@ class TestKernelsMatchReference:
     def test_random_values(self, kernel_case, variant):
         model, spec, grid_args = kernel_case
         if variant == "fixed":
-            grid = StateGrid.build(x_min=1e-3, x_max=1e3, n_x=7, **grid_args)
-            shape = (grid.n_nodes, grid.n_wealth, grid.n_z)
+            # the rebalance tables leave out the leading wealth columns in
+            # which every rebalance is unaffordable: some columns, none,
+            # all but x = inf, and none of a single column
+            x_star = min_trade_wealth(spec)
+            axes = [(1e-3, 1e3, 7), (2.0 * x_star, 1e3, 5),
+                    (1e-3, 0.5 * x_star, 4), (1.0, 2.0, 1)]
+            grids = [StateGrid.build(x_min=x_min, x_max=x_max, n_x=n_x,
+                                     **grid_args)
+                     for x_min, x_max, n_x in axes]
         else:
             spec = spec.without_fixed()
-            grid = StateGrid.build(**grid_args)
-            shape = (grid.n_nodes, grid.n_z)
-        t = build_tables(model, spec, grid)
-        ref = oracle_tables(model, spec, grid)
+            grids = [StateGrid.build(**grid_args)]
         rng = np.random.default_rng(5)
-        for beta in (1.0, 0.93):
-            for _ in range(5):
-                v = rng.normal(scale=3.0, size=shape)
-                cont, vals = dp._branches(v, t, beta)
-                r_cont, r_max, r_argmax = oracle_branches(v, ref, beta, variant)
-                assert np.array_equal(cont, r_cont)
-                assert np.array_equal(vals.max(axis=1), r_max)
-                assert np.array_equal(vals.argmax(axis=1), r_argmax)
+        barred = []
+        for grid in grids:
+            t = build_tables(model, spec, grid)
+            ref = oracle_tables(model, spec, grid)
+            barred.append(t.n_barred)
+            for beta in (1.0, 0.93):
+                for _ in range(5):
+                    v = rng.normal(scale=3.0, size=grid.shape)
+                    cont, vals = dp._branches(v, t, beta)
+                    r_cont, r_max, r_argmax = oracle_branches(v, ref, beta,
+                                                              variant)
+                    assert np.array_equal(cont, r_cont)
+                    assert np.array_equal(vals.max(axis=1), r_max)
+                    assert np.array_equal(vals.argmax(axis=1), r_argmax)
+                    step = bellman_step(ValueFunction(grid, v, beta), t)
+                    assert np.array_equal(step.values,
+                                          np.maximum(r_cont, r_max))
+        if variant == "fixed":
+            assert barred[0] > 0 and barred[1:] == [0, 4, 0]
 
     @pytest.mark.parametrize("fixed", [0.0, 0.2])
     def test_solve_matches_reference_iteration(self, model2, spec2, fixed):
@@ -776,24 +793,32 @@ class TestWealthFreeWarmStart:
 
 
 # grids on which the proportional problem that rides in the x = inf column
-# stops with the fixed-cost one (acceptance) or long after it, on the bundled
-# model at beta 0.99 and tol 1e-7: name -> (mesh, x_min, x_max, n_x, fixed
-# charge or None for the bundled one, fixed-cost and proportional sweeps)
+# stops with the fixed-cost one (acceptance) or long after it, and on which
+# the rebalance tables leave out some wealth columns (acceptance), none
+# (above x* = 0.1003, of one column too) or all but x = inf (below x*, where
+# no state can trade, so the fixed-cost solve stops at its first sweep), on
+# the bundled model at beta 0.99 and tol 1e-7: name -> (mesh, x_min, x_max,
+# n_x, fixed charge or None for the bundled one, fixed-cost and proportional
+# sweeps, columns left out)
 FUSED_GRIDS = {
-    "acceptance": (8, 1e-3, 1e4, 16, None, 1668, 1668),
-    "narrow": (4, 0.5, 2.0, 4, 0.3, 181, 1668),
-    "clamped": (4, 0.99, 1.01, 4, None, 1534, 1668),
+    "acceptance": (8, 1e-3, 1e4, 16, None, 1668, 1668, 5),
+    "narrow": (4, 0.5, 2.0, 4, 0.3, 181, 1668, 0),
+    "clamped": (4, 0.99, 1.01, 4, None, 1534, 1668, 0),
+    "unbarred": (4, 0.2, 1e3, 6, None, 1668, 1668, 0),
+    "all_barred": (4, 1e-3, 0.05, 4, None, 1, 1668, 4),
+    "one_column": (4, 1.0, 2.0, 1, None, 1533, 1668, 0),
 }
 
 
 @pytest.fixture(params=sorted(FUSED_GRIDS))
 def fused_case(request):
-    mesh, x_min, x_max, n_x, fixed, k_fix, k_prop = FUSED_GRIDS[request.param]
+    mesh, x_min, x_max, n_x, fixed, k_fix, k_prop, n_barred = \
+        FUSED_GRIDS[request.param]
     model, spec = load_model(bundled_model_path())
     if fixed is not None:
         spec = CostSpec(buy=spec.buy, sell=spec.sell, fixed=fixed)
     grid = StateGrid.build(2, mesh, 2, x_min=x_min, x_max=x_max, n_x=n_x)
-    return model, spec, grid, k_fix, k_prop
+    return model, spec, grid, k_fix, k_prop, n_barred
 
 
 def solve_bits(vf, pol, rep):
@@ -810,8 +835,9 @@ class TestFusedSweeps:
 
     def test_kept_proportional_solve_equals_a_standalone_one(self,
                                                              fused_case):
-        model, spec, grid, k_fix, k_prop = fused_case
+        model, spec, grid, k_fix, k_prop, n_barred = fused_case
         t = build_tables(model, spec, grid)
+        assert t.n_barred == n_barred
         fixed = solve_discounted(t, self.BETA, tol=self.TOL)
         assert t.free.kept is not None
         kept = solve_discounted(t.free, self.BETA, tol=self.TOL)
@@ -820,13 +846,14 @@ class TestFusedSweeps:
         assert solve_bits(*kept) == solve_bits(*alone)
         assert (fixed[2].iterations, kept[2].iterations) == (k_fix, k_prop)
         # each variant is the iteration checked after every sweep, from the
-        # warm start, with the reference kernels
+        # warm start, with the reference kernels; its greedy policy and the
+        # stationarity slack of that policy are the reference ones too
         stop_tol = self.TOL * (1.0 - self.BETA) / self.BETA
         v_warm = t.free.warm[1]
-        for (vf, _, rep), variant, g, s in [
-                (fixed, "fixed", grid, spec),
+        for (vf, pol, rep), variant, g, s, tables in [
+                (fixed, "fixed", grid, spec, t),
                 (kept, "proportional", grid.without_wealth(),
-                 spec.without_fixed())]:
+                 spec.without_fixed(), t.free)]:
             ref = oracle_tables(model, s, g)
             v0 = np.broadcast_to(v_warm[:, None, :], g.shape) \
                 if variant == "fixed" else v_warm
@@ -834,14 +861,22 @@ class TestFusedSweeps:
                 lambda v: np.maximum(*oracle_branches(v, ref, self.BETA,
                                                       variant)[:2]),
                 v0, self.BETA, stop_tol, "value iteration")
-            assert np.array_equal(vf.values, values)
+            assert vf.values.tobytes() == values.tobytes()
             assert (rep.iterations, rep.final_diff) == (k, diff)
+            impulse, target = oracle_policy(values, ref, self.BETA, variant)
+            assert pol.impulse.tobytes() == impulse.tobytes()
+            assert pol.target.tobytes() == target.tobytes()
+            w = values.max() - values
+            rate = (1.0 - self.BETA) * values.max()
+            slack = bellman_residual(pol, w, rate, tables).slack
+            assert slack.tobytes() == oracle_slack(impulse, target, w, rate,
+                                                   ref, variant).tobytes()
 
     def test_no_more_sweeps_than_two_separate_loops(self, fused_case,
                                                     monkeypatch):
         # two loops: the proportional solve first keeps its solution, so the
         # fixed-cost solve after it sweeps the fixed-cost problem alone
-        model, spec, grid, _, _ = fused_case
+        model, spec, grid = fused_case[:3]
         sweep = dp._sweep
         calls = []
 
