@@ -3,9 +3,10 @@
 Every subcommand loads a model JSON (plus costs), runs one stage of the
 pipeline and writes its artifacts atomically into the output directory
 together with a manifest recording inputs, content hashes, package version
-and wall time, in total and per stage.  Configuration comes from an
-optional JSON config file with flag overrides; there is no interactive
-mode.
+and wall time, in total and per stage.  Every JSON file it writes is
+strict JSON: a number that is not finite is written as ``null``.
+Configuration comes from an optional JSON config file with flag overrides;
+there is no interactive mode.
 
 Exit codes: 0 success, 1 domain or assumption failure, 2 usage error.
 """
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 import time
 import typing
@@ -115,16 +117,23 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _plain(obj):
+    """``obj`` with numpy values made Python ones and every non-finite
+    number made None, so that it dumps as strict JSON (``null``)."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(_plain(doc), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _sha256(path: str) -> str:
@@ -161,8 +170,7 @@ class Runner:
         self.outputs[name] = _sha256(path)
 
     def write_json(self, name: str, doc: dict):
-        self.write_text(name, json.dumps(doc, indent=2, sort_keys=True,
-                                         default=_json_default) + "\n")
+        self.write_text(name, _json_text(doc))
 
     def register(self, name: str):
         self.outputs[name] = _sha256(self.out(name))
@@ -190,7 +198,7 @@ class Runner:
             },
         }
         modelio.atomic_write_text(self.out("manifest.json"),
-                                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                                  _json_text(manifest))
 
 
 def cmd_validate(cfg: RunConfig) -> int:

@@ -12,20 +12,23 @@ delta, at least 1 at delta = 1.  For a target in the simplex they are
 strictly increasing, so the root is unique when it exists; a target with a
 negative proportion can make them dip below the right-hand side past 0, and
 the root taken is then the largest.  ``solve_e`` computes it exactly by
-scanning the linear segments.  ``bisect_e`` is an independent bracketing
-oracle kept for verification.
+scanning the linear segments.  ``bisect_e``, an independent bracketing
+oracle kept for verification, only evaluates ``transaction_equation`` and
+is valid on every row the solver takes.  ``_charge`` writes every charge.
 
 The module also derives the cost constants that gate the average-growth
 theory: the worst-case log drag ``eta`` of a proportional rebalance, its
 fixed-cost-inflated version ``eta_m`` at a wealth threshold, and the minimal
 wealth ``x_star`` above which every rebalance is affordable (closed form).
+``general_cost_check`` samples a share-space cost candidate, which takes
+rows as ``share_cost`` does, against a proportional/fixed sandwich.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -105,6 +108,20 @@ class CostConstants:
     x_star: float
 
 
+def _charge(spec: CostSpec, moves, fixed):
+    """Charges of the rows of ``moves``: buy rates on increases, sell rates
+    on decreases, and ``fixed`` added (additive) or as a floor (max).  Each
+    row is a one-row product, so it has the same bits alone or in a batch
+    (many rows would run BLAS gemv, whose fused multiply-adds round
+    differently)."""
+    moves = np.asarray(moves, dtype=float)[..., None, :]
+    prop = (np.maximum(moves, 0.0) @ spec.buy
+            + np.maximum(-moves, 0.0) @ spec.sell)[..., 0]
+    if spec.variant == "additive":
+        return prop + fixed
+    return np.maximum(prop, fixed)
+
+
 def proportional_cost(spec: CostSpec, pi_prev, pi_tilde) -> float:
     """Proportional cost of moving proportions pi_prev -> pi_tilde.
 
@@ -117,13 +134,7 @@ def proportional_cost(spec: CostSpec, pi_prev, pi_tilde) -> float:
         raise ValueError("pi_tilde has wrong length")
     if pi_tilde.min() < -1e-9 or pi_tilde.sum() > 1.0 + 1e-9:
         raise ValueError(f"pi_tilde outside the sub-simplex: {pi_tilde}")
-    d = pi_tilde - pi_prev
-    return float(spec.buy @ np.clip(d, 0.0, None) + spec.sell @ np.clip(-d, 0.0, None))
-
-
-def _cost_batch(spec, pi_prev, pi_tilde):
-    d = pi_tilde - pi_prev
-    return np.maximum(d, 0.0) @ spec.buy + np.maximum(-d, 0.0) @ spec.sell
+    return float(_charge(spec, pi_tilde - pi_prev, 0.0))
 
 
 def _solve_prop_root_batch(spec, pi_prev, pi_new, target):
@@ -239,48 +250,61 @@ def solve_e(spec: CostSpec, pi_prev, pi_new, wealth: float) -> float:
                                np.array([wealth]))[0])
 
 
-def transaction_equation(spec: CostSpec, pi_prev, pi_new, wealth: float,
-                         delta: float) -> float:
-    """Left-hand side of the self-financing equation at fraction ``delta``."""
-    pi_prev = np.asarray(pi_prev, dtype=float)
-    pi_new = np.asarray(pi_new, dtype=float)
-    c = proportional_cost(spec, pi_prev, delta * pi_new)
-    if spec.variant == "additive":
-        return c + spec.fixed / wealth + delta
-    return max(c, spec.fixed / wealth) + delta
+def transaction_equation(spec: CostSpec, pi_prev, pi_new, wealth, delta):
+    """Left-hand side F of the self-financing equation at fraction ``delta``.
+
+    Rows of ``pi_prev`` and ``pi_new`` broadcast against ``wealth`` and
+    ``delta``; one rebalance returns a float.  Nothing is checked, so a
+    leveraged target evaluates as the solver sees it.
+    """
+    delta = np.asarray(delta, dtype=float)
+    moves = delta[..., None] * np.asarray(pi_new, dtype=float) - pi_prev
+    lhs = _charge(spec, moves, spec.fixed / np.asarray(wealth, dtype=float))
+    return float(lhs + delta) if lhs.ndim == 0 else lhs + delta
 
 
-def bisect_e(spec: CostSpec, pi_prev, pi_new, wealth, iters: int = 200) -> np.ndarray:
+BISECT_STEPS = 200  # halvings of a root's bracket
+SEARCH_STEPS = 18  # refinements of the grid search, each 8 times narrower
+_SEARCH_GRID = np.linspace(0.0, 1.0, 17)
+
+
+def bisect_e(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
     """Bracketing oracle for the surviving fraction (batch capable).
 
-    Kept independent of the exact segment solver: it only evaluates the
-    self-financing equation, halving [0, 1] ``iters`` times.
+    Independent of the segment solver, it only evaluates the convex F:
+    F(1) >= 1, so the root is the right end of {F <= 1}.  A row with F(0)
+    < 1 brackets it by [0, 1]; any other row by [least point of F, 1], or
+    has none if F is not below 1 there.  The least point, within 2**-54,
+    is that of 17 points across a bracket narrowed to the two grid steps
+    around it.  Bisection then halves every bracket ``BISECT_STEPS`` times.
     """
     pi_prev = np.atleast_2d(np.asarray(pi_prev, dtype=float))
     pi_new = np.atleast_2d(np.asarray(pi_new, dtype=float))
     wealth = np.atleast_1d(np.asarray(wealth, dtype=float))
-    fixed_frac = spec.fixed / wealth
-
-    def f(delta):
-        tilde = delta[:, None] * pi_new
-        c = _cost_batch(spec, pi_prev, tilde)
-        if spec.variant == "additive":
-            return c + fixed_frac + delta
-        return np.maximum(c, fixed_frac) + delta
-
-    lo = np.zeros(pi_prev.shape[0])
-    hi = np.ones(pi_prev.shape[0])
-    feasible = f(lo) < 1.0
-    for _ in range(iters):
+    rows = (spec, pi_prev, pi_new, wealth)
+    lo, hi = np.zeros(len(wealth)), np.ones(len(wealth))
+    dip = ~(transaction_equation(*rows, lo) < 1.0)  # NaN rows search too
+    if dip.any():
+        dips = (spec, pi_prev[dip, None], pi_new[dip, None], wealth[dip, None])
+        start, width = np.zeros((np.count_nonzero(dip), 1)), 1.0
+        for _ in range(SEARCH_STEPS):
+            x = start + width * _SEARCH_GRID
+            least = transaction_equation(*dips, x).argmin(axis=1)[:, None]
+            width /= 8.0
+            left = np.take_along_axis(x, np.maximum(least - 1, 0), 1)
+            start = np.minimum(left, 1.0 - width)
+        lo[dip] = np.take_along_axis(x, least, 1)[:, 0]
+    feasible = transaction_equation(*rows, lo) < 1.0
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        high = f(mid) > 1.0
+        high = transaction_equation(*rows, mid) > 1.0
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
-    root = 0.5 * (lo + hi)
+    root = np.where(feasible, 0.5 * (lo + hi), 0.0)
     # exact boundary root at 1 (no-op rebalance with no fixed charge)
-    exact_one = np.abs(f(np.ones_like(root)) - 1.0) <= 1e-12
-    root = np.where(exact_one, 1.0, root)
-    return np.where(feasible, root, 0.0)
+    at_one = transaction_equation(*rows, np.ones(len(root)))
+    root[np.abs(at_one - 1.0) <= 1e-12] = 1.0
+    return root
 
 
 def _eta_from_rate(c_hat: float, extra: float = 0.0) -> float:
@@ -310,21 +334,11 @@ def min_trade_wealth(spec: CostSpec) -> float:
     """
     if spec.fixed == 0.0:
         return 0.0
-    d = spec.n_assets
-    eye = np.eye(d)
-    pairs_prev = np.repeat(eye, d, axis=0)
-    pairs_new = np.tile(eye, (d, 1))
-
-    def all_feasible(wealth):
-        e = solve_e_batch(spec, pairs_prev, pairs_new,
-                          np.full(d * d, wealth))
-        return bool((e > 0.0).all())
-
     max_sell = spec.sell.max() if spec.variant == "additive" else 0.0
     x = spec.fixed / (1.0 - float(max_sell))
-    while not all_feasible(x):
+    while not min_diminution(spec, x) > 0.0:
         x = float(np.nextafter(x, math.inf))
-    while all_feasible(below := float(np.nextafter(x, 0.0))):
+    while min_diminution(spec, below := float(np.nextafter(x, 0.0))) > 0.0:
         x = below
     return x
 
@@ -386,15 +400,9 @@ def share_cost(spec: CostSpec, holdings_before, holdings_after, prices) -> float
     descriptions of a self-financing trade balance exactly.  Rows of 2-D
     arguments are separate trades, and their charges return as an array.
     """
-    n1 = np.asarray(holdings_before, dtype=float)
-    n2 = np.asarray(holdings_after, dtype=float)
-    s = np.asarray(prices, dtype=float)
-    d = (n2 - n1) * s
-    prop = np.maximum(d, 0.0) @ spec.buy + np.maximum(-d, 0.0) @ spec.sell
-    if spec.variant == "additive":
-        cost = prop + spec.fixed
-    else:
-        cost = np.maximum(prop, spec.fixed)
+    moves = (np.asarray(holdings_after, dtype=float)
+             - np.asarray(holdings_before, dtype=float)) * prices
+    cost = _charge(spec, moves, spec.fixed)
     return float(cost) if np.ndim(cost) == 0 else cost
 
 
@@ -420,44 +428,33 @@ class CostSandwichReport:
 
 
 def general_cost_check(lower: CostSpec, candidate: Callable, upper: CostSpec,
-                       n_samples: int = 2000,
-                       rng: Optional[np.random.Generator] = None
+                       n_samples: int, rng: np.random.Generator
                        ) -> CostSandwichReport:
     """Check a share-space cost oracle against a proportional/fixed sandwich.
 
-    ``candidate(holdings_before, holdings_after, prices)`` is sampled on
-    random holdings triples and price vectors; the report counts pointwise
-    bound violations and failures of subadditivity along the triple.
+    ``candidate(holdings_before, holdings_after, prices)`` takes rows, as
+    ``share_cost`` does, and is evaluated once on ``n_samples`` random
+    holdings triples and price vectors; the report counts pointwise bound
+    violations and failures of subadditivity along the triple.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     tol = 1e-12  # rounding of a share-space charge
     d = lower.n_assets
-    lo_viol = up_viol = sub_viol = 0
-    worst_lo = worst_up = worst_sub = 0.0
-    for _ in range(n_samples):
-        n1, n2, n3 = rng.uniform(0.0, 10.0, size=(3, d))
-        s = rng.uniform(0.5, 2.0, size=d)
-        c12 = candidate(n1, n2, s)
-        lo = share_cost(lower, n1, n2, s)
-        up = share_cost(upper, n1, n2, s)
-        if c12 < lo - tol:
-            lo_viol += 1
-            worst_lo = max(worst_lo, lo - c12)
-        if c12 > up + tol:
-            up_viol += 1
-            worst_up = max(worst_up, c12 - up)
-        c13 = candidate(n1, n3, s)
-        c23 = candidate(n2, n3, s)
-        if c13 > c12 + c23 + tol:
-            sub_viol += 1
-            worst_sub = max(worst_sub, c13 - c12 - c23)
+    # per sample: three holdings vectors in [0, 10), then prices in [0.5, 2)
+    n1, n2, n3, s = rng.uniform([[0.0]] * 3 + [[0.5]], [[10.0]] * 3 + [[2.0]],
+                                size=(n_samples, 4, d)).transpose(1, 0, 2)
+    c12, c13, c23 = (np.broadcast_to(candidate(a, b, s), n_samples)
+                     for a, b in ((n1, n2), (n1, n3), (n2, n3)))
+    lo = share_cost(lower, n1, n2, s)
+    up = share_cost(upper, n1, n2, s)
+    lo_viol = c12 < lo - tol
+    up_viol = c12 > up + tol
+    sub_viol = c13 > c12 + c23 + tol
     return CostSandwichReport(
         n_samples=n_samples,
-        lower_violations=lo_viol,
-        upper_violations=up_viol,
-        subadditivity_violations=sub_viol,
-        worst_lower_gap=worst_lo,
-        worst_upper_gap=worst_up,
-        worst_subadd_gap=worst_sub,
+        lower_violations=int(lo_viol.sum()),
+        upper_violations=int(up_viol.sum()),
+        subadditivity_violations=int(sub_viol.sum()),
+        worst_lower_gap=float((lo - c12)[lo_viol].max(initial=0.0)),
+        worst_upper_gap=float((c12 - up)[up_viol].max(initial=0.0)),
+        worst_subadd_gap=float((c13 - c12 - c23)[sub_viol].max(initial=0.0)),
     )

@@ -44,7 +44,8 @@ import numpy as np
 
 from .costs import CostSpec
 from .grid import Policy, StateGrid, ValueFunction
-from .market import MarketModel, check_stochastic_rows, readonly_table
+from .market import (SIMPLEX_TOL, MarketModel, check_stochastic_rows,
+                     readonly_table)
 
 
 def _renormalize_rows(mat, what):
@@ -179,12 +180,25 @@ def dump_solution(v: ValueFunction, policy: Policy, path_base: str,
     return header
 
 
+def _grid_node(grid: StateGrid, pi: np.ndarray, where: str) -> int:
+    """Index of the grid node that ``pi`` names within SIMPLEX_TOL, or a
+    ValueError naming ``where``."""
+    # off the simplex there is no nearest node; NaN fails both tests
+    if pi.min() >= -SIMPLEX_TOL and abs(pi.sum() - 1.0) <= SIMPLEX_TOL:
+        node = grid.node_index(pi)
+        if np.abs(grid.nodes[node] - pi).max() <= SIMPLEX_TOL:
+            return node
+    raise ValueError(f"{where}: target {pi.tolist()} is not a node of the "
+                     f"mesh-{grid.mesh_order} grid within {SIMPLEX_TOL}")
+
+
 def load_policy(path_base: str) -> Policy:
     """Rebuild a Policy from a dump written by :func:`dump_solution`.
 
     The header's grid spec decides the table shape.  Every CSV row must name
     one state of that grid by in-range indices (a blank wealth index where
-    the grid has no wealth axis), and every state must appear exactly once.
+    the grid has no wealth axis) and a target that is one of its nodes
+    within ``SIMPLEX_TOL``, and every state must appear exactly once.
     Anything else is refused with a ValueError naming the file, and the key
     or line where there is one.
     """
@@ -241,7 +255,7 @@ def load_policy(path_base: str) -> Policy:
                 raise ValueError(f"{where}: impulse cell {row[imp_at]!r} is "
                                  "neither 0 nor 1")
             impulse[idx] = row[imp_at] == "1"
-            target[idx] = grid.node_index(np.array(tgt))
+            target[idx] = _grid_node(grid, np.array(tgt), where)
     if not seen.all():
         missing = tuple(int(i) for i in np.argwhere(~seen)[0])
         raise ValueError(f"{path}: no row for state {missing} "

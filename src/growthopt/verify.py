@@ -54,9 +54,9 @@ def check_e_solver(n_samples: int = 2000, seed: int = 0) -> CheckResult:
         oracle = co.bisect_e(spec, prev, new, x)
         worst = max(worst, float(np.abs(exact - oracle).max()))
         pos = exact > 0.0
-        for i in np.nonzero(pos)[0]:
-            f = co.transaction_equation(spec, prev[i], new[i], x[i], exact[i])
-            eq_worst = max(eq_worst, abs(f - 1.0))
+        f = co.transaction_equation(spec, prev[pos], new[pos], x[pos],
+                                    exact[pos])
+        eq_worst = max(eq_worst, float(np.abs(f - 1.0).max(initial=0.0)))
         if np.any(pos != (oracle > 0.0)):
             return CheckResult("e_solver_exactness", False,
                                "feasibility dichotomy disagrees with oracle")

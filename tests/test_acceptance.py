@@ -66,7 +66,7 @@ def test_criterion_1_e_solver_exactness():
     worst_eq = 0.0
     for spec, prev, new, x, _ in random_cost_batches(50, 200, seed=101):
         exact = go.solve_e_batch(spec, prev, new, x)
-        oracle = go.bisect_e(spec, prev, new, x, iters=200)
+        oracle = go.bisect_e(spec, prev, new, x)
         worst_gap = max(worst_gap, float(np.abs(exact - oracle).max()))
         if np.any((exact > 0) != (oracle > 0)):
             record(1, False, "root/zero dichotomy disagrees with the oracle")

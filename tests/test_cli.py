@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,10 +202,9 @@ def dumps(tmp_path_factory, two_asset):
 def corrupt(dumps, tmp_path, name, edit):
     """Copy a dump with its CSV lines passed through ``edit``."""
     base, _ = dumps[name]
-    lines = open(base + ".csv").read().splitlines(keepends=True)
+    lines = Path(base + ".csv").read_text().splitlines(keepends=True)
     out = str(tmp_path / name)
-    with open(out + ".json", "w") as fh:
-        fh.write(open(base + ".json").read())
+    Path(out + ".json").write_text(Path(base + ".json").read_text())
     with open(out + ".csv", "w") as fh:
         fh.writelines(edit(lines))
     return out
@@ -265,12 +265,56 @@ class TestPolicyDump:
         assert "value_beta.csv line 2" in err and "Traceback" not in err
         assert not (tmp_path / "sim").exists()
 
+    @staticmethod
+    def edit_targets(tmp_path, edit):
+        """Solve a mesh-4 dump and pass the target cells of its CSV line 2
+        through ``edit``; return the dump's path base."""
+        assert main(base_args(tmp_path, "p") + ["--mesh-order", "4", "solve",
+                                                "--beta", "0.9"]) == 0
+        path = tmp_path / "p" / "value_beta.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        col = lines[0].rstrip("\n").split(",").index("target_0")
+        cells = lines[1].rstrip("\n").split(",")
+        for k, cell in enumerate(edit(cells[col:col + 2])):
+            lines = set_cell(lines, 2, col + k, cell)
+        path.write_text("".join(lines))
+        return str(tmp_path / "p" / "value_beta")
+
+    # target_0 alone, or both cells: (0.3, 0.7) sums to 1 and is nearest
+    # to the node (0.25, 0.75)
+    @pytest.mark.parametrize("cells", [["nan"], ["inf"], ["5.0"],
+                                       ["0.3", "0.7"]],
+                             ids=["nan", "inf", "5.0", "0.3,0.7"])
+    def test_simulate_exits_1_on_a_target_off_the_grid(self, tmp_path,
+                                                       capsys, cells):
+        base = self.edit_targets(tmp_path, lambda old: cells)
+        with pytest.raises(ValueError, match=re.escape(base) + r"\.csv line "
+                           r"2: target .* is not a node of the mesh-4 grid"):
+            load_policy(base)
+        code = main(base_args(tmp_path, "sim") + [
+            "--T", "50", "--n-paths", "2", "simulate", "--policy", base,
+            "--mimic", "off"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "value_beta.csv line 2" in err and "Traceback" not in err
+        assert not (tmp_path / "sim").exists()
+
+    def test_a_target_within_the_tolerance_loads_as_its_node(self, tmp_path):
+        base = self.edit_targets(tmp_path, lambda old: [
+            repr(float(old[0]) + 1e-12), repr(float(old[1]) - 1e-12)])
+        pol = load_policy(base)
+        assert main(base_args(tmp_path, "q") + ["--mesh-order", "4", "solve",
+                                                "--beta", "0.9"]) == 0
+        ref = load_policy(str(tmp_path / "q" / "value_beta"))
+        np.testing.assert_array_equal(pol.target, ref.target)
+
 
     @pytest.mark.parametrize("cell", ["true", "", "2"])
     def test_impulse_cells_other_than_0_or_1_are_refused(self, dumps,
                                                          tmp_path, cell):
         base, _ = dumps["fixed"]
-        col = open(base + ".csv").readline().strip().split(",").index("impulse")
+        head = Path(base + ".csv").read_text().splitlines()[0].split(",")
+        col = head.index("impulse")
         bad = corrupt(dumps, tmp_path, "fixed",
                       lambda ls: set_cell(ls, 3, col, cell))
         with pytest.raises(ValueError, match=re.escape(bad + ".csv")
@@ -286,14 +330,14 @@ class TestPolicyDump:
     def test_missing_header_keys_are_named(self, dumps, tmp_path, drop,
                                            message):
         base, _ = dumps["fixed"]
-        header = json.loads(open(base + ".json").read())
+        header = json.loads(Path(base + ".json").read_text())
         section = header
         for key in drop[:-1]:
             section = section[key]
         del section[drop[-1]]
         out = tmp_path / "policy"
         (tmp_path / "policy.json").write_text(json.dumps(header))
-        (tmp_path / "policy.csv").write_text(open(base + ".csv").read())
+        (tmp_path / "policy.csv").write_text(Path(base + ".csv").read_text())
         with pytest.raises(ValueError, match=message):
             load_policy(str(out))
 
@@ -328,9 +372,9 @@ class TestPolicyDump:
     def test_simulate_exits_1_on_a_bad_header_or_column(self, dumps, tmp_path,
                                                         capsys, edit, message):
         base, _ = dumps["fixed"]
-        header = json.loads(open(base + ".json").read())
+        header = json.loads(Path(base + ".json").read_text())
         lines = edit(header,
-                     open(base + ".csv").read().splitlines(keepends=True))
+                     Path(base + ".csv").read_text().splitlines(keepends=True))
         (tmp_path / "policy.json").write_text(json.dumps(header))
         (tmp_path / "policy.csv").write_text("".join(lines))
         with pytest.raises(ValueError, match=re.escape(str(tmp_path)) + ".*"
@@ -349,11 +393,11 @@ class TestPolicyDump:
         # dumps no longer write the key, older ones carry it; a loaded
         # policy looks up nearest nodes, which it never changed
         base, pol = dumps["fixed"]
-        header = json.loads(open(base + ".json").read())
+        header = json.loads(Path(base + ".json").read_text())
         assert "interpolation" not in header["grid"]
         header["grid"]["interpolation"] = mode
         (tmp_path / "policy.json").write_text(json.dumps(header))
-        (tmp_path / "policy.csv").write_text(open(base + ".csv").read())
+        (tmp_path / "policy.csv").write_text(Path(base + ".csv").read_text())
         back = load_policy(str(tmp_path / "policy"))
         np.testing.assert_array_equal(back.impulse, pol.impulse)
         np.testing.assert_array_equal(back.target, pol.target)
@@ -435,7 +479,7 @@ class TestTrajectoryArtifact:
                      "simulate", "--policy", str(optimal_dir / "out" / "policy"),
                      "--mimic", "off"]) == 0
         path = str(optimal_dir / "traj" / "trajectory.csv")
-        head = open(path).readline().strip().split(",")
+        head = Path(path).read_text().splitlines()[0].split(",")
         assert head == ["t", "z", "xi", "pi_prev_0", "pi_prev_1", "transacted",
                         "pi_0", "pi_1", "e_applied", "x_prev", "x"]
         data = read_trajectory_csv(path)
@@ -527,6 +571,51 @@ class TestSimulateEngine:
         assert "initial wealth must be positive and finite, got inf" in err
         assert "Traceback" not in err
         assert not (tmp_path / "sim" / "simulate.json").exists()
+
+
+def strict_json(path) -> dict:
+    """Parse a JSON file, refusing the NaN, Infinity and -Infinity
+    constants that strict JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}, which is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Numbers that are not finite are written as null, in the report and
+    in the manifest alike."""
+
+    @staticmethod
+    def read_all(out) -> dict:
+        docs = {p.name: strict_json(p) for p in out.glob("*.json")}
+        assert "manifest.json" in docs
+        return docs
+
+    def test_optimal_with_one_beta(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"betas": [0.9]}))
+        assert main(["--config", str(cfg)] + base_args(tmp_path)
+                    + ["--mesh-order", "4", "optimal"]) == 0
+        doc = self.read_all(tmp_path / "out")["optimal.json"]
+        assert doc["policy_change_fraction"] is None
+
+    def test_ldcheck_with_one_path(self, tmp_path):
+        assert main(base_args(tmp_path) + ["--n-paths", "1", "--seed", "3",
+                                           "ldcheck", "--t-max", "256"]) == 0
+        doc = self.read_all(tmp_path / "out")["ldcheck.json"]
+        assert doc["slope"] is None and doc["slope_se"] is None
+
+    def test_annihilated_simulate(self, optimal_dir, tmp_path):
+        # a wealth-free policy below the fixed charge trades every path away
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulation": {"x0": 0.01}}))
+        assert main(["--config", str(cfg)] + base_args(tmp_path) + [
+            "--T", "50", "--n-paths", "3", "simulate", "--policy",
+            str(optimal_dir / "out" / "policy_prop"), "--mimic", "off"]) == 1
+        doc = self.read_all(tmp_path / "out")["simulate.json"]
+        assert doc["annihilated_paths"] == 3
+        assert doc["growth_mean"] is doc["growth_se"] is None
+        assert doc["window_mean"] is None
 
 
 class TestLdcheckCommand:

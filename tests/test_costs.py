@@ -425,6 +425,9 @@ class TestUnaffordableRows:
         e = solve_e_batch(spec, prev, new, np.full(4, 2.0))
         assert e[:2].tolist() == [1.0, 1.0]
         assert e[2] == 0.0 and not np.signbit(e[2]) and 0.0 < e[3] < 1.0
+        oracle = bisect_e(spec, prev, new, np.full(4, 2.0))
+        assert oracle[:3].tolist() == [1.0, 1.0, 0.0]
+        assert oracle[3] == pytest.approx(e[3], abs=1e-10)
 
     def test_a_leveraged_target_is_affordable_past_its_dip(self):
         # g(0) is above the target, but g falls with delta until asset 0's
@@ -443,12 +446,13 @@ class TestUnaffordableRows:
         assert 0.06 < e[0] < 0.08
         assert e.tobytes() == _solve_prop_root_batch(spec, prev, new,
                                                      target).tobytes()
-        # transaction_equation refuses a target outside the sub-simplex, so
-        # its left side is written out: the charges plus C / x plus delta
-        d = e[0] * new[0] - prev[0]
-        lhs = (spec.buy @ np.maximum(d, 0.0) + spec.sell @ np.maximum(-d, 0.0)
-               + spec.fixed / wealth[0] + e[0])
-        assert lhs == pytest.approx(1.0, abs=1e-12)
+        assert transaction_equation(spec, prev, new, wealth, e) == \
+            pytest.approx([1.0], abs=1e-12)
+        assert transaction_equation(spec, prev[0], new[0], wealth[0],
+                                    e[0]) == pytest.approx(1.0, abs=1e-12)
+        # the oracle brackets the root past the dip of the equation
+        assert transaction_equation(spec, prev, new, wealth, 0.0) > 1.0
+        assert bisect_e(spec, prev, new, wealth) == pytest.approx(e, abs=1e-10)
 
     @given(mixed_rebalances())
     @settings(max_examples=300, deadline=None)
@@ -461,6 +465,66 @@ class TestUnaffordableRows:
         assert got.tobytes() == rows.tobytes()
         assert got.tobytes() == oracle_solve_e_batch(
             spec, prev, new, wealth).tobytes()
+        oracle = bisect_e(spec, prev, new, wealth)
+        assert got == pytest.approx(oracle, abs=1e-10)
+        assert ((got > 0.0) == (oracle > 0.0)).all()
+
+
+class TestOracleAndEquation:
+    """``transaction_equation`` evaluates rows as it does one rebalance, and
+    ``bisect_e``, which only evaluates it, agrees with the segment solve on
+    every kind of row the solve takes."""
+
+    @pytest.mark.parametrize("variant", ["additive", "max"])
+    @pytest.mark.parametrize("kind", REBALANCE_KINDS)
+    def test_equation_rows_equal_per_row_calls(self, variant, kind):
+        rng = np.random.default_rng([REBALANCE_KINDS.index(kind),
+                                     len(variant)])
+        for d in (1, 2, 3, 5):
+            buy, sell = rng.uniform(0.0, 0.3, (2, d))
+            spec = CostSpec(buy=buy, sell=sell, fixed=0.1, variant=variant)
+            prev, new, wealth = random_rebalances(rng, 50, d, kind)
+            delta = rng.uniform(0.0, 1.0, 50)
+            rows = transaction_equation(spec, prev, new, wealth, delta)
+            alone = [transaction_equation(spec, *row)
+                     for row in zip(prev, new, wealth, delta)]
+            assert all(type(f) is float for f in alone)
+            assert rows.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("variant", ["additive", "max"])
+    @pytest.mark.parametrize("fixed", [0.0, 0.1, 5.0])
+    @pytest.mark.parametrize("kind", REBALANCE_KINDS)
+    def test_oracle_agrees_with_the_solve(self, variant, fixed, kind):
+        rng = np.random.default_rng([REBALANCE_KINDS.index(kind),
+                                     int(fixed * 10), len(variant)])
+        for d in (1, 2, 3, 5):
+            buy, sell = rng.uniform(0.0, 0.3, (2, d))
+            spec = CostSpec(buy=buy, sell=sell, fixed=fixed, variant=variant)
+            prev, new, wealth = random_rebalances(rng, 100, d, kind)
+            e = solve_e_batch(spec, prev, new, wealth)
+            oracle = bisect_e(spec, prev, new, wealth)
+            assert e == pytest.approx(oracle, abs=1e-10)
+            assert ((e > 0.0) == (oracle > 0.0)).all()
+            roots = e > 0.0
+            assert transaction_equation(
+                spec, prev[roots], new[roots], wealth[roots], e[roots]
+            ) == pytest.approx(np.ones(roots.sum()), abs=1e-12)
+
+    def test_oracle_finds_roots_past_a_dip(self):
+        # leveraged targets at wealth just above the fixed charge, kept
+        # where F(0) is above 1: each root the solve finds lies past a dip
+        rng = np.random.default_rng(19)
+        spec = CostSpec(buy=[0.02, 0.01, 0.03], sell=[0.9, 0.02, 0.1],
+                        fixed=0.5)
+        prev, new, _ = random_rebalances(rng, 1000, 3, "leveraged_target")
+        wealth = np.full(1000, 0.6)
+        dip = transaction_equation(spec, prev, new, wealth, 0.0) > 1.0
+        prev, new, wealth = prev[dip], new[dip], wealth[dip]
+        e = solve_e_batch(spec, prev, new, wealth)
+        oracle = bisect_e(spec, prev, new, wealth)
+        assert (e > 0.0).sum() > 50
+        assert e == pytest.approx(oracle, abs=1e-10)
+        assert ((e > 0.0) == (oracle > 0.0)).all()
 
 
 class TestDiminutionBounds:
@@ -635,7 +699,65 @@ class TestCostSandwich:
         assert rep.lower_violations > 0
 
 
+def oracle_cost_check(lower, candidate, upper, n_samples, rng):
+    """The sandwich check one sample at a time, as it was written before
+    candidates took rows: the same draws, bounds and gaps."""
+    tol = 1e-12
+    counts, worst = [0, 0, 0], [0.0, 0.0, 0.0]
+    for _ in range(n_samples):
+        n1, n2, n3 = rng.uniform(0.0, 10.0, size=(3, lower.n_assets))
+        s = rng.uniform(0.5, 2.0, size=lower.n_assets)
+        c12, c13, c23 = (float(candidate(a, b, s))
+                         for a, b in ((n1, n2), (n1, n3), (n2, n3)))
+        lo = share_cost(lower, n1, n2, s)
+        up = share_cost(upper, n1, n2, s)
+        for k, (bad, gap) in enumerate(((c12 < lo - tol, lo - c12),
+                                        (c12 > up + tol, c12 - up),
+                                        (c13 > c12 + c23 + tol,
+                                         c13 - c12 - c23))):
+            if bad:
+                counts[k] += 1
+                worst[k] = max(worst[k], gap)
+    return (n_samples, *counts, *worst)
+
+
+class TestSandwichBatch:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("order", ["sandwich", "reversed"])
+    def test_report_equals_the_per_sample_loop(self, d, order):
+        # reversed bounds make every count and gap nonzero
+        rng = np.random.default_rng(d)
+        buy, sell = rng.uniform(0.0, 0.05, (2, d))
+        lower = CostSpec(buy=buy, sell=sell, fixed=0.0)
+        upper = CostSpec(buy=buy, sell=sell, fixed=0.3)
+        mid = CostSpec(buy=buy, sell=sell, fixed=0.3, variant="max")
+        if order == "reversed":
+            lower, upper = upper, lower
+        cand = lambda n1, n2, s: share_cost(mid, n1, n2, s)
+        rep = general_cost_check(lower, cand, upper, n_samples=400,
+                                 rng=np.random.default_rng(7))
+        want = oracle_cost_check(lower, cand, upper, 400,
+                                 np.random.default_rng(7))
+        assert dataclasses.astuple(rep) == want
+        assert rep.ok == (order == "sandwich")
+
+
 class TestShareCost:
+    @pytest.mark.parametrize("variant", ["additive", "max"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_rows_equal_per_row_calls(self, variant, d):
+        rng = np.random.default_rng([d, len(variant)])
+        spec = CostSpec(buy=rng.uniform(0.0, 0.05, d),
+                        sell=rng.uniform(0.0, 0.05, d), fixed=0.3,
+                        variant=variant)
+        before, after = rng.uniform(0.0, 10.0, (2, 500, d))
+        prices = rng.uniform(0.5, 2.0, (500, d))
+        rows = share_cost(spec, before, after, prices)
+        alone = [share_cost(spec, *trade)
+                 for trade in zip(before, after, prices)]
+        assert all(type(c) is float for c in alone)
+        assert rows.tobytes() == np.array(alone).tobytes()
+
     def test_matches_proportion_space_charge(self):
         spec = CostSpec(buy=[0.01, 0.03], sell=[0.02, 0.01], fixed=0.4)
         rng = np.random.default_rng(9)
