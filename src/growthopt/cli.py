@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, average, dp, market, modelio, simulate, verify
 from .costs import cost_constants, worst_case_drag
-from .grid import StateGrid
+from .grid import StateGrid, check_settings
 
 
 @dataclass
@@ -47,14 +47,11 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate_fields(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.mesh_order < 1:
-            raise ValueError("mesh_order must be >= 1")
-        if self.n_x < 1:
-            raise ValueError("n_x must be >= 1")
-        if not 0 < self.x_min < self.x_max:
-            raise ValueError("need 0 < x_min < x_max")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a finite number > 0, "
+                             f"got {self.tol!r}")
+        check_settings(mesh_order=self.mesh_order, x_min=self.x_min,
+                       x_max=self.x_max, n_x=self.n_x)
 
 
 # keys of each config file section; each sets the RunConfig field of its

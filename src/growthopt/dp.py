@@ -518,8 +518,8 @@ def solve_discounted(tables: DpTables, beta: float, tol: float = 1e-6):
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     stop_tol = tol * (1.0 - beta) / beta
-    if not stop_tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < stop_tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
 
     grid = tables.grid
     free = tables.free or tables

@@ -14,10 +14,30 @@ has one, and ``ValueFunction`` and ``Policy`` refuse tables of other shapes.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+
+
+def check_settings(**settings) -> None:
+    """Refuse the grid settings passed that the pipeline cannot run, with a
+    ValueError naming the key and its value: ``n_assets``, ``mesh_order``,
+    ``n_z`` and ``n_x`` must be integers >= 1 (a bool is not one), and
+    ``x_min`` and ``x_max`` finite numbers with 0 < x_min < x_max."""
+    for key, val in settings.items():
+        finite = key in ("x_min", "x_max")
+        if isinstance(val, bool) or not (
+                isinstance(val, numbers.Real) and math.isfinite(val) if finite
+                else isinstance(val, numbers.Integral) and val >= 1):
+            what = "a finite number" if finite else "an integer >= 1"
+            raise ValueError(f"{key} must be {what}, got {val!r}")
+    x_min, x_max = settings.get("x_min"), settings.get("x_max")
+    if x_min is not None and not 0 < x_min < x_max:
+        raise ValueError(f"need 0 < x_min < x_max, got x_min={x_min!r}, "
+                         f"x_max={x_max!r}")
 
 
 def _compositions(total, parts):
@@ -30,9 +50,8 @@ def _compositions(total, parts):
 
 
 def simplex_mesh(n_assets: int, order: int) -> np.ndarray:
-    """All proportion vectors with coordinates k/order, lexicographic order."""
-    if n_assets < 1 or order < 1:
-        raise ValueError("need n_assets >= 1 and order >= 1")
+    """All proportion vectors with coordinates k/order, lexicographic order;
+    ``n_assets`` and ``order`` as ``StateGrid.build`` accepts them."""
     combos = np.array(list(_compositions(order, n_assets)), dtype=float)
     return combos / order
 
@@ -41,8 +60,11 @@ def simplex_mesh(n_assets: int, order: int) -> np.ndarray:
 class StateGrid:
     """Discretized (proportion, wealth, factor) state space.
 
+    Made by ``build``, which refuses settings that the pipeline cannot run.
     ``wealth`` is None for the proportional-cost problem, whose value
-    functions carry no wealth axis.
+    functions carry no wealth axis.  The nodes must be in ascending key
+    order, as ``simplex_mesh`` lists them: a node's index is the rank of
+    its key.
     """
 
     nodes: np.ndarray
@@ -50,7 +72,6 @@ class StateGrid:
     n_z: int
     wealth: Optional[np.ndarray] = None
     _keys: np.ndarray = field(init=False, repr=False)
-    _perm: np.ndarray = field(init=False, repr=False)
     _key_sum: np.ndarray = field(init=False, repr=False)
     _lx0: Optional[float] = field(init=False, repr=False, default=None)
     _dlx: Optional[float] = field(init=False, repr=False, default=None)
@@ -59,10 +80,6 @@ class StateGrid:
         self.nodes = np.asarray(self.nodes, dtype=float)
         if self.wealth is not None:
             self.wealth = np.asarray(self.wealth, dtype=float)
-            if self.wealth.ndim != 1 or np.any(np.diff(self.wealth) <= 0):
-                raise ValueError("wealth grid must be strictly increasing")
-            if self.wealth[0] <= 0:
-                raise ValueError("wealth grid must be positive")
             if self.n_wealth > 1:
                 # origin and step of the grid in log-wealth, for wealth_pos
                 lx0 = np.log(self.wealth[0])
@@ -75,23 +92,30 @@ class StateGrid:
         radix = (self.mesh_order + 1) ** np.arange(self.n_assets - 1, -1, -1,
                                                    dtype=np.int64)
         self._key_sum = np.stack([radix, np.ones_like(radix)], axis=1)
-        keys = ints @ radix
-        self._perm = np.argsort(keys)
-        self._keys = keys[self._perm]
+        self._keys = ints @ radix
+        if np.any(self._keys[1:] <= self._keys[:-1]):
+            raise ValueError("grid nodes must ascend in lexicographic order")
 
     @classmethod
     def build(cls, n_assets: int, mesh_order: int, n_z: int,
               x_min: Optional[float] = None, x_max: Optional[float] = None,
               n_x: Optional[int] = None) -> "StateGrid":
-        nodes = simplex_mesh(n_assets, mesh_order)
-        wealth = None
-        if x_min is not None:
-            if x_max is None or n_x is None:
-                raise ValueError("wealth grid needs x_min, x_max and n_x")
-            if not 0 < x_min < x_max:
-                raise ValueError("need 0 < x_min < x_max")
-            wealth = np.geomspace(x_min, x_max, n_x)
-        return cls(nodes=nodes, mesh_order=mesh_order, n_z=n_z, wealth=wealth)
+        """The grid of these settings, the one owner of their validity: it
+        refuses what ``check_settings`` refuses, a wealth key given without
+        the others, and wealth nodes that do not ascend.  The wealth axis,
+        if any, has ``n_x`` geometric nodes from ``x_min`` to ``x_max``."""
+        wealth = {"x_min": x_min, "x_max": x_max, "n_x": n_x}
+        if all(v is None for v in wealth.values()):
+            wealth = {}
+        check_settings(n_assets=n_assets, mesh_order=mesh_order, n_z=n_z,
+                       **wealth)
+        axis = np.geomspace(x_min, x_max, n_x) if wealth else None
+        if wealth and np.any(axis[1:] <= axis[:-1]):
+            raise ValueError(f"x_min={x_min!r} and x_max={x_max!r} are too "
+                             f"close for n_x={n_x!r} strictly increasing "
+                             "wealth nodes")
+        return cls(nodes=simplex_mesh(n_assets, mesh_order),
+                   mesh_order=mesh_order, n_z=n_z, wealth=axis)
 
     @property
     def n_assets(self) -> int:
@@ -160,7 +184,7 @@ class StateGrid:
                     order = np.argsort(resid[row], kind="stable")
                     k[row, order[:-d]] += 1
             key_sum = k @ self._key_sum
-        return self._perm[self._keys.searchsorted(key_sum[:, 0])]
+        return self._keys.searchsorted(key_sum[:, 0])
 
     def node_index(self, pi) -> int:
         return int(self.nearest_node(np.asarray(pi))[0])

@@ -183,35 +183,23 @@ def mixing_step(model: MarketModel):
 def invariant_measure(model: MarketModel) -> np.ndarray:
     """Stationary distribution of the factor chain, residual <= 1e-12.
 
-    Small chains are solved directly as a constrained linear system; larger
-    ones fall back to power iteration.  Raises RuntimeError when no
-    distribution with the required residual is found (mixing failure).
+    Solved as one constrained linear system (least squares), at any chain
+    size.  Raises RuntimeError when the solution is negative beyond 1e-10
+    or misses the residual (mixing failure).
     """
     p = model.transition
     n = model.n_factors
-    theta = None
-    if n <= 64:
-        a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if sol.min() > -1e-10:
-            theta = np.clip(sol, 0.0, None)
-            theta /= theta.sum()
-    if theta is None or np.abs(theta @ p - theta).max() > 1e-12:
-        theta = np.full(n, 1.0 / n)
-        for _ in range(1_000_000):
-            nxt = theta @ p
-            if np.abs(nxt - theta).max() <= 1e-13:
-                theta = nxt
-                break
-            theta = nxt
-        theta = theta / theta.sum()
+    a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    theta = np.clip(sol, 0.0, None)
+    theta /= theta.sum()
     residual = np.abs(theta @ p - theta).max()
-    if residual > 1e-12 or theta.min() < -1e-12:
+    if residual > 1e-12 or sol.min() < -1e-10:
         raise RuntimeError(
-            f"stationary distribution did not converge (residual {residual:.3e}); "
-            "the factor chain does not mix"
+            f"no stationary distribution (residual {residual:.3e}, least "
+            f"entry {sol.min():.3e}); the factor chain does not mix"
         )
     return theta
 

@@ -62,18 +62,6 @@ def _key(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _positive(doc: dict, key: str, where: str, kind=int):
-    """``doc[key]``, or a ValueError naming the key unless it is a positive
-    integer (``kind`` int) or a positive number (``kind`` float)."""
-    val = _key(doc, key, where)
-    if (isinstance(val, bool) or not isinstance(val, (int, kind))
-            or not val > 0):
-        what = "integer" if kind is int else "number"
-        raise ValueError(f"{where}: key {key!r} must be a positive {what}, "
-                         f"got {val!r}")
-    return val
-
-
 def parse_model_dict(doc: dict):
     """Build (MarketModel, CostSpec or None) from a parsed model document."""
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k, {}), dict)
@@ -195,7 +183,9 @@ def _grid_node(grid: StateGrid, pi: np.ndarray, where: str) -> int:
 def load_policy(path_base: str) -> Policy:
     """Rebuild a Policy from a dump written by :func:`dump_solution`.
 
-    The header's grid spec decides the table shape.  Every CSV row must name
+    The header's grid section goes to ``StateGrid.build``, which refuses
+    settings it cannot run; its message is prefixed with the file and
+    section.  That grid decides the table shape.  Every CSV row must name
     one state of that grid by in-range indices (a blank wealth index where
     the grid has no wealth axis) and a target that is one of its nodes
     within ``SIMPLEX_TOL``, and every state must appear exactly once.
@@ -212,12 +202,11 @@ def load_policy(path_base: str) -> Policy:
         raise ValueError(f"{header_path}: key 'beta' must be a number in "
                          f"(0, 1) or \"average\", got {beta!r}")
     in_grid = f"{header_path} section 'grid'"
-    spec = {k: _positive(g, k, in_grid)
-            for k in ("n_assets", "mesh_order", "n_z")}
+    spec = {k: _key(g, k, in_grid) for k in ("n_assets", "mesh_order", "n_z")}
     if g.get("wealth") is not None:
         in_wealth = f"{header_path} section 'grid.wealth'"
-        spec.update((k, _positive(g["wealth"], k, in_wealth, kind)) for k, kind
-                    in (("x_min", float), ("x_max", float), ("n_x", int)))
+        spec.update((k, _key(g["wealth"], k, in_wealth))
+                    for k in ("x_min", "x_max", "n_x"))
     try:
         grid = StateGrid.build(**spec)
     except ValueError as exc:

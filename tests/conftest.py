@@ -52,3 +52,43 @@ def random_model(rng, n_z=2, n_s=2, d=2, mix=0.75):
     probs = rng.dirichlet(np.ones(n_s) * 4)
     returns = rng.uniform(0.85, 1.25, (n_z, n_s, d))
     return MarketModel(transition=transition, shock_probs=probs, returns=returns)
+
+
+# settings of the wealth grid that the policy dumps of test_cli are made on
+GRID_SETTINGS = {"n_assets": 2, "mesh_order": 4, "n_z": 2,
+                 "x_min": 1e-2, "x_max": 1e3, "n_x": 6}
+
+# one refused value of each kind in GRID_SETTINGS: (key, value, the message
+# of StateGrid.build); None stands for a wealth key left out
+_ORDER = "need 0 < x_min < x_max, got x_min={}, x_max=1000.0"
+REFUSED_GRID_SETTINGS = [
+    pytest.param(key, val, message, id=f"{key} {name}")
+    for key, val, name, message in [
+        ("x_max", float("inf"), "inf",
+         "x_max must be a finite number, got inf"),
+        ("x_min", float("-inf"), "-inf",
+         "x_min must be a finite number, got -inf"),
+        ("x_max", float("nan"), "nan",
+         "x_max must be a finite number, got nan"),
+        ("x_min", "1e-2", "string",
+         "x_min must be a finite number, got '1e-2'"),
+        ("n_x", 0, "0", "n_x must be an integer >= 1, got 0"),
+        ("n_z", 0, "0", "n_z must be an integer >= 1, got 0"),
+        ("n_assets", 0, "0", "n_assets must be an integer >= 1, got 0"),
+        ("x_min", 0.0, "0", _ORDER.format(0.0)),
+        ("mesh_order", -2, "negative",
+         "mesh_order must be an integer >= 1, got -2"),
+        ("x_min", -1.0, "negative", _ORDER.format(-1.0)),
+        ("n_x", True, "bool", "n_x must be an integer >= 1, got True"),
+        ("mesh_order", True, "bool",
+         "mesh_order must be an integer >= 1, got True"),
+        ("x_max", True, "bool", "x_max must be a finite number, got True"),
+        ("n_x", 2.5, "float", "n_x must be an integer >= 1, got 2.5"),
+        ("n_z", 2.0, "float", "n_z must be an integer >= 1, got 2.0"),
+        ("n_assets", 2.0, "float",
+         "n_assets must be an integer >= 1, got 2.0"),
+        ("x_min", 1e3, "equal to x_max", _ORDER.format(1000.0)),
+        ("x_min", 5e3, "above x_max", _ORDER.format(5000.0)),
+        ("n_x", None, "left out", "n_x must be an integer >= 1, got None"),
+        ("x_max", None, "left out",
+         "x_max must be a finite number, got None")]]

@@ -18,6 +18,8 @@ from growthopt.cli import main
 from growthopt.modelio import (dump_solution, load_policy, parse_model_dict,
                                trajectory_csv)
 
+from conftest import GRID_SETTINGS, REFUSED_GRID_SETTINGS
+
 
 def write_model(tmp_path, mutate=None):
     with open(bundled_model_path()) as fh:
@@ -189,7 +191,7 @@ def dumps(tmp_path_factory, two_asset):
     """"fixed" and "proportional" -> (path base of a dump, solved policy)."""
     model, spec = two_asset
     tmp = tmp_path_factory.mktemp("dumps")
-    grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+    grid = StateGrid.build(**GRID_SETTINGS)
     out = {}
     for name, s in (("fixed", spec), ("proportional", spec.without_fixed())):
         vf, pol, _ = solve_discounted(build_tables(model, s, grid),
@@ -197,6 +199,18 @@ def dumps(tmp_path_factory, two_asset):
         dump_solution(vf, pol, str(tmp / name), "hash", seed=1)
         out[name] = (str(tmp / name), pol)
     return out
+
+
+def set_grid_key(key, val):
+    """A header edit that sets grid key ``key``, in its wealth section for
+    a wealth key, to ``val``."""
+    def edit(header, lines):
+        section = header["grid"]
+        if key in ("x_min", "x_max", "n_x"):
+            section = section["wealth"]
+        section[key] = val
+        return lines
+    return edit
 
 
 def corrupt(dumps, tmp_path, name, edit):
@@ -351,15 +365,14 @@ class TestPolicyDump:
                      r"policy\.csv: header has no 'impulse' column",
                      id="no impulse"),
         pytest.param(lambda h, ls: h["grid"].update(n_assets="2") or ls,
-                     r"policy\.json section 'grid': key 'n_assets' must be "
-                     r"a positive integer, got '2'", id="n_assets string"),
+                     r"policy\.json section 'grid': n_assets must be an "
+                     r"integer >= 1, got '2'", id="n_assets string"),
         pytest.param(lambda h, ls: h["grid"].update(mesh_order=2.5) or ls,
-                     r"policy\.json section 'grid': key 'mesh_order' must be "
-                     r"a positive integer, got 2\.5", id="mesh_order float"),
+                     r"policy\.json section 'grid': mesh_order must be an "
+                     r"integer >= 1, got 2\.5", id="mesh_order float"),
         pytest.param(lambda h, ls: h["grid"]["wealth"].update(x_max="1e3")
-                     or ls, r"policy\.json section 'grid\.wealth': key "
-                     r"'x_max' must be a positive number, got '1e3'",
-                     id="x_max string"),
+                     or ls, r"policy\.json section 'grid': x_max must be a "
+                     r"finite number, got '1e3'", id="x_max string"),
         pytest.param(lambda h, ls: h.update(beta="nonsense") or ls,
                      r"policy\.json: key 'beta' must be a number in \(0, 1\) "
                      r"or \"average\", got 'nonsense'", id="beta string"),
@@ -368,7 +381,10 @@ class TestPolicyDump:
                      r"or \"average\", got 1\.0", id="beta 1.0"),
         pytest.param(lambda h, ls: h.update(beta=True) or ls,
                      r"policy\.json: key 'beta' must be a number in \(0, 1\) "
-                     r"or \"average\", got True", id="beta true")])
+                     r"or \"average\", got True", id="beta true"),
+        *[pytest.param(set_grid_key(*p.values[:2]), r"policy\.json section "
+                       r"'grid': " + re.escape(p.values[2]), id=f"grid {p.id}")
+          for p in REFUSED_GRID_SETTINGS]])
     def test_simulate_exits_1_on_a_bad_header_or_column(self, dumps, tmp_path,
                                                         capsys, edit, message):
         base, _ = dumps["fixed"]
@@ -386,6 +402,7 @@ class TestPolicyDump:
         err = capsys.readouterr().err
         assert code == 1
         assert re.search(message, err) and "Traceback" not in err
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("mode", ["nearest-linear", "nearest-nearest"])
     def test_dumps_with_an_interpolation_key_still_load(self, dumps,
@@ -748,7 +765,7 @@ class TestConfigKeys:
 
 
     @pytest.mark.parametrize("doc, message", [
-        ({"grid": {"wealth": {"n_x": 0}}}, "n_x must be >= 1"),
+        ({"grid": {"wealth": {"n_x": 0}}}, "n_x must be an integer >= 1"),
         ({"betas": 0.9}, "config key 'betas' must be a list of numbers"),
         ({"betas": [0.9, True]},
          "config key 'betas' must be a list of numbers"),
@@ -757,7 +774,29 @@ class TestConfigKeys:
          "config key 'simplex_order' must be an integer"),
         ({"simulation": {"seed": True}},
          "config key 'seed' must be an integer"),
-        ({"output_dir": 3}, "config key 'output_dir' must be a string")])
+        ({"output_dir": 3}, "config key 'output_dir' must be a string"),
+        ({"grid": {"wealth": {"x_max": float("inf")}}},
+         "x_max must be a finite number, got inf"),
+        ({"grid": {"wealth": {"x_min": float("nan")}}},
+         "x_min must be a finite number, got nan"),
+        ({"grid": {"simplex_order": 0}},
+         "mesh_order must be an integer >= 1, got 0"),
+        ({"grid": {"wealth": {"x_min": 0}}},
+         "need 0 < x_min < x_max, got x_min=0, x_max=10000.0"),
+        ({"grid": {"simplex_order": -2}},
+         "mesh_order must be an integer >= 1, got -2"),
+        ({"grid": {"wealth": {"x_min": -1.0}}},
+         "need 0 < x_min < x_max, got x_min=-1.0, x_max=10000.0"),
+        ({"grid": {"wealth": {"n_x": True}}},
+         "config key 'n_x' must be an integer, got True"),
+        ({"grid": {"wealth": {"n_x": 2.5}}},
+         "config key 'n_x' must be an integer, got 2.5"),
+        ({"grid": {"wealth": {"x_min": 5.0, "x_max": 5.0}}},
+         "need 0 < x_min < x_max, got x_min=5.0, x_max=5.0"),
+        ({"grid": {"wealth": {"x_max": None}}},
+         "config key 'x_max' must be a number, got None"),
+        ({"tolerances": {"tol": 0.0}}, "tol must be a finite number > 0, "
+         "got 0.0")])
     def test_wrong_value_type_exits_1(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -766,6 +805,42 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert code == 1
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--x-max", "inf"], "x_max must be a finite number, got inf"),
+        (["--x-max", "nan"], "x_max must be a finite number, got nan"),
+        (["--x-max", "0"], "need 0 < x_min < x_max, got x_min=0.001, "
+         "x_max=0.0"),
+        (["--x-max", "-5"], "need 0 < x_min < x_max, got x_min=0.001, "
+         "x_max=-5.0"),
+        (["--x-max", "1e-3"], "need 0 < x_min < x_max, got x_min=0.001, "
+         "x_max=0.001"),
+        (["--mesh-order", "0"], "mesh_order must be an integer >= 1, got 0"),
+        (["--mesh-order", "-3"],
+         "mesh_order must be an integer >= 1, got -3")])
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["solve", "--beta", "0.9"], ["optimal"],
+        ["simulate", "--policy", "policy"], ["ldcheck"], ["verify"]])
+    def test_bad_grid_flag_exits_1_for_every_command(self, tmp_path, capsys,
+                                                     flags, message, command):
+        code = main(base_args(tmp_path) + flags + command)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["solve", "--beta", "0.9"],
+                                         ["optimal"], ["validate"]])
+    def test_infinite_tol_exits_1(self, tmp_path, capsys, command):
+        # 1e400 reads as inf, which would stop value iteration after a sweep
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tolerances": {"tol": 1e400}}')
+        code = main(["--config", str(cfg)] + base_args(tmp_path) + command)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "tol must be a finite number > 0, got inf" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

@@ -368,6 +368,14 @@ class TestSolveDiscounted:
                 solve_discounted(build_tables(model2, spec2.without_fixed(),
                                               grid), 0.9, tol=tol)
 
+    def test_rejects_infinite_tol(self, model2, spec2):
+        # an infinite tol stops after one sweep with a meaningless bound
+        tables = build_tables(model2, spec2.without_fixed(),
+                              StateGrid.build(2, 4, 2))
+        with pytest.raises(ValueError, match="tol must be a finite number > "
+                           "0, got inf"):
+            solve_discounted(tables, 0.9, tol=float("inf"))
+
 
 class TestSolveDigests:
     """Values and policies of the bundled model at acceptance scale, pinned

@@ -1,10 +1,12 @@
 """Simplex mesh, wealth grid and interpolation lookups."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import GRID_SETTINGS, REFUSED_GRID_SETTINGS
 from dp_oracle import grid_interp
 from growthopt import Policy, StateGrid, ValueFunction, simplex_mesh
 
@@ -25,6 +27,36 @@ class TestSimplexMesh:
     def test_lexicographic_order(self):
         nodes = simplex_mesh(2, 4)
         np.testing.assert_allclose(nodes[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_node_keys_ascend(self, d):
+        # nearest_node returns the rank of a lattice point's key as its
+        # node index, which needs the mesh listed in ascending key order
+        for m in (1, 2, 3, 4, 8, 16):
+            ints = np.rint(simplex_mesh(d, m) * m).astype(np.int64)
+            keys = ints @ (m + 1) ** np.arange(d - 1, -1, -1)
+            assert (np.diff(keys) > 0).all()
+            np.testing.assert_array_equal(StateGrid.build(d, m, 1)._keys,
+                                          keys)
+
+    def test_nodes_out_of_key_order_are_refused(self):
+        nodes = simplex_mesh(3, 4)
+        for bad in (nodes[::-1], nodes[[0, 0, 1]]):
+            with pytest.raises(ValueError, match="ascend in lexicographic"):
+                StateGrid(nodes=bad, mesh_order=4, n_z=1)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("key, val, message", REFUSED_GRID_SETTINGS)
+    def test_build_refuses_and_names_the_key(self, key, val, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StateGrid.build(**{**GRID_SETTINGS, key: val})
+
+    def test_wealth_nodes_that_do_not_ascend_are_refused(self):
+        # 16 geometric nodes between two neighbouring doubles repeat
+        with pytest.raises(ValueError, match="too close for n_x=16"):
+            StateGrid.build(2, 4, 1, x_min=1.0, x_max=np.nextafter(1.0, 2.0),
+                            n_x=16)
 
 
 class TestNearestNode:
@@ -81,7 +113,7 @@ def oracle_nearest_node(grid, pi):
                 order = np.argsort(resid[row], kind="stable")
                 k[row, order[:-d]] += 1
     radix = (grid.mesh_order + 1) ** np.arange(grid.n_assets - 1, -1, -1)
-    return grid._perm[grid._keys.searchsorted(k @ radix)]
+    return grid._keys.searchsorted(k @ radix)
 
 
 class TestNearestNodeOracle:

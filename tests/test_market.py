@@ -171,6 +171,28 @@ class TestInvariantMeasure:
             assert np.abs(theta @ m.transition - theta).max() <= 1e-10
             assert abs(theta.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n_z", [65, 100])
+    def test_large_chain_matches_the_eigenvector(self, n_z):
+        m = random_model(np.random.default_rng(n_z), n_z=n_z)
+        theta = invariant_measure(m)
+        vals, vecs = np.linalg.eig(m.transition.T)
+        want = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+        np.testing.assert_allclose(theta, want / want.sum(), atol=1e-12)
+        assert np.abs(theta @ m.transition - theta).max() <= 1e-12
+
+    def test_block_diagonal_chain_gives_a_stationary_law(self):
+        # two closed classes: any mixture of their laws is stationary, and
+        # the solve returns one of them
+        p = np.zeros((5, 5))
+        p[:2, :2] = [[0.9, 0.1], [0.2, 0.8]]
+        p[2:, 2:] = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]
+        m = MarketModel(transition=p, shock_probs=[1.0],
+                        returns=np.ones((5, 1, 1)))
+        theta = invariant_measure(m)
+        assert theta.min() >= 0.0 and theta[:2].sum() > 0 < theta[2:].sum()
+        assert abs(theta.sum() - 1.0) <= 1e-12
+        assert np.abs(theta @ p - theta).max() <= 1e-12
+
 
 class TestDobrushin:
     def test_identity_is_one(self):
