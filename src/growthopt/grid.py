@@ -26,18 +26,47 @@ def check_settings(**settings) -> None:
     """Refuse the grid settings passed that the pipeline cannot run, with a
     ValueError naming the key and its value: ``n_assets``, ``mesh_order``,
     ``n_z`` and ``n_x`` must be integers >= 1 (a bool is not one), and
-    ``x_min`` and ``x_max`` finite numbers with 0 < x_min < x_max."""
+    ``x_min`` and ``x_max`` finite floats with 0 < x_min < x_max (an
+    integer too large for a float is not one).  The lattice keys of the
+    mesh, base mesh_order + 1 with n_assets digits (one if not passed),
+    must fit in int64."""
     for key, val in settings.items():
         finite = key in ("x_min", "x_max")
         if isinstance(val, bool) or not (
-                isinstance(val, numbers.Real) and math.isfinite(val) if finite
+                isinstance(val, numbers.Real) and _finite_float(val) if finite
                 else isinstance(val, numbers.Integral) and val >= 1):
             what = "a finite number" if finite else "an integer >= 1"
-            raise ValueError(f"{key} must be {what}, got {val!r}")
+            got = repr(val)
+            if (finite and isinstance(val, numbers.Integral)
+                    and not isinstance(val, bool)):
+                got = "an integer too large for a float"
+            raise ValueError(f"{key} must be {what}, got {got}")
     x_min, x_max = settings.get("x_min"), settings.get("x_max")
     if x_min is not None and not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got x_min={x_min!r}, "
                          f"x_max={x_max!r}")
+    m, n = settings.get("mesh_order"), settings.get("n_assets", 1)
+    if m is not None and not _keys_fit(int(m) + 1, int(n)):
+        raise ValueError(f"mesh_order {m!r} is too large: lattice keys "
+                         f"(mesh_order + 1) ** n_assets with n_assets={n!r} "
+                         "overflow int64")
+
+
+def _finite_float(val) -> bool:
+    """Whether the real number ``val`` is a finite float; an integer too
+    large for a float is not."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+def _keys_fit(base: int, digits: int) -> bool:
+    """Whether base ** digits <= 2 ** 63 - 1, without forming a power
+    far beyond it."""
+    # 2 ** floor(log2(base)) <= base, so a power past 63 bits overflows
+    return ((base.bit_length() - 1) * digits < 63
+            and base ** digits <= np.iinfo(np.int64).max)
 
 
 def _compositions(total, parts):

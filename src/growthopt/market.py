@@ -19,10 +19,14 @@ floor of the worst asset, and the conditional expected log return of a fixed
 proportion vector.
 
 Paths are sampled by one walk, ``_walk``, vectorized across paths and fed
-from bounded blocks of uniforms; it yields the states block by block, and
-a narrow walk composes the factor steps of a block by doubling.
-``sample_factor_paths`` stores them as (n, T+1) arrays, and
-``simulate.ld_tail`` folds each block into running sums as it arrives.
+from bounded blocks of uniforms (``block_steps`` steps each); it yields the
+states block by block, and a narrow walk composes the factor steps of a
+block by doubling.  ``sample_factor_paths`` stores a walk as (n, T+1)
+arrays.  Its consumers ask it for one block per call and continue from the
+block's last factor state on the same generators, so their memory is
+O(n * block) rather than O(n * T): the simulation engine steps through each
+block and the ergodic check counts its states, while ``simulate.ld_tail``
+folds each block of ``_walk`` into running sums as it arrives.
 """
 
 from __future__ import annotations
@@ -238,6 +242,12 @@ def expected_log_return(model: MarketModel, pi, z: int) -> float:
     return float(model.transition[z] @ (np.log(port) @ model.shock_probs))
 
 
+def block_steps(n: int, T: int) -> int:
+    """Steps in one block of a walk of ``n`` paths with ``T`` steps left:
+    as many as ``DRAW_BUDGET`` uniforms hold, at least one and at most T."""
+    return max(1, min(T, DRAW_BUDGET // max(1, 2 * n)))
+
+
 def sample_factor_paths(model: MarketModel, z0, T: int, rng):
     """Simulate ``len(z0)`` factor/shock paths of length T, vectorized.
 
@@ -247,6 +257,12 @@ def sample_factor_paths(model: MarketModel, z0, T: int, rng):
     steps through composed one-step maps.  The states are those of a
     step-by-step draw, and path ``i`` of a per-path batch equals a one-path
     call on ``rng[i]``, draw for draw.
+
+    A walk may be drawn in pieces: a call from the last factor states of
+    the one before, on the same generators, continues it draw for draw.
+    The simulation engine and the ergodic check call it once per block,
+    with T = ``block_steps(n, steps left)``, so they hold O(n * block)
+    states at a time rather than O(n * T).
 
     Returns integer arrays z, xi of shape (n, T+1); column 0 holds the
     initial factor states and xi[:, 0] = -1 (no shock arrives at time 0).
@@ -280,7 +296,7 @@ def _walk(model: MarketModel, z0, T: int, rng):
     shared Generator draws a block as one (k, 2, n) array (factors of step
     t for all paths, their shocks, then step t+1); a per-path Generator
     draws (k, 2) for its own path only.  The block length comes from
-    ``DRAW_BUDGET``, so the draw buffer stays near 0.5 MB for any batch;
+    ``block_steps``, so the draw buffer stays near 0.5 MB for any batch;
     above half the budget in paths a block is one step.
 
     A state is the count of cumulative probabilities, all but the last, at
@@ -307,7 +323,7 @@ def _walk(model: MarketModel, z0, T: int, rng):
     """
     n = z0.shape[0]
     n_z = model.n_factors
-    k_max = max(1, min(T, DRAW_BUDGET // max(1, 2 * n)))
+    k_max = block_steps(n, T)
     # steps per chunk: the first and the ones its maps hold; fewer than
     # 16 maps cost more numpy calls than the steps they replace
     n_maps = DRAW_BUDGET // 32 // (n_z * max(1, n_z - 1) * n) if n else 0

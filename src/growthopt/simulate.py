@@ -14,11 +14,14 @@ batch: an int stream is a batch of one, a sequence of streams one batch
 with a ``Trajectory`` per stream.  Path ``i`` of a batch consumes exactly
 the stream ``(seed, i)``, so ``run(..., stream=i)`` reproduces it bit for
 bit.  Wealth is tracked in logs so horizons of many thousands of steps
-cannot overflow.  A batch samples all its factor/shock paths in one call:
-one walk vectorized across paths over the per-path Philox streams, each
-drawn in bounded blocks (``market.sample_factor_paths``); a narrow batch,
-a single path above all, reads the factor states of a block through
-one-step maps composed by doubling rather than one step at a time.  The
+cannot overflow.  A batch walks all its factor/shock paths vectorized
+across paths over the per-path Philox streams, one block per
+``market.sample_factor_paths`` call, each call continuing from the last
+factor states of the block before; the loop steps through a block before
+it draws the next, so it holds O(n * block) market states rather than
+O(n * T), and stops drawing when it stops early.  A narrow batch, a single
+path above all, reads the factor states of a block through one-step maps
+composed by doubling rather than one step at a time.  The
 large-deviations check ``ld_tail`` consumes the same walk block by block
 and keeps only a running sum per path.
 
@@ -40,8 +43,8 @@ import numpy as np
 from .average import MimickingPolicy
 from .costs import CostSpec, share_cost, solve_e_batch
 from .grid import Policy
-from .market import (MarketModel, _walk, check_simplex, growth_floor,
-                     invariant_measure, sample_factor_paths)
+from .market import (MarketModel, _walk, block_steps, check_simplex,
+                     growth_floor, invariant_measure, sample_factor_paths)
 from .rng import make_rng
 
 LOG_CAP = 700.0  # exp cap; beyond this fixed costs are a zero fraction anyway
@@ -207,7 +210,9 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
     Returns the final log wealth per path, the log wealth at step
     T - T // 2, the surviving paths and a ``Trajectory`` for each of the
     first ``record`` streams, which for an annihilated path ends at the row
-    of its trade.  The loop stops early once every path has annihilated.
+    of its trade.  The market comes from ``_market_steps`` one walk block
+    at a time; the loop, and with it the drawing, stops early once every
+    path has annihilated.
     """
     pi0 = check_simplex(pi0, model.n_assets)
     if not 0 < x0 < math.inf:
@@ -219,9 +224,15 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
     if T < 1 or len(streams) < 1:
         raise ValueError("need T >= 1 and at least one stream")
     n, d, r = len(streams), model.n_assets, record
-    z, xi = sample_factor_paths(model, np.full(n, z0), T,
-                                [make_rng(seed, s) for s in streams])
-    zeta = model.returns[z.T[1:], xi.T[1:]]  # (T, n, d): the step into t + 1
+    # the market rows of the first r paths, path-major, as the walk draws
+    # them: factor and shock states, and the returns of the step into t
+    rec_z = np.empty((r, T + 1), dtype=np.int64)
+    rec_z[:, 0] = z0
+    rec_xi = np.empty_like(rec_z)
+    rec_xi[:, 0] = -1
+    returns = np.ones((r, T + 1, d))
+    market = _market_steps(model, z0, T, [make_rng(seed, s) for s in streams],
+                           rec_z, rec_xi, returns)
 
     strategy.reset(n)
     pi_prev = np.broadcast_to(pi0, (n, d)).copy()
@@ -239,13 +250,13 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
     rec_pi_prev, rec_pi = np.empty((r, T + 1, d)), np.empty((r, T + 1, d))
     rec_lx_prev, rec_lx = np.zeros((r, T + 1)), np.zeros((r, T + 1))
     rec_e, rec_traded = np.ones((r, T + 1)), np.zeros((r, T + 1), dtype=bool)
-    for t in range(T):
+    for t, (z_t, step) in enumerate(market):
         if t == t_half:
             lx_half[:] = lx
         x_prev = np.exp(np.minimum(lx, LOG_CAP))
         rec_pi_prev[:, t] = pi_prev[:r]
         rec_lx_prev[:, t] = lx[:r]
-        mask, tgt = strategy.decide_batch(pi_prev, x_prev, z[:, t], t)
+        mask, tgt = strategy.decide_batch(pi_prev, x_prev, z_t, t)
         go = mask if all_alive else mask & alive
         # np.count_nonzero and .nonzero() skip the Python layer of .any()
         if np.count_nonzero(go):
@@ -271,7 +282,6 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
                     rec_lx[rec, t] = lx[rec]
         if not all_alive and not np.count_nonzero(alive):
             break
-        step = zeta[t]
         growth = np.einsum("nd,nd->n", pi_prev, step)
         pi_next = pi_prev * step / growth[:, None]
         if signed:
@@ -290,17 +300,45 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
 
     x_prev = np.exp(np.minimum(rec_lx_prev, LOG_CAP))
     x = np.where(rec_traded, np.exp(np.minimum(rec_lx, LOG_CAP)), x_prev)
-    returns = np.ones((r, T + 1, d))
-    returns[:, 1:] = zeta[:, :r].swapaxes(0, 1)
     # an annihilated path ends at the row of its trade with e == 0
     rows = np.where(alive[:r], T + 1, rec_e.argmin(axis=1) + 1)
     trajs = [Trajectory(
-        t=np.arange(m), z=z[k, :m].copy(), xi=xi[k, :m].copy(),
+        t=np.arange(m), z=rec_z[k, :m], xi=rec_xi[k, :m],
         pi_prev=rec_pi_prev[k, :m], transacted=rec_traded[k, :m],
         pi=rec_pi[k, :m], e_applied=rec_e[k, :m], x_prev=x_prev[k, :m],
         x=x[k, :m], returns=returns[k, :m], annihilated=not alive[k],
         spec=spec) for k, m in enumerate(rows.tolist())]
     return lx, lx_half, alive, trajs
+
+
+def _market_steps(model: MarketModel, z0: int, T: int, rngs, rec_z, rec_xi,
+                  rec_returns):
+    """The market of ``_simulate``: for t = 0..T-1, the factor states of
+    all paths at t and their gross returns (n, d) on the step into t + 1.
+
+    The walk is drawn one block per ``sample_factor_paths`` call, of
+    ``block_steps`` steps, from the last factor states of the block before
+    on the same per-path generators, so that path i is the walk of
+    ``rngs[i]`` draw for draw.  A block's returns are gathered when it is
+    drawn, and its rows 1.. of the first ``len(rec_z)`` paths are copied
+    into ``rec_z``, ``rec_xi`` and ``rec_returns``.  The states held are
+    O(n * block), and a consumer that stops iterating stops the drawing.
+    """
+    n, r = len(rngs), rec_z.shape[0]
+    z_last = np.full(n, z0)
+    t0 = 0
+    while t0 < T:
+        k = block_steps(n, T - t0)
+        z, xi = sample_factor_paths(model, z_last, k, rngs)
+        zeta = model.returns[z.T[1:], xi.T[1:]]  # (k, n, d)
+        rows = slice(t0 + 1, t0 + k + 1)
+        rec_z[:, rows] = z[:r, 1:]
+        rec_xi[:, rows] = xi[:r, 1:]
+        rec_returns[:, rows] = zeta[:, :r].swapaxes(0, 1)
+        for j in range(k):
+            yield z[:, j], zeta[j]
+        z_last = z[:, k]
+        t0 += k
 
 
 def run(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0, x0: float,

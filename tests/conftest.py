@@ -91,4 +91,17 @@ REFUSED_GRID_SETTINGS = [
         ("x_min", 5e3, "above x_max", _ORDER.format(5000.0)),
         ("n_x", None, "left out", "n_x must be an integer >= 1, got None"),
         ("x_max", None, "left out",
-         "x_max must be a finite number, got None")]]
+         "x_max must be a finite number, got None"),
+        # math.isfinite raises OverflowError on an int beyond a float
+        ("x_max", 10 ** 400, "400 digits",
+         "x_max must be a finite number, got an integer too large for a "
+         "float"),
+        ("x_min", -10 ** 400, "400 digits",
+         "x_min must be a finite number, got an integer too large for a "
+         "float"),
+        # lattice keys (mesh_order + 1) ** n_assets past int64
+        ("mesh_order", 10 ** 30, "keys past int64",
+         "mesh_order 1000000000000000000000000000000 is too large: lattice "
+         "keys (mesh_order + 1) ** n_assets with n_assets=2 overflow int64"),
+        ("mesh_order", 3_037_000_499, "keys one past int64",
+         "mesh_order 3037000499 is too large")]]

@@ -522,24 +522,21 @@ class TestSimulateEngine:
                                             ("auto", "policy_prop")])
     def test_one_walk_and_trajectory_is_path_0(self, optimal_dir, monkeypatch,
                                                mode, name):
+        # the walk is drawn one block per sampling call, of every path:
+        # one block for 6 paths, 65 + 65 + 65 + 5 steps for 500
         from growthopt import average, modelio, simulate
         from growthopt.costs import cost_constants
-        from growthopt.market import growth_floor
+        from growthopt.market import block_steps, growth_floor
         calls = []
         sample = simulate.sample_factor_paths
 
         def counted(model, z0, T, rng):
-            calls.append(len(z0))
+            calls.append((len(z0), T))
             return sample(model, z0, T, rng)
 
         monkeypatch.setattr(simulate, "sample_factor_paths", counted)
         model_path = str(optimal_dir / "model.json")
         policy_path = str(optimal_dir / "out" / name)
-        out = optimal_dir / f"engine_{mode}"
-        assert main(["--model", model_path, "--output-dir", str(out), "--T",
-                     "200", "--n-paths", "6", "--seed", "31", "simulate",
-                     "--policy", policy_path, "--mimic", mode]) == 0
-        assert calls == [6]
         model, spec = load_model(model_path)
         policy = load_policy(policy_path)
         if mode == "auto":
@@ -548,10 +545,19 @@ class TestSimulateEngine:
                 average.build_mimicking(policy, constants))
         else:
             strategy = simulate.GridPolicyStrategy(policy)
-        traj = simulate.run(model, spec, strategy, [0.5, 0.5], 100.0, 0, 200,
-                            31, stream=0)
-        assert (out / "trajectory.csv").read_bytes() == \
-            modelio.trajectory_csv(traj).encode()
+        for n, blocks in ((6, [200]), (500, [65, 65, 65, 5])):
+            assert blocks[0] == block_steps(n, 200)
+            calls.clear()
+            out = optimal_dir / f"engine_{mode}_{n}"
+            assert main(["--model", model_path, "--output-dir", str(out),
+                         "--T", "200", "--n-paths", str(n), "--seed", "31",
+                         "simulate", "--policy", policy_path, "--mimic",
+                         mode]) == 0
+            assert calls == [(n, k) for k in blocks]
+            traj = simulate.run(model, spec, strategy, [0.5, 0.5], 100.0, 0,
+                                200, 31, stream=0)
+            assert (out / "trajectory.csv").read_bytes() == \
+                modelio.trajectory_csv(traj).encode()
 
     @pytest.mark.parametrize("start, message", [
         ({"z0": 5}, "initial factor state 5 outside [0, 2)"),
@@ -818,7 +824,9 @@ class TestConfigKeys:
          "x_max=0.001"),
         (["--mesh-order", "0"], "mesh_order must be an integer >= 1, got 0"),
         (["--mesh-order", "-3"],
-         "mesh_order must be an integer >= 1, got -3")])
+         "mesh_order must be an integer >= 1, got -3"),
+        (["--mesh-order", str(2 ** 63 - 1)],
+         "mesh_order 9223372036854775807 is too large")])
     @pytest.mark.parametrize("command", [
         ["validate"], ["solve", "--beta", "0.9"], ["optimal"],
         ["simulate", "--policy", "policy"], ["ldcheck"], ["verify"]])
@@ -841,6 +849,21 @@ class TestConfigKeys:
         assert code == 1
         assert "tol must be a finite number > 0, got inf" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("key", ["x_min", "x_max"])
+    def test_wealth_bound_beyond_a_float_exits_1(self, tmp_path, capsys,
+                                                 key):
+        # JSON reads a 400-digit integer exactly; it has no float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"grid": {{"wealth": {{"{key}": 1{"0" * 399}}}}}}}')
+        code = main(["--config", str(cfg)] + base_args(tmp_path)
+                    + ["optimal"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {key} must be a finite number, got an "
+                       "integer too large for a float\n")
         assert not (tmp_path / "out").exists()
 
 

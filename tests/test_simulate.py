@@ -17,7 +17,7 @@ from growthopt import (CostSpec, FixedTargetStrategy, GridPolicyStrategy,
                        share_cost, solve_e_batch, to_share_holdings,
                        wealth_floor_check)
 from growthopt.costs import worst_case_drag
-from growthopt.market import DRAW_BUDGET, check_simplex
+from growthopt.market import DRAW_BUDGET, block_steps, check_simplex
 
 from test_market import SHOCK_LAWS, searchsorted_paths, shock_model
 
@@ -416,6 +416,184 @@ class TestRunOverManyStreams:
         with pytest.raises(ValueError, match=f"stream .*got {bad!r}"):
             run(model2, spec2, NoTransactionStrategy(), [0.5, 0.5], 1.0, 0,
                 10, seed=1, stream=stream)
+
+
+def oracle_simulate(model, spec, strategy, pi0, x0, z0, T, seed, streams,
+                    record=1):
+    """``simulate._simulate`` as it was before it streamed its market: all
+    (n, T + 1) factor/shock states of the batch in one
+    ``sample_factor_paths`` call and every step's returns gathered up
+    front."""
+    pi0 = check_simplex(pi0, model.n_assets)
+    n, d, r = len(streams), model.n_assets, record
+    z, xi = sample_factor_paths(model, np.full(n, z0), T,
+                                [make_rng(seed, s) for s in streams])
+    zeta = model.returns[z.T[1:], xi.T[1:]]
+    strategy.reset(n)
+    pi_prev = np.broadcast_to(pi0, (n, d)).copy()
+    ones = np.ones(d)
+    lx = np.full(n, math.log(x0))
+    alive = np.ones(n, dtype=bool)
+    all_alive = True
+    signed = bool((pi0 < 0).any())
+    t_half = T - T // 2
+    lx_half = np.empty(n)
+    rec_pi_prev, rec_pi = np.empty((r, T + 1, d)), np.empty((r, T + 1, d))
+    rec_lx_prev, rec_lx = np.zeros((r, T + 1)), np.zeros((r, T + 1))
+    rec_e, rec_traded = np.ones((r, T + 1)), np.zeros((r, T + 1), dtype=bool)
+    for t in range(T):
+        if t == t_half:
+            lx_half[:] = lx
+        x_prev = np.exp(np.minimum(lx, simulate.LOG_CAP))
+        rec_pi_prev[:, t] = pi_prev[:r]
+        rec_lx_prev[:, t] = lx[:r]
+        mask, tgt = strategy.decide_batch(pi_prev, x_prev, z[:, t], t)
+        go = mask if all_alive else mask & alive
+        if np.count_nonzero(go):
+            idx = (go & (tgt != pi_prev).any(axis=1)).nonzero()[0]
+            if idx.size:
+                new = tgt[idx]
+                e = solve_e_batch(spec, pi_prev[idx], new, x_prev[idx])
+                traded, e_all = idx, e
+                if np.count_nonzero(e > 0.0) < idx.size:
+                    dead = idx[e == 0.0]
+                    alive[dead] = False
+                    lx[dead] = -np.inf
+                    all_alive = False
+                    idx, new, e = idx[e > 0.0], new[e > 0.0], e[e > 0.0]
+                lx[idx] += np.log(e)
+                pi_prev[idx] = new
+                signed = signed or np.count_nonzero(new < 0.0) > 0
+                if traded[0] < r:
+                    rec = traded[:traded.searchsorted(r)]
+                    rec_e[rec, t] = e_all[:rec.size]
+                    rec_traded[rec, t] = True
+                    rec_pi[rec, t] = pi_prev[rec]
+                    rec_lx[rec, t] = lx[rec]
+        if not all_alive and not np.count_nonzero(alive):
+            break
+        step = zeta[t]
+        growth = np.einsum("nd,nd->n", pi_prev, step)
+        pi_next = pi_prev * step / growth[:, None]
+        if signed:
+            drift = np.abs(pi_next @ ones - 1.0).max(where=alive, initial=0.0)
+            if drift > 1e-9:
+                raise RuntimeError(f"proportion drift {drift:.3e} exceeds 1e-9")
+        if all_alive:
+            lx += np.log(growth)
+            pi_prev = pi_next
+        else:
+            np.add(lx, np.log(growth), out=lx, where=alive)
+            np.copyto(pi_prev, pi_next, where=alive[:, None])
+    rec_pi_prev[:, T] = pi_prev[:r]
+    rec_lx_prev[:, T] = lx[:r]
+    rec_pi = np.where(rec_traded[:, :, None], rec_pi, rec_pi_prev)
+    x_prev = np.exp(np.minimum(rec_lx_prev, simulate.LOG_CAP))
+    x = np.where(rec_traded, np.exp(np.minimum(rec_lx, simulate.LOG_CAP)),
+                 x_prev)
+    returns = np.ones((r, T + 1, d))
+    returns[:, 1:] = zeta[:, :r].swapaxes(0, 1)
+    rows = np.where(alive[:r], T + 1, rec_e.argmin(axis=1) + 1)
+    trajs = [Trajectory(
+        t=np.arange(m), z=z[k, :m].copy(), xi=xi[k, :m].copy(),
+        pi_prev=rec_pi_prev[k, :m], transacted=rec_traded[k, :m],
+        pi=rec_pi[k, :m], e_applied=rec_e[k, :m], x_prev=x_prev[k, :m],
+        x=x[k, :m], returns=returns[k, :m], annihilated=not alive[k],
+        spec=spec) for k, m in enumerate(rows.tolist())]
+    return lx, lx_half, alive, trajs
+
+
+def counted_blocks(monkeypatch):
+    """(paths, steps) of every ``sample_factor_paths`` call the engine
+    makes from now on."""
+    calls = []
+    sample = simulate.sample_factor_paths
+
+    def counted(model, z0, T, rng):
+        calls.append((len(z0), T))
+        return sample(model, z0, T, rng)
+
+    monkeypatch.setattr(simulate, "sample_factor_paths", counted)
+    return calls
+
+
+# engine case, paths, horizon: each horizon is at least three walk blocks
+# of its batch and a remainder, so blocks meet inside the run
+STREAMED_CASES = [
+    ("mimicking", 500, 300),
+    ("grid_policy_wealth", 500, 300),
+    # four paths in five annihilate, from step 17 on, most of them inside
+    # a block of 16 steps
+    ("fixed_target_some_annihilated", 2000, 56),
+    # every path annihilates by step 43: the loop stops in the third block
+    ("fixed_target_all_annihilated", 2000, 100),
+]
+
+
+class TestStreamedEngine:
+    """The engine drawing one walk block per call against the one that drew
+    the whole horizon at once: the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, engine_cases):
+        model, spec, make, pi0, _, z0, _, seed = engine_cases[
+            "fixed_target_some_annihilated"]
+        return dict(engine_cases, fixed_target_all_annihilated=(
+            model, spec, make, pi0, 0.95, z0, 100, seed))
+
+    @pytest.mark.parametrize("name, n, T", STREAMED_CASES)
+    def test_average_growth_matches_the_materializing_engine(
+            self, cases, monkeypatch, name, n, T):
+        model, spec, make, pi0, x0, z0, _, seed = cases[name]
+        k = block_steps(n, T)
+        assert T > 3 * k and T % k, (T, k)
+        calls = counted_blocks(monkeypatch)
+        got = average_growth(model, spec, make(), pi0, x0, z0, T, n, seed)
+        monkeypatch.setattr(simulate, "_simulate", oracle_simulate)
+        want = average_growth(model, spec, make(), pi0, x0, z0, T, n, seed)
+        assert got.per_path.tobytes() == want.per_path.tobytes()
+        for f in ("mean", "std_error", "window_mean"):
+            assert np.float64(getattr(got, f)).tobytes() == \
+                np.float64(getattr(want, f)).tobytes(), f
+        assert got.annihilated_paths == want.annihilated_paths
+        assert_same_trajectory(got.trajectory, want.trajectory)
+        # one call per block, of every path, until the loop stops
+        assert {m for m, _ in calls} == {n}
+        steps = [t for _, t in calls]
+        assert steps == [min(k, T - i * k) for i in range(len(steps))]
+        if name == "fixed_target_all_annihilated":
+            assert got.annihilated_paths == n
+            assert len(steps) == 3 < -(-T // k)
+        else:
+            assert sum(steps) == T
+        if name == "fixed_target_some_annihilated":
+            assert 0 < got.annihilated_paths < n
+
+    @pytest.mark.parametrize("name, n, T", STREAMED_CASES)
+    def test_run_matches_the_materializing_engine(self, cases, monkeypatch,
+                                                  name, n, T):
+        model, spec, make, pi0, x0, z0, _, seed = cases[name]
+        streams = list(range(n - 1, -1, -1))
+        got = run(model, spec, make(), pi0, x0, z0, T, seed, stream=streams)
+        monkeypatch.setattr(simulate, "_simulate", oracle_simulate)
+        want = run(model, spec, make(), pi0, x0, z0, T, seed, stream=streams)
+        assert len(got) == len(want) == n
+        for a, b in zip(got, want):
+            assert_same_trajectory(a, b)
+
+    def test_memory_does_not_grow_with_horizon(self, two_asset):
+        # the materializing engine peaked at 26.6 and 103.3 MB here
+        model, spec = two_asset
+        peaks = []
+        for T in (2000, 8000):
+            tracemalloc.start()
+            try:
+                average_growth(model, spec, NoTransactionStrategy(),
+                               [0.5, 0.5], 100.0, 0, T, 400, seed=83)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def oracle_mimicking_decide(mimicking, recovering, pi_prev, x_prev, z, t):
