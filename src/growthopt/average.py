@@ -87,11 +87,11 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     relative value and the returned policy.  In both, a rebalance must beat
     holding by more than ``dp.TIE_EPS``.  The fixed-cost solve runs first:
     it runs the hold-only warm start, once per discount, and sweeps the
-    proportional problem along in the x = inf column of its tables, then
-    keeps that solution on their wealth-free companion.  The proportional
-    solve there takes it and only extracts its policy, so its stage holds
-    no sweeps; both reports carry the counts and steps of their variant
-    solved alone.  Returns (report, policy).
+    proportional problem along in the x = inf column of its tables until
+    both have stopped, then records that solution on their wealth-free
+    companion.  The proportional solve there takes it and only extracts
+    its policy, so its stage holds no sweeps; both reports carry the counts
+    and steps of their variant solved alone.  Returns (report, policy).
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -106,7 +106,7 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     clock = time.perf_counter()
     tables = build_tables(model, spec, grid)
     # the proportional problem of a fixed charge is solved by the fixed-cost
-    # solve and kept on the tables' wealth-free companion
+    # solve and recorded on the tables' wealth-free companion
     prop_tables = tables.free or tables
     seconds["build_tables"] = time.perf_counter() - clock
 

@@ -150,6 +150,9 @@ class Runner:
         self.model, self.spec = modelio.load_model(cfg.model_path)
         if self.spec is None:
             raise ValueError("model file carries no 'costs' section")
+        # the mesh's node count needs the model's asset count
+        check_settings(n_assets=self.model.n_assets,
+                       mesh_order=cfg.mesh_order)
         self.model_hash = simulate.model_fingerprint(self.model, self.spec)
 
     def grid(self) -> StateGrid:

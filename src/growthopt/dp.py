@@ -23,20 +23,19 @@ arithmetic, equal to the iterate without the wealth axis: the lo/hi corner
 blend only re-weights equal values (in floating point the two differ by
 rounding of the blend, which the main sweeps contract away).  The pure-hold
 warm start therefore runs on wealth-free tables, the ``free`` companion of
-the tables of a wealth grid, and is kept there for the next solve at the same
-discount and tolerance: the proportional and the fixed-cost solve of one
-discount share it, and the fixed-cost solve starts from it broadcast along
-wealth.
+the tables of a wealth grid, and the fixed-cost solve starts from it
+broadcast along wealth.
 
 As wealth grows the fixed charge C / x vanishes, so the proportional
 problem is the fixed-cost one at x = inf.  The fixed-cost tables carry it
 as one more wealth column, which gathers only its own entries, with the
 wealth-free gathers and ln e and corner weights (1, 0); as 1.0 * v +
 0.0 * v == v, one sweep advances both problems, each bit for bit as alone.
-A fixed-cost solve checks the stop rule of each on its own, finishes the
-proportional one on the wealth-free tables if it stops later, and keeps
-its solution there for the proportional solve of the same discount and
-tolerance, which then only extracts the policy.
+A fixed-cost solve sweeps both until each has met its own stop rule.  The
+wealth-free tables hold one solve record, keyed by discount and tolerance:
+the warm start, which both solves of one discount share, and the
+proportional solution, which a proportional solve at that key only turns
+into a policy.
 
 ``build_tables(model, spec, grid)`` alone maps a cost to its grid: a fixed
 charge needs the wealth axis, and a spec without one is built on
@@ -126,15 +125,13 @@ class DpTables:
 
     Tables of a fixed charge carry ``free``, the tables of the cost
     without it, so on the grid without its wealth axis; every hold-only
-    warm start runs on those, and the proportional main sweeps continue
-    there once the fixed-cost ones have stopped.
+    warm start runs on those, and they hold the solve record.
 
     The buffers are scratch of the kernel, overwritten by every sweep on
     these tables; results read from them must be used before the next one.
     """
 
     grid: StateGrid
-    variant: str            # gather layout: "fixed" or "proportional"
     w_zs: np.ndarray        # (n_z, n_z', n_s) transition x shock weights
     h_tab: np.ndarray       # (n_p, n_z) expected one-step log return
     # state after a market step: ([2,] n_p, [n_x + 1,] n_z', n_s)
@@ -155,11 +152,10 @@ class DpTables:
     # wealth grids: the wealth-free companion, built with
     # spec.without_fixed(), on which the hold-only warm start runs
     free: Optional["DpTables"] = None
-    # wealth-free tables: the last hold-only warm start run on them,
-    # ((beta, stop_tol), values, sweeps), and the last main sweeps,
-    # ((beta, stop_tol), values, sweeps, step), kept by either solve
-    warm: Optional[tuple] = field(default=None, init=False, repr=False)
-    kept: Optional[tuple] = field(default=None, init=False, repr=False)
+    # wealth-free tables: the last solve record, ((beta, stop_tol), warm
+    # start values, warm start sweeps, proportional (values, sweeps, step)
+    # or None while only the warm start is run), written whole by a solve
+    solved: Optional[tuple] = field(default=None, init=False, repr=False)
     # kernel buffers: hold value (kernel_shape), rebalance values (shape of
     # move_ln_e), best rebalance value (kernel_shape, -inf in the columns
     # the rebalance tables leave out), blended market-step gather (wealth
@@ -195,6 +191,11 @@ class DpTables:
         self._cont_moves = (self.cont.reshape(-1, n_z) if wealth
                             else self.cont[:, None])
         self._best_moves = self.best[:, self.n_barred:]
+
+    @property
+    def variant(self) -> str:
+        """Gather layout: "fixed" on a wealth grid, else "proportional"."""
+        return "fixed" if self.grid.has_wealth_axis else "proportional"
 
 
 def _sentinel_diagonal(ln_e):
@@ -234,9 +235,9 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
         ln_e = np.log(solve_e_batch(spec, prev, new,
                                     np.ones(n_p * n_p)).reshape(n_p, n_p))
         move_ln_e = np.repeat(_sentinel_diagonal(ln_e)[..., None], n_z, axis=2)
-        return DpTables(grid=grid, variant="proportional", w_zs=w_zs,
-                        h_tab=h_tab, hold_idx=dia_idx * n_z + q,
-                        move_ln_e=move_ln_e, ln_e_prop=ln_e)
+        return DpTables(grid=grid, w_zs=w_zs, h_tab=h_tab,
+                        hold_idx=dia_idx * n_z + q, move_ln_e=move_ln_e,
+                        ln_e_prop=ln_e)
 
     n_x = grid.n_wealth
     n_c = n_x + 1  # wealth columns of the kernel: the grid's and x = inf
@@ -289,7 +290,7 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
     move_ln_e = with_inf(np.repeat(ln_e_t[..., None], n_z, axis=3),
                          free.move_ln_e[:, :, None], 2)
     return DpTables(
-        grid=grid, variant="fixed", w_zs=w_zs, h_tab=h_tab, free=free,
+        grid=grid, w_zs=w_zs, h_tab=h_tab, free=free,
         hold_idx=rows(dia_idx[:, None], stp_j0, 1) * n_z + q,
         hold_w=stacked(1.0 - stp_frac, stp_frac, stp_frac.shape),
         move_rows=np.ascontiguousarray(
@@ -404,7 +405,11 @@ class IterationReport:
     init_iterations: int
     iterations: int
     final_diff: float
-    error_bound: float
+
+    @property
+    def error_bound(self) -> float:
+        """Bound on the sup-norm distance to the grid fixed point."""
+        return self.final_diff * self.beta / (1.0 - self.beta)
 
 
 def _iterate(update, v, beta, stop_tol, what, *args):
@@ -427,29 +432,24 @@ def _iterate(update, v, beta, stop_tol, what, *args):
 
     A fused iteration advances problems that do not read each other's
     entries with one update.  It passes for ``what`` a tuple of parts
-    ``(name, index, alone)``: the values ``v[index]`` of each part are
-    checked by the rule on their own, as if iterated alone, and named
-    ``name`` in its errors, the earliest sweep's first; the values, count
-    and step of every part are returned in a list.  When only one part is
-    left running and its ``alone`` is ``(update, *args)``, it continues
-    from its own values with that update, which sweeps them as the fused
-    one does.
+    ``(name, index)``: the values ``v[index]`` of each part are checked by
+    the rule on their own, as if iterated alone, and named ``name`` in its
+    errors, the earliest sweep's first.  The update runs until every part
+    has stopped, and the values, count and step of every part are returned
+    in a list.
     """
-    parts = [(what, (), None)] if isinstance(what, str) else list(what)
+    parts = [(what, ())] if isinstance(what, str) else list(what)
     found = [None] * len(parts)
     caps = [None] * len(parts)
     v = np.asarray(v, dtype=float)
-    ring = None
+    n_max = max(1, min(SWEEP_BATCH, RING_BUDGET // max(1, 2 * v.nbytes)))
+    ring = np.empty((n_max + 1,) + v.shape)
+    steps = np.empty((n_max,) + v.shape)
+    tabs = list(ring)
+    ring[0] = v
     k = 0
     live = list(range(len(parts)))
     while live:
-        if ring is None:
-            n_max = max(1, min(SWEEP_BATCH,
-                               RING_BUDGET // max(1, 2 * v.nbytes)))
-            ring = np.empty((n_max + 1,) + v.shape)
-            steps = np.empty((n_max,) + v.shape)
-            tabs = list(ring)
-            ring[0] = v
         # the first sweep count above the smallest cap is the last one run
         n = 1 if k == 0 else min(
             [n_max] + [math.floor(caps[i]) + 1 - k for i in live])
@@ -460,7 +460,7 @@ def _iterate(update, v, beta, stop_tol, what, *args):
             d = np.subtract(ring[1:n + 1], ring[:n], out=steps[:n])
             d = np.abs(d, out=d)
             for i in live:
-                name, index, _ = parts[i]
+                name, index = parts[i]
                 d_i = d[(slice(None),) + index].reshape(n, -1).max(axis=1)
                 # NaN fails both comparisons
                 ends = np.flatnonzero(~((d_i > stop_tol) & (d_i < np.inf)))
@@ -486,14 +486,13 @@ def _iterate(update, v, beta, stop_tol, what, *args):
             raise RuntimeError(min(errors)[2])
         k += n
         live = [i for i in live if found[i] is None]
-        if len(live) == 1 and parts[live[0]][2] is not None:
-            name, index, (update, *args) = parts[live[0]]
-            parts[live[0]] = (name, (), None)
-            v = ring[n][index]
-            ring = None
-        else:
-            ring[0] = ring[n]
+        ring[0] = ring[n]
     return found[0] if isinstance(what, str) else found
+
+
+# parts of a fixed-cost solve: the grid and the proportional one at x = inf
+_FIXED_PARTS = (("value iteration", np.s_[:, :-1]),
+                ("proportional value iteration", np.s_[:, -1]))
 
 
 def solve_discounted(tables: DpTables, beta: float, tol: float = 1e-6):
@@ -504,16 +503,17 @@ def solve_discounted(tables: DpTables, beta: float, tol: float = 1e-6):
     over targets is taken once, on the converged values.
 
     The hold-only warm start runs on wealth-free tables: ``tables.free``,
-    or the tables themselves when they have no wealth axis.  Its result is
-    kept there, keyed by (beta, stop_tol), so a second solve at the same
-    discount and tolerance on tables sharing it runs it once;
-    ``init_iterations`` reports its sweeps either way.  A fixed-cost solve
-    starts its main sweeps from it broadcast along wealth.
+    or the tables themselves when they have no wealth axis.  A fixed-cost
+    solve starts its main sweeps from it broadcast along wealth, and sweeps
+    the proportional problem along in the x = inf column of its tables
+    until both have stopped.
 
-    The proportional main sweeps are kept there too, under the same key: a
-    fixed-cost solve runs them in the x = inf column of its tables unless
-    they are kept already, and a proportional solve at that key takes them
-    instead of sweeping, bit for bit what it would find.
+    The wealth-free tables hold one solve record, keyed by (beta,
+    stop_tol): the warm start and, once either solve has swept it, the
+    proportional solution.  A solve at the key of the record runs no warm
+    start, and a proportional one takes the solution instead of sweeping,
+    bit for bit what it would find; a solve at another key replaces the
+    record.  ``init_iterations`` reports the warm start's sweeps either way.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
@@ -524,30 +524,25 @@ def solve_discounted(tables: DpTables, beta: float, tol: float = 1e-6):
     grid = tables.grid
     free = tables.free or tables
     key = (beta, stop_tol)
-    if free.warm is None or free.warm[0] != key:
-        v_free, k, _ = _iterate(_hold, np.zeros(free.grid.shape), beta,
-                                stop_tol, "hold-only warm start", free, beta)
-        v_free.setflags(write=False)
-        free.warm = (key, v_free, k)
-    _, v_init, k_init = free.warm
-    kept = free.kept is not None and free.kept[0] == key
-    if grid.has_wealth_axis:
-        parts = (("value iteration", np.s_[:, :-1], None),
-                 ("proportional value iteration", np.s_[:, -1],
-                  (_sweep, free, beta)))
-        found = _iterate(_sweep, np.broadcast_to(v_init[:, None, :],
-                                                 tables.kernel_shape),
-                         beta, stop_tol, parts[:1] if kept else parts,
-                         tables, beta)
-        values, k_main, diff = found[0]
-        if not kept:
-            free.kept = (key,) + found[1]
+    if free.solved is not None and free.solved[0] == key:
+        _, v_init, k_init, prop = free.solved
     else:
-        if not kept:
-            free.kept = (key,) + _iterate(_sweep, v_init, beta, stop_tol,
-                                          "value iteration", tables, beta)
-        values, k_main, diff = free.kept[1:]
+        v_init, k_init, _ = _iterate(_hold, np.zeros(free.grid.shape), beta,
+                                     stop_tol, "hold-only warm start", free,
+                                     beta)
+        v_init.setflags(write=False)
+        prop = None
+    if grid.has_wealth_axis:
+        (values, k_main, diff), prop = _iterate(
+            _sweep, np.broadcast_to(v_init[:, None, :], tables.kernel_shape),
+            beta, stop_tol, _FIXED_PARTS, tables, beta)
+    else:
+        if prop is None:
+            prop = _iterate(_sweep, v_init, beta, stop_tol, "value iteration",
+                            tables, beta)
+        values, k_main, diff = prop
         values = values.copy()  # the caller may write to what it gets
+    free.solved = (key, v_init, k_init, prop)
 
     cont, vals = _branches(values, tables, beta)
     impulse = vals.max(axis=1) > cont + TIE_EPS
@@ -555,11 +550,7 @@ def solve_discounted(tables: DpTables, beta: float, tol: float = 1e-6):
     target = np.where(impulse, vals.argmax(axis=1), own)
     vf = ValueFunction(grid=grid, values=values, beta=beta)
     pol = Policy(grid=grid, impulse=impulse, target=target, beta=beta)
-    report = IterationReport(
-        beta=beta, variant=tables.variant, init_iterations=k_init,
-        iterations=k_main, final_diff=diff,
-        error_bound=diff * beta / (1.0 - beta),
-    )
+    report = IterationReport(beta, tables.variant, k_init, k_main, diff)
     return vf, pol, report
 
 

@@ -21,6 +21,11 @@ from typing import Optional
 
 import numpy as np
 
+# most nodes a mesh may have: ``simplex_mesh`` lists them in Python, and
+# the DP tables hold n_nodes ** 2 rebalance entries per wealth column and
+# factor, so every mesh that can be solved lies far below it
+MAX_NODES = 1 << 20
+
 
 def check_settings(**settings) -> None:
     """Refuse the grid settings passed that the pipeline cannot run, with a
@@ -29,7 +34,9 @@ def check_settings(**settings) -> None:
     ``x_min`` and ``x_max`` finite floats with 0 < x_min < x_max (an
     integer too large for a float is not one).  The lattice keys of the
     mesh, base mesh_order + 1 with n_assets digits (one if not passed),
-    must fit in int64."""
+    must fit in int64, and its node count, C(mesh_order + n_assets - 1,
+    n_assets - 1), computed and never enumerated, must be at most
+    ``MAX_NODES``."""
     for key, val in settings.items():
         finite = key in ("x_min", "x_max")
         if isinstance(val, bool) or not (
@@ -46,10 +53,20 @@ def check_settings(**settings) -> None:
         raise ValueError(f"need 0 < x_min < x_max, got x_min={x_min!r}, "
                          f"x_max={x_max!r}")
     m, n = settings.get("mesh_order"), settings.get("n_assets", 1)
-    if m is not None and not _keys_fit(int(m) + 1, int(n)):
+    if m is None:
+        return
+    base, digits = int(m) + 1, int(n)
+    # 2 ** floor(log2(base)) <= base, so a power past 63 bits overflows
+    if ((base.bit_length() - 1) * digits >= 63
+            or base ** digits > np.iinfo(np.int64).max):
         raise ValueError(f"mesh_order {m!r} is too large: lattice keys "
                          f"(mesh_order + 1) ** n_assets with n_assets={n!r} "
                          "overflow int64")
+    n_nodes = math.comb(base + digits - 2, digits - 1)
+    if n_nodes > MAX_NODES:
+        raise ValueError(f"mesh_order {m!r} is too large: the mesh of "
+                         f"n_assets={n!r} would have {n_nodes} nodes, above "
+                         f"{MAX_NODES}")
 
 
 def _finite_float(val) -> bool:
@@ -59,14 +76,6 @@ def _finite_float(val) -> bool:
         return math.isfinite(val)
     except OverflowError:
         return False
-
-
-def _keys_fit(base: int, digits: int) -> bool:
-    """Whether base ** digits <= 2 ** 63 - 1, without forming a power
-    far beyond it."""
-    # 2 ** floor(log2(base)) <= base, so a power past 63 bits overflows
-    return ((base.bit_length() - 1) * digits < 63
-            and base ** digits <= np.iinfo(np.int64).max)
 
 
 def _compositions(total, parts):
@@ -80,7 +89,8 @@ def _compositions(total, parts):
 
 def simplex_mesh(n_assets: int, order: int) -> np.ndarray:
     """All proportion vectors with coordinates k/order, lexicographic order;
-    ``n_assets`` and ``order`` as ``StateGrid.build`` accepts them."""
+    ``n_assets`` and ``order`` as ``check_settings`` accepts them."""
+    check_settings(n_assets=n_assets, mesh_order=order)
     combos = np.array(list(_compositions(order, n_assets)), dtype=float)
     return combos / order
 

@@ -22,11 +22,11 @@ Paths are sampled by one walk, ``_walk``, vectorized across paths and fed
 from bounded blocks of uniforms (``block_steps`` steps each); it yields the
 states block by block, and a narrow walk composes the factor steps of a
 block by doubling.  ``sample_factor_paths`` stores a walk as (n, T+1)
-arrays.  Its consumers ask it for one block per call and continue from the
-block's last factor state on the same generators, so their memory is
-O(n * block) rather than O(n * T): the simulation engine steps through each
-block and the ergodic check counts its states, while ``simulate.ld_tail``
-folds each block of ``_walk`` into running sums as it arrives.
+arrays.  The simulation engine asks it for one block per call and
+continues from the block's last factor state on the same generators, so
+its memory is O(n * block) rather than O(n * T), while ``simulate.ld_tail``
+and ``verify.check_ergodic_average`` fold each block of ``_walk`` into
+running sums or counts as it arrives.
 """
 
 from __future__ import annotations
@@ -260,9 +260,9 @@ def sample_factor_paths(model: MarketModel, z0, T: int, rng):
 
     A walk may be drawn in pieces: a call from the last factor states of
     the one before, on the same generators, continues it draw for draw.
-    The simulation engine and the ergodic check call it once per block,
-    with T = ``block_steps(n, steps left)``, so they hold O(n * block)
-    states at a time rather than O(n * T).
+    The simulation engine calls it once per block, with T =
+    ``block_steps(n, steps left)``, so it holds O(n * block) states at a
+    time rather than O(n * T).
 
     Returns integer arrays z, xi of shape (n, T+1); column 0 holds the
     initial factor states and xi[:, 0] = -1 (no shock arrives at time 0).
@@ -285,8 +285,9 @@ def _walk(model: MarketModel, z0, T: int, rng):
 
     Each item is ``(t0, z, xi)``: time-major (k, n) integer arrays with the
     factor and shock states of steps t0..t0+k-1.  ``sample_factor_paths``
-    stores the blocks; ``simulate.ld_tail`` folds each block into running
-    sums and drops it, so its memory does not grow with T.  The walk reads
+    stores the blocks; ``simulate.ld_tail`` and the ergodic check of
+    ``verify`` fold each block into running sums or counts and drop it, so
+    their memory does not grow with T.  The walk reads
     the last row of ``z`` again for the next block, but never ``xi``, which
     its consumer may overwrite.  Every block is written over the previous
     one, into buffers allocated once per walk, so a consumer must be done

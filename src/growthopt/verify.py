@@ -159,22 +159,16 @@ def check_ergodic_average(model, T: int = 100_000, reps: int = 16,
                           seed: int = 5) -> CheckResult:
     """Time averages of state indicators against the stationary law, 3 sigma.
 
-    The states are counted block by block, one ``sample_factor_paths`` call
-    per walk block continuing from the last factor states, so memory does
-    not grow with T; an integer count over T is the indicator mean bit for
-    bit."""
+    The states are counted block by block as the market walk yields them,
+    so memory does not grow with T; an integer count over T is the
+    indicator mean bit for bit."""
     theta = market.invariant_measure(model)
     rng = make_rng(seed)
-    z_last = np.zeros(reps, dtype=np.int64)
     counts = np.zeros((model.n_factors, reps), dtype=np.int64)
-    t = 0
-    while t < T:
-        k = market.block_steps(reps, T - t)
-        z, _ = market.sample_factor_paths(model, z_last, k, rng)
+    for _, z, _ in market._walk(model, np.zeros(reps, dtype=np.int64), T,
+                                rng):
         for state in range(model.n_factors):
-            counts[state] += np.count_nonzero(z[:, 1:] == state, axis=1)
-        z_last = z[:, k]
-        t += k
+            counts[state] += np.count_nonzero(z == state, axis=0)
     worst = 0.0
     for state in range(model.n_factors):
         freq = counts[state] / T

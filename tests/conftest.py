@@ -104,4 +104,8 @@ REFUSED_GRID_SETTINGS = [
          "mesh_order 1000000000000000000000000000000 is too large: lattice "
          "keys (mesh_order + 1) ** n_assets with n_assets=2 overflow int64"),
         ("mesh_order", 3_037_000_499, "keys one past int64",
-         "mesh_order 3037000499 is too large")]]
+         "mesh_order 3037000499 is too large"),
+        # keys in int64, but C(mesh_order + 1, 1) nodes past MAX_NODES
+        ("mesh_order", 3_037_000_498, "nodes past the bound",
+         "mesh_order 3037000498 is too large: the mesh of n_assets=2 would "
+         "have 3037000499 nodes, above 1048576")]]

@@ -826,7 +826,9 @@ class TestConfigKeys:
         (["--mesh-order", "-3"],
          "mesh_order must be an integer >= 1, got -3"),
         (["--mesh-order", str(2 ** 63 - 1)],
-         "mesh_order 9223372036854775807 is too large")])
+         "mesh_order 9223372036854775807 is too large"),
+        (["--mesh-order", "3037000498"], "mesh_order 3037000498 is too "
+         "large: the mesh of n_assets=2 would have 3037000499 nodes")])
     @pytest.mark.parametrize("command", [
         ["validate"], ["solve", "--beta", "0.9"], ["optimal"],
         ["simulate", "--policy", "policy"], ["ldcheck"], ["verify"]])

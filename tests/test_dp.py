@@ -778,7 +778,7 @@ class TestWealthFreeWarmStart:
             assert gap <= 1e-12 * np.abs(v_fix).max()
             _, _, rep = solve_discounted(tables, beta, tol=1e-7)
             assert rep.init_iterations == k_fix
-            key, v_warm, k_warm = tables.free.warm
+            key, v_warm, k_warm, _ = tables.free.solved
             assert key == (beta, stop_tol) and k_warm == k_fix
             assert np.array_equal(v_warm, v_free)
 
@@ -836,8 +836,9 @@ def solve_bits(vf, pol, rep):
 
 class TestFusedSweeps:
     """A fixed-cost solve sweeps the proportional problem along in the
-    x = inf column of its tables and keeps its solution on ``free``; each
-    problem stops at its own sweep, bit for bit as when solved alone."""
+    x = inf column of its tables until both have stopped and records its
+    solution on ``free``; each problem stops at its own sweep, bit for bit
+    as when solved alone."""
 
     BETA, TOL = 0.99, 1e-7
 
@@ -847,7 +848,7 @@ class TestFusedSweeps:
         t = build_tables(model, spec, grid)
         assert t.n_barred == n_barred
         fixed = solve_discounted(t, self.BETA, tol=self.TOL)
-        assert t.free.kept is not None
+        assert t.free.solved[3] is not None
         kept = solve_discounted(t.free, self.BETA, tol=self.TOL)
         alone = solve_discounted(build_tables(model, spec.without_fixed(),
                                               grid), self.BETA, tol=self.TOL)
@@ -857,7 +858,7 @@ class TestFusedSweeps:
         # warm start, with the reference kernels; its greedy policy and the
         # stationarity slack of that policy are the reference ones too
         stop_tol = self.TOL * (1.0 - self.BETA) / self.BETA
-        v_warm = t.free.warm[1]
+        v_warm = t.free.solved[1]
         for (vf, pol, rep), variant, g, s, tables in [
                 (fixed, "fixed", grid, spec, t),
                 (kept, "proportional", grid.without_wealth(),
@@ -882,29 +883,44 @@ class TestFusedSweeps:
 
     def test_no_more_sweeps_than_two_separate_loops(self, fused_case,
                                                     monkeypatch):
-        # two loops: the proportional solve first keeps its solution, so the
-        # fixed-cost solve after it sweeps the fixed-cost problem alone
+        # the fixed-cost solve sweeps as often as the longer of its two
+        # parts iterated alone on its tables, and the proportional solve
+        # after it at the same key sweeps nothing
         model, spec, grid = fused_case[:3]
-        sweep = dp._sweep
+        sweep, iterate = dp._sweep, dp._iterate
         calls = []
 
         def spy_sweep(values, t, beta, out):
             calls.append(t.variant)
             return sweep(values, t, beta, out)
 
+        def spy_iterate(*args):
+            calls.append("iterate")
+            return iterate(*args)
+
         monkeypatch.setattr(dp, "_sweep", spy_sweep)
-        counts = {}
-        for order in ("separate", "fused"):
-            t = build_tables(model, spec, grid)
-            solves = [t.free, t] if order == "separate" else [t, t.free]
+        t = build_tables(model, spec, grid)
+        solve_discounted(t, self.BETA, tol=self.TOL)
+        fused = calls.count("fixed")
+        v0 = np.broadcast_to(t.free.solved[1][:, None, :], t.kernel_shape)
+        stop_tol = self.TOL * (1.0 - self.BETA) / self.BETA
+        alone = []
+        for part in dp._FIXED_PARTS:
             calls.clear()
-            for tables in solves:
-                solve_discounted(tables, self.BETA, tol=self.TOL)
-            counts[order] = (calls.count("fixed"), calls.count("proportional"))
-        (f_sep, p_sep), (f_fused, p_fused) = (counts["separate"],
-                                              counts["fused"])
-        assert f_fused == f_sep and p_fused <= p_sep
-        assert f_fused + p_fused == max(f_sep, p_sep)
+            dp._iterate(dp._sweep, v0, self.BETA, stop_tol, (part,), t,
+                        self.BETA)
+            alone.append(len(calls))
+        assert fused == max(alone)
+        # two loops: the fixed-cost part alone, and the proportional problem
+        # on tables of its own
+        calls.clear()
+        solve_discounted(build_tables(model, spec.without_fixed(), grid),
+                         self.BETA, tol=self.TOL)
+        assert fused <= alone[0] + calls.count("proportional")
+        monkeypatch.setattr(dp, "_iterate", spy_iterate)
+        calls.clear()
+        solve_discounted(t.free, self.BETA, tol=self.TOL)
+        assert calls == []
 
     def test_either_order_gives_the_same_bits_and_one_warm_start(
             self, model2, spec2, monkeypatch):
@@ -958,7 +974,7 @@ class TestFusedSweeps:
                 build_tables(model2, spec2.without_fixed(), grid), beta,
                 tol=tol)
             assert solve_bits(*got) == solve_bits(*fresh)
-            assert t.free.kept[0] == (beta, tol * (1.0 - beta) / beta)
+            assert t.free.solved[0] == (beta, tol * (1.0 - beta) / beta)
 
     def test_kept_values_are_not_the_callers(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
@@ -980,9 +996,9 @@ class TestFusedStopRule:
     """A fused iteration checks every part on its own: a part that blows up
     or stalls raises the error, at the sweep, that the check after every
     sweep of that part alone raises, also after the other part has stopped
-    and it continues alone."""
+    and the update sweeps it along unchecked."""
 
-    PARTS = (("halve", np.s_[:, 0], None),)
+    PARTS = (("halve", np.s_[:, 0]), ("update", np.s_[:, 1]))
 
     def fused_outcome(self, part, v, beta, stop_tol):
         def fused(u, out):
@@ -990,13 +1006,9 @@ class TestFusedStopRule:
             part(u[:, 1], out[:, 1])
             return out
 
-        def alone(u, out):
-            return part(u, out)
-
         try:
             return dp._iterate(fused, np.zeros((3, 2)), beta, stop_tol,
-                               self.PARTS + (("update", np.s_[:, 1],
-                                              (alone,)),))
+                               self.PARTS)
         except RuntimeError as exc:
             return str(exc)
 

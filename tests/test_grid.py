@@ -9,6 +9,7 @@ import pytest
 from conftest import GRID_SETTINGS, REFUSED_GRID_SETTINGS
 from dp_oracle import grid_interp
 from growthopt import Policy, StateGrid, ValueFunction, simplex_mesh
+from growthopt.grid import MAX_NODES, check_settings
 
 
 class TestSimplexMesh:
@@ -39,6 +40,15 @@ class TestSimplexMesh:
             np.testing.assert_array_equal(StateGrid.build(d, m, 1)._keys,
                                           keys)
 
+    @pytest.mark.parametrize("n_assets, order, message", [
+        (0, 4, "n_assets must be an integer >= 1, got 0"),
+        (2, 0, "mesh_order must be an integer >= 1, got 0")])
+    def test_refuses_what_check_settings_refuses(self, n_assets, order,
+                                                 message):
+        # unchecked, (0, 4) recursed without end and (2, 0) divided by 0
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simplex_mesh(n_assets, order)
+
     def test_nodes_out_of_key_order_are_refused(self):
         nodes = simplex_mesh(3, 4)
         for bad in (nodes[::-1], nodes[[0, 0, 1]]):
@@ -51,6 +61,27 @@ class TestSettings:
     def test_build_refuses_and_names_the_key(self, key, val, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             StateGrid.build(**{**GRID_SETTINGS, key: val})
+
+    @pytest.mark.parametrize("n_assets, order", [(2, MAX_NODES - 1),
+                                                 (3, 1446), (4, 182)])
+    def test_node_count_is_bounded_without_listing_the_nodes(self, n_assets,
+                                                             order):
+        # C(order + n_assets - 1, n_assets - 1) nodes: the largest order
+        # within MAX_NODES passes, the next one is refused; check_settings
+        # computes the count, so nothing here lists a node
+        def count(m):
+            return math.comb(m + n_assets - 1, n_assets - 1)
+
+        assert count(order) <= MAX_NODES < count(order + 1)
+        check_settings(n_assets=n_assets, mesh_order=order)
+        with pytest.raises(ValueError, match=re.escape(
+                f"mesh_order {order + 1} is too large: the mesh of "
+                f"n_assets={n_assets} would have {count(order + 1)} nodes")):
+            check_settings(n_assets=n_assets, mesh_order=order + 1)
+
+    def test_two_asset_mesh_256_builds(self):
+        grid = StateGrid.build(2, 256, 2, x_min=1e-3, x_max=1e4, n_x=16)
+        assert grid.shape == (257, 16, 2)
 
     def test_wealth_nodes_that_do_not_ascend_are_refused(self):
         # 16 geometric nodes between two neighbouring doubles repeat
