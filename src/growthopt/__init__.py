@@ -23,9 +23,9 @@ from .costs import (CostConstants, CostSpec, bisect_e, cost_constants,
 from .dp import (bellman_step, build_tables, solve_discounted, span_bound,
                  span_seminorm)
 from .grid import Policy, StateGrid, ValueFunction, simplex_mesh
-from .market import (ErgodicReport, MarketModel, dobrushin, ergodic_report,
-                     expected_log_return, growth_floor, invariant_measure,
-                     mixing_step, sample_factor_paths)
+from .market import (MarketModel, dobrushin, expected_log_return,
+                     growth_floor, invariant_measure, mixing_step,
+                     sample_factor_paths)
 from .modelio import bundled_model_path, load_model, parse_model_dict
 from .rng import make_rng
 from .simulate import (FixedTargetStrategy, GridPolicyStrategy, GrowthEstimate,

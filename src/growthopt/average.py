@@ -197,9 +197,6 @@ class ResidualReport:
     mean_slack: float
     slack: np.ndarray
 
-    def ok(self, grid_tol: float = 1e-6) -> bool:
-        return self.min_slack >= -grid_tol
-
 
 def bellman_residual(policy: Policy, w: np.ndarray, growth_rate: float,
                      tables: DpTables) -> ResidualReport:

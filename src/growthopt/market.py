@@ -32,7 +32,6 @@ running sums or counts as it arrives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -138,24 +137,6 @@ class MarketModel:
     @property
     def n_assets(self) -> int:
         return self.returns.shape[2]
-
-
-@dataclass
-class ErgodicReport:
-    """Stationary and mixing invariants of the factor/shock dynamics.
-
-    ``eta`` is the worst-case log wealth drag of a single proportional
-    rebalance (supplied by the cost side); ``growth_exceeds_drag`` records
-    whether the stationary floor rate dominates it, which is the condition
-    for wealth to grow under any admissible strategy.
-    """
-
-    stationary: np.ndarray
-    mixing_step: int
-    kappa: float
-    floor_rate: float
-    eta: Optional[float] = None
-    growth_exceeds_drag: Optional[bool] = None
 
 
 def dobrushin(model: MarketModel, n: int) -> float:
@@ -413,22 +394,3 @@ def _compose(u_z, cum_pT, prev, maps, offs, col, out):
     idx -= col
     np.floor_divide(idx, n, out=out)
 
-
-def ergodic_report(model: MarketModel, eta: Optional[float] = None
-                   ) -> ErgodicReport:
-    """Assemble stationary distribution, mixing data and the growth floor."""
-    n, kappa = mixing_step(model)
-    if n is None:
-        raise RuntimeError("factor chain does not mix within "
-                           f"{MIXING_HORIZON} steps")
-    theta = invariant_measure(model)
-    floor_rate, _ = growth_floor(model)
-    exceeds = None if eta is None else bool(eta < floor_rate)
-    return ErgodicReport(
-        stationary=theta,
-        mixing_step=n,
-        kappa=kappa,
-        floor_rate=floor_rate,
-        eta=eta,
-        growth_exceeds_drag=exceeds,
-    )

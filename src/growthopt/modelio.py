@@ -102,9 +102,9 @@ def load_model(path: str):
         return parse_model_dict(json.load(fh))
 
 
-def bundled_model_path(name: str = "two_asset") -> str:
-    """Filesystem path of a model shipped with the package."""
-    return str(resources.files("growthopt").joinpath("data", f"{name}.json"))
+def bundled_model_path() -> str:
+    """Filesystem path of the model shipped with the package."""
+    return str(resources.files("growthopt").joinpath("data", "two_asset.json"))
 
 
 def atomic_write_text(path: str, text: str) -> None:

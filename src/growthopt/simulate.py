@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -51,16 +50,15 @@ LOG_CAP = 700.0  # exp cap; beyond this fixed costs are a zero fraction anyway
 PATH_TOL = 1e-9  # relative rounding allowed by the path checks
 
 
-def model_fingerprint(model: MarketModel, spec: Optional[CostSpec] = None) -> str:
+def model_fingerprint(model: MarketModel, spec: CostSpec) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(model.transition).tobytes())
     h.update(np.ascontiguousarray(model.shock_probs).tobytes())
     h.update(np.ascontiguousarray(model.returns).tobytes())
-    if spec is not None:
-        h.update(np.ascontiguousarray(spec.buy).tobytes())
-        h.update(np.ascontiguousarray(spec.sell).tobytes())
-        h.update(np.float64(spec.fixed).tobytes())
-        h.update(spec.variant.encode())
+    h.update(np.ascontiguousarray(spec.buy).tobytes())
+    h.update(np.ascontiguousarray(spec.sell).tobytes())
+    h.update(np.float64(spec.fixed).tobytes())
+    h.update(spec.variant.encode())
     return h.hexdigest()[:16]
 
 
@@ -71,20 +69,22 @@ def model_fingerprint(model: MarketModel, spec: Optional[CostSpec] = None) -> st
 class Strategy:
     """Decision rule consulted before every market step.
 
-    ``decide_batch`` returns (mask, targets): rows with a True mask request
-    a rebalance to the corresponding target proportions.  Strategies with
-    internal per-path state must honor ``reset``.
+    A decision reads the pre-transaction state alone (proportions, wealth
+    and factor), as the paper's Markov strategies do.  ``decide_batch``
+    returns (mask, targets) for rows of that state: rows with a True mask
+    request a rebalance to the corresponding target proportions.
+    Strategies with internal per-path state must honor ``reset``.
     """
 
     def reset(self, n_paths: int = 1) -> None:
         pass
 
-    def decide_batch(self, pi_prev, x_prev, z, t):
+    def decide_batch(self, pi_prev, x_prev, z):
         raise NotImplementedError
 
 
 class NoTransactionStrategy(Strategy):
-    def decide_batch(self, pi_prev, x_prev, z, t):
+    def decide_batch(self, pi_prev, x_prev, z):
         n = pi_prev.shape[0]
         return np.zeros(n, dtype=bool), pi_prev
 
@@ -95,7 +95,7 @@ class FixedTargetStrategy(Strategy):
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
 
-    def decide_batch(self, pi_prev, x_prev, z, t):
+    def decide_batch(self, pi_prev, x_prev, z):
         n = pi_prev.shape[0]
         mask = np.any(pi_prev != self.target[None, :], axis=1)
         return mask, np.broadcast_to(self.target, (n, self.target.size))
@@ -120,7 +120,7 @@ class GridPolicyStrategy(Strategy):
         # flat index of a state: node * stride (+ wealth node * n_z) + z
         self._stride = math.prod(grid.shape[1:])
 
-    def decide_batch(self, pi_prev, x_prev, z, t):
+    def decide_batch(self, pi_prev, x_prev, z):
         grid = self.policy.grid
         # fresh sums: on a few rows an in-place add costs more than a new one
         idx = grid.nearest_node(pi_prev) * self._stride + z
@@ -150,11 +150,11 @@ class MimickingStrategy(Strategy):
     def reset(self, n_paths: int = 1) -> None:
         self._recovering = np.zeros(n_paths, dtype=bool)
 
-    def decide_batch(self, pi_prev, x_prev, z, t):
+    def decide_batch(self, pi_prev, x_prev, z):
         rec = self._recovering
         if rec.shape[0] != pi_prev.shape[0]:
             raise RuntimeError("call reset(n_paths) before a new batch")
-        base_mask, base_tgt = self.base.decide_batch(pi_prev, x_prev, z, t)
+        base_mask, base_tgt = self.base.decide_batch(pi_prev, x_prev, z)
         resync = x_prev >= self.mimicking.resync_wealth
         below = x_prev < self.mimicking.wealth_threshold
         # NaN wealth is neither below nor resynced: it follows the base
@@ -195,13 +195,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return self.t.shape[0] - 1
 
-    def log_growth(self) -> float:
-        """(1/T) ln of final over initial pre-transaction wealth."""
-        if self.annihilated:
-            return float("-inf")
-        return float((math.log(self.x_prev[-1]) - math.log(self.x_prev[0]))
-                     / self.n_steps)
-
 
 def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
               x0: float, z0: int, T: int, seed: int, streams, record: int = 1):
@@ -210,9 +203,11 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
     Returns the final log wealth per path, the log wealth at step
     T - T // 2, the surviving paths and a ``Trajectory`` for each of the
     first ``record`` streams, which for an annihilated path ends at the row
-    of its trade.  The market comes from ``_market_steps`` one walk block
-    at a time; the loop, and with it the drawing, stops early once every
-    path has annihilated.
+    of its trade.  An annihilated path keeps stepping like a live one,
+    masked only from trading, so that no strategy reads a zero wealth; its
+    log wealth is set to -inf when the batch ends.  The market comes from
+    ``_market_steps`` one walk block at a time; the loop, and with it the
+    drawing, stops early once every path has annihilated.
     """
     pi0 = check_simplex(pi0, model.n_assets)
     if not 0 < x0 < math.inf:
@@ -256,7 +251,7 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
         x_prev = np.exp(np.minimum(lx, LOG_CAP))
         rec_pi_prev[:, t] = pi_prev[:r]
         rec_lx_prev[:, t] = lx[:r]
-        mask, tgt = strategy.decide_batch(pi_prev, x_prev, z_t, t)
+        mask, tgt = strategy.decide_batch(pi_prev, x_prev, z_t)
         go = mask if all_alive else mask & alive
         # np.count_nonzero and .nonzero() skip the Python layer of .any()
         if np.count_nonzero(go):
@@ -266,9 +261,7 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
                 e = solve_e_batch(spec, pi_prev[idx], new, x_prev[idx])
                 traded, e_all = idx, e
                 if np.count_nonzero(e > 0.0) < idx.size:
-                    dead = idx[e == 0.0]
-                    alive[dead] = False
-                    lx[dead] = -np.inf
+                    alive[idx[e == 0.0]] = False
                     all_alive = False
                     idx, new, e = idx[e > 0.0], new[e > 0.0], e[e > 0.0]
                 lx[idx] += np.log(e)
@@ -288,15 +281,13 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
             drift = np.abs(pi_next @ ones - 1.0).max(where=alive, initial=0.0)
             if drift > 1e-9:
                 raise RuntimeError(f"proportion drift {drift:.3e} exceeds 1e-9")
-        if all_alive:
-            lx += np.log(growth)
-            pi_prev = pi_next
-        else:
-            np.add(lx, np.log(growth), out=lx, where=alive)
-            np.copyto(pi_prev, pi_next, where=alive[:, None])
+        lx += np.log(growth)
+        pi_prev = pi_next
+    lx[~alive] = -np.inf
     rec_pi_prev[:, T] = pi_prev[:r]
     rec_lx_prev[:, T] = lx[:r]
     rec_pi = np.where(rec_traded[:, :, None], rec_pi, rec_pi_prev)
+    rec_lx[rec_e == 0.0] = -np.inf  # the trade that annihilated leaves x = 0
 
     x_prev = np.exp(np.minimum(rec_lx_prev, LOG_CAP))
     x = np.where(rec_traded, np.exp(np.minimum(rec_lx, LOG_CAP)), x_prev)
@@ -446,18 +437,19 @@ class LdTailResult:
     slope_se: float
     floor_rate: float
 
-    def decaying(self, z: float = 1.96) -> bool:
-        return self.slope + z * self.slope_se < 0.0
+    def decaying(self) -> bool:
+        """Whether the fitted slope is below zero at 1.96 standard errors."""
+        return self.slope + 1.96 * self.slope_se < 0.0
 
 
-def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int, seed: int,
-            z0: Optional[int] = None) -> LdTailResult:
+def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int,
+            seed: int) -> LdTailResult:
     """Tail probabilities of the average worst-asset log return per horizon.
 
     For each horizon T, estimates P[(1/T) sum ln floor-return <= floor_rate
-    - eps] over ``n_paths`` simulated factor/shock paths, and fits a
-    weighted least squares slope to ln P against T (variance weights from
-    the binomial counts).
+    - eps] over ``n_paths`` factor/shock paths simulated from the
+    stationary law of the factor chain, and fits a weighted least squares
+    slope to ln P against T (variance weights from the binomial counts).
 
     The paths are streamed: each keeps one running sum of its log floor
     returns, fed block by block from the market walk, and the tail
@@ -477,11 +469,8 @@ def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int, seed: int,
     # log_floor[z, xi] is entry xi * n_factors + z of this flat table
     log_floor = np.log(floor_returns).T.ravel()
     rng = make_rng(seed)
-    if z0 is None:
-        theta = invariant_measure(model)
-        z_init = rng.choice(model.n_factors, size=n_paths, p=theta)
-    else:
-        z_init = np.full(n_paths, z0, dtype=np.int64)
+    z_init = rng.choice(model.n_factors, size=n_paths,
+                        p=invariant_measure(model))
     threshold = floor_rate - eps
     tail = dict.fromkeys(T_grid)
     # a sequential sum, as np.cumsum along time: the same bits per horizon

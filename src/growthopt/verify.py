@@ -20,6 +20,10 @@ from . import dp, market, simulate
 from .grid import StateGrid, ValueFunction
 from .rng import make_rng
 
+LOG_RETURN_PAIRS = 200  # proportion pairs of the log-return check
+CONTRACTION_BETA = 0.9  # discount of the contraction check
+CONTRACTION_PAIRS = 10  # value pairs of the contraction check
+
 
 @dataclass
 class CheckResult:
@@ -137,12 +141,13 @@ def check_mixing(model) -> CheckResult:
     return CheckResult("chain_mixing", ok, f"stationary residual {resid:.2e}")
 
 
-def check_log_return(model, n_samples: int = 200, seed: int = 4) -> CheckResult:
-    """Bounds and midpoint concavity of the expected log return."""
+def check_log_return(model, seed: int = 4) -> CheckResult:
+    """Bounds and midpoint concavity of the expected log return on
+    LOG_RETURN_PAIRS random proportion pairs."""
     rng = np.random.default_rng(seed)
     lo = float(np.log(model.returns).min())
     hi = float(np.log(model.returns).max())
-    for _ in range(n_samples):
+    for _ in range(LOG_RETURN_PAIRS):
         z = int(rng.integers(model.n_factors))
         p1, p2 = rng.dirichlet(np.ones(model.n_assets), 2)
         h1 = market.expected_log_return(model, p1, z)
@@ -152,7 +157,7 @@ def check_log_return(model, n_samples: int = 200, seed: int = 4) -> CheckResult:
             return CheckResult("log_return", False, "bound broken")
         if hm < 0.5 * (h1 + h2) - 1e-12:
             return CheckResult("log_return", False, "midpoint concavity broken")
-    return CheckResult("log_return", True, f"{n_samples} pairs clean")
+    return CheckResult("log_return", True, f"{LOG_RETURN_PAIRS} pairs clean")
 
 
 def check_ergodic_average(model, T: int = 100_000, reps: int = 16,
@@ -182,14 +187,15 @@ def check_ergodic_average(model, T: int = 100_000, reps: int = 16,
     return CheckResult("ergodic_average", True, f"max deviation {worst:.2e}")
 
 
-def check_contraction(model, spec, grid, beta: float = 0.9, pairs: int = 20,
-                      seed: int = 6) -> CheckResult:
-    """|T v - T w| <= beta |v - w| on random value pairs."""
+def check_contraction(model, spec, grid, seed: int = 6) -> CheckResult:
+    """|T v - T w| <= beta |v - w| at CONTRACTION_BETA on
+    CONTRACTION_PAIRS random value pairs."""
+    beta = CONTRACTION_BETA
     rng = np.random.default_rng(seed)
     tables = dp.build_tables(model, spec, grid)
     grid = tables.grid
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(CONTRACTION_PAIRS):
         v = rng.normal(size=grid.shape)
         w = rng.normal(size=grid.shape)
         tv = dp.bellman_step(ValueFunction(grid, v, beta), tables).values
@@ -249,9 +255,9 @@ def run_all(model, spec, n_samples: int = 2000, seed: int = 0):
         check_diminution_bounds(n_samples, seed + 1),
         check_cost_subadditivity(max(200, n_samples // 4), seed + 2),
         check_mixing(model),
-        check_log_return(model, 200, seed + 4),
+        check_log_return(model, seed + 4),
         check_ergodic_average(model, 50_000, 8, seed + 5),
-        check_contraction(model, spec, grid, 0.9, 10, seed + 6),
+        check_contraction(model, spec, grid, seed + 6),
         check_wealth_monotone(model, spec, grid),
         check_reproducibility(model, spec, seed + 7),
         check_sandwich(spec, max(200, n_samples // 4), seed + 8),

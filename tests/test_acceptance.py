@@ -240,7 +240,7 @@ def test_criterion_8_large_deviations(bundle):
     eps = 0.25 * (floor_rate - float(np.log(floor_returns).min()))
     res = go.ld_tail(model, [32, 64, 96, 128, 192, 256], eps, 100_000,
                      seed=808)
-    decays = res.decaying(z=1.96)
+    decays = res.decaying()
 
     iid = go.MarketModel(transition=[[1.0]], shock_probs=[0.5, 0.5],
                          returns=[[[1.25], [0.9]]])

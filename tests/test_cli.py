@@ -1103,6 +1103,23 @@ class TestBadInputs:
         assert f"error: {message}" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a library call whose arrays do not fit (a simulate horizon too
+        # long for the recorder, say) ends with a message; the test makes
+        # no real oversized request, as whether one fails at once depends
+        # on the machine's overcommit setting
+        from growthopt import simulate
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setattr(simulate, "ld_tail", refuse)
+        out = tmp_path / "out"
+        assert main(["--model", write_model(tmp_path), "--output-dir",
+                     str(out), "--n-paths", "10", "ldcheck"]) == 1
+        err = capsys.readouterr().err
+        assert "error: Unable to allocate 745. GiB" in err
+        assert "Traceback" not in err and not (out / "ldcheck.json").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_1(self, tmp_path, capsys, seed):
         out = tmp_path / "out"

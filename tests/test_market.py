@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import re
 import tracemalloc
 
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 from growthopt import (CostSpec, MarketModel, NoTransactionStrategy,
-                       bundled_model_path, dobrushin, ergodic_report,
-                       expected_log_return, growth_floor, invariant_measure,
-                       load_model, make_rng, mixing_step, sample_factor_paths)
+                       bundled_model_path, dobrushin, expected_log_return,
+                       growth_floor, invariant_measure, load_model, make_rng,
+                       mixing_step, sample_factor_paths)
 from growthopt import market
 from growthopt.cli import main
+from growthopt.costs import worst_case_drag
 from growthopt.market import DRAW_BUDGET
 from growthopt.simulate import run
 
@@ -29,13 +31,16 @@ def two_state(p00=0.9, p11=0.8):
     )
 
 
-def validate_cli(tmp_path, transition=None):
+def validate_cli(tmp_path, transition=None, rate=None):
     """Run CLI ``validate`` on the bundled model, its factor chain replaced
-    by ``transition`` if given; returns (exit code, validate.json)."""
+    by ``transition`` and its buy and sell rates by ``rate`` if given;
+    returns (exit code, validate.json)."""
     with open(bundled_model_path()) as fh:
         doc = json.load(fh)
     if transition is not None:
         doc["factors"]["transition"] = transition
+    if rate is not None:
+        doc["costs"]["buy"] = doc["costs"]["sell"] = [rate, rate]
     (tmp_path / "model.json").write_text(json.dumps(doc))
     code = main(["--model", str(tmp_path / "model.json"), "--output-dir",
                  str(tmp_path / "out"), "validate"])
@@ -829,8 +834,24 @@ class TestErgodicReport:
         se = freq.std(ddof=1) / np.sqrt(reps)
         assert abs(freq.mean() - theta[0]) <= 3 * se
 
-    def test_growth_gate(self):
-        rep = ergodic_report(two_state(), eta=1e-4)
-        assert rep.growth_exceeds_drag == (1e-4 < rep.floor_rate)
-        assert rep.mixing_step == 1
-        assert rep.kappa == pytest.approx(0.7)
+    def test_growth_gate(self, tmp_path):
+        # CLI validate reports the library's invariants and gates on
+        # eta < floor rate: the bundled costs pass, a drag above the floor
+        # and an infinite one (written as null) fail
+        for rate in (None, 0.01, 0.4):
+            run_dir = tmp_path / str(rate)
+            run_dir.mkdir()
+            code, doc = validate_cli(run_dir, rate=rate)
+            model, spec = load_model(str(run_dir / "model.json"))
+            n, kappa = mixing_step(model)
+            floor_rate, _ = growth_floor(model)
+            eta = worst_case_drag(spec)
+            exceeds = eta < floor_rate
+            assert exceeds is (rate is None)
+            assert doc["kappa"] == kappa and doc["mixing_step"] == n == 1
+            assert doc["floor_rate"] == floor_rate
+            assert doc["eta"] == (eta if math.isfinite(eta) else None)
+            assert doc["stationary"] == invariant_measure(model).tolist()
+            assert doc["growth_exceeds_drag"] is exceeds
+            assert doc["ok"] is exceeds and code == (0 if exceeds else 1)
+            assert ("growth_exceeds_drag" in doc["checks"]) is not exceeds

@@ -104,7 +104,6 @@ class TestRun:
         assert traj.annihilated
         assert traj.n_steps == 0  # dies on the first prescribed rebalance
         assert traj.x[-1] == 0.0
-        assert traj.log_growth() == -np.inf
 
 
 class TestAverageGrowth:
@@ -144,6 +143,34 @@ class TestAverageGrowth:
         assert est.flagged
         assert est.annihilated_paths == 4
         assert est.mean == -np.inf
+
+    def test_annihilated_paths_reach_no_strategy_with_zero_wealth(
+            self, two_asset):
+        # a trade every step at wealth 0.3 against a fixed charge of 0.1
+        # annihilates every path; a wealth-indexed policy took log(0) in
+        # grid.wealth_pos on each later step of an annihilated path
+        model, spec = two_asset
+        grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
+        vertex = {tuple(p): i for i, p in enumerate(grid.nodes.tolist())}
+        target = np.empty(grid.shape, dtype=np.int64)
+        target[..., 0], target[..., 1] = vertex[0.0, 1.0], vertex[1.0, 0.0]
+        policy = Policy(grid=grid, impulse=np.ones(grid.shape, dtype=bool),
+                        target=target, beta=0.99)
+        wealth_seen = []
+
+        class Spy(GridPolicyStrategy):
+            def decide_batch(self, pi_prev, x_prev, z):
+                wealth_seen.append(x_prev.min())
+                return super().decide_batch(pi_prev, x_prev, z)
+
+        est = average_growth(model, spec, Spy(policy), [0.5, 0.5], 0.3, 0,
+                             T=200, n_paths=40, seed=1)
+        assert est.annihilated_paths == 40 and est.mean == -np.inf
+        assert (est.per_path == -np.inf).all()
+        assert min(wealth_seen) > 0.0
+        traj = est.trajectory
+        assert traj.annihilated and traj.e_applied[-1] == 0.0
+        assert traj.x[-1] == 0.0 and traj.x_prev[-1] > 0.0
 
     def test_window_diagnostic_close_to_mean_in_steady_state(
             self, single_asset_model):
@@ -210,7 +237,7 @@ def oracle_run(model, spec, strategy, pi0, x0, z0, T, seed, stream=0):
         if t < T and not annihilated:
             mask, tgt = strategy.decide_batch(pi_prev[None, :],
                                               np.array([x_prev_val]),
-                                              z_path[t:t + 1], t)
+                                              z_path[t:t + 1])
             if mask[0] and np.any(tgt[0] != pi_prev):
                 transacted = True
                 e_val = float(solve_e_batch(spec, pi_prev[None, :],
@@ -447,7 +474,7 @@ def oracle_simulate(model, spec, strategy, pi0, x0, z0, T, seed, streams,
         x_prev = np.exp(np.minimum(lx, simulate.LOG_CAP))
         rec_pi_prev[:, t] = pi_prev[:r]
         rec_lx_prev[:, t] = lx[:r]
-        mask, tgt = strategy.decide_batch(pi_prev, x_prev, z[:, t], t)
+        mask, tgt = strategy.decide_batch(pi_prev, x_prev, z[:, t])
         go = mask if all_alive else mask & alive
         if np.count_nonzero(go):
             idx = (go & (tgt != pi_prev).any(axis=1)).nonzero()[0]
@@ -596,13 +623,13 @@ class TestStreamedEngine:
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
-def oracle_mimicking_decide(mimicking, recovering, pi_prev, x_prev, z, t):
+def oracle_mimicking_decide(mimicking, recovering, pi_prev, x_prev, z):
     """The masks and fancy assignments that ``MimickingStrategy.decide_batch``
     was before it became one mask expression; returns the new recovery bits
     too."""
     n = pi_prev.shape[0]
     base_mask, base_tgt = GridPolicyStrategy(mimicking.base).decide_batch(
-        pi_prev, x_prev, z, t)
+        pi_prev, x_prev, z)
     below = x_prev < mimicking.wealth_threshold
     resync = recovering & (x_prev >= mimicking.resync_wealth)
     waiting = recovering & ~resync
@@ -643,9 +670,9 @@ class TestMimickingDecision:
                 [x_prev < m, recovering & (x_prev >= m_star), recovering],
                 ["below", "resync", "waiting"], "follow")
             reached.update(cases.tolist())
-            mask, tgt = strat.decide_batch(pi_prev, x_prev, z, t)
+            mask, tgt = strat.decide_batch(pi_prev, x_prev, z)
             want_mask, want_tgt, recovering = oracle_mimicking_decide(
-                mimicking, recovering, pi_prev, x_prev, z, t)
+                mimicking, recovering, pi_prev, x_prev, z)
             assert np.array_equal(mask, want_mask), t
             assert np.array_equal(tgt[mask], want_tgt[mask]), t
             assert np.array_equal(strat._recovering, recovering), t
@@ -692,7 +719,7 @@ class TestGridDecisionTables:
             grid_x, np.sqrt(grid_x[1:] * grid_x[:-1]),
             [1e-300, 1e-3, 5e3, 1e300, np.inf, 1e-2, 1e3, 50.0]])
         z = rng.integers(n_z, size=n)
-        mask, tgt = strat.decide_batch(pi, x, z, 0)
+        mask, tgt = strat.decide_batch(pi, x, z)
         want_mask, want_tgt = oracle_grid_decide(policy, pi, x, z)
         assert mask.dtype == want_mask.dtype
         assert mask.tobytes() == want_mask.tobytes()
@@ -711,7 +738,7 @@ class TestGridDecisionTables:
             pi = rng.dirichlet(np.ones(2), 1)
             x = np.exp(rng.uniform(-10.0, 12.0, 1))
             z = rng.integers(2, size=1)
-            got = strat.decide_batch(pi, x, z, 0)
+            got = strat.decide_batch(pi, x, z)
             want = oracle_grid_decide(policy, pi, x, z)
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
@@ -743,9 +770,9 @@ class TestMimickingGateTruthTable:
         strat = MimickingStrategy(mimicking)
         strat.reset(n)
         strat._recovering = recovering.copy()
-        mask, tgt = strat.decide_batch(pi, x, z, 0)
+        mask, tgt = strat.decide_batch(pi, x, z)
         want_mask, want_tgt, want_rec = oracle_mimicking_decide(
-            mimicking, recovering, pi, x, z, 0)
+            mimicking, recovering, pi, x, z)
         assert mask.tobytes() == want_mask.tobytes()
         # rows without a trade keep their proportions
         assert tgt.tobytes() == want_tgt.tobytes()
@@ -822,18 +849,15 @@ class TestLdTail:
             ld_tail(model2, T_grid, 0.01, n_paths, seed=1)
 
 
-def oracle_ld_tail(model, T_grid, eps, n_paths, seed, z0=None,
+def oracle_ld_tail(model, T_grid, eps, n_paths, seed,
                    paths=sample_factor_paths):
     """Materializing ld_tail: all ``paths``, then log floor returns by a 2-D
     fancy index and a cumulative sum over time."""
     T_grid = sorted(int(t) for t in T_grid)
     floor_rate, floor_returns = growth_floor(model)
     rng = make_rng(seed)
-    if z0 is None:
-        z_init = rng.choice(model.n_factors, size=n_paths,
-                            p=invariant_measure(model))
-    else:
-        z_init = np.full(n_paths, z0, dtype=np.int64)
+    z_init = rng.choice(model.n_factors, size=n_paths,
+                        p=invariant_measure(model))
     z, xi = paths(model, z_init, T_grid[-1], rng)
     csum = np.cumsum(np.log(floor_returns)[z[:, 1:], xi[:, 1:]], axis=1)
     rows = [{"T": T, "p_hat": floor_rate, "eps": eps,
@@ -863,12 +887,11 @@ class TestLdTailStreaming:
     @pytest.mark.parametrize("T_grid, n_paths", [
         ([40, 1, 7, 7, 250, 3], 300),
         ([6, 1, 4, 4, 2], DRAW_BUDGET // 2 + 1)])
-    @pytest.mark.parametrize("z0", [None, 1])
-    def test_matches_materializing_oracle(self, model2, T_grid, n_paths, z0):
+    def test_matches_materializing_oracle(self, model2, T_grid, n_paths):
         eps = ld_eps(model2)
-        got = ld_tail(model2, T_grid, eps, n_paths, seed=61, z0=z0)
+        got = ld_tail(model2, T_grid, eps, n_paths, seed=61)
         rows, slope, slope_se = oracle_ld_tail(model2, T_grid, eps, n_paths,
-                                               seed=61, z0=z0)
+                                               seed=61)
         assert sum(r["tail_prob"] > 0 for r in rows) >= 2
         assert got.rows == rows
         assert (got.slope, got.slope_se) == (slope, slope_se)
@@ -1037,15 +1060,3 @@ class TestShareHoldingsVectorized:
         assert str(new.value) == str(old.value)
         assert str(new.value).startswith(message.format(a=a, b=b))
 
-
-class TestStationaryStart:
-    def test_ld_tail_uses_stationary_start(self, model2):
-        # with z0 pinned the first-step distribution differs from theta;
-        # the default draws initial factors from the stationary law
-        theta = invariant_measure(model2)
-        floor_rate, floor_returns = growth_floor(model2)
-        eps = 0.3 * (floor_rate - float(np.log(floor_returns).min()))
-        res_free = ld_tail(model2, [16], eps, 5000, seed=59)
-        res_pinned = ld_tail(model2, [16], eps, 5000, seed=59, z0=0)
-        assert res_free.floor_rate == res_pinned.floor_rate == floor_rate
-        assert theta[0] > theta[1]
