@@ -15,8 +15,7 @@ Subpackages by concern:
 __version__ = "0.1.0"
 
 from .average import (MimickingPolicy, VanishingDiscountReport,
-                      bellman_residual, build_mimicking, cross_check_costs,
-                      vanishing_discount)
+                      bellman_residual, build_mimicking, vanishing_discount)
 from .costs import (CostConstants, CostSpec, bisect_e, cost_constants,
                     general_cost_check, min_diminution, min_trade_wealth,
                     proportional_cost, share_cost, solve_e, solve_e_batch)

@@ -4,18 +4,19 @@ Discounted values blow up like 1/(1-beta) as the discount approaches one,
 but their span stays bounded, so (1-beta) times the peak discounted value
 converges to the optimal long-run growth rate.  This module sweeps an
 ascending discount schedule, extracts the greedy policy at the largest
-discount, checks the stationarity (Bellman) inequality of the resulting
-(policy, relative value, growth rate) triple, and builds the wealth-gated
-strategy that lifts a proportional-cost policy to the fixed-cost problem.
-The stationarity check runs ``dp``'s sweep kernel at discount one, so it
-interpolates exactly as the sweeps do.
+discount and checks the stationarity (Bellman) inequality of the resulting
+(policy, relative value, growth rate) triple; ``vanishing_discount``
+returns all of it as one ``VanishingDiscountReport``.  It also builds the
+wealth-gated strategy that lifts a proportional-cost policy to the
+fixed-cost problem.  The stationarity check runs ``dp``'s sweep kernel at
+discount one, so it interpolates exactly as the sweeps do.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +26,29 @@ from .dp import (DpTables, _branches, _require_fit, build_tables,
 from .grid import Policy, StateGrid, ValueFunction
 from .market import MarketModel
 
-CROSS_TOL = 5e-3  # allowed gap of the fixed-cost and proportional growth rates
+
+@dataclass
+class ResidualReport:
+    """Pointwise slack of the average-growth stationarity inequality."""
+
+    min_slack: float
+    mean_slack: float
+    slack: np.ndarray
 
 
 @dataclass
 class VanishingDiscountReport:
-    """Per-discount diagnostics of the vanishing-discount sweep.
+    """The one record of an average-growth run: per-discount diagnostics,
+    the policies and values at the largest discount, and the stationarity
+    residual of the returned policy.
 
     ``growth_rate`` is the estimate at the largest discount (the scheduled
     limit point); a two-point Richardson extrapolation in (1-beta) is
-    reported alongside, not substituted.
+    reported alongside, not substituted.  ``policy`` and ``value`` are of
+    the spec's own problem, fixed-cost for a fixed charge, else
+    proportional; ``prop_policy`` and ``prop_value`` are always of the
+    proportional one.  ``residual`` is the slack of ``policy`` with the
+    relative value ``peak_values[-1] - value.values`` at ``growth_rate``.
     """
 
     betas: list
@@ -46,16 +60,23 @@ class VanishingDiscountReport:
     variant_peak_values: list      # sup of the solved variant's value per beta
     policy_change_fraction: float
     converged: bool
+    # in memory only, at the largest discount; ``policy`` tagged "average"
+    policy: Policy
+    value: ValueFunction
+    prop_policy: Policy
+    prop_value: ValueFunction
+    residual: ResidualReport
     diagnostics: dict = field(default_factory=dict)
-    # in-memory extras for downstream checks (not serialized)
-    policy: Optional[Policy] = None
-    prop_policy: Optional[Policy] = None
-    prop_value: Optional[ValueFunction] = None
-    fixed_value: Optional[ValueFunction] = None
-    relative_value: Optional[np.ndarray] = None
-    tables: Optional[DpTables] = None   # the returned policy's variant
-    # wall seconds per stage: "build_tables" and "solve.<variant>.<beta>"
+    # wall seconds per stage: "build_tables", "solve.<variant>.<beta>" and
+    # "residual"
     stage_seconds: dict = field(default_factory=dict)
+
+    @property
+    def growth_rate_fixed(self) -> float:
+        """(1-beta) times the peak of the spec's own value at the largest
+        discount: below ``growth_rate`` by the fixed-charge drag at the top
+        of the wealth grid, equal to it without a fixed charge."""
+        return (1.0 - self.betas[-1]) * self.variant_peak_values[-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -70,6 +91,8 @@ class VanishingDiscountReport:
             "policy_change_fraction": float(self.policy_change_fraction),
             "converged": bool(self.converged),
             "diagnostics": self.diagnostics,
+            "residual_summary": {"min_slack": self.residual.min_slack,
+                                 "mean_slack": self.residual.mean_slack},
         }
 
 
@@ -79,7 +102,8 @@ def _policy_difference(a: Policy, b: Policy) -> float:
 
 
 def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
-                       betas: Sequence[float], tol: float = 1e-6):
+                       betas: Sequence[float], tol: float = 1e-6
+                       ) -> VanishingDiscountReport:
     """Sweep the discount schedule and extract the average-growth policy.
 
     For a fixed-cost spec both discounted problems are solved per discount:
@@ -91,7 +115,10 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
     both have stopped, then records that solution on their wealth-free
     companion.  The proportional solve there takes it and only extracts
     its policy, so its stage holds no sweeps; both reports carry the counts
-    and steps of their variant solved alone.  Returns (report, policy).
+    and steps of their variant solved alone.  The stationarity residual of
+    the returned policy runs last, on the tables of the sweeps.  Returns
+    the ``VanishingDiscountReport``, whose ``policy`` is the average-growth
+    policy.
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -112,7 +139,6 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
 
     peak, estimates, w_range, variant_peak = [], [], [], []
     iters, warm, steps = {}, {}, {}
-    last = {}
     prev_policy = None
     change_fraction = float("nan")
     for beta in betas:
@@ -125,28 +151,20 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
         seconds[f"solve.proportional.{beta}"] = time.perf_counter() - clock
         m_beta = float(v_prop.values.max())
         if has_fixed:
-            w = m_beta - v_fix.values
-            policy = pol_fix
-            variant_sup = float(v_fix.values.max())
-            reps = (rep_p, rep_f)
+            value, policy, reps = v_fix, pol_fix, (rep_p, rep_f)
         else:
-            v_fix = None
-            w = m_beta - v_prop.values
-            policy = pol_prop
-            variant_sup = m_beta
-            reps = (rep_p,)
+            value, policy, reps = v_prop, pol_prop, (rep_p,)
+        w = m_beta - value.values
         iters[beta] = tuple(r.iterations for r in reps)
         warm[beta] = tuple(r.init_iterations for r in reps)
         steps[beta] = tuple(r.final_diff for r in reps)
         peak.append(m_beta)
         estimates.append((1.0 - beta) * m_beta)
         w_range.append((float(w.min()), float(w.max())))
-        variant_peak.append(variant_sup)
+        variant_peak.append(float(value.values.max()))
         if prev_policy is not None:
             change_fraction = _policy_difference(prev_policy, policy)
         prev_policy = policy
-        last = {"v_prop": v_prop, "pol_prop": pol_prop, "v_fix": v_fix,
-                "policy": policy, "w": w}
 
     if len(betas) >= 2:
         b1, b2 = betas[-2], betas[-1]
@@ -157,9 +175,12 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
 
     # the policy extracted at the largest discount is the average-growth
     # policy; tag it as such (the report keeps the discount diagnostics)
-    final_policy = replace(last["policy"], beta="average")
+    final_policy = replace(policy, beta="average")
+    clock = time.perf_counter()
+    residual = bellman_residual(final_policy, w, estimates[-1], tables)
+    seconds["residual"] = time.perf_counter() - clock
 
-    report = VanishingDiscountReport(
+    return VanishingDiscountReport(
         betas=betas,
         peak_values=peak,
         growth_estimates=estimates,
@@ -169,6 +190,11 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
         variant_peak_values=variant_peak,
         policy_change_fraction=change_fraction,
         converged=True,
+        policy=final_policy,
+        value=value,
+        prop_policy=pol_prop,
+        prop_value=v_prop,
+        residual=residual,
         diagnostics={
             # per beta, proportional solve first: main and warm-start
             # sweeps, and the step of the sweep returned
@@ -178,24 +204,8 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
             "last_step": abs(estimates[-1] - estimates[-2]) if len(betas) >= 2 else 0.0,
             "tol": tol,
         },
-        policy=final_policy,
-        prop_policy=last["pol_prop"],
-        prop_value=last["v_prop"],
-        fixed_value=last["v_fix"],
-        relative_value=last["w"],
-        tables=tables,
         stage_seconds=seconds,
     )
-    return report, final_policy
-
-
-@dataclass
-class ResidualReport:
-    """Pointwise slack of the average-growth stationarity inequality."""
-
-    min_slack: float
-    mean_slack: float
-    slack: np.ndarray
 
 
 def bellman_residual(policy: Policy, w: np.ndarray, growth_rate: float,
@@ -222,45 +232,6 @@ def bellman_residual(policy: Policy, w: np.ndarray, growth_rate: float,
     slack = np.where(policy.impulse, moved, cont) + w - growth_rate
     return ResidualReport(min_slack=float(slack.min()),
                           mean_slack=float(slack.mean()), slack=slack)
-
-
-@dataclass
-class CrossCheckReport:
-    """Agreement of fixed-cost and proportional-cost growth rates."""
-
-    growth_rate_fixed: float
-    growth_rate_prop: float
-    difference: float
-    cross_tol: float
-    fixed_report: VanishingDiscountReport
-
-    @property
-    def ok(self) -> bool:
-        return abs(self.difference) <= self.cross_tol
-
-
-def cross_check_costs(model: MarketModel, spec: CostSpec, grid: StateGrid,
-                      betas: Sequence[float], tol: float = 1e-6
-                      ) -> CrossCheckReport:
-    """Compare the fixed-cost growth estimate against the proportional one.
-
-    The fixed-cost estimate is (1-beta) times the peak of the fixed-cost
-    value at the largest discount; it sits below the proportional estimate
-    by the fixed-charge drag at the top of the wealth grid, so the gap
-    shrinks as the wealth grid is extended upward.  The proportional
-    estimate is the growth rate of the same sweep, which solves the
-    proportional problem at every discount for its peak value.
-    """
-    rep_fixed, _ = vanishing_discount(model, spec, grid, betas, tol=tol)
-    lam_fixed = (1.0 - betas[-1]) * rep_fixed.variant_peak_values[-1]
-    lam_prop = rep_fixed.growth_rate
-    return CrossCheckReport(
-        growth_rate_fixed=float(lam_fixed),
-        growth_rate_prop=float(lam_prop),
-        difference=float(lam_fixed - lam_prop),
-        cross_tol=CROSS_TOL,
-        fixed_report=rep_fixed,
-    )
 
 
 @dataclass(frozen=True)

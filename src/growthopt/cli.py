@@ -272,29 +272,19 @@ def cmd_solve(cfg: RunConfig, beta: float) -> int:
 
 def cmd_optimal(cfg: RunConfig) -> int:
     runner = Runner(cfg, "optimal")
-    grid = runner.grid()
-    report, policy = average.vanishing_discount(runner.model, runner.spec, grid,
-                                                cfg.betas, tol=cfg.tol)
+    report = average.vanishing_discount(runner.model, runner.spec,
+                                        runner.grid(), cfg.betas, tol=cfg.tol)
     runner.stage_seconds.update(report.stage_seconds)
     with runner.stage("dump"):
-        modelio.dump_solution(
-            report.fixed_value if report.fixed_value is not None
-            else report.prop_value,
-            policy, runner.out("policy"), runner.model_hash, seed=cfg.seed)
-        runner.register("policy.csv")
-        runner.register("policy.json")
-        modelio.dump_solution(report.prop_value, report.prop_policy,
-                              runner.out("policy_prop"), runner.model_hash,
-                              seed=cfg.seed)
-        runner.register("policy_prop.csv")
-        runner.register("policy_prop.json")
-    with runner.stage("residual"):
-        residual = average.bellman_residual(policy, report.relative_value,
-                                            report.growth_rate, report.tables)
+        for base, value, policy in (
+                ("policy", report.value, report.policy),
+                ("policy_prop", report.prop_value, report.prop_policy)):
+            modelio.dump_solution(value, policy, runner.out(base),
+                                  runner.model_hash, seed=cfg.seed)
+            runner.register(f"{base}.csv")
+            runner.register(f"{base}.json")
     doc = report.to_json_dict()
     doc["policy_ref"] = "policy"
-    doc["residual_summary"] = {"min_slack": residual.min_slack,
-                               "mean_slack": residual.mean_slack}
     runner.write_json("optimal.json", doc)
     runner.finish()
     print(f"growth rate {report.growth_rate:.6f} "

@@ -138,7 +138,8 @@ class DpTables:
     hold_idx: np.ndarray
     # ln e of a rebalance p -> p', target-major, NEG where the charge
     # exceeds wealth and on the diagonal p' = p: (n_p', n_p, [n_m,] n_z),
-    # n_m = n_x + 1 - n_barred wealth columns
+    # n_m = n_x + 1 - n_barred wealth columns; the one ln e table, whose
+    # entries above NEG are the drags of the affordable rebalances
     move_ln_e: np.ndarray
     # wealth grids: weights of the two wealth corners of hold_idx
     hold_w: Optional[np.ndarray] = None
@@ -146,9 +147,6 @@ class DpTables:
     # (2, n_p', n_p, n_m), and their weights, (2, n_p', n_p, n_m, n_z)
     move_rows: Optional[np.ndarray] = None
     move_w: Optional[np.ndarray] = None
-    # proportional grids: ln of the surviving fraction of a rebalance
-    # p -> p', (n_p, n_p), without the sentinel
-    ln_e_prop: Optional[np.ndarray] = None
     # wealth grids: the wealth-free companion, built with
     # spec.without_fixed(), on which the hold-only warm start runs
     free: Optional["DpTables"] = None
@@ -236,8 +234,7 @@ def build_tables(model: MarketModel, spec: CostSpec, grid: StateGrid) -> DpTable
                                     np.ones(n_p * n_p)).reshape(n_p, n_p))
         move_ln_e = np.repeat(_sentinel_diagonal(ln_e)[..., None], n_z, axis=2)
         return DpTables(grid=grid, w_zs=w_zs, h_tab=h_tab,
-                        hold_idx=dia_idx * n_z + q, move_ln_e=move_ln_e,
-                        ln_e_prop=ln_e)
+                        hold_idx=dia_idx * n_z + q, move_ln_e=move_ln_e)
 
     n_x = grid.n_wealth
     n_c = n_x + 1  # wealth columns of the kernel: the grid's and x = inf
@@ -574,7 +571,8 @@ def span_bound(model: MarketModel, spec: CostSpec, grid: StateGrid) -> float:
         raise RuntimeError("factor chain does not mix; span bound undefined")
     tables = build_tables(model, spec.without_fixed(), grid)
     h_sp = float(tables.h_tab.max() - tables.h_tab.min())
-    # the worst drag of a real rebalance: ln_e_prop, not the sweeps'
-    # move_ln_e, whose sentinel diagonal would make the bound vacuous
-    ln_e_min = float(tables.ln_e_prop.min())
+    # the worst drag of a real rebalance: the sentinel diagonal of the
+    # sweeps' ln e would make the bound vacuous, and the no-op drags 0
+    t = tables.move_ln_e
+    ln_e_min = float(t.min(initial=0.0, where=t > NEG))
     return (n * h_sp - (n + 2) * ln_e_min) / (1.0 - kappa)

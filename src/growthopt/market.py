@@ -31,6 +31,7 @@ running sums or counts as it arrives.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +211,16 @@ def check_simplex(pi, n_assets: int) -> np.ndarray:
     if pi.min() < -SIMPLEX_TOL or abs(pi.sum() - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"proportion vector outside the unit simplex: {pi}")
     return pi
+
+
+def check_integer(name: str, val) -> int:
+    """``val`` as an int if it is a Python or numpy integer and not a bool,
+    as ``grid.check_settings`` takes its integer keys; anything else, a
+    float above all, which would truncate, raises a ValueError naming
+    ``name``."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {val!r}")
+    return int(val)
 
 
 def expected_log_return(model: MarketModel, pi, z: int) -> float:

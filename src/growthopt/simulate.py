@@ -42,8 +42,9 @@ import numpy as np
 from .average import MimickingPolicy
 from .costs import CostSpec, share_cost, solve_e_batch
 from .grid import Policy
-from .market import (MarketModel, _walk, block_steps, check_simplex,
-                     growth_floor, invariant_measure, sample_factor_paths)
+from .market import (MarketModel, _walk, block_steps, check_integer,
+                     check_simplex, growth_floor, invariant_measure,
+                     sample_factor_paths)
 from .rng import make_rng
 
 LOG_CAP = 700.0  # exp cap; beyond this fixed costs are a zero fraction anyway
@@ -52,12 +53,9 @@ PATH_TOL = 1e-9  # relative rounding allowed by the path checks
 
 def model_fingerprint(model: MarketModel, spec: CostSpec) -> str:
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(model.transition).tobytes())
-    h.update(np.ascontiguousarray(model.shock_probs).tobytes())
-    h.update(np.ascontiguousarray(model.returns).tobytes())
-    h.update(np.ascontiguousarray(spec.buy).tobytes())
-    h.update(np.ascontiguousarray(spec.sell).tobytes())
-    h.update(np.float64(spec.fixed).tobytes())
+    for table in (model.transition, model.shock_probs, model.returns,
+                  spec.buy, spec.sell, np.float64(spec.fixed)):
+        h.update(np.ascontiguousarray(table).tobytes())
     h.update(spec.variant.encode())
     return h.hexdigest()[:16]
 
@@ -213,6 +211,7 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
     if not 0 < x0 < math.inf:
         raise ValueError(f"initial wealth must be positive and finite, "
                          f"got {x0}")
+    z0, T = check_integer("z0", z0), check_integer("T", T)
     if not 0 <= z0 < model.n_factors:
         raise ValueError(f"initial factor state {z0} outside "
                          f"[0, {model.n_factors})")
@@ -371,6 +370,7 @@ def average_growth(model: MarketModel, spec: CostSpec, strategy: Strategy,
     -inf and flag the estimate; the second half window mean is reported as
     a stationarity diagnostic for the fixed-horizon average, so T >= 2.
     """
+    T, n_paths = check_integer("T", T), check_integer("n_paths", n_paths)
     if T < 2:
         raise ValueError(f"average_growth needs T >= 2 for its second-half "
                          f"window, got T={T}")
@@ -454,15 +454,17 @@ def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int,
     The paths are streamed: each keeps one running sum of its log floor
     returns, fed block by block from the market walk, and the tail
     frequency is read off when the step count reaches a horizon.  Memory
-    depends on ``n_paths`` only, not on the horizons.
+    depends on ``n_paths`` only, not on the horizons.  The horizons and
+    ``n_paths`` must be integers: a float is refused, not truncated.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    T_grid = sorted(int(t) for t in T_grid)
+    T_grid = sorted(check_integer("each horizon in T_grid", t) for t in T_grid)
     if not T_grid:
         raise ValueError("T_grid must hold at least one horizon")
     if T_grid[0] < 1:
         raise ValueError(f"horizons must be >= 1, got {T_grid[0]}")
+    n_paths = check_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     floor_rate, floor_returns = growth_floor(model)

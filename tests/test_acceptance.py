@@ -18,6 +18,7 @@ from growthopt.costs import min_diminution, min_trade_wealth, transaction_equati
 from conftest import ACCEPTANCE_LINES
 
 BETAS = [0.9, 0.99, 0.995, 0.999]
+CROSS_TOL = 5e-3  # allowed gap of two growth rates in criteria 6 and 10
 
 
 def record(num: int, ok: bool, detail: str):
@@ -38,9 +39,14 @@ def grid_main(bundle):
 
 
 @pytest.fixture(scope="module")
-def cross_main(bundle, grid_main):
+def report_main(bundle, grid_main):
     model, spec = bundle
-    return go.cross_check_costs(model, spec, grid_main, BETAS, tol=1e-7)
+    return go.vanishing_discount(model, spec, grid_main, BETAS, tol=1e-7)
+
+
+def cost_gap(report):
+    """Fixed-cost minus proportional growth rate of one report."""
+    return report.growth_rate_fixed - report.growth_rate
 
 
 def random_cost_batches(n_specs, per_spec, seed):
@@ -170,8 +176,8 @@ def test_criterion_5_growth_rate_oracle(bundle):
     model, _ = bundle
     free = go.CostSpec(buy=[0.0, 0.0], sell=[0.0, 0.0], fixed=0.0)
     grid = go.StateGrid.build(2, 16, 2)
-    report, _ = go.vanishing_discount(model, free, grid,
-                                      [0.99, 0.999, 0.9995], tol=1e-7)
+    report = go.vanishing_discount(model, free, grid, [0.99, 0.999, 0.9995],
+                                   tol=1e-7)
     theta = go.invariant_measure(model)
     best = [max(go.expected_log_return(model, node, z) for node in grid.nodes)
             for z in range(2)]
@@ -182,21 +188,22 @@ def test_criterion_5_growth_rate_oracle(bundle):
            f"free-rebalancing oracle {oracle:.6f} (|gap| {gap:.1e})")
 
 
-def test_criterion_6_cross_check(bundle, grid_main, cross_main):
+def test_criterion_6_cross_check(bundle, grid_main, report_main):
     model, spec = bundle
     grid_wide = go.StateGrid.build(model.n_assets, 8, model.n_factors,
                                    x_min=1e-3, x_max=1e5, n_x=16)
-    cross_wide = go.cross_check_costs(model, spec, grid_wide, BETAS, tol=1e-7)
-    shrinks = abs(cross_wide.difference) < abs(cross_main.difference)
-    ok = cross_main.ok and shrinks
+    report_wide = go.vanishing_discount(model, spec, grid_wide, BETAS,
+                                        tol=1e-7)
+    gap, gap_wide = abs(cost_gap(report_main)), abs(cost_gap(report_wide))
+    ok = gap <= CROSS_TOL and gap_wide < gap
     record(6, ok,
-           f"|rate_fixed - rate_prop| = {abs(cross_main.difference):.2e} "
-           f"<= 5e-3; x_max x10 shrinks it to {abs(cross_wide.difference):.2e}")
+           f"|rate_fixed - rate_prop| = {gap:.2e} <= {CROSS_TOL}; "
+           f"x_max x10 shrinks it to {gap_wide:.2e}")
 
 
-def test_criterion_7_closed_loop(bundle, cross_main):
+def test_criterion_7_closed_loop(bundle, report_main):
     model, spec = bundle
-    report = cross_main.fixed_report
+    report = report_main
     lam = report.growth_rate
     pi0 = np.array([0.5, 0.5])
 
@@ -256,11 +263,11 @@ def test_criterion_8_large_deviations(bundle):
            f"negative: {decays}); iid slope/Cramer = {ratio:.2f} in [0.5, 2]")
 
 
-def test_criterion_9_wealth_floor(bundle, cross_main):
+def test_criterion_9_wealth_floor(bundle, report_main):
     model, spec = bundle
     floor_rate, _ = go.growth_floor(model)
     constants = go.cost_constants(spec, floor_rate)
-    report = cross_main.fixed_report
+    report = report_main
     # each batch of 500 paths records every path, bit-identical to a run
     # on its stream alone
     prop = go.run(model, spec.without_fixed(),
@@ -278,7 +285,7 @@ def wealth_viol(traj, constants):
     return go.wealth_floor_check(traj, constants).violations
 
 
-def test_criterion_10_cost_sandwich(bundle, grid_main, cross_main):
+def test_criterion_10_cost_sandwich(bundle, grid_main, report_main):
     model, spec = bundle
     lower = go.CostSpec(spec.buy, spec.sell, 0.0, "additive")
     upper = go.CostSpec(spec.buy, spec.sell, spec.fixed, "additive")
@@ -287,12 +294,12 @@ def test_criterion_10_cost_sandwich(bundle, grid_main, cross_main):
     sandwich = go.general_cost_check(lower, cand, upper, n_samples=2000,
                                      rng=np.random.default_rng(10))
 
-    cross_max = go.cross_check_costs(model, max_spec, grid_main, BETAS,
-                                     tol=1e-7)
-    gap = abs(cross_max.growth_rate_fixed - cross_main.growth_rate_fixed)
-    ok = sandwich.ok and gap <= 5e-3
+    report_max = go.vanishing_discount(model, max_spec, grid_main, BETAS,
+                                       tol=1e-7)
+    gap = abs(report_max.growth_rate_fixed - report_main.growth_rate_fixed)
+    ok = sandwich.ok and gap <= CROSS_TOL
     record(10, ok, f"sandwich report ok={sandwich.ok}; "
-                   f"|rate_max - rate_additive| = {gap:.2e} <= 5e-3")
+                   f"|rate_max - rate_additive| = {gap:.2e} <= {CROSS_TOL}")
 
 
 def test_criterion_11_reproducibility(tmp_path):

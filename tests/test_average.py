@@ -9,12 +9,19 @@ from conftest import random_model
 from growthopt import (CostConstants, CostSpec, GridPolicyStrategy,
                        MimickingStrategy, Policy, StateGrid, average_growth,
                        bellman_residual, build_mimicking, build_tables,
-                       cross_check_costs, expected_log_return,
-                       invariant_measure, span_bound, vanishing_discount)
+                       expected_log_return, invariant_measure, span_bound,
+                       vanishing_discount)
 from dp_oracle import (oracle_continuation_fixed, oracle_continuation_prop,
                        oracle_tables)
 
 BETAS = [0.9, 0.99, 0.995, 0.999]
+CROSS_TOL = 5e-3  # allowed gap of the fixed-cost and proportional rates
+
+
+def relative_value(report):
+    """w = peak minus value at the largest discount, as the residual takes
+    it."""
+    return report.peak_values[-1] - report.value.values
 
 
 def free_rebalancing_rate(model, nodes):
@@ -29,17 +36,17 @@ class TestVanishingDiscount:
     def test_free_rebalancing_oracle(self, model2):
         spec = CostSpec(buy=[0.0, 0.0], sell=[0.0, 0.0], fixed=0.0)
         grid = StateGrid.build(2, 8, 2)
-        report, policy = vanishing_discount(model2, spec, grid,
-                                            [0.99, 0.999, 0.9995], tol=1e-7)
+        report = vanishing_discount(model2, spec, grid,
+                                    [0.99, 0.999, 0.9995], tol=1e-7)
         oracle = free_rebalancing_rate(model2, grid.nodes)
         assert report.growth_rate == pytest.approx(oracle, abs=1e-4)
-        assert policy.wealth_free
+        assert report.policy.wealth_free
 
     def test_single_asset_stationary_expectation(self, single_asset_model):
         spec = CostSpec(buy=[0.01], sell=[0.01], fixed=0.0)
         grid = StateGrid.build(1, 1, 1)
-        report, _ = vanishing_discount(single_asset_model, spec, grid,
-                                       [0.9, 0.99], tol=1e-8)
+        report = vanishing_discount(single_asset_model, spec, grid,
+                                    [0.9, 0.99], tol=1e-8)
         oracle = 0.5 * (math.log(1.1) + math.log(0.98))
         # single factor state: every estimate is exact, not just the limit
         for est in report.growth_estimates:
@@ -47,7 +54,7 @@ class TestVanishingDiscount:
 
     def test_estimate_bounds(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
-        report, _ = vanishing_discount(model2, spec2, grid, BETAS, tol=1e-5)
+        report = vanishing_discount(model2, spec2, grid, BETAS, tol=1e-5)
         lo = float(np.log(model2.returns).min())
         hi = float(np.log(model2.returns).max())
         for est in report.growth_estimates:
@@ -55,17 +62,17 @@ class TestVanishingDiscount:
 
     def test_relative_value_nonnegative_and_bounded(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
-        report, _ = vanishing_discount(model2, spec2, grid, BETAS, tol=1e-6)
+        report = vanishing_discount(model2, spec2, grid, BETAS, tol=1e-6)
         for w_min, w_max in report.relative_value_range:
             assert w_min >= -1e-5
         # at the top wealth node the relative value stays bounded in beta
-        top = report.relative_value[:, -1, :]
+        top = relative_value(report)[:, -1, :]
         assert top.max() <= span_bound(model2, spec2, grid) + 1.0
 
     def test_policy_stability_diagnostic(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
-        report, _ = vanishing_discount(model2, spec2, grid, [0.99, 0.995],
-                                       tol=1e-6)
+        report = vanishing_discount(model2, spec2, grid, [0.99, 0.995],
+                                    tol=1e-6)
         assert 0.0 <= report.policy_change_fraction <= 1.0
 
     def test_rejects_bad_schedules(self, model2, spec2):
@@ -77,10 +84,32 @@ class TestVanishingDiscount:
 
     def test_report_serializes(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
-        report, _ = vanishing_discount(model2, spec2, grid, [0.9, 0.99],
-                                       tol=1e-5)
+        report = vanishing_discount(model2, spec2, grid, [0.9, 0.99],
+                                    tol=1e-5)
         doc = report.to_json_dict()
-        assert set(doc) >= {"betas", "m_beta", "lambda_estimates", "lambda"}
+        assert set(doc) >= {"betas", "m_beta", "lambda_estimates", "lambda",
+                            "residual_summary"}
+        assert doc["residual_summary"] == {
+            "min_slack": report.residual.min_slack,
+            "mean_slack": report.residual.mean_slack}
+
+    @pytest.mark.parametrize("fixed", [0.0, 0.05], ids=["proportional",
+                                                        "fixed"])
+    def test_report_carries_the_residual_of_its_policy(self, model2, spec2,
+                                                       fixed):
+        spec = CostSpec(spec2.buy, spec2.sell, fixed)
+        grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
+        report = vanishing_discount(model2, spec, grid, [0.9, 0.99], tol=1e-6)
+        assert report.policy.beta == "average"
+        assert report.value.grid.shape == report.policy.grid.shape
+        assert report.value.variant == ("fixed" if fixed else "proportional")
+        res = bellman_residual(report.policy, relative_value(report),
+                               report.growth_rate,
+                               build_tables(model2, spec, grid))
+        assert res.slack.tobytes() == report.residual.slack.tobytes()
+        assert (res.min_slack, res.mean_slack) == (report.residual.min_slack,
+                                                   report.residual.mean_slack)
+        assert "residual" in report.stage_seconds
 
 
 def oracle_bellman_residual(policy, w, growth_rate, model, spec):
@@ -116,28 +145,30 @@ def residual_cases(two_asset):
     """name -> (policy, relative value, growth rate, model, spec, tables)."""
     model, spec = two_asset
     grid = StateGrid.build(2, 8, 2, x_min=1e-3, x_max=1e4, n_x=16)
-    rep, pol = vanishing_discount(model, spec, grid, BETAS, tol=1e-7)
+    rep = vanishing_discount(model, spec, grid, BETAS, tol=1e-7)
+    tables = build_tables(model, spec, grid)
     w_prop = rep.prop_value.values.max() - rep.prop_value.values
     cases = {
-        "acceptance": (pol, rep.relative_value, rep.growth_rate, model, spec,
-                       rep.tables),
+        "acceptance": (rep.policy, relative_value(rep), rep.growth_rate, model,
+                       spec, tables),
         "acceptance_prop": (rep.prop_policy, w_prop, rep.growth_rate, model,
-                            spec, rep.tables.free),
-        "rate_plus_0.01": (pol, rep.relative_value, rep.growth_rate + 0.01,
-                           model, spec, rep.tables),
+                            spec, tables.free),
+        "rate_plus_0.01": (rep.policy, relative_value(rep),
+                           rep.growth_rate + 0.01, model, spec, tables),
     }
     max_spec = CostSpec(spec.buy, spec.sell, spec.fixed, "max")
     grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
-    rep, pol = vanishing_discount(model, max_spec, grid, [0.9, 0.99], tol=1e-6)
-    cases["max_variant"] = (pol, rep.relative_value, rep.growth_rate, model,
-                            max_spec, rep.tables)
+    rep = vanishing_discount(model, max_spec, grid, [0.9, 0.99], tol=1e-6)
+    cases["max_variant"] = (rep.policy, relative_value(rep), rep.growth_rate,
+                            model, max_spec, build_tables(model, max_spec,
+                                                          grid))
     model3 = random_model(np.random.default_rng(7), n_z=3, d=3)
     spec3 = CostSpec(buy=[0.01, 0.02, 0.015], sell=[0.02, 0.01, 0.005],
                      fixed=0.05)
     grid = StateGrid.build(3, 3, 3, x_min=1e-2, x_max=1e3, n_x=6)
-    rep, pol = vanishing_discount(model3, spec3, grid, [0.9, 0.95], tol=1e-6)
-    cases["three_assets"] = (pol, rep.relative_value, rep.growth_rate, model3,
-                             spec3, rep.tables)
+    rep = vanishing_discount(model3, spec3, grid, [0.9, 0.95], tol=1e-6)
+    cases["three_assets"] = (rep.policy, relative_value(rep), rep.growth_rate,
+                             model3, spec3, build_tables(model3, spec3, grid))
     return cases
 
 
@@ -171,9 +202,9 @@ class TestBellmanResidual:
     def test_single_state_slack_zero(self, single_asset_model):
         spec = CostSpec(buy=[0.01], sell=[0.01], fixed=0.0)
         grid = StateGrid.build(1, 1, 1)
-        report, policy = vanishing_discount(single_asset_model, spec, grid,
-                                            [0.9, 0.99], tol=1e-9)
-        res = bellman_residual(policy, report.relative_value,
+        report = vanishing_discount(single_asset_model, spec, grid,
+                                    [0.9, 0.99], tol=1e-9)
+        res = bellman_residual(report.policy, relative_value(report),
                                report.growth_rate,
                                build_tables(single_asset_model, spec, grid))
         assert abs(res.min_slack) <= 1e-8
@@ -184,18 +215,17 @@ class TestBellmanResidual:
         # clears a 1e-6 floor on this mesh
         spec = CostSpec(buy=[0.0, 0.0], sell=[0.0, 0.0], fixed=0.0)
         grid = StateGrid.build(2, 8, 2)
-        report, policy = vanishing_discount(model2, spec, grid,
-                                            [0.999, 0.9999], tol=1e-7)
-        res = bellman_residual(policy, report.relative_value,
+        report = vanishing_discount(model2, spec, grid, [0.999, 0.9999],
+                                    tol=1e-7)
+        res = bellman_residual(report.policy, relative_value(report),
                                report.growth_rate,
                                build_tables(model2, spec, grid))
         assert res.min_slack >= -1e-6
 
     def test_perturbed_rate_breaks_slack(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=8)
-        report, policy = vanishing_discount(model2, spec2, grid, BETAS,
-                                            tol=1e-6)
-        res = bellman_residual(policy, report.relative_value,
+        report = vanishing_discount(model2, spec2, grid, BETAS, tol=1e-6)
+        res = bellman_residual(report.policy, relative_value(report),
                                report.growth_rate + 0.01,
                                build_tables(model2, spec2, grid))
         assert res.min_slack <= -0.009
@@ -205,15 +235,14 @@ class TestCrossCheck:
     def test_zero_fixed_cost_identical_runs(self, model2):
         spec = CostSpec(buy=[0.005, 0.005], sell=[0.005, 0.005], fixed=0.0)
         grid = StateGrid.build(2, 4, 2, x_min=1e-2, x_max=1e3, n_x=6)
-        rep = cross_check_costs(model2, spec, grid, [0.9, 0.99], tol=1e-6)
-        assert rep.difference == 0.0
-        assert rep.ok
+        rep = vanishing_discount(model2, spec, grid, [0.9, 0.99], tol=1e-6)
+        assert rep.growth_rate_fixed - rep.growth_rate == 0.0
 
     def test_bundled_model_agreement(self, model2, spec2):
         grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=12)
-        rep = cross_check_costs(model2, spec2, grid, [0.99, 0.999], tol=1e-7)
-        assert rep.ok
-        assert rep.growth_rate_fixed <= rep.growth_rate_prop + 1e-9
+        rep = vanishing_discount(model2, spec2, grid, [0.99, 0.999], tol=1e-7)
+        assert abs(rep.growth_rate_fixed - rep.growth_rate) <= CROSS_TOL
+        assert rep.growth_rate_fixed <= rep.growth_rate + 1e-9
 
 
 def tiny_base_policy():
@@ -285,9 +314,9 @@ class TestMimicking:
 class TestTauberian:
     def test_simulated_growth_below_discounted_sup(self, model2, spec2):
         grid = StateGrid.build(2, 8, 2, x_min=1e-3, x_max=1e4, n_x=12)
-        report, policy = vanishing_discount(model2, spec2, grid, [0.9, 0.99],
-                                            tol=1e-6)
-        est = average_growth(model2, spec2, GridPolicyStrategy(policy),
+        report = vanishing_discount(model2, spec2, grid, [0.9, 0.99],
+                                    tol=1e-6)
+        est = average_growth(model2, spec2, GridPolicyStrategy(report.policy),
                              [0.5, 0.5], 1.0, 0, T=1500, n_paths=60, seed=21)
         cap = max((1 - b) * m for b, m in zip(report.betas,
                                               report.variant_peak_values))

@@ -1,6 +1,7 @@
 """CLI subcommands, artifacts, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -13,7 +14,7 @@ import pytest
 
 from growthopt import (FixedTargetStrategy, StateGrid, build_tables,
                        bundled_model_path, load_model, model_fingerprint, run,
-                       solve_discounted)
+                       solve_discounted, vanishing_discount)
 from growthopt.cli import main
 from growthopt.modelio import (dump_solution, load_policy, parse_model_dict,
                                trajectory_csv)
@@ -128,6 +129,17 @@ class TestOptimalAndSimulate:
         assert len(doc["lambda_estimates"]) == len(doc["betas"])
         assert doc["lambda"] == doc["lambda_estimates"][-1]
         assert "residual_summary" in doc
+
+    def test_report_is_written_whole(self, optimal_dir):
+        # optimal.json is the report's own dict plus policy_ref, nothing
+        # computed on the side
+        model, spec = load_model(str(optimal_dir / "model.json"))
+        grid = StateGrid.build(2, 4, 2, x_min=1e-3, x_max=1e4, n_x=16)
+        report = vanishing_discount(model, spec, grid,
+                                    [0.9, 0.99, 0.995, 0.999], tol=1e-6)
+        want = dict(report.to_json_dict(), policy_ref="policy")
+        got = json.loads((optimal_dir / "out" / "optimal.json").read_text())
+        assert got == json.loads(json.dumps(want))
 
     def test_simulate_emitted_policy(self, optimal_dir, capsys):
         model_path = str(optimal_dir / "model.json")
@@ -934,6 +946,57 @@ class TestReproducibility:
             doc["config"].pop("output_dir")
             docs.append(doc)
         assert docs[0] == docs[1]
+
+
+# sha256 of the files that CLI optimal, simulate and ldcheck write in
+# TestOutputDigests; simulate.json without its policy_ref line, which holds
+# an absolute path.  A change that claims to keep every output bit for bit
+# keeps these; one that moves an answer on purpose re-pins them and says so.
+OUTPUT_DIGESTS = {
+    "optimal.json":
+        "632239aac4d96663855565a6e86a2df7ff79d4dfebf3333db8cb1db2fca8dc2a",
+    "policy.csv":
+        "416392c75d47b73d3d925bf20104149674ca2cc93a59b302ef19749994725bb4",
+    "policy.json":
+        "e73c71015ad1d8590b83d56bdd536a14bc9422461d1b05b381272f7ee67d3cdb",
+    "policy_prop.csv":
+        "d22e9540f16f8e1ea2d349bca4e7b04dfe615237daf5d19a70c3b8e15d41f673",
+    "policy_prop.json":
+        "67334b582dd44c8cf1812fc0957b1324f3b07b70539185edd95aaa80cac3dec0",
+    "simulate.json":
+        "8ddeb1786252304d62d21cbd6fcaa740bd901dc2bfecb3787c5ebf8a746b9c10",
+    "trajectory.csv":
+        "2d60d7b33d1ba7afc05b5d08b6c1766d9e6bc674074f11464f9ef0dc6e3d9886",
+    "ld_tail.csv":
+        "953c4c125c9fbb70a629b4f051969dad00ff4b3b6594625c21f746930a76424e",
+    "ldcheck.json":
+        "5a0902ccda933d13a5069bf55fbe4901797f428ad59bb4aa74fb29025ef1086d",
+}
+
+
+class TestOutputDigests:
+    def test_outputs_keep_their_digests(self, tmp_path):
+        out = tmp_path / "out"
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"betas": [0.9, 0.99], "tolerances": {"tol": 1e-7}}))
+        args = ["--model", bundled_model_path(), "--output-dir", str(out),
+                "--seed", "4242"]
+        assert main(["--config", str(tmp_path / "cfg.json")] + args
+                    + ["--mesh-order", "4", "optimal"]) == 0
+        assert main(args + ["--T", "300", "--n-paths", "20", "simulate",
+                            "--policy", str(out / "policy_prop"),
+                            "--mimic", "auto"]) == 0
+        assert main(args + ["--n-paths", "2000", "ldcheck",
+                            "--t-max", "64"]) == 0
+        got = {}
+        for name in OUTPUT_DIGESTS:
+            body = (out / name).read_bytes()
+            if name == "simulate.json":
+                body = b"".join(
+                    line for line in body.splitlines(keepends=True)
+                    if not line.lstrip().startswith(b'"policy_ref":'))
+            got[name] = hashlib.sha256(body).hexdigest()
+        assert got == OUTPUT_DIGESTS
 
 
 class TestUsageErrors:

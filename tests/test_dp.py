@@ -15,7 +15,7 @@ from dp_oracle import (impulse_operator, oracle_branches,
 from growthopt import (CostSpec, MarketModel, StateGrid, ValueFunction,
                        bellman_residual, bellman_step, build_tables,
                        bundled_model_path, expected_log_return, load_model,
-                       min_trade_wealth, solve_discounted, solve_e,
+                       min_trade_wealth, mixing_step, solve_discounted, solve_e,
                        solve_e_batch, span_bound, span_seminorm)
 from growthopt import dp
 
@@ -264,7 +264,7 @@ class TestBuildTables:
         flat = build_tables(model2, prop, grid.without_wealth())
         assert t.variant == "proportional" and t.free is None
         assert not t.grid.has_wealth_axis and t.grid.shape == (5, 2)
-        for name in ("h_tab", "hold_idx", "move_ln_e", "ln_e_prop"):
+        for name in ("h_tab", "hold_idx", "move_ln_e"):
             assert np.array_equal(getattr(t, name), getattr(flat, name))
 
     def test_companion_holds_the_cost_without_its_fixed_charge(self, model2,
@@ -273,7 +273,7 @@ class TestBuildTables:
         free = build_tables(model2, spec2, grid).free
         prop = build_tables(model2, spec2.without_fixed(), grid)
         assert free.variant == "proportional" and free.grid.shape == (5, 2)
-        for name in ("h_tab", "hold_idx", "move_ln_e", "ln_e_prop"):
+        for name in ("h_tab", "hold_idx", "move_ln_e"):
             assert np.array_equal(getattr(free, name), getattr(prop, name))
 
     def test_companion_then_owner_solve_builds_nothing(self, model2, spec2,
@@ -332,8 +332,11 @@ class TestSolveDiscounted:
                                       beta, tol=1e-6)
         tables = build_tables(model2, spec2.without_fixed(), grid.without_wealth())
         h_inf = float(np.abs(tables.h_tab).max())
-        bound = (h_inf + abs(float(tables.ln_e_prop.min()))) / (1 - beta)
-        assert bound < 10.0  # ln e without the sentinel on the diagonal
+        # ln e without the sentinel on the diagonal
+        ln_e = tables.move_ln_e
+        ln_e_min = float(ln_e.min(initial=0.0, where=ln_e > dp.NEG))
+        bound = (h_inf + abs(ln_e_min)) / (1 - beta)
+        assert bound < 10.0
         assert np.abs(vf.values).max() <= bound + 1e-9
 
     def test_wealth_monotone_after_convergence(self, model2, spec2):
@@ -594,6 +597,24 @@ class TestSpan:
         for beta in (0.9, 0.99):
             vf, _, _ = solve_discounted(prop_tables, beta, tol=1e-7)
             assert span_seminorm(vf) <= bound
+
+    @pytest.mark.parametrize("d, mesh, fixed, variant", [
+        (3, 4, 0.05, "max"), (1, 1, 0.0, "additive")])
+    def test_bound_takes_the_worst_drag_of_the_oracle_tables(
+            self, d, mesh, fixed, variant):
+        # the sweeps' ln e with its sentinel diagonal left out gives the
+        # drag of an independent ln e table, bit for bit
+        rng = np.random.default_rng(17)
+        model = random_model(rng, d=d)
+        spec = CostSpec(buy=rng.uniform(0.0, 0.03, d),
+                        sell=rng.uniform(0.0, 0.03, d), fixed=fixed,
+                        variant=variant)
+        grid = StateGrid.build(d, mesh, 2)
+        t = oracle_tables(model, spec, grid)
+        n, kappa = mixing_step(model)
+        h_sp = float(t.h_tab.max() - t.h_tab.min())
+        want = (n * h_sp - (n + 2) * float(t.ln_e_prop.min())) / (1.0 - kappa)
+        assert span_bound(model, spec, grid) == want
 
 
 @dataclass

@@ -849,6 +849,60 @@ class TestLdTail:
             ld_tail(model2, T_grid, 0.01, n_paths, seed=1)
 
 
+class TestIntegerArguments:
+    """States, horizons and path counts are integers: a float or a bool is
+    refused by name before any draw, never truncated or passed on to
+    numpy."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda m, s: average_growth(m, s, NoTransactionStrategy(), [0.5, 0.5],
+                                     1.0, z0=0.5, T=10, n_paths=2, seed=1),
+         "z0 must be an integer, got 0.5"),
+        (lambda m, s: run(m, s, NoTransactionStrategy(), [0.5, 0.5], 1.0,
+                          True, 10, seed=1),
+         "z0 must be an integer, got True"),
+        (lambda m, s: run(m, s, NoTransactionStrategy(), [0.5, 0.5], 1.0,
+                          np.float64(1.0), 10, seed=1),
+         r"z0 must be an integer, got np.float64\(1.0\)"),
+        (lambda m, s: run(m, s, NoTransactionStrategy(), [0.5, 0.5], 1.0, 0,
+                          10.0, seed=1),
+         "T must be an integer, got 10.0"),
+        (lambda m, s: average_growth(m, s, NoTransactionStrategy(), [0.5, 0.5],
+                                     1.0, 0, T=10.0, n_paths=2, seed=1),
+         "T must be an integer, got 10.0"),
+        (lambda m, s: average_growth(m, s, NoTransactionStrategy(), [0.5, 0.5],
+                                     1.0, 0, T=10, n_paths=2.0, seed=1),
+         "n_paths must be an integer, got 2.0"),
+        (lambda m, s: ld_tail(m, [3.7, 8.2], 0.01, 1000, seed=1),
+         "each horizon in T_grid must be an integer, got 3.7"),
+        (lambda m, s: ld_tail(m, [True, 8], 0.01, 1000, seed=1),
+         "each horizon in T_grid must be an integer, got True"),
+        (lambda m, s: ld_tail(m, np.array([8.0, 16.0]), 0.01, 1000, seed=1),
+         r"each horizon in T_grid must be an integer, got np.float64\(8.0\)"),
+        (lambda m, s: ld_tail(m, [8], 0.01, 2.5, seed=1),
+         "n_paths must be an integer, got 2.5"),
+    ], ids=["average_growth z0 float", "run z0 bool", "run z0 numpy float",
+            "run T float", "average_growth T float",
+            "average_growth n_paths float", "ld_tail horizons float",
+            "ld_tail horizon bool", "ld_tail horizons numpy float",
+            "ld_tail n_paths float"])
+    def test_refuses_a_non_integer_by_name(self, model2, spec2, call,
+                                           message):
+        with pytest.raises(ValueError, match=message):
+            call(model2, spec2)
+
+    def test_numpy_integers_run_as_python_integers(self, model2, spec2):
+        args = (model2, spec2, NoTransactionStrategy(), [0.5, 0.5], 1.0)
+        want = average_growth(*args, 1, T=20, n_paths=3, seed=5)
+        got = average_growth(*args, np.int64(1), T=np.int32(20),
+                             n_paths=np.int64(3), seed=5)
+        assert got.per_path.tobytes() == want.per_path.tobytes()
+        want = ld_tail(model2, [8, 16], 0.01, 500, seed=5)
+        got = ld_tail(model2, np.array([8, 16]), 0.01, np.int64(500), seed=5)
+        assert got.rows == want.rows
+        assert all(type(r["T"]) is int for r in got.rows)
+
+
 def oracle_ld_tail(model, T_grid, eps, n_paths, seed,
                    paths=sample_factor_paths):
     """Materializing ld_tail: all ``paths``, then log floor returns by a 2-D
