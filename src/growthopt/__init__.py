@@ -25,9 +25,10 @@ from .grid import Policy, StateGrid, ValueFunction, simplex_mesh
 from .market import (MarketModel, dobrushin, expected_log_return,
                      growth_floor, invariant_measure, mixing_step,
                      sample_factor_paths)
-from .modelio import bundled_model_path, load_model, parse_model_dict
+from .modelio import (bundled_model_path, load_model, model_fingerprint,
+                      parse_model_dict)
 from .rng import make_rng
 from .simulate import (FixedTargetStrategy, GridPolicyStrategy, GrowthEstimate,
                        MimickingStrategy, NoTransactionStrategy, Strategy,
-                       Trajectory, average_growth, ld_tail, model_fingerprint,
-                       run, to_share_holdings, wealth_floor_check)
+                       Trajectory, average_growth, ld_tail, run,
+                       to_share_holdings, wealth_floor_check)

@@ -14,6 +14,7 @@ discount one, so it interpolates exactly as the sweeps do.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -242,12 +243,26 @@ class MimickingPolicy:
     dipped below the threshold, trading resumes only after it recovers past
     ``resync_wealth``, at which point the portfolio re-syncs to the base
     policy's target.  Above the threshold (and not recovering) the base
-    policy is followed unchanged.
+    policy is followed unchanged.  Both levels must be finite and > 0,
+    and ``resync_wealth`` at least ``wealth_threshold``: the gates of
+    ``MimickingStrategy`` rely on that order.  Anything else is refused
+    with a ValueError naming the field.
     """
 
     base: Policy
     wealth_threshold: float
     resync_wealth: float
+
+    def __post_init__(self):
+        for name in ("wealth_threshold", "resync_wealth"):
+            level = getattr(self, name)
+            if not 0.0 < level < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {level!r}")
+        if self.resync_wealth < self.wealth_threshold:
+            raise ValueError(f"resync_wealth {self.resync_wealth!r} must be "
+                             "at least wealth_threshold "
+                             f"{self.wealth_threshold!r}")
 
 
 def build_mimicking(base: Policy, constants: CostConstants) -> MimickingPolicy:

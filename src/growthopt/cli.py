@@ -153,7 +153,7 @@ class Runner:
         # the mesh's node count needs the model's asset count
         check_settings(n_assets=self.model.n_assets,
                        mesh_order=cfg.mesh_order)
-        self.model_hash = simulate.model_fingerprint(self.model, self.spec)
+        self.model_hash = modelio.model_fingerprint(self.model, self.spec)
 
     def grid(self) -> StateGrid:
         c = self.cfg

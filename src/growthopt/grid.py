@@ -14,8 +14,10 @@ has one, and ``ValueFunction`` and ``Policy`` refuse tables of other shapes.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -112,6 +114,11 @@ class StateGrid:
     wealth: Optional[np.ndarray] = None
     _keys: np.ndarray = field(init=False, repr=False)
     _key_sum: np.ndarray = field(init=False, repr=False)
+    # the keys and their radix as Python ints, for one-row lookups, and the
+    # flat-index step of a node in tables of ``shape``
+    _key_list: list = field(init=False, repr=False)
+    _radix: list = field(init=False, repr=False)
+    _stride: int = field(init=False, repr=False)
     _lx0: Optional[float] = field(init=False, repr=False, default=None)
     _dlx: Optional[float] = field(init=False, repr=False, default=None)
 
@@ -134,6 +141,8 @@ class StateGrid:
         self._keys = ints @ radix
         if np.any(self._keys[1:] <= self._keys[:-1]):
             raise ValueError("grid nodes must ascend in lexicographic order")
+        self._key_list, self._radix = self._keys.tolist(), radix.tolist()
+        self._stride = math.prod(self.shape[1:])
 
     @classmethod
     def build(cls, n_assets: int, mesh_order: int, n_z: int,
@@ -226,7 +235,49 @@ class StateGrid:
         return self._keys.searchsorted(key_sum[:, 0])
 
     def node_index(self, pi) -> int:
-        return int(self.nearest_node(np.asarray(pi))[0])
+        """Index of the mesh node nearest to one proportion row ``pi``,
+        ``nearest_node([pi])[0]`` bit for bit, in Python numbers.
+
+        The same rule as ``nearest_node``: the products ``p * m`` round half
+        to even, as ``round`` and ``np.rint`` do; the surplus is repaid in
+        the stable order of the residuals ``k - y``; and the key is found by
+        ``bisect_left`` in the sorted key list, as ``searchsorted`` finds
+        it.  A row that is not ``n_assets`` long, or with a product that is
+        NaN or infinite, is refused with a ValueError.
+        """
+        m = self.mesh_order
+        y = [float(p) * m for p in pi]
+        if len(y) != len(self._radix) or not all(map(math.isfinite, y)):
+            raise ValueError(f"need a row of {len(self._radix)} finite "
+                             f"proportions, got {pi!r}")
+        k = [round(v) for v in y]
+        surplus = sum(k) - m
+        if surplus:
+            step = 1 if surplus > 0 else -1
+            resid = [a - b for a, b in zip(k, y)]
+            # argsort(-resid) to repay a surplus, argsort(resid) a deficit
+            order = sorted(range(len(k)), key=lambda i: -step * resid[i])
+            for i in order[:abs(surplus)]:
+                k[i] -= step
+        key = sum(map(operator.mul, k, self._radix))
+        return bisect.bisect_left(self._key_list, key)
+
+    def state_index(self, pi, x, z) -> int:
+        """Flat index, in the order of ``shape``, of the grid state nearest
+        to one state: proportions ``pi`` (a row, as ``node_index`` takes
+        it), wealth ``x`` and factor ``z``.  The wealth node comes from
+        ``nearest_wealth``, on grids with a wealth axis only; ``x`` is not
+        read on others.  A node or factor outside the grid is refused with
+        a ValueError.
+        """
+        node, z = self.node_index(pi), int(z)
+        if not (0 <= node < len(self._key_list) and 0 <= z < self.n_z):
+            raise ValueError(f"proportions {pi!r} and factor {z} name no "
+                             "state of the grid")
+        i = node * self._stride + z
+        if self.wealth is not None:
+            i += int(self.nearest_wealth(x)) * self.n_z
+        return i
 
     def wealth_pos(self, x):
         """Lower index and interpolation weight for wealth values ``x``.

@@ -97,6 +97,21 @@ def parse_model_dict(doc: dict):
     return model, spec
 
 
+def model_fingerprint(model: MarketModel, spec: CostSpec) -> str:
+    """The ``model_hash`` that policy headers carry: the first 16 hex
+    digits of a sha256 over the market and cost tables."""
+    # imported on use: hashlib loads OpenSSL, and loading it as the package
+    # imports, before ``simulate`` and ``cli`` are compiled from source,
+    # raised the resident memory of every process by about 0.15 MB
+    import hashlib
+    h = hashlib.sha256()
+    for table in (model.transition, model.shock_probs, model.returns,
+                  spec.buy, spec.sell, np.float64(spec.fixed)):
+        h.update(np.ascontiguousarray(table).tobytes())
+    h.update(spec.variant.encode())
+    return h.hexdigest()[:16]
+
+
 def load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_model_dict(json.load(fh))

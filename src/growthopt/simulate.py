@@ -28,12 +28,17 @@ and keeps only a running sum per path.
 A step costs a few numpy calls on arrays of a few rows, so the strategies
 keep their per-step work to a handful of calls: ``GridPolicyStrategy``
 reads a decision by two ``take``s from flat tables built once, and
-``MimickingStrategy`` gates it with two ``where``s.
+``MimickingStrategy`` gates it with two ``where``s.  On a batch of one row,
+as ``run`` steps a single stream, a numpy call on one element costs more
+than the arithmetic it does, so the strategies decide that row in Python
+numbers: the grid policy reads its tables at ``StateGrid.state_index``,
+and the mimicking gate compares Python floats and bools.  The strategies
+pick the path from the width of the batch they are handed, and both paths
+give the same decisions bit for bit, NaN wealth included.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -51,15 +56,6 @@ LOG_CAP = 700.0  # exp cap; beyond this fixed costs are a zero fraction anyway
 PATH_TOL = 1e-9  # relative rounding allowed by the path checks
 
 
-def model_fingerprint(model: MarketModel, spec: CostSpec) -> str:
-    h = hashlib.sha256()
-    for table in (model.transition, model.shock_probs, model.returns,
-                  spec.buy, spec.sell, np.float64(spec.fixed)):
-        h.update(np.ascontiguousarray(table).tobytes())
-    h.update(spec.variant.encode())
-    return h.hexdigest()[:16]
-
-
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
@@ -70,7 +66,8 @@ class Strategy:
     A decision reads the pre-transaction state alone (proportions, wealth
     and factor), as the paper's Markov strategies do.  ``decide_batch``
     returns (mask, targets) for rows of that state: rows with a True mask
-    request a rebalance to the corresponding target proportions.
+    request a rebalance to the corresponding target proportions.  Either
+    may be a read-only view, so a caller copies before writing.
     Strategies with internal per-path state must honor ``reset``.
     """
 
@@ -83,8 +80,7 @@ class Strategy:
 
 class NoTransactionStrategy(Strategy):
     def decide_batch(self, pi_prev, x_prev, z):
-        n = pi_prev.shape[0]
-        return np.zeros(n, dtype=bool), pi_prev
+        return np.zeros(len(pi_prev), dtype=bool), pi_prev
 
 
 class FixedTargetStrategy(Strategy):
@@ -94,9 +90,8 @@ class FixedTargetStrategy(Strategy):
         self.target = np.asarray(target, dtype=float)
 
     def decide_batch(self, pi_prev, x_prev, z):
-        n = pi_prev.shape[0]
-        mask = np.any(pi_prev != self.target[None, :], axis=1)
-        return mask, np.broadcast_to(self.target, (n, self.target.size))
+        mask = np.any(pi_prev != self.target, axis=1)
+        return mask, np.broadcast_to(self.target, pi_prev.shape)
 
 
 class GridPolicyStrategy(Strategy):
@@ -107,21 +102,24 @@ class GridPolicyStrategy(Strategy):
     instead of interpolating.  The policy is read into flat tables once, at
     construction: the impulse flags and the target proportions of every
     state in the order of ``grid.shape``, so that a decision is two
-    ``take``s at the state's flat index.
+    ``take``s at the state's flat index.  A batch of one row reads the
+    tables at ``grid.state_index`` instead, through read-only views.
     """
 
     def __init__(self, policy: Policy):
         self.policy = policy
-        grid = policy.grid
         self._impulse = policy.impulse.ravel()
-        self._targets = grid.nodes[policy.target.ravel()]
-        # flat index of a state: node * stride (+ wealth node * n_z) + z
-        self._stride = math.prod(grid.shape[1:])
+        self._targets = policy.grid.nodes[policy.target.ravel()]
+        self._impulse.flags.writeable = self._targets.flags.writeable = False
 
     def decide_batch(self, pi_prev, x_prev, z):
         grid = self.policy.grid
+        if len(pi_prev) == 1:
+            i = grid.state_index(pi_prev[0].tolist(), x_prev[0], z[0])
+            return self._impulse[i, None], self._targets[i, None]
+        # flat index of a state: node * stride (+ wealth node * n_z) + z;
         # fresh sums: on a few rows an in-place add costs more than a new one
-        idx = grid.nearest_node(pi_prev) * self._stride + z
+        idx = grid.nearest_node(pi_prev) * grid._stride + z
         if grid.has_wealth_axis:
             idx = idx + grid.nearest_wealth(x_prev) * grid.n_z
         return self._impulse.take(idx), self._targets.take(idx, axis=0)
@@ -149,12 +147,18 @@ class MimickingStrategy(Strategy):
         self._recovering = np.zeros(n_paths, dtype=bool)
 
     def decide_batch(self, pi_prev, x_prev, z):
-        rec = self._recovering
-        if rec.shape[0] != pi_prev.shape[0]:
+        rec, m = self._recovering, self.mimicking
+        if len(rec) != len(pi_prev):
             raise RuntimeError("call reset(n_paths) before a new batch")
         base_mask, base_tgt = self.base.decide_batch(pi_prev, x_prev, z)
-        resync = x_prev >= self.mimicking.resync_wealth
-        below = x_prev < self.mimicking.wealth_threshold
+        if len(rec) == 1:  # the gate below, in Python bools
+            x, was = float(x_prev[0]), rec[0]
+            resync, below = x >= m.resync_wealth, x < m.wealth_threshold
+            go = resync if was else base_mask[0] and not below
+            rec[0] = not resync if was else below
+            return np.array([go]), base_tgt if go else pi_prev
+        resync = x_prev >= m.resync_wealth
+        below = x_prev < m.wealth_threshold
         # NaN wealth is neither below nor resynced: it follows the base
         # policy when not recovering, as ~below lets it
         mask = np.where(rec, resync, base_mask & ~below)

@@ -7,10 +7,10 @@ import pytest
 
 from conftest import random_model
 from growthopt import (CostConstants, CostSpec, GridPolicyStrategy,
-                       MimickingStrategy, Policy, StateGrid, average_growth,
-                       bellman_residual, build_mimicking, build_tables,
-                       expected_log_return, invariant_measure, span_bound,
-                       vanishing_discount)
+                       MimickingPolicy, MimickingStrategy, Policy, StateGrid,
+                       average_growth, bellman_residual, build_mimicking,
+                       build_tables, expected_log_return, invariant_measure,
+                       span_bound, vanishing_discount)
 from dp_oracle import (oracle_continuation_fixed, oracle_continuation_prop,
                        oracle_tables)
 
@@ -265,6 +265,23 @@ class TestMimicking:
                                      0.9, tol=1e-4)
         with pytest.raises(ValueError):
             build_mimicking(pol, constants())
+
+    @pytest.mark.parametrize("threshold, resync, field", [
+        (10.0, 5.0, "resync_wealth"), (0.0, 1.0, "wealth_threshold"),
+        (-1.0, 1.0, "wealth_threshold"), (math.nan, 1.0, "wealth_threshold"),
+        (math.inf, math.inf, "wealth_threshold"), (1.0, math.nan,
+                                                   "resync_wealth"),
+        (1.0, math.inf, "resync_wealth"), (1.0, -2.0, "resync_wealth")])
+    def test_levels_out_of_order_or_range_are_refused(self, threshold, resync,
+                                                      field):
+        # a resync level below the threshold let a recovering path trade
+        # below the threshold
+        with pytest.raises(ValueError, match=field):
+            MimickingPolicy(tiny_base_policy(), threshold, resync)
+
+    def test_equal_levels_are_accepted(self):
+        mim = MimickingPolicy(tiny_base_policy(), 15.0, 15.0)
+        assert mim.resync_wealth == mim.wealth_threshold
 
     def test_mimics_base_above_resync_level(self):
         mim = build_mimicking(tiny_base_policy(), constants())

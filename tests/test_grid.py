@@ -163,6 +163,83 @@ class TestNearestNodeOracle:
                                       oracle_nearest_node(grid, pts[0]))
 
 
+def one_row_cases(rng, grid):
+    """Rows for the one-row lookups: random rows, lattice midpoints (every
+    coordinate rounds the same way), the same rows scaled up and down (a
+    surplus and a deficit to repay), points halfway between two nodes, the
+    nodes themselves and rows with a negative coordinate."""
+    d, m, nodes = grid.n_assets, grid.mesh_order, grid.nodes
+    pts = rng.dirichlet(np.ones(d), 200)
+    mid = (np.floor(pts[:60] * m) + 0.5) / m
+    pairs = rng.integers(grid.n_nodes, size=(40, 2))
+    halfway = 0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]])
+    negative = pts[:20].copy()
+    negative[:, 0] = -rng.uniform(0.01, 0.5, 20)
+    return np.vstack([pts, mid, 1.3 * pts[:40], 0.7 * pts[:40], halfway,
+                      nodes, negative])
+
+
+class TestOneRowLookups:
+    """``node_index`` and ``state_index`` read one row in Python numbers:
+    the same nodes and flat indices as the vectorized lookups."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 7, 64])
+    def test_node_index_is_nearest_node_of_the_row(self, d, m):
+        rng = np.random.default_rng([d, m, 25])
+        grid = StateGrid.build(d, m, 1)
+        rows = one_row_cases(rng, grid)
+        surplus = np.rint(rows * m).sum(axis=1) - m
+        assert (surplus > 0).any() and (surplus < 0).any()
+        want = grid.nearest_node(rows)
+        for row, node in zip(rows, want.tolist()):
+            got = grid.node_index(row)
+            assert type(got) is int
+            assert got == node == grid.nearest_node(row[None])[0], row
+            assert grid.node_index(row.tolist()) == node
+
+    @pytest.mark.parametrize("row", [
+        [np.nan, 0.5], [0.5, np.inf], [-np.inf, 1.0], [0.5], [0.2, 0.3, 0.5],
+        []], ids=["nan", "inf", "-inf", "short", "long", "empty"])
+    def test_node_index_refuses_a_row_it_cannot_read(self, row):
+        # a bare zip would truncate a long row, and round(inf) raises
+        # OverflowError
+        grid = StateGrid.build(2, 8, 1)
+        with pytest.raises(ValueError, match="row of 2 finite proportions"):
+            grid.node_index(row)
+        with pytest.raises(ValueError, match="row of 2 finite proportions"):
+            grid.node_index(np.array(row))
+
+    @pytest.mark.parametrize("d, wealth", [(2, False), (2, True), (3, False),
+                                           (3, True)])
+    def test_state_index_is_the_flat_index_of_the_lookups(self, d, wealth):
+        rng = np.random.default_rng([d, wealth, 25])
+        n_z = 3
+        grid = StateGrid.build(d, 7, n_z, *((1e-2, 1e3, 6) if wealth else ()))
+        pi = one_row_cases(rng, grid)
+        pi = pi[(pi >= 0).all(axis=1) & (pi.sum(axis=1) <= 1.0 + 1e-12)]
+        n = len(pi)
+        x = np.exp(rng.uniform(np.log(1e-4), np.log(1e5), n))
+        x[:6] = [1e-300, 1e-2, 1e3, 1e300, np.inf, 50.0]
+        z = rng.integers(n_z, size=n)
+        axes = ((grid.nearest_node(pi),)
+                + ((grid.nearest_wealth(x),) if wealth else ()) + (z,))
+        want = np.ravel_multi_index(axes, grid.shape)
+        for k in range(n):
+            got = grid.state_index(pi[k], x[k], z[k])
+            assert type(got) is int and got == want[k], k
+            assert grid.state_index(pi[k].tolist(), float(x[k]),
+                                    int(z[k])) == got
+
+    def test_state_index_refuses_a_state_off_the_grid(self):
+        grid = StateGrid.build(2, 4, 2)
+        assert grid.state_index([1.0, 0.0], None, 1) == grid.shape[0] * 2 - 1
+        # z outside the factors, and a row whose key lies past every node
+        for pi, z in (([1.0, 0.0], 2), ([0.5, 0.5], -1), ([1.5, -0.5], 0)):
+            with pytest.raises(ValueError, match="name no state"):
+                grid.state_index(pi, None, z)
+
+
 def oracle_wealth_pos(grid, x):
     """The lookup with its constants computed on every call, via np.clip."""
     x = np.asarray(x, dtype=float)

@@ -306,6 +306,9 @@ def engine_cases(two_asset):
         "grid_policy_wealth": (model, spec,
                                lambda: GridPolicyStrategy(wealth_policy),
                                [0.5, 0.5], 0.5, 0, 300, 71),
+        "grid_policy": (model, spec.without_fixed(),
+                        lambda: GridPolicyStrategy(prop_policy), [0.5, 0.5],
+                        1.0, 1, 300, 79),
         # starts below the wealth threshold (about 14.7): frozen, then one
         # re-sync once wealth passes the resync level
         "mimicking": (model, spec, lambda: MimickingStrategy(mimicking),
@@ -415,11 +418,14 @@ class TestRunOverManyStreams:
                                          np.array([1, 6, 2])],
                              ids=["range", "list", "numpy"])
     @pytest.mark.parametrize("name", ["fixed_target_some_annihilated",
-                                      "mimicking"])
+                                      "mimicking", "grid_policy_wealth",
+                                      "grid_policy"])
     def test_entry_k_is_the_run_of_stream_k(self, engine_cases, name,
                                             streams):
         model, spec, make, pi0, x0, z0, T, seed = engine_cases[name]
         batch = run(model, spec, make(), pi0, x0, z0, T, seed, stream=streams)
+        if name.startswith("grid_policy"):  # the one-row lookups trade too
+            assert any(traj.transacted.any() for traj in batch)
         assert isinstance(batch, list) and len(batch) == len(streams)
         for k, traj in enumerate(batch):
             # a numpy array hands out numpy ints, each a batch of one
@@ -742,6 +748,24 @@ class TestGridDecisionTables:
             want = oracle_grid_decide(policy, pi, x, z)
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
+    def test_one_row_decisions_cannot_write_into_the_tables(self):
+        rng = np.random.default_rng(4)
+        grid = StateGrid.build(2, 8, 2, 1e-3, 1e4, 16)
+        policy = random_policy(rng, grid)
+        impulse, target = policy.impulse.copy(), policy.target.copy()
+        strat = GridPolicyStrategy(policy)
+        pi = np.array([[0.3, 0.7]])
+        mask, tgt = strat.decide_batch(pi, np.array([2.0]), np.array([1]))
+        assert mask.shape == (1,) and tgt.shape == (1, 2)
+        for arr in (mask, tgt):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        again = strat.decide_batch(pi, np.array([2.0]), np.array([1]))
+        assert again[0].tobytes() == mask.tobytes()
+        assert again[1].tobytes() == tgt.tobytes()
+        assert np.array_equal(policy.impulse, impulse)
+        assert np.array_equal(policy.target, target)
+
 
 class TestMimickingGateTruthTable:
     """Every recovery bit, wealth case and base decision at once."""
@@ -781,6 +805,18 @@ class TestMimickingGateTruthTable:
         assert follow[False, "nan"] == base_trades
         assert follow[True, "at resync"] and not follow[True, "nan"]
         assert not any(follow[rec, "below"] for rec in (False, True))
+        # every row again as a batch of one, which gates in Python bools
+        for j in range(n):
+            one = MimickingStrategy(mimicking)
+            one.reset(1)
+            one._recovering[0] = recovering[j]
+            rows = slice(j, j + 1)
+            got_mask, got_tgt = one.decide_batch(pi[rows], x[rows], z[rows])
+            assert got_mask.dtype == mask.dtype and got_mask.shape == (1,)
+            assert got_mask.tobytes() == mask[rows].tobytes(), cases[j]
+            assert got_tgt.shape == (1, 2)
+            assert got_tgt.tobytes() == tgt[rows].tobytes(), cases[j]
+            assert one._recovering.tobytes() == want_rec[rows].tobytes()
 
 
 class TestWealthFloor:
