@@ -11,10 +11,14 @@ decreases.  Both left-hand sides are convex piecewise-linear functions of
 delta, at least 1 at delta = 1.  For a target in the simplex they are
 strictly increasing, so the root is unique when it exists; a target with a
 negative proportion can make them dip below the right-hand side past 0, and
-the root taken is then the largest.  ``solve_e`` computes it exactly by
-scanning the linear segments.  ``bisect_e``, an independent bracketing
-oracle kept for verification, only evaluates ``transaction_equation`` and
-is valid on every row the solver takes.  ``_charge`` writes every charge.
+the root taken is then the largest.  ``solve_e_batch`` computes it exactly
+by scanning the linear segments: a batch of many rows in numpy, and a batch
+of one row, as a single simulated path trades, in Python floats, where a
+numpy call on a few elements costs more than its arithmetic; both give the
+same bits.  ``solve_e`` solves one rebalance.  ``bisect_e``, an independent
+bracketing oracle kept for verification, only evaluates
+``transaction_equation`` and is valid on every row the solver takes.
+``_charge`` writes every charge.
 
 The module also derives the cost constants that gate the average-growth
 theory: the worst-case log drag ``eta`` of a proportional rebalance, its
@@ -148,9 +152,10 @@ def _solve_prop_root_batch(spec, pi_prev, pi_new, target):
     linear segment.  g increases when pi_new lies in the simplex; a
     negative proportion in pi_new can make it fall below the target past 0.
 
-    The batches of a simulation are a few rows, so the cost of a call is
-    the number of numpy calls: arrays are filled in place and the bracket
-    is read by flat ``take``.
+    The batches that reach it are two rows or more (a single row takes
+    ``_solve_prop_root_row``), many in the DP tables but often a few in a
+    simulation, where the cost of a call is the number of numpy calls:
+    arrays are filled in place and the bracket is read by flat ``take``.
     """
     n, d = pi_prev.shape
     k = d + 2
@@ -206,6 +211,43 @@ def _solve_prop_root_batch(spec, pi_prev, pi_new, target):
     return root
 
 
+def _solve_prop_root_row(spec, prev, new, target):
+    """``_solve_prop_root_batch`` on one row of finite floats, bit for bit.
+
+    The candidates, the bracket and its segment are Python floats, each
+    step the batch's own operation on one element: ``np.maximum(a, b)`` is
+    ``a if a > b else b`` and ``np.minimum(a, b)`` is ``a if a < b else b``,
+    both the second operand on a tie.  The two charge products stay numpy
+    ``@``s on the (k, d) moves, which BLAS rounds as it rounds a row of the
+    batch (with fused multiply-adds, unlike a Python sum).  A stable sort
+    keeps the candidate 0 first among the zeros, where a -0.0 breakpoint
+    can stand beside it; only the first candidate's sign can reach the
+    root, on a row with no candidate at or below the target.
+    """
+    cand = [0.0, 1.0]
+    for p, q in zip(prev, new):
+        b = p / q if q > 0.0 else 1.0
+        cand.append(0.0 if 0.0 > b else b if b < 1.0 else 1.0)
+    cand.sort()
+    diff = np.array([[c * q - p for p, q in zip(prev, new)] for c in cand])
+    g = [b + s + c for b, s, c in zip(
+        (np.maximum(diff, 0.0) @ spec.buy).tolist(),
+        (np.maximum(-diff, 0.0) @ spec.sell).tolist(), cand)]
+    top = len(cand) - 1
+    while top >= 0 and not g[top] <= target:
+        top -= 1
+    if top == len(cand) - 1:
+        return 1.0
+    # no candidate at or below the target brackets (last, first)
+    lo, hi = (top, top + 1) if top >= 0 else (top, 0)
+    width, slope = cand[hi] - cand[lo], g[hi] - g[lo]
+    if width > 0.0:
+        slope /= width
+    root = (target - g[lo]) / (slope if slope > 0.0 else math.inf) + cand[lo]
+    root = cand[lo] if cand[lo] > root else root
+    return cand[hi] if cand[hi] < root else root
+
+
 def solve_e_batch(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
     """Surviving wealth fractions for a batch of rebalances (exact).
 
@@ -218,14 +260,35 @@ def solve_e_batch(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
     cost + 1 is exactly 1 on a row that does not move, so the segment solve
     returns 1.0 wherever the target is 1, also where selling everything
     would be unaffordable.
+
+    ``pi_prev`` and ``pi_new`` must both have shape (n, n_assets), one row
+    as a vector, with one wealth per row.  The batch width picks the path:
+    a batch of one finite row with positive wealth, as a single path
+    trades, is solved in Python floats by ``_solve_prop_root_row``; every
+    other batch, and a row with a NaN or an infinity, by the numpy segment
+    solve.  Both give the same bits, but for the sign of a NaN, which
+    numpy's own loops set differently at different widths.
     """
     pi_prev = np.atleast_2d(np.asarray(pi_prev, dtype=float))
     pi_new = np.atleast_2d(np.asarray(pi_new, dtype=float))
     wealth = np.atleast_1d(np.asarray(wealth, dtype=float))
     n = pi_prev.shape[0]
+    if pi_prev.shape != (n, spec.n_assets) or pi_new.shape != pi_prev.shape:
+        raise ValueError(f"need rows of {spec.n_assets} proportions: pi_prev "
+                         f"has shape {pi_prev.shape}, pi_new {pi_new.shape}")
     if wealth.shape != (n,):
         raise ValueError(f"need one wealth per rebalance: {wealth.shape[0]} "
                          f"wealth values for {n} rows")
+    if n == 1:
+        prev, new, x = pi_prev[0].tolist(), pi_new[0].tolist(), wealth.item()
+        # a wealth that is refused below, or a NaN or an infinity, which
+        # the numpy operations decide, takes the batch path
+        if x > 0.0 and all(map(math.isfinite, prev + new)):
+            cap = 1.0 - spec.fixed / x
+            if spec.variant == "additive":
+                return np.array([_solve_prop_root_row(spec, prev, new, cap)])
+            e = _solve_prop_root_row(spec, prev, new, 1.0)
+            return np.array([0.0 if cap <= 0.0 else e if e < cap else cap])
     # np.count_nonzero skips the Python layer of .all(); NaN fails the test
     if np.count_nonzero(wealth > 0.0) != n:
         raise ValueError("wealth must be strictly positive")
@@ -246,8 +309,7 @@ def solve_e(spec: CostSpec, pi_prev, pi_new, wealth: float) -> float:
     """Surviving wealth fraction of a single rebalance (0 when unaffordable)."""
     pi_prev = check_simplex(pi_prev, spec.n_assets)
     pi_new = check_simplex(pi_new, spec.n_assets)
-    return float(solve_e_batch(spec, pi_prev[None, :], pi_new[None, :],
-                               np.array([wealth]))[0])
+    return float(solve_e_batch(spec, pi_prev, pi_new, wealth)[0])
 
 
 def transaction_equation(spec: CostSpec, pi_prev, pi_new, wealth, delta):

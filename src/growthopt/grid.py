@@ -214,10 +214,19 @@ class StateGrid:
         Coordinates are rounded on the 1/m lattice and the rounding surplus
         is repaid on the coordinates rounded furthest, which minimizes the
         distance among lattice points summing to m.  Ties resolve to the
-        lowest coordinate index, making lookups deterministic.
+        lowest coordinate index, making lookups deterministic.  A batch
+        with a row that ``node_index`` refuses, of another length or with
+        a product that is NaN or infinite, is refused as it refuses it.
         """
         pi = np.atleast_2d(np.asarray(pi, dtype=float))
         y = pi * self.mesh_order
+        d = len(self._radix)
+        # one count finds a NaN or an infinity, before the cast warns on it
+        if pi.shape[1:] != (d,) or np.count_nonzero(np.isfinite(y)) != y.size:
+            bad = pi if pi.shape[1:] != (d,) else pi[
+                ~np.isfinite(y).all(axis=1)][0]
+            raise ValueError(f"need a row of {d} finite proportions, got "
+                             f"{bad.tolist()!r}")
         k = np.rint(y).astype(np.int64)
         key_sum = k @ self._key_sum
         overshoot = key_sum[:, 1] - self.mesh_order
@@ -283,11 +292,17 @@ class StateGrid:
         """Lower index and interpolation weight for wealth values ``x``.
 
         Positions are computed linearly in log-wealth and clamped to the
-        grid range.
+        grid range, so an infinite wealth reads the top node; a NaN wealth
+        is refused with a ValueError.
         """
         if self.wealth is None:
             raise ValueError("grid has no wealth axis")
         x = np.asarray(x, dtype=float)
+        # one count, before the cast below would warn on a NaN position
+        nan = np.count_nonzero(np.isnan(x))
+        if nan:
+            raise ValueError(f"wealth must not be NaN: {nan} of {x.size} "
+                             "wealth values are NaN")
         n_x = self.n_wealth
         if n_x == 1:
             return np.zeros(x.shape, dtype=np.int64), np.zeros(x.shape)

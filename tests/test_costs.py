@@ -227,6 +227,38 @@ class TestSolveE:
             solve_e_batch(spec_2(fixed=0.1), [[0.5, 0.5], [0.2, 0.8]],
                           [[1, 0], [0, 1]], wealth)
 
+    @pytest.mark.parametrize("variant", ["additive", "max"])
+    @pytest.mark.parametrize("wealth", [math.nan, 0.0, -0.0, -2.0, -math.inf])
+    def test_one_row_refuses_the_wealth_a_batch_refuses(self, variant,
+                                                        wealth):
+        spec = spec_2(fixed=0.1, variant=variant)
+        for n in (1, 2):  # the one-row path and the numpy path
+            with pytest.raises(ValueError,
+                               match="^wealth must be strictly positive$"):
+                solve_e_batch(spec, [[0.5, 0.5]] * n, [[1.0, 0.0]] * n,
+                              [wealth] * n)
+
+    @pytest.mark.parametrize("wealth", [[], [1.0, 2.0], [1.0, 2.0, 3.0]])
+    def test_one_row_refuses_a_wealth_count_other_than_one(self, wealth):
+        count = len(wealth)
+        with pytest.raises(ValueError, match="^need one wealth per "
+                           f"rebalance: {count} wealth values for 1 rows$"):
+            solve_e_batch(spec_2(fixed=0.1), [[0.5, 0.5]], [[1, 0]], wealth)
+
+    @pytest.mark.parametrize("prev_shape, new_shape", [
+        ((1, 3), (1, 2)), ((1, 2), (1, 1)), ((1, 2), (3, 2)), ((3, 2), (1, 2)),
+        ((3, 1), (3, 1)), ((3, 2), (3, 3)), ((2, 1, 2), (2, 1, 2))],
+        ids=["prev assets", "new assets", "new rows", "broadcast target",
+             "batch assets", "batch new assets", "3-d"])
+    def test_rows_of_another_shape_are_refused(self, prev_shape, new_shape):
+        # before the check a wrong asset count failed inside numpy, and a
+        # single target row was broadcast over every row of pi_prev
+        prev, new = np.full(prev_shape, 0.5), np.full(new_shape, 0.5)
+        message = (f"need rows of 2 proportions: pi_prev has shape "
+                   f"{prev_shape}, pi_new {new_shape}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_e_batch(spec_2(), prev, new, np.ones(prev_shape[0]))
+
 
 def oracle_solve_e_batch(spec, pi_prev, pi_new, wealth):
     """``solve_e_batch`` as it was before the lean rewrite: the same segment
@@ -330,6 +362,62 @@ class TestLeanSolver:
                 assert got.tobytes() == want.tobytes(), (kind, n)
                 checked += n
         assert checked == len(REBALANCE_KINDS) * 204
+
+    @pytest.mark.parametrize("variant", ["additive", "max"])
+    @pytest.mark.parametrize("fixed", [0.0, 0.1, 5.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_rows_alone_equal_their_batch_rows(self, variant, fixed, d):
+        # a batch of one finite row is solved in Python floats, and a
+        # batch of one is what a single simulated path hands the solver
+        rng = np.random.default_rng([d, int(fixed * 10), len(variant), 26])
+        for kind in REBALANCE_KINDS:
+            buy, sell = rng.uniform(0.0, 0.3, (2, d))
+            spec = CostSpec(buy=buy, sell=sell, fixed=fixed, variant=variant)
+            prev, new, wealth = random_rebalances(rng, 40, d, kind)
+            new[0, -1] = np.nan  # a NaN proportion
+            prev[1] = -0.0  # -0.0 holdings, a -0.0 breakpoint per asset
+            batch = solve_e_batch(spec, prev, new, wealth)
+            # the max variant refuses a row whose fixed charge takes it all
+            assert np.isnan(batch[0]) == (variant == "additive"
+                                          or fixed < wealth[0])
+            assert not np.isnan(batch[1:]).any()
+            for i in range(40):
+                rows = slice(i, i + 1)
+                alone = solve_e_batch(spec, prev[rows], new[rows],
+                                      wealth[rows])
+                assert alone.dtype == batch.dtype and alone.shape == (1,)
+                if np.isnan(batch[i]):
+                    # numpy's loops give a NaN a sign that depends on the
+                    # width of the batch, in the numpy path as well
+                    assert np.isnan(alone[0])
+                else:
+                    assert alone.tobytes() == batch[rows].tobytes(), (kind,
+                                                                      i)
+
+    @pytest.mark.parametrize("variant", ["additive", "max"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_solve_e_is_the_one_row_batch(self, variant, d):
+        rng = np.random.default_rng([d, len(variant), 26])
+        for kind in ("plain", "identical", "vertex"):
+            buy, sell = rng.uniform(0.0, 0.3, (2, d))
+            spec = CostSpec(buy=buy, sell=sell, fixed=0.1, variant=variant)
+            prev, new, wealth = random_rebalances(rng, 20, d, kind)
+            batch = solve_e_batch(spec, prev, new, wealth)
+            for i in range(20):
+                e = solve_e(spec, prev[i], new[i], wealth[i])
+                assert type(e) is float
+                assert np.float64(e).tobytes() == batch[i].tobytes()
+                assert e == solve_e_batch(spec, prev[i], new[i], wealth[i])[0]
+
+    def test_a_root_on_a_signed_zero_breakpoint_is_positive_zero(self):
+        # the target 1 - 0.75 equals the sell-all charge 0.25, so the root
+        # lies on the -0.0 breakpoint of the first asset, and the clip to
+        # that bracket keeps the +0.0 root on both paths
+        spec = CostSpec(buy=[0.1, 0.2], sell=[0.3, 0.25], fixed=0.75)
+        for n in (1, 2):
+            e = solve_e_batch(spec, [[-0.0, 1.0]] * n, [[0.5, 0.5]] * n,
+                              [1.0] * n)
+            assert e.tobytes() == np.zeros(n).tobytes()
 
     def test_cases_reach_every_branch(self):
         # unaffordable rows, roots at 1, and rows with no candidate at or

@@ -240,6 +240,58 @@ class TestOneRowLookups:
                 grid.state_index(pi, None, z)
 
 
+class TestNonFiniteLookups:
+    """The vectorized lookups refuse what ``node_index`` refuses, and a NaN
+    wealth, with a ValueError and no RuntimeWarning from a cast."""
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, np.inf],
+                                     [-np.inf, 1.0]],
+                             ids=["nan", "inf", "-inf"])
+    def test_nearest_node_refuses_a_row_node_index_refuses(self, bad):
+        grid = StateGrid.build(2, 8, 1, x_min=1e-2, x_max=1e3, n_x=6)
+        rows = np.random.default_rng(26).dirichlet(np.ones(2), 50)
+        rows[17] = bad
+        message = ("^need a row of 2 finite proportions, got "
+                   f"{re.escape(str(bad))}$")
+        with pytest.raises(ValueError, match="row of 2 finite proportions"):
+            grid.node_index(bad)
+        for pi in (rows, [bad]):
+            with pytest.raises(ValueError, match=message):
+                grid.nearest_node(pi)
+        rows[17] = [0.5, 0.5]
+        assert grid.nearest_node(rows).tolist() == [
+            grid.node_index(row) for row in rows]
+
+    @pytest.mark.parametrize("pi", [[[0.2, 0.3, 0.5]], [0.5],
+                                    np.ones((2, 1, 2))],
+                             ids=["long", "short", "3-d"])
+    def test_nearest_node_refuses_rows_of_another_length(self, pi):
+        grid = StateGrid.build(2, 8, 1)
+        with pytest.raises(ValueError, match="row of 2 finite proportions"):
+            grid.nearest_node(pi)
+
+    @pytest.mark.parametrize("n_x", [1, 6])
+    def test_a_nan_wealth_is_refused(self, n_x):
+        grid = StateGrid.build(2, 8, 1, x_min=1e-2, x_max=1e3, n_x=n_x)
+        x = np.geomspace(1e-3, 1e4, 50)
+        x[31] = np.nan
+        for wealth, count in ((x, "1 of 50"), ([np.nan], "1 of 1"),
+                              (np.nan, "1 of 1")):
+            for lookup in (grid.wealth_pos, grid.nearest_wealth):
+                with pytest.raises(ValueError, match=f"{count} wealth values "
+                                   "are NaN"):
+                    lookup(wealth)
+        with pytest.raises(ValueError, match="NaN"):
+            grid.state_index([0.5, 0.5], np.nan, 0)
+
+    def test_an_infinite_wealth_reads_the_top_node(self):
+        grid = StateGrid.build(2, 8, 1, x_min=1e-2, x_max=1e3, n_x=6)
+        assert grid.nearest_wealth([np.inf]).tolist() == [5]
+        assert grid.nearest_wealth(np.inf) == 5
+        # the last node, [1, 0], at the top wealth node
+        assert grid.state_index([1.0, 0.0], np.inf, 0) == 9 * 6 - 1
+
+
 def oracle_wealth_pos(grid, x):
     """The lookup with its constants computed on every call, via np.clip."""
     x = np.asarray(x, dtype=float)

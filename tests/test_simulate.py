@@ -451,6 +451,30 @@ class TestRunOverManyStreams:
                 10, seed=1, stream=stream)
 
 
+class TestOneRowTrades:
+    def test_a_step_of_one_trading_row_is_solved_as_its_run(
+            self, engine_cases, monkeypatch):
+        # a wide batch hands the solver the rows that trade at a step; on a
+        # step where one row trades, it takes the one-row path of a run
+        model, spec, make, pi0, x0, z0, T, seed = engine_cases["mimicking"]
+        assert spec.fixed > 0.0
+        widths = []
+
+        def counted(spec, pi_prev, pi_new, wealth):
+            widths.append(len(pi_prev))
+            return solve_e_batch(spec, pi_prev, pi_new, wealth)
+
+        monkeypatch.setattr(simulate, "solve_e_batch", counted)
+        batch = run(model, spec, make(), pi0, x0, z0, T, seed,
+                    stream=range(8))
+        monkeypatch.undo()
+        assert 1 in widths and max(widths) > 1
+        for k, traj in enumerate(batch):
+            assert traj.transacted.any()
+            assert_same_trajectory(traj, run(model, spec, make(), pi0, x0, z0,
+                                             T, seed, stream=k))
+
+
 def oracle_simulate(model, spec, strategy, pi0, x0, z0, T, seed, streams,
                     record=1):
     """``simulate._simulate`` as it was before it streamed its market: all
