@@ -3,12 +3,14 @@ with fixed plus proportional transaction costs.
 
 Subpackages by concern:
 
-- :mod:`growthopt.market`   factor chain, shocks, ergodic invariants
+- :mod:`growthopt.market`   factor chain, shocks, ergodic invariants,
+                            path walk and large-deviations tail
 - :mod:`growthopt.costs`    transaction cost solver and derived constants
 - :mod:`growthopt.grid`     simplex / wealth discretization
 - :mod:`growthopt.dp`       discounted impulse dynamic programming
 - :mod:`growthopt.average`  vanishing-discount average-growth extraction
-- :mod:`growthopt.simulate` seeded Monte Carlo engine and path checks
+- :mod:`growthopt.simulate` strategies, seeded Monte Carlo engine and
+                            path checks
 - :mod:`growthopt.cli`      batch front door
 """
 
@@ -23,12 +25,12 @@ from .dp import (bellman_step, build_tables, solve_discounted, span_bound,
                  span_seminorm)
 from .grid import Policy, StateGrid, ValueFunction, simplex_mesh
 from .market import (MarketModel, dobrushin, expected_log_return,
-                     growth_floor, invariant_measure, mixing_step,
+                     growth_floor, invariant_measure, ld_tail, mixing_step,
                      sample_factor_paths)
 from .modelio import (bundled_model_path, load_model, model_fingerprint,
                       parse_model_dict)
 from .rng import make_rng
 from .simulate import (FixedTargetStrategy, GridPolicyStrategy, GrowthEstimate,
                        MimickingStrategy, NoTransactionStrategy, Strategy,
-                       Trajectory, average_growth, ld_tail, run,
-                       to_share_holdings, wealth_floor_check)
+                       Trajectory, average_growth, run, to_share_holdings,
+                       wealth_floor_check)

@@ -24,17 +24,26 @@ states block by block, and a narrow walk composes the factor steps of a
 block by doubling.  ``sample_factor_paths`` stores a walk as (n, T+1)
 arrays.  The simulation engine asks it for one block per call and
 continues from the block's last factor state on the same generators, so
-its memory is O(n * block) rather than O(n * T), while ``simulate.ld_tail``
-and ``verify.check_ergodic_average`` fold each block of ``_walk`` into
+its memory is O(n * block) rather than O(n * T), while ``ld_tail`` and
+``verify.check_ergodic_average`` fold each block of ``_walk`` into
 running sums or counts as it arrives.
+
+``ld_tail``, the large-deviations check of the growth floor, ends the
+module: it reads the walk alone, with no strategy and no costs, and it is
+the one consumer that overwrites a block's shock states, so it sits with
+the walk whose block contract it relies on.  ``simulate`` binds it under
+the name the CLI calls.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rng import make_rng
 
 SIMPLEX_TOL = 1e-9
 MIXING_HORIZON = 64  # longest n searched for a Dobrushin coefficient < 1
@@ -277,13 +286,13 @@ def _walk(model: MarketModel, z0, T: int, rng):
 
     Each item is ``(t0, z, xi)``: time-major (k, n) integer arrays with the
     factor and shock states of steps t0..t0+k-1.  ``sample_factor_paths``
-    stores the blocks; ``simulate.ld_tail`` and the ergodic check of
-    ``verify`` fold each block into running sums or counts and drop it, so
-    their memory does not grow with T.  The walk reads
-    the last row of ``z`` again for the next block, but never ``xi``, which
-    its consumer may overwrite.  Every block is written over the previous
-    one, into buffers allocated once per walk, so a consumer must be done
-    with a block before it asks for the next.
+    stores the blocks; ``ld_tail`` and the ergodic check of ``verify`` fold
+    each block into running sums or counts and drop it, so their memory
+    does not grow with T.  The walk reads the last row of ``z`` again for
+    the next block, but never ``xi``, which its consumer may overwrite.
+    Every block is written over the previous one, into buffers allocated
+    once per walk, so a consumer must be done with a block before it asks
+    for the next.
 
     Every step consumes a factor uniform and then a shock uniform.  A
     shared Generator draws a block as one (k, 2, n) array (factors of step
@@ -405,3 +414,93 @@ def _compose(u_z, cum_pT, prev, maps, offs, col, out):
     idx -= col
     np.floor_divide(idx, n, out=out)
 
+
+@dataclass
+class LdTailResult:
+    """Empirical decay of the probability of a depressed growth average."""
+
+    rows: list                    # dicts: T, p_hat, eps, tail_prob, n_paths
+    slope: float                  # fitted d ln P / dT (negative = decay)
+    slope_se: float
+    floor_rate: float
+
+    def decaying(self) -> bool:
+        """Whether the fitted slope is below zero at 1.96 standard errors."""
+        return self.slope + 1.96 * self.slope_se < 0.0
+
+
+def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int,
+            seed: int) -> LdTailResult:
+    """Tail probabilities of the average worst-asset log return per horizon.
+
+    For each horizon T, estimates P[(1/T) sum ln floor-return <= floor_rate
+    - eps] over ``n_paths`` factor/shock paths simulated from the
+    stationary law of the factor chain, and fits a weighted least squares
+    slope to ln P against T (variance weights from the binomial counts).
+
+    The paths are streamed: each keeps one running sum of its log floor
+    returns, fed block by block from the market walk, and the tail
+    frequency is read off when the step count reaches a horizon.  Memory
+    depends on ``n_paths`` only, not on the horizons.  The horizons and
+    ``n_paths`` must be integers: a float is refused, not truncated.  A
+    horizon given twice is refused too: the fit would count its one
+    estimate as two independent ones.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    T_grid = sorted(check_integer("each horizon in T_grid", t) for t in T_grid)
+    if not T_grid:
+        raise ValueError("T_grid must hold at least one horizon")
+    if T_grid[0] < 1:
+        raise ValueError(f"horizons must be >= 1, got {T_grid[0]}")
+    for t, t_next in zip(T_grid, T_grid[1:]):
+        if t == t_next:
+            raise ValueError(f"horizon {t} is repeated in T_grid")
+    n_paths = check_integer("n_paths", n_paths)
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    floor_rate, floor_returns = growth_floor(model)
+    # log_floor[z, xi] is entry xi * n_factors + z of this flat table
+    log_floor = np.log(floor_returns).T.ravel()
+    rng = make_rng(seed)
+    z_init = rng.choice(model.n_factors, size=n_paths,
+                        p=invariant_measure(model))
+    threshold = floor_rate - eps
+    tail = dict.fromkeys(T_grid)
+    # a sequential sum, as np.cumsum along time: the same bits per horizon
+    csum = np.zeros(n_paths)
+    lr_buf = None
+    for t0, z, xi in _walk(model, z_init, T_grid[-1], rng):
+        # one flat gather per block, at indices made in place in the shock
+        # states, which the walk does not read again
+        xi *= model.n_factors
+        xi += z
+        # into one buffer, as the walk writes its blocks; the indices are in
+        # range by construction, and mode "clip" writes straight into out,
+        # where the default mode "raise" copies through a temporary
+        if lr_buf is None:
+            lr_buf = np.empty(xi.shape)
+        lrs = log_floor.take(xi, out=lr_buf[:len(xi)], mode="clip")
+        for t, lr in enumerate(lrs, start=t0):
+            csum += lr
+            if t in tail:
+                tail[t] = float(np.mean(csum / t <= threshold))
+    rows = [{"T": T, "p_hat": floor_rate, "eps": eps, "tail_prob": tail[T],
+             "n_paths": n_paths} for T in T_grid]
+    ts = np.array([r["T"] for r in rows], dtype=float)
+    ps = np.array([r["tail_prob"] for r in rows])
+    mask = ps > 0
+    if mask.sum() >= 2:
+        y = np.log(ps[mask])
+        x = ts[mask]
+        var = (1.0 - ps[mask]) / (n_paths * ps[mask])
+        wts = 1.0 / var
+        xm = np.average(x, weights=wts)
+        ym = np.average(y, weights=wts)
+        sxx = np.sum(wts * (x - xm) ** 2)
+        slope = float(np.sum(wts * (x - xm) * (y - ym)) / sxx)
+        slope_se = float(math.sqrt(1.0 / sxx))
+    else:
+        slope, slope_se = float("nan"), float("inf")
+    return LdTailResult(rows=rows, slope=slope, slope_se=slope_se,
+                        floor_rate=floor_rate)

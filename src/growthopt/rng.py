@@ -17,12 +17,14 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a Philox generator keyed by (seed, stream).
 
     Both must be integers in [0, 2**64), Python or numpy; a float is
-    refused rather than truncated, so stream 1.7 never runs as stream 1.
+    refused rather than truncated, so stream 1.7 never runs as stream 1,
+    and so is a bool, so seed True never runs as seed 1.
     """
     key = []
     for name, val in (("seed", seed), ("stream", stream)):
         try:
-            key.append(operator.index(val))
+            # operator.index reads True as 1, numpy's True_ not at all
+            key.append(-1 if isinstance(val, bool) else operator.index(val))
         except TypeError:
             key.append(-1)  # not an integer: refused below
         if not 0 <= key[-1] < 2**64:

@@ -22,8 +22,9 @@ it draws the next, so it holds O(n * block) market states rather than
 O(n * T), and stops drawing when it stops early.  A narrow batch, a single
 path above all, reads the factor states of a block through one-step maps
 composed by doubling rather than one step at a time.  The
-large-deviations check ``ld_tail`` consumes the same walk block by block
-and keeps only a running sum per path.
+large-deviations check ``ld_tail`` reads the market walk alone, with no
+strategy and no costs, so it lives in ``market``; it is bound here under
+the name ``simulate.ld_tail`` that the CLI calls.
 
 A step costs a few numpy calls on arrays of a few rows, so the strategies
 keep their per-step work to a handful of calls: ``GridPolicyStrategy``
@@ -47,9 +48,8 @@ import numpy as np
 from .average import MimickingPolicy
 from .costs import CostSpec, share_cost, solve_e_batch
 from .grid import Policy
-from .market import (MarketModel, _walk, block_steps, check_integer,
-                     check_simplex, growth_floor, invariant_measure,
-                     sample_factor_paths)
+from .market import (MarketModel, block_steps, check_integer, check_simplex,
+                     ld_tail, sample_factor_paths)
 from .rng import make_rng
 
 LOG_CAP = 700.0  # exp cap; beyond this fixed costs are a zero fraction anyway
@@ -433,92 +433,6 @@ def wealth_floor_check(traj: Trajectory, constants) -> FloorCheckReport:
 
 
 @dataclass
-class LdTailResult:
-    """Empirical decay of the probability of a depressed growth average."""
-
-    rows: list                    # dicts: T, p_hat, eps, tail_prob, n_paths
-    slope: float                  # fitted d ln P / dT (negative = decay)
-    slope_se: float
-    floor_rate: float
-
-    def decaying(self) -> bool:
-        """Whether the fitted slope is below zero at 1.96 standard errors."""
-        return self.slope + 1.96 * self.slope_se < 0.0
-
-
-def ld_tail(model: MarketModel, T_grid, eps: float, n_paths: int,
-            seed: int) -> LdTailResult:
-    """Tail probabilities of the average worst-asset log return per horizon.
-
-    For each horizon T, estimates P[(1/T) sum ln floor-return <= floor_rate
-    - eps] over ``n_paths`` factor/shock paths simulated from the
-    stationary law of the factor chain, and fits a weighted least squares
-    slope to ln P against T (variance weights from the binomial counts).
-
-    The paths are streamed: each keeps one running sum of its log floor
-    returns, fed block by block from the market walk, and the tail
-    frequency is read off when the step count reaches a horizon.  Memory
-    depends on ``n_paths`` only, not on the horizons.  The horizons and
-    ``n_paths`` must be integers: a float is refused, not truncated.
-    """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    T_grid = sorted(check_integer("each horizon in T_grid", t) for t in T_grid)
-    if not T_grid:
-        raise ValueError("T_grid must hold at least one horizon")
-    if T_grid[0] < 1:
-        raise ValueError(f"horizons must be >= 1, got {T_grid[0]}")
-    n_paths = check_integer("n_paths", n_paths)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    floor_rate, floor_returns = growth_floor(model)
-    # log_floor[z, xi] is entry xi * n_factors + z of this flat table
-    log_floor = np.log(floor_returns).T.ravel()
-    rng = make_rng(seed)
-    z_init = rng.choice(model.n_factors, size=n_paths,
-                        p=invariant_measure(model))
-    threshold = floor_rate - eps
-    tail = dict.fromkeys(T_grid)
-    # a sequential sum, as np.cumsum along time: the same bits per horizon
-    csum = np.zeros(n_paths)
-    lr_buf = None
-    for t0, z, xi in _walk(model, z_init, T_grid[-1], rng):
-        # one flat gather per block, at indices made in place in the shock
-        # states, which the walk does not read again
-        xi *= model.n_factors
-        xi += z
-        # into one buffer, as the walk writes its blocks; the indices are in
-        # range by construction, and mode "clip" writes straight into out,
-        # where the default mode "raise" copies through a temporary
-        if lr_buf is None:
-            lr_buf = np.empty(xi.shape)
-        lrs = log_floor.take(xi, out=lr_buf[:len(xi)], mode="clip")
-        for t, lr in enumerate(lrs, start=t0):
-            csum += lr
-            if t in tail:
-                tail[t] = float(np.mean(csum / t <= threshold))
-    rows = [{"T": T, "p_hat": floor_rate, "eps": eps, "tail_prob": tail[T],
-             "n_paths": n_paths} for T in T_grid]
-    ts = np.array([r["T"] for r in rows], dtype=float)
-    ps = np.array([r["tail_prob"] for r in rows])
-    mask = ps > 0
-    if mask.sum() >= 2:
-        y = np.log(ps[mask])
-        x = ts[mask]
-        var = (1.0 - ps[mask]) / (n_paths * ps[mask])
-        wts = 1.0 / var
-        xm = np.average(x, weights=wts)
-        ym = np.average(y, weights=wts)
-        sxx = np.sum(wts * (x - xm) ** 2)
-        slope = float(np.sum(wts * (x - xm) * (y - ym)) / sxx)
-        slope_se = float(math.sqrt(1.0 / sxx))
-    else:
-        slope, slope_se = float("nan"), float("inf")
-    return LdTailResult(rows=rows, slope=slope, slope_se=slope_se,
-                        floor_rate=floor_rate)
-
-
-@dataclass
 class ShareRecord:
     """Share-space reconstruction of a proportion-space trajectory."""
 
@@ -536,10 +450,13 @@ def to_share_holdings(traj: Trajectory, s0) -> ShareRecord:
     wealth raises, since it indicates an engine inconsistency.  All steps
     are checked at once; the error names the first failing step, and within
     a step the wealth reconstruction is checked first.  NaN residuals (from
-    an overflowed price) never raise.
+    an overflowed price) never raise.  The initial prices must be finite
+    and > 0, one per asset, or no step could be checked.
     """
     s0 = np.asarray(s0, dtype=float)
-    if s0.shape != (traj.pi.shape[1],) or s0.min() <= 0:
+    # NaN fails both comparisons
+    if (s0.shape != (traj.pi.shape[1],)
+            or not np.all((s0 > 0.0) & (s0 < np.inf))):
         raise ValueError("initial prices must be a positive vector per asset")
     prices = s0 * np.cumprod(traj.returns, axis=0)
     with np.errstate(invalid="ignore"):

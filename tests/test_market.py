@@ -791,6 +791,17 @@ class TestMakeRng:
                 make_rng(*args)
         make_rng(2**64 - 1, np.uint64(2**64 - 1))
 
+    @pytest.mark.parametrize("args", [(True,), (False,), (0, True),
+                                      (0, False)],
+                             ids=["seed True", "seed False", "stream True",
+                                  "stream False"])
+    def test_a_bool_is_refused(self, args):
+        # operator.index reads True as 1: seed True would key seed 1
+        name = "seed" if len(args) == 1 else "stream"
+        with pytest.raises(ValueError, match=rf"{name} must be an integer in "
+                           rf"\[0, 2\*\*64\), got {args[-1]}"):
+            make_rng(*args)
+
     def test_numpy_integers_key_the_same_stream(self):
         want = make_rng(5, 3).random(4)
         for seed, stream in ((np.int64(5), np.uint32(3)), (5, np.int8(3)),

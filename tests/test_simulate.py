@@ -12,8 +12,8 @@ from growthopt import (CostSpec, FixedTargetStrategy, GridPolicyStrategy,
                        MarketModel, MimickingStrategy, NoTransactionStrategy,
                        StateGrid, Trajectory, average_growth, build_mimicking,
                        build_tables, cost_constants, growth_floor,
-                       invariant_measure, Policy, ld_tail, make_rng, run,
-                       sample_factor_paths, simulate, solve_discounted,
+                       invariant_measure, market, Policy, ld_tail, make_rng,
+                       run, sample_factor_paths, simulate, solve_discounted,
                        share_cost, solve_e_batch, to_share_holdings,
                        wealth_floor_check)
 from growthopt.costs import worst_case_drag
@@ -908,11 +908,28 @@ class TestLdTail:
         with pytest.raises(ValueError):
             ld_tail(model2, T_grid, 0.01, n_paths, seed=1)
 
+    @pytest.mark.parametrize("T_grid, repeated", [
+        ([8, 8, 16], 8), ([16, 8, 16], 16), ([np.int64(8), 8], 8)])
+    def test_refuses_a_repeated_horizon_before_any_draw(
+            self, model2, monkeypatch, T_grid, repeated):
+        # the fit would weigh the one estimate at that horizon twice
+        def no_draw(*args):
+            raise AssertionError("drew before refusing")
+        monkeypatch.setattr(market, "make_rng", no_draw)
+        with pytest.raises(ValueError,
+                           match=f"horizon {repeated} is repeated in T_grid"):
+            ld_tail(model2, T_grid, 0.01, 1000, seed=1)
+
+    def test_lives_in_market_and_is_bound_in_simulate(self):
+        # the CLI calls, and the benchmark tracer wraps, simulate.ld_tail
+        assert simulate.ld_tail is market.ld_tail
+        assert market.ld_tail.__module__ == "growthopt.market"
+
 
 class TestIntegerArguments:
-    """States, horizons and path counts are integers: a float or a bool is
-    refused by name before any draw, never truncated or passed on to
-    numpy."""
+    """States, horizons, path counts, seeds and streams are integers: a
+    float or a bool is refused by name before any draw, never truncated or
+    passed on to numpy."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda m, s: average_growth(m, s, NoTransactionStrategy(), [0.5, 0.5],
@@ -933,6 +950,12 @@ class TestIntegerArguments:
         (lambda m, s: average_growth(m, s, NoTransactionStrategy(), [0.5, 0.5],
                                      1.0, 0, T=10, n_paths=2.0, seed=1),
          "n_paths must be an integer, got 2.0"),
+        (lambda m, s: run(m, s, NoTransactionStrategy(), [0.5, 0.5], 1.0, 0,
+                          10, seed=True),
+         r"seed must be an integer in \[0, 2\*\*64\), got True"),
+        (lambda m, s: run(m, s, NoTransactionStrategy(), [0.5, 0.5], 1.0, 0,
+                          10, seed=1, stream=True),
+         r"stream must be an integer in \[0, 2\*\*64\), got True"),
         (lambda m, s: ld_tail(m, [3.7, 8.2], 0.01, 1000, seed=1),
          "each horizon in T_grid must be an integer, got 3.7"),
         (lambda m, s: ld_tail(m, [True, 8], 0.01, 1000, seed=1),
@@ -943,7 +966,8 @@ class TestIntegerArguments:
          "n_paths must be an integer, got 2.5"),
     ], ids=["average_growth z0 float", "run z0 bool", "run z0 numpy float",
             "run T float", "average_growth T float",
-            "average_growth n_paths float", "ld_tail horizons float",
+            "average_growth n_paths float", "run seed bool",
+            "run stream bool", "ld_tail horizons float",
             "ld_tail horizon bool", "ld_tail horizons numpy float",
             "ld_tail n_paths float"])
     def test_refuses_a_non_integer_by_name(self, model2, spec2, call,
@@ -997,10 +1021,11 @@ def ld_eps(model):
 
 
 class TestLdTailStreaming:
-    # n = 300 walks blocks of many steps, n past half the budget one step
+    # n = 300 walks blocks of many steps, n past half the budget one step;
+    # the horizons come unsorted (a repeated one is refused)
     @pytest.mark.parametrize("T_grid, n_paths", [
-        ([40, 1, 7, 7, 250, 3], 300),
-        ([6, 1, 4, 4, 2], DRAW_BUDGET // 2 + 1)])
+        ([40, 1, 7, 250, 3], 300),
+        ([6, 1, 4, 2], DRAW_BUDGET // 2 + 1)])
     def test_matches_materializing_oracle(self, model2, T_grid, n_paths):
         eps = ld_eps(model2)
         got = ld_tail(model2, T_grid, eps, n_paths, seed=61)
@@ -1079,6 +1104,20 @@ class TestShareHoldings:
                        [0.6, 0.4], 50.0, 0, 200, seed=53, stream=stream)
             rec = to_share_holdings(traj, [12.0, 8.0])
             assert rec.max_residual <= 1e-11
+
+    @pytest.mark.parametrize("s0", [
+        [math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [0.0, 1.0],
+        [1.0, -2.0], [1.0], [1.0, 1.0, 1.0]],
+        ids=["nan", "inf", "-inf", "zero", "negative", "short", "long"])
+    def test_refuses_initial_prices_that_are_not_finite_and_positive(
+            self, model2, s0):
+        # a NaN or infinite price makes every residual NaN, and a NaN
+        # residual never raises: the check would pass without having run
+        traj = run(model2, no_cost(), FixedTargetStrategy([0.3, 0.7]),
+                   [0.6, 0.4], 2.0, 0, 20, seed=59)
+        with pytest.raises(ValueError, match="initial prices must be a "
+                           "positive vector per asset"):
+            to_share_holdings(traj, s0)
 
 
 def oracle_to_share_holdings(traj, s0):

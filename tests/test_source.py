@@ -1,5 +1,6 @@
 """Guards on the package source itself."""
 
+import ast
 import io
 import pathlib
 import tokenize
@@ -33,3 +34,13 @@ def test_the_count_skips_comments_and_blank_lines():
 def test_module_stays_below_the_parser_token_step(path):
     n = parser_tokens(path.read_text(encoding="utf-8"))
     assert n < TOKEN_STEP, f"{path.name} has {n} parser tokens"
+
+
+def test_simulate_imports_no_private_name():
+    # the engine uses other modules through their public names; code that
+    # needs another module's private helper belongs in that module
+    tree = ast.parse((SRC / "simulate.py").read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
