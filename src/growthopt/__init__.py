@@ -9,8 +9,8 @@ Subpackages by concern:
 - :mod:`growthopt.grid`     simplex / wealth discretization
 - :mod:`growthopt.dp`       discounted impulse dynamic programming
 - :mod:`growthopt.average`  vanishing-discount average-growth extraction
-- :mod:`growthopt.simulate` strategies, seeded Monte Carlo engine and
-                            path checks
+- :mod:`growthopt.simulate` strategies and seeded Monte Carlo engine
+- :mod:`growthopt.pathcheck` wealth-floor and share-space checks of a path
 - :mod:`growthopt.cli`      batch front door
 """
 
@@ -29,8 +29,8 @@ from .market import (MarketModel, dobrushin, expected_log_return,
                      sample_factor_paths)
 from .modelio import (bundled_model_path, load_model, model_fingerprint,
                       parse_model_dict)
+from .pathcheck import to_share_holdings, wealth_floor_check
 from .rng import make_rng
 from .simulate import (FixedTargetStrategy, GridPolicyStrategy, GrowthEstimate,
                        MimickingStrategy, NoTransactionStrategy, Strategy,
-                       Trajectory, average_growth, run, to_share_holdings,
-                       wealth_floor_check)
+                       Trajectory, average_growth, run)

@@ -341,7 +341,14 @@ def cmd_ldcheck(cfg: RunConfig, eps, t_max: int) -> int:
     runner = Runner(cfg, "ldcheck")
     floor_rate, floor_returns = market.growth_floor(runner.model)
     if eps is None:
-        eps = 0.25 * (floor_rate - float(np.log(floor_returns).min()))
+        log_floor = np.log(floor_returns)
+        eps = 0.25 * (floor_rate - float(log_floor.min()))
+        # a constant floor makes eps 0, or a rounding error away from it
+        if not eps > 0.0 or log_floor.min() == log_floor.max():
+            raise ValueError(
+                "the worst-asset log return does not vary, so the default "
+                "eps, a quarter of its stationary mean minus its minimum, "
+                "is 0: give --eps")
     base = t_max // 8
     t_grid = [base * k for k in (1, 2, 3, 4, 6, 8)]
     result = simulate.ld_tail(runner.model, t_grid, eps, cfg.n_paths, cfg.seed)

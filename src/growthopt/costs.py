@@ -160,12 +160,14 @@ def _solve_prop_root_batch(spec, pi_prev, pi_new, target):
     n, d = pi_prev.shape
     k = d + 2
     # candidates 0, the breakpoints clipped to [0, 1], and 1; an asset with
-    # pi_new <= 0 has its breakpoint at infinity, which clips to 1
+    # pi_new == 0 moves by a constant and has its breakpoint at infinity,
+    # which clips to 1; one with pi_new < 0 has its breakpoint past 0 when
+    # it is short before the trade too, and at or below 0 otherwise
     cand = np.empty((n, k))
     cand.fill(1.0)
     cand[:, 0] = 0.0
     brk = cand[:, 1:-1]
-    np.divide(pi_prev, pi_new, out=brk, where=pi_new > 0.0)
+    np.divide(pi_prev, pi_new, out=brk, where=pi_new != 0.0)
     np.maximum(0.0, brk, out=brk)
     np.minimum(brk, 1.0, out=brk)
     cand.sort(axis=1)
@@ -226,7 +228,7 @@ def _solve_prop_root_row(spec, prev, new, target):
     """
     cand = [0.0, 1.0]
     for p, q in zip(prev, new):
-        b = p / q if q > 0.0 else 1.0
+        b = p / q if q != 0.0 else 1.0
         cand.append(0.0 if 0.0 > b else b if b < 1.0 else 1.0)
     cand.sort()
     diff = np.array([[c * q - p for p, q in zip(prev, new)] for c in cand])

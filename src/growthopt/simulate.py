@@ -6,10 +6,10 @@ by the surviving fraction from the cost solver; an unaffordable rebalance
 annihilates the path), then the market moves: proportions drift with the
 realized returns and wealth multiplies by the portfolio gross return.
 
-One step loop, ``_simulate``, steps a batch of paths vectorized across
-paths and records the first paths of the batch, row by row into path-major
-arrays, as one ``Trajectory`` each.  ``average_growth`` runs it on streams
-0..n_paths-1 and records path 0 only.  ``run`` records every path of its
+One engine, ``_simulate``, steps a batch of paths and records the first
+paths of the batch, row by row into path-major arrays, as one
+``Trajectory`` each.  ``average_growth`` runs it on streams 0..n_paths-1
+and records path 0 only.  ``run`` records every path of its
 batch: an int stream is a batch of one, a sequence of streams one batch
 with a ``Trajectory`` per stream.  Path ``i`` of a batch consumes exactly
 the stream ``(seed, i)``, so ``run(..., stream=i)`` reproduces it bit for
@@ -24,36 +24,50 @@ path above all, reads the factor states of a block through one-step maps
 composed by doubling rather than one step at a time.  The
 large-deviations check ``ld_tail`` reads the market walk alone, with no
 strategy and no costs, so it lives in ``market``; it is bound here under
-the name ``simulate.ld_tail`` that the CLI calls.
+the name ``simulate.ld_tail`` that the CLI calls, as are the path checks
+of ``pathcheck``.
 
-A step costs a few numpy calls on arrays of a few rows, so the strategies
-keep their per-step work to a handful of calls: ``GridPolicyStrategy``
-reads a decision by two ``take``s from flat tables built once, and
-``MimickingStrategy`` gates it with two ``where``s.  On a batch of one row,
-as ``run`` steps a single stream, a numpy call on one element costs more
-than the arithmetic it does, so the strategies decide that row in Python
-numbers: the grid policy reads its tables at ``StateGrid.state_index``,
-and the mimicking gate compares Python floats and bools.  The strategies
-pick the path from the width of the batch they are handed, and both paths
-give the same decisions bit for bit, NaN wealth included.
+A step of a wide batch costs a few numpy calls on arrays of a few rows,
+so the strategies keep their per-step work to a handful of calls:
+``GridPolicyStrategy`` reads a decision by two ``take``s from flat tables
+built once, and ``MimickingStrategy`` gates it with two ``where``s.  On a
+batch of one row, as ``run`` steps a single stream, a numpy call on one
+element costs more than the arithmetic it does, so the engine and the
+strategies step that row in Python numbers.  The engine's ``_step_row``
+keeps the proportions as a list of floats and the log wealth as a float;
+it keeps numpy where Python would round differently: the growth is the
+batch's ``einsum`` on the (1, d) row (a Python left-to-right sum differs
+from it on about a third of random rows at three assets or more), and
+``exp`` and ``log`` are numpy's on scalars (``math.exp`` differs from
+``np.exp`` in the last bit on about 5 % of arguments, ``math.log`` from
+``np.log`` on about 0.5 %).  The grid policy reads its tables at
+``StateGrid.state_index``, and the mimicking gate compares Python floats
+and bools.  The batch width picks the path, in the engine as in the
+strategies, and both paths give the same bits, NaN wealth included.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .average import MimickingPolicy
-from .costs import CostSpec, share_cost, solve_e_batch
+from .costs import CostSpec, solve_e_batch
 from .grid import Policy
 from .market import (MarketModel, block_steps, check_integer, check_simplex,
                      ld_tail, sample_factor_paths)
+from .pathcheck import (PATH_TOL, FloorCheckReport, ShareRecord,
+                        to_share_holdings, wealth_floor_check)
 from .rng import make_rng
 
 LOG_CAP = 700.0  # exp cap; beyond this fixed costs are a zero fraction anyway
-PATH_TOL = 1e-9  # relative rounding allowed by the path checks
+
+# np.einsum without its array-function dispatch, as ``dp`` binds it: on a
+# batch of one the dispatch costs a third of the call; same code, same bits
+_einsum = getattr(np.einsum, "__wrapped__", np.einsum)
 
 
 # ----------------------------------------------------------------------
@@ -200,16 +214,17 @@ class Trajectory:
 
 def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
               x0: float, z0: int, T: int, seed: int, streams, record: int = 1):
-    """The one step loop: paths of the given streams of ``seed``, T steps.
+    """The one engine: paths of the given streams of ``seed``, T steps.
 
     Returns the final log wealth per path, the log wealth at step
     T - T // 2, the surviving paths and a ``Trajectory`` for each of the
     first ``record`` streams, which for an annihilated path ends at the row
-    of its trade.  An annihilated path keeps stepping like a live one,
-    masked only from trading, so that no strategy reads a zero wealth; its
-    log wealth is set to -inf when the batch ends.  The market comes from
-    ``_market_steps`` one walk block at a time; the loop, and with it the
-    drawing, stops early once every path has annihilated.
+    of its trade.  An annihilated path's log wealth, at both steps, is -inf.
+    The market comes from ``_market_steps`` one walk block at a time, and
+    the batch width picks the step loop: ``_step_row`` for a batch of one,
+    ``_step_batch`` for any other.  Both record the first ``record`` paths
+    into the same arrays, which this function turns into trajectories, and
+    both give the same bits for a path.
     """
     pi0 = check_simplex(pi0, model.n_assets)
     if not 0 < x0 < math.inf:
@@ -231,8 +246,49 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
     returns = np.ones((r, T + 1, d))
     market = _market_steps(model, z0, T, [make_rng(seed, s) for s in streams],
                            rec_z, rec_xi, returns)
+    # the recording of the first r paths, path-major: row t of a path holds
+    # its state before the decision at t and, where it trades, after it
+    rec_pi_prev, rec_pi = np.empty((r, T + 1, d)), np.empty((r, T + 1, d))
+    rec_lx_prev, rec_lx = np.zeros((r, T + 1)), np.zeros((r, T + 1))
+    rec_e, rec_traded = np.ones((r, T + 1)), np.zeros((r, T + 1), dtype=bool)
+    recs = rec_pi_prev, rec_pi, rec_lx_prev, rec_lx, rec_e, rec_traded
 
     strategy.reset(n)
+    t_half = T - T // 2
+    if n == 1:
+        out = _step_row(market, strategy, spec, pi0, x0, t_half, recs)
+    else:
+        out = _step_batch(market, strategy, spec, pi0, x0, n, t_half, recs)
+    lx, lx_half, alive, pi_prev = out
+    lx[~alive] = lx_half[~alive] = -np.inf
+    rec_pi_prev[:, T] = pi_prev
+    rec_lx_prev[:, T] = lx[:r]
+    rec_pi = np.where(rec_traded[:, :, None], rec_pi, rec_pi_prev)
+    rec_lx[rec_e == 0.0] = -np.inf  # the trade that annihilated leaves x = 0
+
+    x_prev = np.exp(np.minimum(rec_lx_prev, LOG_CAP))
+    x = np.where(rec_traded, np.exp(np.minimum(rec_lx, LOG_CAP)), x_prev)
+    # an annihilated path ends at the row of its trade with e == 0
+    rows = np.where(alive[:r], T + 1, rec_e.argmin(axis=1) + 1)
+    trajs = [Trajectory(
+        t=np.arange(m), z=rec_z[k, :m], xi=rec_xi[k, :m],
+        pi_prev=rec_pi_prev[k, :m], transacted=rec_traded[k, :m],
+        pi=rec_pi[k, :m], e_applied=rec_e[k, :m], x_prev=x_prev[k, :m],
+        x=x[k, :m], returns=returns[k, :m], annihilated=not alive[k],
+        spec=spec) for k, m in enumerate(rows.tolist())]
+    return lx, lx_half, alive, trajs
+
+
+def _step_batch(market, strategy, spec, pi0, x0, n, t_half, recs):
+    """Step n paths vectorized across paths, recording the first
+    ``len(recs[0])`` of them into the record arrays ``recs``.  Returns the
+    final log wealth, the log wealth at ``t_half``, the surviving paths and
+    the final proportions of the recorded paths.  An annihilated path keeps
+    stepping like a live one, masked only from trading, so that no strategy
+    reads a zero wealth; the loop, and with it the drawing, stops early
+    once every path has annihilated."""
+    rec_pi_prev, rec_pi, rec_lx_prev, rec_lx, rec_e, rec_traded = recs
+    r, d = rec_pi.shape[0], len(pi0)
     pi_prev = np.broadcast_to(pi0, (n, d)).copy()
     ones = np.ones(d)  # row sums of the proportions, for the drift check
     lx = np.full(n, math.log(x0))
@@ -241,13 +297,7 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
     # a market step scales every proportion by a positive return, so rows
     # without a negative proportion sum to 1 up to d ulps and cannot drift
     signed = bool((pi0 < 0).any())
-    t_half = T - T // 2
     lx_half = np.empty(n)
-    # the recording of the first r paths, path-major: row t of a path holds
-    # its state before the decision at t and, where it trades, after it
-    rec_pi_prev, rec_pi = np.empty((r, T + 1, d)), np.empty((r, T + 1, d))
-    rec_lx_prev, rec_lx = np.zeros((r, T + 1)), np.zeros((r, T + 1))
-    rec_e, rec_traded = np.ones((r, T + 1)), np.zeros((r, T + 1), dtype=bool)
     for t, (z_t, step) in enumerate(market):
         if t == t_half:
             lx_half[:] = lx
@@ -278,31 +328,69 @@ def _simulate(model: MarketModel, spec: CostSpec, strategy: Strategy, pi0,
                     rec_lx[rec, t] = lx[rec]
         if not all_alive and not np.count_nonzero(alive):
             break
-        growth = np.einsum("nd,nd->n", pi_prev, step)
+        growth = _einsum("nd,nd->n", pi_prev, step)
         pi_next = pi_prev * step / growth[:, None]
         if signed:
-            drift = np.abs(pi_next @ ones - 1.0).max(where=alive, initial=0.0)
-            if drift > 1e-9:
-                raise RuntimeError(f"proportion drift {drift:.3e} exceeds 1e-9")
+            _check_drift(pi_next, ones, alive)
         lx += np.log(growth)
         pi_prev = pi_next
-    lx[~alive] = -np.inf
-    rec_pi_prev[:, T] = pi_prev[:r]
-    rec_lx_prev[:, T] = lx[:r]
-    rec_pi = np.where(rec_traded[:, :, None], rec_pi, rec_pi_prev)
-    rec_lx[rec_e == 0.0] = -np.inf  # the trade that annihilated leaves x = 0
+    return lx, lx_half, alive, pi_prev[:r]
 
-    x_prev = np.exp(np.minimum(rec_lx_prev, LOG_CAP))
-    x = np.where(rec_traded, np.exp(np.minimum(rec_lx, LOG_CAP)), x_prev)
-    # an annihilated path ends at the row of its trade with e == 0
-    rows = np.where(alive[:r], T + 1, rec_e.argmin(axis=1) + 1)
-    trajs = [Trajectory(
-        t=np.arange(m), z=rec_z[k, :m], xi=rec_xi[k, :m],
-        pi_prev=rec_pi_prev[k, :m], transacted=rec_traded[k, :m],
-        pi=rec_pi[k, :m], e_applied=rec_e[k, :m], x_prev=x_prev[k, :m],
-        x=x[k, :m], returns=returns[k, :m], annihilated=not alive[k],
-        spec=spec) for k, m in enumerate(rows.tolist())]
-    return lx, lx_half, alive, trajs
+
+def _step_row(market, strategy, spec, pi0, x0, t_half, recs):
+    """``_step_batch`` for a batch of one path, in Python numbers.
+
+    The proportions are a list of floats and the log wealth a float.  The
+    states before each decision are kept in flat arrays of doubles, 8
+    bytes a number as in ``recs``, and written into ``recs`` once, at the
+    end (as lists of floats they took several times the memory of the
+    record); a trade is written into ``recs`` as it happens.
+
+    Numpy stays wherever Python would round differently, so that the path
+    keeps the bits of its row in a wide batch: growth is the same einsum on
+    the (1, d) row, ``exp`` and ``log`` are numpy's, and the drift check is
+    the batch's.  ``p * s / g`` is IEEE arithmetic in both.  The loop stops
+    at the trade that annihilates the path."""
+    rec_pi_prev, rec_pi, rec_lx_prev, rec_lx, rec_e, rec_traded = recs
+    pi, lx, lx_half, alive = pi0.tolist(), math.log(x0), math.nan, True
+    signed, ones = any(p < 0.0 for p in pi), np.ones(len(pi))
+    pis, lxs = array("d"), array("d")
+    for t, (z_t, step) in enumerate(market):
+        if t == t_half:
+            lx_half = lx
+        row, x = np.array([pi]), np.array([np.exp(min(lx, LOG_CAP))])
+        pis.extend(pi)
+        lxs.append(lx)
+        mask, tgt = strategy.decide_batch(row, x, z_t)
+        if mask[0] and (new := tgt[0].tolist()) != pi:
+            new_row = np.array([new])
+            e = solve_e_batch(spec, row, new_row, x).item()
+            if e > 0.0:
+                lx += float(np.log(e))
+                pi, row = new, new_row
+                signed = signed or any(p < 0.0 for p in new)
+            rec_e[0, t], rec_traded[0, t] = e, True
+            rec_pi[0, t], rec_lx[0, t] = pi, lx
+            if e == 0.0:
+                alive = False
+                break
+        g = _einsum("nd,nd->n", row, step).item()
+        pi_next = [p * s / g for p, s in zip(pi, step[0].tolist())]
+        if signed:
+            _check_drift(np.array([pi_next]), ones, True)
+        lx += float(np.log(g))
+        pi = pi_next
+    m = len(lxs)
+    rec_pi_prev[0, :m] = np.frombuffer(pis).reshape(m, -1)
+    rec_lx_prev[0, :m] = np.frombuffer(lxs)
+    return np.array([lx]), np.array([lx_half]), np.array([alive]), [pi]
+
+
+def _check_drift(pi_next, ones, alive):
+    """Refuse a step whose live rows of proportions no longer sum to 1."""
+    drift = np.abs(pi_next @ ones - 1.0).max(where=alive, initial=0.0)
+    if drift > 1e-9:
+        raise RuntimeError(f"proportion drift {drift:.3e} exceeds 1e-9")
 
 
 def _market_steps(model: MarketModel, z0: int, T: int, rngs, rec_z, rec_xi,
@@ -391,105 +479,3 @@ def average_growth(model: MarketModel, spec: CostSpec, strategy: Strategy,
     return GrowthEstimate(mean=mean, std_error=se, n_paths=n_paths, T=T,
                           annihilated_paths=n_dead, window_mean=window,
                           per_path=per_path, trajectory=traj)
-
-
-# ----------------------------------------------------------------------
-# verification of simulated paths
-# ----------------------------------------------------------------------
-
-@dataclass
-class FloorCheckReport:
-    """Pathwise wealth floor: wealth never falls below the drag-discounted
-    product of worst-asset returns."""
-
-    violations: int
-    min_margin: float       # min over t of ln X_(t) minus the floor
-    rate: float             # drag rate used (eta or eta_m)
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-def wealth_floor_check(traj: Trajectory, constants) -> FloorCheckReport:
-    """Check X_(t) >= X_(0) exp(-rate*t) * prod of worst-asset returns.
-
-    The rate is the proportional drag for zero-fixed-cost runs and the
-    threshold-inflated drag for fixed-cost runs (where the strategy is
-    expected to trade only above the wealth threshold); a log-wealth margin
-    below -PATH_TOL counts as a violation.
-    """
-    rate = constants.eta_m if traj.spec.fixed > 0 else constants.eta
-    floor_lr = np.log(traj.returns.min(axis=1))
-    floor_lr[0] = 0.0
-    lhs = np.log(np.where(traj.x_prev > 0, traj.x_prev, np.nan))
-    bound = math.log(traj.x_prev[0]) - rate * traj.t + np.cumsum(floor_lr)
-    margin = lhs - bound
-    violations = int(np.sum(margin < -PATH_TOL))
-    if traj.annihilated:
-        violations += 1
-    return FloorCheckReport(violations=violations,
-                            min_margin=float(np.nanmin(margin)), rate=rate)
-
-
-@dataclass
-class ShareRecord:
-    """Share-space reconstruction of a proportion-space trajectory."""
-
-    prices: np.ndarray
-    holdings: np.ndarray
-    max_residual: float
-
-
-def to_share_holdings(traj: Trajectory, s0) -> ShareRecord:
-    """Rebuild prices and share counts and verify self-financing.
-
-    Between transactions holdings must stay constant; at a transaction the
-    post-trade portfolio value must equal the pre-trade value minus the
-    share-space transaction charge.  A residual above PATH_TOL times
-    wealth raises, since it indicates an engine inconsistency.  All steps
-    are checked at once; the error names the first failing step, and within
-    a step the wealth reconstruction is checked first.  NaN residuals (from
-    an overflowed price) never raise.  The initial prices must be finite
-    and > 0, one per asset, or no step could be checked.
-    """
-    s0 = np.asarray(s0, dtype=float)
-    # NaN fails both comparisons
-    if (s0.shape != (traj.pi.shape[1],)
-            or not np.all((s0 > 0.0) & (s0 < np.inf))):
-        raise ValueError("initial prices must be a positive vector per asset")
-    prices = s0 * np.cumprod(traj.returns, axis=0)
-    with np.errstate(invalid="ignore"):
-        holdings = traj.pi * traj.x[:, None] / prices
-        holdings[traj.x == 0.0] = 0.0
-        # step t compares row t with row t - 1, at the prices of step t
-        before, after, p = holdings[:-1], holdings[1:], prices[1:]
-        x_prev, traded = traj.x_prev[1:], traj.transacted[1:]
-        prev_value = np.einsum("td,td->t", before, p)
-        scale = np.maximum(x_prev, 1.0)
-        recon = np.abs(prev_value - x_prev) > PATH_TOL * scale
-        trade = traded & (traj.x[1:] > 0.0)
-        resid = np.zeros(x_prev.shape[0])
-        resid[trade] = np.abs(
-            np.einsum("td,td->t", after[trade], p[trade])
-            - (prev_value[trade]
-               - share_cost(traj.spec, before[trade], after[trade], p[trade])))
-        financing = resid > PATH_TOL * scale
-        moved = np.abs(after - before).max(axis=1)
-        held = np.fmax(np.abs(before).max(axis=1), 1.0)
-        drift = ~traded & (moved > PATH_TOL * held)
-    failed = recon | financing | drift
-    if failed.any():
-        i = int(failed.argmax())
-        t = i + 1
-        if recon[i]:
-            raise RuntimeError("pre-transaction wealth reconstruction failed "
-                               f"at step {t}")
-        if financing[i]:
-            raise RuntimeError(f"self-financing violated at step {t}: "
-                               f"residual {resid[i]:.3e}")
-        raise RuntimeError(f"holdings drifted without a transaction "
-                           f"at step {t}")
-    # fmax skips NaN ratios, as the loop's max() did
-    max_resid = float(np.fmax.reduce(resid / scale, initial=0.0))
-    return ShareRecord(prices=prices, holdings=holdings, max_residual=max_resid)

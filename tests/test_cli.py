@@ -680,6 +680,25 @@ class TestLdcheckCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "ld_tail.csv").exists()
 
+    def test_constant_floor_needs_an_explicit_eps(self, tmp_path, capsys):
+        # the worst asset returns 1.04 in every (factor, shock) state, so
+        # the default eps is 0; the message named an eps never passed
+        def constant_floor(doc):
+            doc["returns"] = [[[1.18, 1.04], [1.10, 1.04]],
+                              [[1.04, 1.17], [1.04, 1.05]]]
+        out = tmp_path / "out"
+        args = ["--model", write_model(tmp_path, constant_floor),
+                "--output-dir", str(out), "--n-paths", "100", "ldcheck"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "the worst-asset log return does not vary" in err
+        assert "give --eps" in err and "got 0.0" not in err
+        assert "Traceback" not in err
+        assert not (out / "ldcheck.json").exists()
+        # an explicit eps runs the same model
+        assert main(args + ["--eps", "0.01"]) == 0
+        assert (out / "ldcheck.json").exists()
+
     def test_horizons_stay_within_t_max(self, tmp_path):
         args = base_args(tmp_path)
         assert main(args + ["--n-paths", "100", "ldcheck", "--t-max",

@@ -273,7 +273,7 @@ def oracle_solve_e_batch(spec, pi_prev, pi_new, wealth):
         if target is None:
             target = np.ones(n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            brk = np.where(pi_new > 0.0, pi_prev / pi_new, np.inf)
+            brk = np.where(pi_new != 0.0, pi_prev / pi_new, np.inf)
         cand = np.concatenate(
             [np.zeros((n, 1)), np.clip(brk, 0.0, 1.0), np.ones((n, 1))],
             axis=1)
@@ -315,7 +315,8 @@ def oracle_solve_e_batch(spec, pi_prev, pi_new, wealth):
 def random_rebalances(rng, n, d, kind):
     """``n`` rebalances among ``d`` assets with wealth; ``kind`` mixes in
     rows of one sort: identical, vertex, leveraged targets (a negative
-    proportion), leveraged holdings whose sell charge alone exceeds 1, exact
+    proportion), leveraged holdings whose sell charge alone exceeds 1, rows
+    short in the same asset before and after (a breakpoint past 0), exact
     zero breakpoints (-0.0 holdings) or quarter-lattice proportions."""
     prev, new = rng.dirichlet(np.ones(d), n), rng.dirichlet(np.ones(d), n)
     rows = rng.random(n) < 0.4
@@ -331,6 +332,11 @@ def random_rebalances(rng, n, d, kind):
     elif kind == "leveraged_holdings" and d > 1:
         prev[rows, 0] += 40.0
         prev[rows, 1] -= 40.0
+    elif kind == "short_to_short" and d > 1:
+        prev[rows, 0] += 0.5
+        prev[rows, 1] -= 0.5
+        new[rows, 0] += 0.6
+        new[rows, 1] -= 0.6
     elif kind == "signed_zero":
         prev[rows, 0] = -0.0
     elif kind == "lattice":
@@ -341,7 +347,8 @@ def random_rebalances(rng, n, d, kind):
 
 
 REBALANCE_KINDS = ["plain", "identical", "vertex", "leveraged_target",
-                   "leveraged_holdings", "signed_zero", "lattice"]
+                   "leveraged_holdings", "signed_zero", "lattice",
+                   "short_to_short"]
 
 
 class TestLeanSolver:

@@ -31,6 +31,22 @@ def no_cost(d=2):
     return CostSpec(buy=np.zeros(d), sell=np.zeros(d), fixed=0.0)
 
 
+def three_asset_model():
+    """Two persistent factors, two shocks, three assets."""
+    return MarketModel(transition=[[0.8, 0.2], [0.3, 0.7]],
+                       shock_probs=[0.6, 0.4],
+                       returns=[[[1.09, 1.02, 0.97], [0.96, 1.05, 1.01]],
+                                [[1.03, 0.98, 1.07], [1.01, 1.06, 0.95]]])
+
+
+class FactorTargetStrategy(FixedTargetStrategy):
+    """Rebalance to the target in factor 0 only; hold in the others."""
+
+    def decide_batch(self, pi_prev, x_prev, z):
+        mask, tgt = super().decide_batch(pi_prev, x_prev, z)
+        return mask & (z == 0), tgt
+
+
 class TestRun:
     def test_no_transaction_telescoping(self, single_asset_model):
         spec = CostSpec(buy=[0.01], sell=[0.01], fixed=0.0)
@@ -317,12 +333,20 @@ def engine_cases(two_asset):
         "fixed_target_some_annihilated": (
             model, spec, lambda: FixedTargetStrategy([0.5, 0.5]), [0.5, 0.5],
             1.5, 0, 40, 23),
+        # three assets, short in the third after the first trade: the
+        # proportions drift between trades and the drift check runs
+        "factor_target_short_3": (
+            three_asset_model(),
+            CostSpec(buy=[0.004, 0.006, 0.005], sell=[0.005, 0.004, 0.006],
+                     fixed=0.05),
+            lambda: FactorTargetStrategy([0.7, 0.5, -0.2]), [0.5, 0.3, 0.2],
+            20.0, 1, 300, 89),
     }
 
 
 ENGINE_CASES = ["no_trade", "fixed_target", "fixed_target_annihilated",
                 "fixed_target_annihilated_at_once", "grid_policy_wealth",
-                "mimicking"]
+                "mimicking", "factor_target_short_3"]
 EXACT_FIELDS = ("t", "z", "xi", "transacted", "annihilated")
 FLOAT_FIELDS = ("pi_prev", "pi", "e_applied", "x_prev", "x", "returns")
 
@@ -363,6 +387,11 @@ class TestOneEngine:
                     stream=range(8))
         assert [p.annihilated for p in batch].count(False) == 2
         assert len({p.n_steps for p in batch}) > 2
+        short = traj("factor_target_short_3")
+        assert short.pi_prev.shape[1] == 3 and not short.annihilated
+        assert (short.pi[short.transacted] < 0.0).any()
+        # holds between trades, so the rows of the growth sum vary
+        assert 0 < short.transacted.sum() < short.n_steps
 
     @pytest.mark.parametrize("name", ENGINE_CASES)
     def test_run_is_row_0_of_the_batch(self, engine_cases, name):
@@ -374,13 +403,15 @@ class TestOneEngine:
         batch = run(model, spec, make(), pi0, x0, z0, T, seed,
                     stream=range(5))
         assert_same_trajectory(batch[0], est.trajectory)
-        # every row of a batch is its stream's batch of one, bit for bit
-        lx = simulate._simulate(model, spec, make(), pi0, x0, z0, T, seed,
-                                range(5))[0]
+        # every row of a batch is its stream's batch of one, bit for bit:
+        # the final log wealth and the one at the half horizon
+        wide = simulate._simulate(model, spec, make(), pi0, x0, z0, T, seed,
+                                  range(5))
         for i in range(5):
             alone = simulate._simulate(model, spec, make(), pi0, x0, z0, T,
-                                       seed, [i])[0]
-            assert lx[i].tobytes() == alone[0].tobytes(), i
+                                       seed, [i])
+            for k in (0, 1):
+                assert wide[k][i].tobytes() == alone[k][0].tobytes(), (i, k)
 
     @pytest.mark.parametrize("x0, z0, message", [
         (0.0, 0, "initial wealth must be positive"),
@@ -419,7 +450,7 @@ class TestRunOverManyStreams:
                              ids=["range", "list", "numpy"])
     @pytest.mark.parametrize("name", ["fixed_target_some_annihilated",
                                       "mimicking", "grid_policy_wealth",
-                                      "grid_policy"])
+                                      "grid_policy", "factor_target_short_3"])
     def test_entry_k_is_the_run_of_stream_k(self, engine_cases, name,
                                             streams):
         model, spec, make, pi0, x0, z0, T, seed = engine_cases[name]
@@ -473,6 +504,58 @@ class TestOneRowTrades:
             assert traj.transacted.any()
             assert_same_trajectory(traj, run(model, spec, make(), pi0, x0, z0,
                                              T, seed, stream=k))
+
+
+class TestRowPath:
+    @pytest.mark.parametrize("name, cls", [
+        ("mimicking", MimickingStrategy),
+        ("grid_policy_wealth", GridPolicyStrategy)])
+    def test_a_run_calls_the_names_bound_in_simulate(
+            self, engine_cases, monkeypatch, name, cls):
+        # a profiler that wraps these names in simulate, and the
+        # strategy's decide_batch, sees every trade, step and walk block
+        # of a single path
+        model, spec, make, pi0, x0, z0, T, seed = engine_cases[name]
+        calls = {"solve": 0, "rng": 0, "decide": 0}
+
+        def counting(key, fn):
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+            return counted
+
+        blocks = counted_blocks(monkeypatch)
+        for owner, attr, key in [(simulate, "solve_e_batch", "solve"),
+                                 (simulate, "make_rng", "rng"),
+                                 (cls, "decide_batch", "decide")]:
+            monkeypatch.setattr(owner, attr,
+                                counting(key, getattr(owner, attr)))
+        traj = run(model, spec, make(), pi0, x0, z0, T, seed, stream=2)
+        monkeypatch.undo()
+        assert not traj.annihilated and traj.transacted.any()
+        assert calls == {"solve": np.count_nonzero(traj.transacted),
+                         "rng": 1, "decide": T}
+        assert {m for m, _ in blocks} == {1}
+        assert sum(k for _, k in blocks) == T
+
+    def test_a_single_path_holds_little_beyond_its_record(self, two_asset):
+        # the row step keeps its states before each decision in 8-byte
+        # doubles until it writes them into the record; as Python lists of
+        # floats they took the peak to 6.8 times the record here
+        model, spec = two_asset
+        args = (model, spec.without_fixed(), FixedTargetStrategy([0.5, 0.5]),
+                [0.5, 0.5], 1.0, 0)
+        run(*args, 50, seed=3)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            traj = run(*args, 5000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = sum(v.nbytes for v in vars(traj).values()
+                     if isinstance(v, np.ndarray))
+        assert np.count_nonzero(traj.transacted) > 4000  # a trade a step
+        assert peak <= 3.0 * record, peak / record
 
 
 def oracle_simulate(model, spec, strategy, pi0, x0, z0, T, seed, streams,
@@ -1172,9 +1255,9 @@ class TestShareHoldingsVectorized:
         for stream in (0, 3):
             traj = run(model, spec, make(), pi0, x0, z0, T, seed,
                        stream=stream)
-            rec = to_share_holdings(traj, [12.0, 8.0])
-            prices, holdings, max_resid = oracle_to_share_holdings(
-                traj, [12.0, 8.0])
+            s0 = [12.0, 8.0, 10.0][:traj.pi.shape[1]]
+            rec = to_share_holdings(traj, s0)
+            prices, holdings, max_resid = oracle_to_share_holdings(traj, s0)
             np.testing.assert_array_equal(rec.prices, prices)
             np.testing.assert_array_equal(rec.holdings, holdings)
             assert abs(rec.max_residual - max_resid) <= 1e-15 * max(
