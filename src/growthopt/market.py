@@ -19,7 +19,8 @@ floor of the worst asset, and the conditional expected log return of a fixed
 proportion vector.
 
 Paths are sampled by one walk, ``_walk``, vectorized across paths and fed
-from bounded blocks of uniforms (``block_steps`` steps each); it yields the
+from bounded blocks of raw 64-bit Philox words (``block_steps`` steps
+each), which it compares with exact integer thresholds; it yields the
 states block by block, and a narrow walk composes the factor steps of a
 block by doubling.  ``sample_factor_paths`` stores a walk as (n, T+1)
 arrays.  The simulation engine asks it for one block per call and
@@ -47,7 +48,11 @@ from .rng import make_rng
 
 SIMPLEX_TOL = 1e-9
 MIXING_HORIZON = 64  # longest n searched for a Dobrushin coefficient < 1
-DRAW_BUDGET = 1 << 16  # uniforms held at once by the path sampler (~0.5 MB)
+DRAW_BUDGET = 1 << 16  # words held at once by the path sampler (~0.5 MB)
+# the numpy.random bit generators whose random() is (r >> 11) * 2**-53 of
+# one 64-bit word r; by name, because numpy loads numpy.random when its
+# attribute is first read, which at import took its peak RSS up 5.9 MB
+WORD_GENERATORS = ("Philox", "PCG64", "PCG64DXSM", "SFC64")
 
 
 def check_stochastic_rows(mat, what: str) -> np.ndarray:
@@ -245,7 +250,7 @@ def expected_log_return(model: MarketModel, pi, z: int) -> float:
 
 def block_steps(n: int, T: int) -> int:
     """Steps in one block of a walk of ``n`` paths with ``T`` steps left:
-    as many as ``DRAW_BUDGET`` uniforms hold, at least one and at most T."""
+    as many as ``DRAW_BUDGET`` words hold, at least one and at most T."""
     return max(1, min(T, DRAW_BUDGET // max(1, 2 * n)))
 
 
@@ -253,11 +258,13 @@ def sample_factor_paths(model: MarketModel, z0, T: int, rng):
     """Simulate ``len(z0)`` factor/shock paths of length T, vectorized.
 
     ``rng`` is either one Generator shared by all paths or a sequence of
-    Generators, one per path; ``_walk`` describes the order in which they
-    are drawn, and how a narrow walk reads the factor states of a chunk of
-    steps through composed one-step maps.  The states are those of a
-    step-by-step draw, and path ``i`` of a per-path batch equals a one-path
-    call on ``rng[i]``, draw for draw.
+    Generators, one per path, each on a bit generator of
+    ``WORD_GENERATORS``; ``_walk`` describes the order in which their
+    64-bit words are drawn, how a state is decided on a word, and how a
+    narrow walk reads the factor states of a chunk of steps through
+    composed one-step maps.  The states are those of a step-by-step draw of
+    ``random()`` doubles, and path ``i`` of a per-path batch equals a
+    one-path call on ``rng[i]``, draw for draw.
 
     A walk may be drawn in pieces: a call from the last factor states of
     the one before, on the same generators, continues it draw for draw.
@@ -265,12 +272,24 @@ def sample_factor_paths(model: MarketModel, z0, T: int, rng):
     ``block_steps(n, steps left)``, so it holds O(n * block) states at a
     time rather than O(n * T).
 
-    Returns integer arrays z, xi of shape (n, T+1); column 0 holds the
-    initial factor states and xi[:, 0] = -1 (no shock arrives at time 0).
-    They are views of time-major storage, filled block by block from the
-    walk, so a column ``z[:, t]`` is contiguous.
+    ``z0`` must be a vector of integer factor states and T an integer
+    >= 0; anything else raises a ValueError naming it.  Returns integer
+    arrays z, xi of shape (n, T+1); column 0 holds the initial factor
+    states and xi[:, 0] = -1 (no shock arrives at time 0).  They are views
+    of time-major storage, filled block by block from the walk, so a column
+    ``z[:, t]`` is contiguous.
     """
-    z0 = np.asarray(z0, dtype=np.int64)
+    T = check_integer("T", T)
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
+    z0 = np.asarray(z0)
+    if z0.ndim != 1 or z0.dtype.kind not in "iu":
+        raise ValueError(f"z0 must be a vector of integer factor states, "
+                         f"got {z0.dtype} of shape {z0.shape}")
+    if np.count_nonzero((z0 < 0) | (z0 >= model.n_factors)):
+        raise ValueError(f"z0 holds states outside [0, {model.n_factors}): "
+                         f"{z0.min()}..{z0.max()}")
+    z0 = z0.astype(np.int64, copy=False)
     z = np.empty((T + 1, z0.shape[0]), dtype=np.int64)
     xi = np.empty_like(z)
     z[0] = z0
@@ -279,6 +298,29 @@ def sample_factor_paths(model: MarketModel, z0, T: int, rng):
         z[t0:t0 + len(z_blk)] = z_blk
         xi[t0:t0 + len(xi_blk)] = xi_blk
     return z.T, xi.T
+
+
+def _thresholds(cum):
+    """Word thresholds of the cumulative probabilities ``cum``: a word r
+    shifted right by 11 is at or above K = ceil(min(max(c, 0), 1) * 2**53)
+    exactly when random()'s double of it, (r >> 11) * 2**-53, is at or
+    above c.  The scaling and the ceiling are exact."""
+    return np.ceil(np.clip(cum, 0.0, 1.0) * 2.0**53).astype(np.int64)
+
+
+def _count(w, K, out):
+    """``out`` = the count of the thresholds ``K``, numbers or rows of one
+    per word, at or below the words ``w``; the first is written straight
+    into ``out``, with no fill pass."""
+    if not len(K):
+        out.fill(0)
+        return out
+    if len(K) > 1 and np.may_share_memory(w, out):
+        w = w.copy()
+    np.greater_equal(w, K[0], out=out)
+    for c in K[1:]:
+        np.add(out, w >= c, out=out)
+    return out
 
 
 def _walk(model: MarketModel, z0, T: int, rng):
@@ -294,21 +336,27 @@ def _walk(model: MarketModel, z0, T: int, rng):
     once per walk, so a consumer must be done with a block before it asks
     for the next.
 
-    Every step consumes a factor uniform and then a shock uniform.  A
-    shared Generator draws a block as one (k, 2, n) array (factors of step
-    t for all paths, their shocks, then step t+1); a per-path Generator
-    draws (k, 2) for its own path only.  The block length comes from
-    ``block_steps``, so the draw buffer stays near 0.5 MB for any batch;
-    above half the budget in paths a block is one step.
+    Every step consumes a factor word and then a shock word, raw 64-bit
+    output of a bit generator of ``WORD_GENERATORS``, whose ``random()`` is
+    (r >> 11) * 2**-53 of word r; each word is shifted right by 11 and
+    compared with the thresholds of ``_thresholds``, so every state is the
+    one a draw of doubles gives.  A shared Generator draws a block as one
+    (k, 2, n) array (factors of step t for all paths, their shocks, then
+    step t+1), or, where blocks are one step long, the n factor words, the
+    factor step, then the n shock words; a per-path Generator draws (k, 2)
+    for its own path, into the state buffers that its counts overwrite.
+    The block length comes from ``block_steps``, so the words held stay
+    near 0.5 MB for any batch; above half the budget in paths a block is
+    one step.
 
-    A state is the count of cumulative probabilities, all but the last, at
-    or below its uniform, one comparison per atom: for the shock, for a
-    whole block at once; for the factor, against the row of the previous
-    state.  On the non-decreasing cumulative rows of a model with
-    non-negative probabilities, the last atom could only raise a count
-    from n - 1 to n, so the count is the ``searchsorted(..., side="right")``
-    index of the uniform in the full cumulative row, clamped to n - 1: the
-    draw of one step taken alone.
+    A state is the count of thresholds, all but the last atom's, at or
+    below its word, one comparison per atom: for the shock, for a whole
+    block at once; for the factor, against the row of the previous state.
+    On the non-decreasing thresholds of a model with non-negative
+    probabilities, the last atom could only raise a count from n - 1 to n,
+    so the count is the ``searchsorted(..., side="right")`` index of the
+    double in the full cumulative row, clamped to n - 1: the draw of one
+    step taken alone.
 
     The factor of a block is walked in chunks.  The first step of a chunk
     counts from the previous state.  Each later step is a map of every
@@ -330,29 +378,38 @@ def _walk(model: MarketModel, z0, T: int, rng):
     # 16 maps cost more numpy calls than the steps they replace
     n_maps = DRAW_BUDGET // 32 // (n_z * max(1, n_z - 1) * n) if n else 0
     chunk = min(k_max, n_maps + 1) if n_maps >= 16 else 1
+    shared = isinstance(rng, np.random.Generator)
+    bgs = [rng.bit_generator] if shared else [r.bit_generator for r in rng]
+    if not shared and len(bgs) != n:
+        raise ValueError(f"need one generator per path: {len(bgs)} for {n}")
+    known = tuple(getattr(np.random, name) for name in WORD_GENERATORS)
+    for bg in bgs:
+        if not isinstance(bg, known):
+            raise ValueError(f"{type(bg).__name__} does not make its doubles "
+                             "from the top 53 bits of one 64-bit word")
     # a walk of many paths has one-step blocks: fresh arrays of its width
     # every step made a step's cost hang on whether the allocator kept or
-    # returned their memory, which page faults then paid for
-    u_buf = np.empty((k_max, 2, n))
+    # returned their memory, which page faults then paid for; the words of
+    # a shared generator are the one such array left
     z_buf = np.empty((k_max, n), dtype=np.int64)
     xi_buf = np.empty((k_max, n), dtype=np.int64)
-    if isinstance(rng, np.random.Generator):
-        def draw(k):
-            return rng.random(out=u_buf[:k])
-    else:
-        rngs = list(rng)
-        if len(rngs) != n:
-            raise ValueError(f"need one generator per path: {len(rngs)} for {n}")
+    k_buf = np.empty((n_z - 1, n), dtype=np.int64)
 
-        def draw(k):
-            u = u_buf[:k]
-            for c, r in enumerate(rngs):
-                u[:, :, c] = r.random((k, 2))
-            return u
+    def words(*shape):
+        # shifted words are below 2**53, so they compare as int64 numbers
+        w = bgs[0].random_raw(shape)
+        return np.right_shift(w, 11, out=w).view(np.int64)
     # transposed cumulative rows: a step gathers one column per path and
     # counts down the short factor axis, the same counts as along rows
-    cum_pT = np.cumsum(model.transition, axis=1)[:, :-1].T
-    cum_nu = np.cumsum(model.shock_probs)[:-1]
+    K_pT = _thresholds(np.cumsum(model.transition, axis=1)[:, :-1].T)
+    K_nu = _thresholds(np.cumsum(model.shock_probs)[:-1])
+
+    def step(w_z, prev, out):
+        # the thresholds of each path's row, in range by construction:
+        # mode "clip" writes straight into k_buf, where "raise" copies
+        return _count(w_z, np.take(K_pT, prev, axis=1, out=k_buf,
+                                   mode="clip"), out)
+
     if chunk > 1:
         maps = np.empty((2, chunk - 1, n_z, n), dtype=np.int64)
         # flat start of each step's map
@@ -361,40 +418,49 @@ def _walk(model: MarketModel, z0, T: int, rng):
     prev = z0
     for t0 in range(1, T + 1, k_max):
         k = min(k_max, T + 1 - t0)
-        u = draw(k)
-        # shocks are i.i.d., so a whole block is sampled at once
-        u_xi = u[:, 1]
-        xi = xi_buf[:k]
-        xi.fill(0)
-        for c in cum_nu:
-            np.add(xi, u_xi >= c, out=xi)
-        z = z_buf[:k]
+        z, xi = z_buf[:k], xi_buf[:k]
+        if shared and k_max == 1:
+            # each half's words are dropped before the next half is drawn
+            prev = step(words(n), prev, z[0])
+            _count(words(n), K_nu, xi[0])
+            yield t0, z, xi
+            continue
+        if shared:
+            w_z, w_xi = words(k, 2, n).transpose(1, 0, 2)
+        else:
+            # no draw buffer: the last states are copied out of the way
+            prev = prev.copy()
+            for c, bg in enumerate(bgs):
+                z[:, c], xi[:, c] = bg.random_raw((k, 2)).T.view(np.int64)
+            for w in (z, xi):
+                np.right_shift(w.view(np.uint64), 11, out=w.view(np.uint64))
+            w_z, w_xi = z, xi
+        # shocks are i.i.d., so a whole block is counted at once
+        _count(w_xi, K_nu, xi)
         for j in range(0, k, chunk):
-            hits = u[j, 0] >= cum_pT.take(prev, axis=1)
-            # np.add.reduce with the count's dtype: np.sum(hits, out=...)
-            # costs about 2 us more per step of a one-path walk
-            prev = np.add.reduce(hits, axis=0, dtype=np.int64, out=z[j])
+            prev = step(w_z[j], prev, z[j])
             m = min(chunk, k - j) - 1
             if m:
                 out = z[j + 1:j + 1 + m]
-                _compose(u[j + 1:j + 1 + m, 0], cum_pT, prev,
+                _compose(w_z[j + 1:j + 1 + m], K_pT, prev,
                          maps[:, :m], offs[:m], col, out)
                 prev = out[-1]
+        del w_z, w_xi
         yield t0, z, xi
 
 
-def _compose(u_z, cum_pT, prev, maps, offs, col, out):
-    """``out[i]`` = the factor states after steps 0..i of the factor
-    uniforms ``u_z`` (m, n), from the states ``prev``.
+def _compose(w_z, K_pT, prev, maps, offs, col, out):
+    """``out[i]`` = the factor states after steps 0..i of the shifted
+    factor words ``w_z`` (m, n), from the states ``prev``.
 
     Entry (i, s, c) of a map is ``n * state + c``: the state after step i
     from state s on path c, at its flat position in a step's (n_z, n) map.
     Adding the flat start of step i then addresses step i's map, so one
     gather composes a map with an earlier one.
     """
-    m, n = u_z.shape
+    m, n = w_z.shape
     a, b = maps
-    np.add.reduce(u_z[:, None, None, :] >= cum_pT[:, :, None], axis=1,
+    np.add.reduce(w_z[:, None, None, :] >= K_pT[:, :, None], axis=1,
                   dtype=np.int64, out=a)
     a *= n
     a += col

@@ -44,7 +44,8 @@ def _random_spec(rng, d):
 
 
 def check_e_solver(n_samples: int = 2000, seed: int = 0) -> CheckResult:
-    """Exact solver vs 200-step bisection, plus the root/zero dichotomy."""
+    """Exact solver vs 200-step bisection, plus the root/zero dichotomy, on
+    simplex rows and on rows short in the same asset before and after."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     eq_worst = 0.0
@@ -53,6 +54,14 @@ def check_e_solver(n_samples: int = 2000, seed: int = 0) -> CheckResult:
         spec = _random_spec(rng, d)
         prev = rng.dirichlet(np.ones(d), 200)
         new = rng.dirichlet(np.ones(d), 200)
+        if d > 1:
+            # a quarter of the rows short in asset 1 before and after the
+            # trade, whose breakpoint lies past 0
+            rows = rng.random(200) < 0.25
+            for pi in (prev, new):
+                short = rng.uniform(0.05, 1.0, rows.sum())
+                pi[rows, 0] += pi[rows, 1] + short
+                pi[rows, 1] = -short
         x = rng.uniform(0.05, 50.0, 200)
         exact = co.solve_e_batch(spec, prev, new, x)
         oracle = co.bisect_e(spec, prev, new, x)

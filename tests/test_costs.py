@@ -446,8 +446,9 @@ class TestLeanSolver:
 
 @st.composite
 def mixed_rebalances(draw):
-    """An additive spec and a batch mixing plain, vertex, unmoved, leveraged
-    and lattice rows with wealth from unaffordable to infinite."""
+    """An additive spec and a batch mixing plain, vertex, unmoved, leveraged,
+    lattice and short-to-short rows with wealth from unaffordable to
+    infinite."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(1, 10))
     rate = st.floats(0.0, 0.3)
@@ -459,7 +460,7 @@ def mixed_rebalances(draw):
     for i in range(n):
         kind = draw(st.sampled_from(["plain", "vertex", "unmoved",
                                      "leveraged_holdings", "leveraged_target",
-                                     "lattice"]))
+                                     "lattice", "short_to_short"]))
         if kind == "vertex":
             prev[i] = np.eye(d)[rng.integers(d)]
         elif kind == "unmoved":
@@ -472,6 +473,12 @@ def mixed_rebalances(draw):
             new[i, 1] -= 1.5
         elif kind == "lattice":
             prev[i], new[i] = np.round(prev[i] * 4) / 4, np.round(new[i] * 4) / 4
+        elif kind == "short_to_short" and d > 1:
+            # short in asset 1 before and after: a breakpoint past 0
+            for pi in (prev, new):
+                short = rng.uniform(0.05, 1.0)
+                pi[i, 0] += pi[i, 1] + short
+                pi[i, 1] = -short
     wealth = np.array(draw(st.lists(
         st.sampled_from([0.05, 0.3, 0.75, 1.0, 20.0, 1e4, np.inf])
         | st.floats(1e-3, 1e6), min_size=n, max_size=n)))

@@ -449,16 +449,58 @@ def shock_model(law):
                            returns=rng.uniform(0.85, 1.25, (3, len(law), 2)))
 
 
-class Scripted:
-    """Per-path stand-in for a Generator that hands out given uniforms."""
+class Scripted(np.random.Philox):
+    """Stand-in for a Philox bit generator that hands out given 64-bit
+    words, in order, to the walk's ``random_raw`` calls."""
 
-    def __init__(self, u):
-        self.u, self.pos = u, 0
+    def __init__(self, w):
+        super().__init__(0)
+        self.w, self.pos = np.ravel(w), 0
 
-    def random(self, shape):
-        out = self.u[self.pos:self.pos + shape[0]]
-        self.pos += shape[0]
+    def random_raw(self, size=None, output=True):
+        # a fresh array, as random_raw makes: the walk shifts it in place
+        k = int(np.prod(size))
+        out = self.w[self.pos:self.pos + k].reshape(size).copy()
+        self.pos += k
         return out
+
+
+def scripted(w):
+    """One Generator per path, path ``i`` handing out the words ``w[i]``."""
+    return [np.random.Generator(Scripted(wi)) for wi in w]
+
+
+class Doubles:
+    """Stand-in for a Generator whose ``random(n)`` hands out the doubles
+    that ``random()`` makes of the given words, for the oracles."""
+
+    def __init__(self, w):
+        self.u, self.pos = doubles(np.ravel(w)), 0
+
+    def random(self, n):
+        out = self.u[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+
+def doubles(w):
+    """``random()``'s double of each 64-bit word: (w >> 11) * 2**-53."""
+    return (np.asarray(w, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+
+
+def edge_words(cum):
+    """The words at the edges of the cumulative entries ``cum``: for K =
+    ceil(c * 2**53) of each entry c clipped to [0, 1], K * 2**11, the least
+    word whose double is at or above c, and the word one below it; with
+    the words 0 and 2**64 - 1."""
+    words = {0, 2**64 - 1}
+    for c in np.ravel(cum):
+        k = math.ceil(min(max(float(c), 0.0), 1.0) * 2**53)
+        if k < 2**53:
+            words.add(k << 11)
+        if k:
+            words.add((k << 11) - 1)
+    return np.array(sorted(words), dtype=np.uint64)
 
 
 def block_steps(n):
@@ -506,23 +548,24 @@ class TestSampleFactorPaths:
 
     @pytest.mark.parametrize("n_z", [1, 2, 5])
     def test_factor_draw_matches_path_major_count(self, n_z):
-        # the walk counts u >= cum_pT[:, z] down the factor axis; the
-        # path-major form it replaced gathered cum_p[z] and counted along
-        # rows.  Rows here may end below 1.0, and some uniforms sit exactly
-        # on a cumulative entry or above the last one.
+        # the walk counts words at or above the thresholds of cum_pT[:, z]
+        # down the factor axis; the path-major form it replaced gathered
+        # cum_p[z] and counted doubles along rows.  Rows here may end below
+        # 1.0, and some words sit on the edge of a cumulative entry, or
+        # one below it, or above the last entry.
         rng = np.random.default_rng(30 + n_z)
         trans = rng.dirichlet(np.ones(n_z), size=n_z)
         trans[::2] *= 1.0 - 1e-6
         cum_p = np.cumsum(trans, axis=1)
         n, T = 9, 40
-        u = rng.random((n, T, 2))
-        u[:, ::3, 0] = rng.choice(cum_p.ravel(), size=u[:, ::3, 0].shape)
-        u[:, 1::7, 0] = 1.0 - 1e-7
+        w = rng.bit_generator.random_raw((n, T, 2))
+        w[:, ::3, 0] = rng.choice(edge_words(cum_p), size=w[:, ::3, 0].shape)
+        w[:, 1::7, 0] = 2**64 - 1
+        u = doubles(w)
         model = unchecked_model(transition=trans, shock_probs=[1.0],
                                 returns=np.ones((n_z, 1, 1)))
         z0 = np.arange(n) % n_z
-        z, _ = sample_factor_paths(model, z0, T,
-                                   [Scripted(u[i]) for i in range(n)])
+        z, _ = sample_factor_paths(model, z0, T, scripted(w))
         want = np.empty((n, T + 1), dtype=np.int64)
         want[:, 0] = z0
         for t in range(1, T + 1):
@@ -559,21 +602,24 @@ class TestSampleFactorPaths:
 
     @pytest.mark.parametrize("law", SHOCK_LAWS)
     def test_shock_on_a_cumulative_entry(self, law):
-        # uniforms exactly on each cumulative entry, at 0 and just below 1
+        # words on the edge of each cumulative entry and one below it, the
+        # word 0 and the largest word
         model = shock_model(SHOCK_LAWS[law])
         cum_nu = np.cumsum(model.shock_probs)
         rng = np.random.default_rng(40)
         n, T = 9, 40
-        u = rng.random((n, T, 2))
-        u[:, ::3, 1] = rng.choice(cum_nu, size=u[:, ::3, 1].shape)
-        u[:, 1::7, 1] = 1.0 - 1e-7
-        u[:, 2::11, 1] = 0.0
+        w = rng.bit_generator.random_raw((n, T, 2))
+        edges = edge_words(cum_nu)
+        w[:, ::3, 1] = rng.choice(edges, size=w[:, ::3, 1].shape)
+        w[:, 1::7, 1] = 2**64 - 1
+        w[:, 2::11, 1] = 0
         _, xi = sample_factor_paths(model, np.zeros(n, dtype=np.int64), T,
-                                    [Scripted(u[i]) for i in range(n)])
-        want = np.minimum(np.searchsorted(cum_nu, u[:, :, 1], side="right"),
+                                    scripted(w))
+        want = np.minimum(np.searchsorted(cum_nu, doubles(w[:, :, 1]),
+                                          side="right"),
                           model.n_shocks - 1)
         assert xi[:, 1:].tobytes() == want.tobytes()
-        assert np.isin(cum_nu, u[:, :, 1]).all()
+        assert np.isin(edges, w[:, :, 1]).all()
 
     @pytest.mark.parametrize("rng", [make_rng(1), []],
                              ids=["shared", "per path"])
@@ -586,6 +632,18 @@ class TestSampleFactorPaths:
         with pytest.raises(ValueError):
             sample_factor_paths(two_state(), np.zeros(3, dtype=np.int64), 5,
                                 [make_rng(0, i) for i in range(2)])
+
+    @pytest.mark.parametrize("z0, T, name", [
+        ([-1], 5, "z0"), ([0.5], 5, "z0"), ([5], 5, "z0"), ([True], 5, "z0"),
+        ([0], 2.5, "T"), ([0], -3, "T")],
+        ids=["negative start", "float start", "start past the factors",
+             "bool start", "float horizon", "negative horizon"])
+    def test_refuses_bad_starts_and_horizons(self, z0, T, name):
+        # -1 walked from the last factor's row, 0.5 ran as 0, 5 raised an
+        # IndexError, 2.5 a TypeError and -3 numpy's negative dimensions
+        for rng in (make_rng(0), [make_rng(0, 0)]):
+            with pytest.raises(ValueError, match=rf"^{name} "):
+                sample_factor_paths(two_state(), z0, T, rng)
 
 
 def chunk_sizes(T, n, n_z):
@@ -700,22 +758,23 @@ class TestComposedWalk:
 
     @pytest.mark.parametrize("n_z", [2, 4])
     def test_rows_ending_below_one(self, composed, n_z):
-        # a uniform above the last cumulative entry clamps to the last
-        # state, and one on an entry counts it, in every composed chunk
+        # a word above the last cumulative entry clamps to the last state,
+        # and one on the edge of an entry counts it, one below does not,
+        # in every composed chunk
         rng = np.random.default_rng(50 + n_z)
         trans = rng.dirichlet(np.ones(n_z), size=n_z)
         trans[::2] *= 1.0 - 1e-3
         cum_p = np.cumsum(trans, axis=1)
         n = 2
         T = 3 * self.chunk(n, n_z) + 7
-        u = rng.random((n, T, 2))
-        u[:, ::3, 0] = rng.choice(cum_p.ravel(), size=u[:, ::3, 0].shape)
-        u[:, 1::7, 0] = 1.0 - 1e-7
+        w = rng.bit_generator.random_raw((n, T, 2))
+        w[:, ::3, 0] = rng.choice(edge_words(cum_p), size=w[:, ::3, 0].shape)
+        w[:, 1::7, 0] = 2**64 - 1
+        u = doubles(w)
         model = unchecked_model(transition=trans, shock_probs=[1.0],
                                 returns=np.ones((n_z, 1, 1)))
         z0 = np.arange(n) % n_z
-        z, _ = sample_factor_paths(model, z0, T,
-                                   [Scripted(u[i]) for i in range(n)])
+        z, _ = sample_factor_paths(model, z0, T, scripted(w))
         want = np.empty((n, T + 1), dtype=np.int64)
         want[:, 0] = z0
         for t in range(1, T + 1):
@@ -738,14 +797,15 @@ class TestComposedWalk:
         assert composed == [c - 1 for c in chunk_sizes(T, n, 3) if c > 1]
 
     def test_memory_stays_within_the_buffers(self, two_asset):
-        # the draw buffer and the two state buffers, allocated once per
-        # walk; beyond them the shock count of a block takes a comparison
-        # array and numpy's cast buffer, and the maps of a chunk at most
-        # 64 KB more (scanning a whole block at once would take 1 MB)
+        # the two state buffers, allocated once per walk, which take each
+        # block's words as they are drawn; beyond them the shock count of
+        # a block takes a comparison array and numpy's cast buffer, and
+        # the maps of a chunk at most 64 KB more (scanning a whole block at
+        # once would take 1 MB, and a draw buffer k * 2 * n * 8 bytes)
         model = two_asset[0]
         n, T = 50, 2500
         k = block_steps(n)
-        buffers = k * 2 * n * 8 + 2 * k * n * 8
+        buffers = 2 * k * n * 8
         xi, u = np.zeros((k, n), dtype=np.int64), np.random.random((k, 2, n))
         tracemalloc.start()
         try:
@@ -764,6 +824,106 @@ class TestComposedWalk:
             tracemalloc.stop()
         assert peak <= buffers + shock_count + 64 * 1024, (
             peak - buffers - shock_count)
+
+    def test_memory_of_a_wide_shared_walk(self, two_asset):
+        # one-step blocks: the two state buffers, one half-step of words
+        # and the factor step's gathered thresholds and count; a step's
+        # words drawn at once would take n * 8 bytes more
+        model = two_asset[0]
+        n, T = 40_000, 3
+        K = market._thresholds(np.cumsum(model.transition, axis=1)[:, :-1].T)
+        w, z = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            market._count(w, K.take(z, axis=1), z)
+            compare = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            for _ in market._walk(model, z, T, make_rng(5)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2 * n * 8 + n * 8 + compare
+        assert peak <= bound + 64 * 1024, peak - bound
+
+
+class TestWords:
+    """The walk decides each state on a raw 64-bit word against an integer
+    threshold; it must decide as the double ``random()`` makes of the same
+    word does, at both edges of every threshold, on atoms of zero
+    probability and on every bit generator it takes."""
+
+    # a cumulative entry of 0.0, and entries of 1.0 before the last atom:
+    # a threshold ceil(c * 2**53) << 11 would wrap those to 0
+    model = MarketModel(transition=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                    [0.0, 0.5, 0.5]],
+                        shock_probs=[0.0, 0.5, 0.5, 0.0],
+                        returns=np.ones((3, 4, 1)))
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, 5e-324, 2.0**-53, 0.3, 0.5,
+                                   1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52])
+    def test_threshold_is_exact_at_its_edges(self, c):
+        K = int(market._thresholds(np.array([c]))[0])
+        for w in edge_words([c]):
+            assert (doubles(w) >= c) == (int(w) >> 11 >= K), int(w)
+
+    @pytest.mark.parametrize("how", ["per path", "shared",
+                                     "shared, one-step blocks"])
+    def test_zero_probability_atoms(self, how):
+        m = self.model
+        edges = edge_words(np.concatenate([
+            np.cumsum(m.transition, axis=1)[:, :-1].ravel(),
+            np.cumsum(m.shock_probs)[:-1]]))
+        n, T = (DRAW_BUDGET // 2 + 1, 2) if "one-step" in how else (6, 30)
+        z0 = np.arange(n) % m.n_factors
+        rng = np.random.default_rng(60)
+        if how == "per path":
+            w = rng.choice(edges, size=(n, T, 2))
+            got = sample_factor_paths(m, z0, T, scripted(w))
+            want = [np.concatenate(x) for x in zip(*(
+                oracle_paths(m, z0[i:i + 1], T, Doubles(w[i]))
+                for i in range(n)))]
+        else:
+            # the stream of a shared generator: per step, the factor words
+            # of all paths, then their shock words
+            w = rng.choice(edges, size=(T, 2, n))
+            got = sample_factor_paths(m, z0, T,
+                                      np.random.Generator(Scripted(w)))
+            want = oracle_paths(m, z0, T, Doubles(w))
+        assert_same_states(got, want)
+        assert np.isin(edges, w).all() and len(np.unique(want[1][:, 1:])) == 2
+
+    @pytest.mark.parametrize("name", market.WORD_GENERATORS)
+    def test_random_is_the_word_formula(self, name):
+        bitgen = getattr(np.random, name)
+        a = np.random.Generator(bitgen(5)).random(1000)
+        assert a.tobytes() == doubles(bitgen(5).random_raw(1000)).tobytes()
+        m, n, T = two_state(), 5, 60
+        z0 = np.arange(n) % m.n_factors
+        got = sample_factor_paths(m, z0, T, np.random.Generator(bitgen(5)))
+        assert_same_states(got, oracle_paths(m, z0, T,
+                                             np.random.Generator(bitgen(5))))
+        got = sample_factor_paths(m, z0, T, [np.random.Generator(bitgen(i))
+                                             for i in range(n)])
+        for i in range(n):
+            want = oracle_paths(m, z0[i:i + 1], T,
+                                np.random.Generator(bitgen(i)))
+            assert_same_states((got[0][i:i + 1], got[1][i:i + 1]), want)
+
+    @pytest.mark.parametrize("per_path", [False, True],
+                             ids=["shared", "per path"])
+    def test_refuses_a_generator_of_other_doubles(self, per_path):
+        # MT19937 makes a double of two 32-bit words
+        a = np.random.Generator(np.random.MT19937(5)).random(10)
+        assert a.tobytes() != doubles(
+            np.random.MT19937(5).random_raw(10)).tobytes()
+        rng = np.random.Generator(np.random.MT19937(5))
+        with pytest.raises(ValueError, match="MT19937"):
+            sample_factor_paths(two_state(), np.zeros(2, dtype=np.int64), 5,
+                                [make_rng(1), rng] if per_path else rng)
 
 
 def stream_digests(n, T, rng):
