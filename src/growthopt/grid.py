@@ -227,21 +227,12 @@ class StateGrid:
                 ~np.isfinite(y).all(axis=1)][0]
             raise ValueError(f"need a row of {d} finite proportions, got "
                              f"{bad.tolist()!r}")
-        k = np.rint(y).astype(np.int64)
-        key_sum = k @ self._key_sum
-        overshoot = key_sum[:, 1] - self.mesh_order
-        if np.count_nonzero(overshoot):
-            resid = k - y
-            for row in np.nonzero(overshoot)[0]:
-                d = int(overshoot[row])
-                if d > 0:
-                    order = np.argsort(-resid[row], kind="stable")
-                    k[row, order[:d]] -= 1
-                else:
-                    order = np.argsort(resid[row], kind="stable")
-                    k[row, order[:-d]] += 1
-            key_sum = k @ self._key_sum
-        return self._keys.searchsorted(key_sum[:, 0])
+        key_sum = np.rint(y).astype(np.int64) @ self._key_sum
+        idx = self._keys.searchsorted(key_sum[:, 0])
+        # a row whose rounding overshoots takes the one-row rule's node
+        for row in np.nonzero(key_sum[:, 1] != self.mesh_order)[0]:
+            idx[row] = self.node_index(pi[row])
+        return idx
 
     def node_index(self, pi) -> int:
         """Index of the mesh node nearest to one proportion row ``pi``,

@@ -21,8 +21,8 @@ proportion vector.
 Paths are sampled by one walk, ``_walk``, vectorized across paths and fed
 from bounded blocks of raw 64-bit Philox words (``block_steps`` steps
 each), which it compares with exact integer thresholds; it yields the
-states block by block, and a narrow walk composes the factor steps of a
-block by doubling.  ``sample_factor_paths`` stores a walk as (n, T+1)
+states block by block, and the factor states of a walk of one path are
+stepped in Python ints.  ``sample_factor_paths`` stores a walk as (n, T+1)
 arrays.  The simulation engine asks it for one block per call and
 continues from the block's last factor state on the same generators, so
 its memory is O(n * block) rather than O(n * T), while ``ld_tail`` and
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,10 +262,9 @@ def sample_factor_paths(model: MarketModel, z0, T: int, rng):
     Generators, one per path, each on a bit generator of
     ``WORD_GENERATORS``; ``_walk`` describes the order in which their
     64-bit words are drawn, how a state is decided on a word, and how a
-    narrow walk reads the factor states of a chunk of steps through
-    composed one-step maps.  The states are those of a step-by-step draw of
-    ``random()`` doubles, and path ``i`` of a per-path batch equals a
-    one-path call on ``rng[i]``, draw for draw.
+    walk of one path steps its factor in Python ints.  The states are those
+    of a step-by-step draw of ``random()`` doubles, and path ``i`` of a
+    per-path batch equals a one-path call on ``rng[i]``, draw for draw.
 
     A walk may be drawn in pieces: a call from the last factor states of
     the one before, on the same generators, continues it draw for draw.
@@ -346,38 +346,25 @@ def _walk(model: MarketModel, z0, T: int, rng):
     factor step, then the n shock words; a per-path Generator draws (k, 2)
     for its own path, into the state buffers that its counts overwrite.
     The block length comes from ``block_steps``, so the words held stay
-    near 0.5 MB for any batch; above half the budget in paths a block is
-    one step.
+    near 0.5 MB for any batch, and a walk of one path holds its block's
+    factor words once more as Python ints, about 1.3 MB; above half the
+    budget in paths a block is one step.
 
     A state is the count of thresholds, all but the last atom's, at or
     below its word, one comparison per atom: for the shock, for a whole
-    block at once; for the factor, against the row of the previous state.
-    On the non-decreasing thresholds of a model with non-negative
-    probabilities, the last atom could only raise a count from n - 1 to n,
-    so the count is the ``searchsorted(..., side="right")`` index of the
-    double in the full cumulative row, clamped to n - 1: the draw of one
-    step taken alone.
-
-    The factor of a block is walked in chunks.  The first step of a chunk
-    counts from the previous state.  Each later step is a map of every
-    state to its count, and doubling composes the maps into prefix maps
-    (step j after step j - 1, then j - 2, j - 4, ...), so that one gather
-    of the chunk's first state reads every later state of the chunk.  The
-    counts are those of the step-by-step walk, so the states are too.  A
-    map of n paths has n_factors * n entries and takes n_factors - 1
-    comparisons per entry; the comparisons of a chunk, and each of the two
-    buffers its maps fill, hold at most ``DRAW_BUDGET // 32`` entries.  A
-    walk too wide for 16 maps per chunk (n_factors * (n_factors - 1) * n
-    above 128), and so any walk of one-step blocks, counts every step from
-    the previous state.
+    block at once; for the factor, against the row of the previous state,
+    step by step.  On the non-decreasing thresholds of a model with
+    non-negative probabilities, the last atom could only raise a count
+    from n - 1 to n, so the count is the ``searchsorted(..., side="right")``
+    index of the double in the full cumulative row, clamped to n - 1: the
+    draw of one step taken alone.  A walk of one path, where a numpy call
+    costs more than the step it makes, reads a block's factor words as
+    Python ints and takes each count by ``bisect_right`` in the previous
+    state's thresholds; a wider walk counts a step of all its paths at
+    once.
     """
     n = z0.shape[0]
-    n_z = model.n_factors
     k_max = block_steps(n, T)
-    # steps per chunk: the first and the ones its maps hold; fewer than
-    # 16 maps cost more numpy calls than the steps they replace
-    n_maps = DRAW_BUDGET // 32 // (n_z * max(1, n_z - 1) * n) if n else 0
-    chunk = min(k_max, n_maps + 1) if n_maps >= 16 else 1
     shared = isinstance(rng, np.random.Generator)
     bgs = [rng.bit_generator] if shared else [r.bit_generator for r in rng]
     if not shared and len(bgs) != n:
@@ -393,7 +380,7 @@ def _walk(model: MarketModel, z0, T: int, rng):
     # a shared generator are the one such array left
     z_buf = np.empty((k_max, n), dtype=np.int64)
     xi_buf = np.empty((k_max, n), dtype=np.int64)
-    k_buf = np.empty((n_z - 1, n), dtype=np.int64)
+    k_buf = np.empty((model.n_factors - 1, n), dtype=np.int64)
 
     def words(*shape):
         # shifted words are below 2**53, so they compare as int64 numbers
@@ -403,6 +390,8 @@ def _walk(model: MarketModel, z0, T: int, rng):
     # counts down the short factor axis, the same counts as along rows
     K_pT = _thresholds(np.cumsum(model.transition, axis=1)[:, :-1].T)
     K_nu = _thresholds(np.cumsum(model.shock_probs)[:-1])
+    # each state's thresholds, for the steps of one path
+    rows = K_pT.T.tolist()
 
     def step(w_z, prev, out):
         # the thresholds of each path's row, in range by construction:
@@ -410,11 +399,6 @@ def _walk(model: MarketModel, z0, T: int, rng):
         return _count(w_z, np.take(K_pT, prev, axis=1, out=k_buf,
                                    mode="clip"), out)
 
-    if chunk > 1:
-        maps = np.empty((2, chunk - 1, n_z, n), dtype=np.int64)
-        # flat start of each step's map
-        offs = np.arange(0, (chunk - 1) * n_z * n, n_z * n).reshape(-1, 1, 1)
-        col = np.arange(n)
     prev = z0
     for t0 in range(1, T + 1, k_max):
         k = min(k_max, T + 1 - t0)
@@ -437,48 +421,20 @@ def _walk(model: MarketModel, z0, T: int, rng):
             w_z, w_xi = z, xi
         # shocks are i.i.d., so a whole block is counted at once
         _count(w_xi, K_nu, xi)
-        for j in range(0, k, chunk):
-            prev = step(w_z[j], prev, z[j])
-            m = min(chunk, k - j) - 1
-            if m:
-                out = z[j + 1:j + 1 + m]
-                _compose(w_z[j + 1:j + 1 + m], K_pT, prev,
-                         maps[:, :m], offs[:m], col, out)
-                prev = out[-1]
+        if n == 1:
+            # a numpy call costs more than a step of one path: its words
+            # become Python ints, each overwritten by the state it decides
+            w_z = w_z[:, 0].tolist()
+            s = int(prev[0])
+            for j, w in enumerate(w_z):
+                s = w_z[j] = bisect_right(rows[s], w)
+            z[:, 0] = w_z
+            prev = z[-1]
+        else:
+            for j in range(k):
+                prev = step(w_z[j], prev, z[j])
         del w_z, w_xi
         yield t0, z, xi
-
-
-def _compose(w_z, K_pT, prev, maps, offs, col, out):
-    """``out[i]`` = the factor states after steps 0..i of the shifted
-    factor words ``w_z`` (m, n), from the states ``prev``.
-
-    Entry (i, s, c) of a map is ``n * state + c``: the state after step i
-    from state s on path c, at its flat position in a step's (n_z, n) map.
-    Adding the flat start of step i then addresses step i's map, so one
-    gather composes a map with an earlier one.
-    """
-    m, n = w_z.shape
-    a, b = maps
-    np.add.reduce(w_z[:, None, None, :] >= K_pT[:, :, None], axis=1,
-                  dtype=np.int64, out=a)
-    a *= n
-    a += col
-    shift = 1
-    while shift < m:
-        # b[i] = a[i] after a[i - shift], gathered in place of its indices:
-        # each is read before its slot is written, and mode "raise" would
-        # copy the output
-        idx = b[shift:]
-        np.add(a[:-shift], offs[shift:], out=idx)
-        np.take(a.reshape(-1), idx, out=idx, mode="clip")
-        b[:shift] = a[:shift]
-        a, b = b, a
-        shift *= 2
-    idx = offs[:, 0] + (prev * n + col)
-    np.take(a.reshape(-1), idx, out=idx, mode="clip")
-    idx -= col
-    np.floor_divide(idx, n, out=out)
 
 
 @dataclass

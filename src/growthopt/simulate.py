@@ -19,9 +19,9 @@ across paths over the per-path Philox streams, one block per
 ``market.sample_factor_paths`` call, each call continuing from the last
 factor states of the block before; the loop steps through a block before
 it draws the next, so it holds O(n * block) market states rather than
-O(n * T), and stops drawing when it stops early.  A narrow batch, a single
-path above all, reads the factor states of a block through one-step maps
-composed by doubling rather than one step at a time.  The
+O(n * T), and stops drawing when it stops early.  The walk of a batch of
+one path steps its factor states in Python ints, as ``_step_row`` steps
+that path's portfolio in Python numbers.  The
 large-deviations check ``ld_tail`` reads the market walk alone, with no
 strategy and no costs, so it lives in ``market``; it is bound here under
 the name ``simulate.ld_tail`` that the CLI calls, as are the path checks

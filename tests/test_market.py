@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -646,33 +647,19 @@ class TestSampleFactorPaths:
                 sample_factor_paths(two_state(), z0, T, rng)
 
 
-def chunk_sizes(T, n, n_z):
-    """Steps of every chunk of a walk of n paths over T steps, block by
-    block: a chunk is the first step and as many maps as have their
-    comparisons, n_z * (n_z - 1) * n each, within DRAW_BUDGET // 32, or
-    one step where fewer than 16 maps fit."""
-    k_max = min(T, block_steps(n))
-    n_maps = DRAW_BUDGET // 32 // (n_z * max(1, n_z - 1) * n)
-    chunk = min(k_max, n_maps + 1) if n_maps >= 16 else 1
-    sizes = []
-    for t0 in range(0, T, k_max):
-        k = min(k_max, T - t0)
-        sizes += [min(chunk, k - j) for j in range(0, k, chunk)]
-    return sizes
-
-
 @pytest.fixture()
-def composed(monkeypatch):
-    """The map count of every composition the walk runs, in order."""
-    lengths = []
-    compose = market._compose
+def bisected(monkeypatch):
+    """The number of ``bisect_right`` calls the walk makes: one per factor
+    step of a walk of one path, none for a wider walk."""
+    calls = []
+    bisect_right = market.bisect_right
 
-    def counted(u_z, *args):
-        lengths.append(len(u_z))
-        return compose(u_z, *args)
+    def counted(*args):
+        calls.append(1)
+        return bisect_right(*args)
 
-    monkeypatch.setattr(market, "_compose", counted)
-    return lengths
+    monkeypatch.setattr(market, "bisect_right", counted)
+    return calls
 
 
 def assert_same_states(got, want):
@@ -681,15 +668,15 @@ def assert_same_states(got, want):
 
 
 class TestComposedWalk:
-    """The factor walk through one-step maps composed by doubling, against
-    the step-by-step oracle at and around chunk boundaries.  Each test also
-    checks which chunks were composed, so that a walk that fell back to
-    single steps could not pass it.
+    """The factor walk, stepped in Python ints for one path and by numpy
+    counts for wider walks, against the step-by-step oracle at horizons
+    around the chunk lengths of the doubling composition that the walk
+    once read its factor states through, and across blocks.  Each test also
+    counts the ``bisect_right`` calls, so that a walk that took the other
+    loop could not pass it.
 
-    The chain mostly steps s -> s + 1 mod 3, so that most one-step maps
-    are permutations: the maps of a mixing chain soon send every state to
-    one, and a composition that dropped an early map would still read the
-    right states.
+    The chain mostly steps s -> s + 1 mod 3, so that a step that read the
+    wrong row or the wrong word would soon show in the states.
     """
 
     model = MarketModel(transition=np.roll(np.eye(3), 1, axis=1) * 0.9
@@ -699,28 +686,27 @@ class TestComposedWalk:
 
     @staticmethod
     def chunk(n, n_z=3):
+        # the steps of a chunk of the composition for n paths
         return DRAW_BUDGET // 32 // (n_z * max(1, n_z - 1) * n) + 1
 
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("where", ["chunk - 1", "chunk", "chunk + 1",
                                        "several chunks"])
-    def test_stream_list_at_chunk_boundaries(self, composed, n, where):
+    def test_stream_list_at_chunk_boundaries(self, bisected, n, where):
         size = self.chunk(n)
         T = {"chunk - 1": size - 1, "chunk": size, "chunk + 1": size + 1,
              "several chunks": 3 * size + 5}[where]
         z0 = np.arange(n) % self.model.n_factors
         got = sample_factor_paths(self.model, z0, T,
                                   [make_rng(4, i) for i in range(n)])
+        assert len(bisected) == (T if n == 1 else 0)
         for i in range(n):
             want = oracle_paths(self.model, z0[i:i + 1], T, make_rng(4, i))
             assert_same_states((got[0][i:i + 1], got[1][i:i + 1]), want)
-        sizes = chunk_sizes(T, n, 3)
-        assert composed == [c - 1 for c in sizes if c > 1]
-        assert max(sizes) == min(T, size)
 
     @pytest.mark.parametrize("where", ["chunk - 1", "chunk", "chunk + 1",
                                        "several chunks", "several blocks"])
-    def test_shared_generator_at_chunk_boundaries(self, composed, where):
+    def test_shared_generator_at_chunk_boundaries(self, bisected, where):
         n = 7
         size = self.chunk(n)
         T = {"chunk - 1": size - 1, "chunk": size, "chunk + 1": size + 1,
@@ -729,79 +715,85 @@ class TestComposedWalk:
         z0 = np.random.default_rng(n).integers(self.model.n_factors, size=n)
         got = sample_factor_paths(self.model, z0, T, make_rng(6))
         assert_same_states(got, oracle_paths(self.model, z0, T, make_rng(6)))
-        assert composed == [c - 1 for c in chunk_sizes(T, n, 3) if c > 1]
+        assert not bisected
 
-    def test_every_map_count_up_to_70(self, composed):
-        # a one-path walk of T <= 70 steps is one chunk of T - 1 maps, so
-        # these cover every count of doubling passes up to 7, and the
-        # counts just past each power of two
+    def test_every_map_count_up_to_70(self, bisected):
+        # one path at every horizon up to 70, each one block: every step
+        # of a block from the first to the seventieth, and the horizons the
+        # composition once read through every count of doubling passes
         for T in range(1, 71):
             z0 = np.array([T % self.model.n_factors])
             got = sample_factor_paths(self.model, z0, T, [make_rng(8, T)])
             assert_same_states(got, oracle_paths(self.model, z0, T,
                                                  make_rng(8, T)))
-        assert composed == list(range(1, 70))
+        assert len(bisected) == sum(range(1, 71))
 
-    def test_one_factor_model(self, composed):
-        # cum_pT is empty: every map sends the one state to itself
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_shared_generator_across_blocks(self, bisected, n):
+        # the Python loop steps one path on a shared generator too, and
+        # carries its state from block to block
+        T = 2 * block_steps(n) + 3
+        z0 = np.arange(n) % self.model.n_factors
+        got = sample_factor_paths(self.model, z0, T, make_rng(14))
+        assert_same_states(got, oracle_paths(self.model, z0, T, make_rng(14)))
+        assert len(bisected) == (T if n == 1 else 0)
+
+    def test_one_factor_model(self, bisected):
+        # the one state has no thresholds: every step stays in it
         model = MarketModel(transition=[[1.0]], shock_probs=[0.2, 0.5, 0.3],
                             returns=[[[1.1], [0.9], [1.0]]])
-        n = 3
-        T = 3 * self.chunk(n, 1) + 2
-        got = sample_factor_paths(model, np.zeros(n, dtype=np.int64), T,
-                                  [make_rng(9, i) for i in range(n)])
-        for i in range(n):
-            want = oracle_paths(model, np.zeros(1, dtype=np.int64), T,
-                                make_rng(9, i))
-            assert_same_states((got[0][i:i + 1], got[1][i:i + 1]), want)
-        assert not got[0].any() and len(composed) >= 3
+        for n in (3, 1):
+            T = 3 * self.chunk(n, 1) + 2
+            got = sample_factor_paths(model, np.zeros(n, dtype=np.int64), T,
+                                      [make_rng(9, i) for i in range(n)])
+            for i in range(n):
+                want = oracle_paths(model, np.zeros(1, dtype=np.int64), T,
+                                    make_rng(9, i))
+                assert_same_states((got[0][i:i + 1], got[1][i:i + 1]), want)
+            assert not got[0].any()
+        # only the walk of one path, the last, bisects
+        assert len(bisected) == T
 
     @pytest.mark.parametrize("n_z", [2, 4])
-    def test_rows_ending_below_one(self, composed, n_z):
+    def test_rows_ending_below_one(self, bisected, n_z):
         # a word above the last cumulative entry clamps to the last state,
         # and one on the edge of an entry counts it, one below does not,
-        # in every composed chunk
+        # for two paths and for one, per path and on a shared generator
         rng = np.random.default_rng(50 + n_z)
         trans = rng.dirichlet(np.ones(n_z), size=n_z)
         trans[::2] *= 1.0 - 1e-3
         cum_p = np.cumsum(trans, axis=1)
-        n = 2
-        T = 3 * self.chunk(n, n_z) + 7
-        w = rng.bit_generator.random_raw((n, T, 2))
-        w[:, ::3, 0] = rng.choice(edge_words(cum_p), size=w[:, ::3, 0].shape)
-        w[:, 1::7, 0] = 2**64 - 1
-        u = doubles(w)
         model = unchecked_model(transition=trans, shock_probs=[1.0],
                                 returns=np.ones((n_z, 1, 1)))
-        z0 = np.arange(n) % n_z
-        z, _ = sample_factor_paths(model, z0, T, scripted(w))
-        want = np.empty((n, T + 1), dtype=np.int64)
-        want[:, 0] = z0
-        for t in range(1, T + 1):
-            idx = (u[:, t - 1, 0][:, None]
-                   >= cum_p[want[:, t - 1]]).sum(axis=1)
-            want[:, t] = np.minimum(idx, n_z - 1)
-        assert z.tobytes() == want.tobytes()
-        assert (want == n_z - 1).any() and len(composed) >= 3
-
-    # 3 factors: 21 paths hold 16 maps per chunk, 22 paths 15, and half the
-    # draw budget in paths makes one-step blocks
-    @pytest.mark.parametrize("n, composes", [(21, True), (22, False),
-                                             (DRAW_BUDGET // 2 + 1, False)])
-    def test_width_limits_of_the_composition(self, composed, n, composes):
-        T = 3 * min(self.chunk(n), block_steps(n)) + 5
-        z0 = np.arange(n) % self.model.n_factors
-        got = sample_factor_paths(self.model, z0, T, make_rng(12))
-        assert_same_states(got, oracle_paths(self.model, z0, T, make_rng(12)))
-        assert bool(composed) == composes
-        assert composed == [c - 1 for c in chunk_sizes(T, n, 3) if c > 1]
+        steps = 0
+        for n, shared in ((2, False), (1, False), (1, True)):
+            T = 3 * self.chunk(n, n_z) + 7
+            w = rng.bit_generator.random_raw((n, T, 2))
+            w[:, ::3, 0] = rng.choice(edge_words(cum_p),
+                                      size=w[:, ::3, 0].shape)
+            w[:, 1::7, 0] = 2**64 - 1
+            u = doubles(w)
+            z0 = np.arange(n) % n_z
+            rngs = (np.random.Generator(Scripted(w[0])) if shared
+                    else scripted(w))
+            z, _ = sample_factor_paths(model, z0, T, rngs)
+            want = np.empty((n, T + 1), dtype=np.int64)
+            want[:, 0] = z0
+            for t in range(1, T + 1):
+                idx = (u[:, t - 1, 0][:, None]
+                       >= cum_p[want[:, t - 1]]).sum(axis=1)
+                want[:, t] = np.minimum(idx, n_z - 1)
+            assert z.tobytes() == want.tobytes()
+            assert (want == n_z - 1).any()
+            steps += T if n == 1 else 0
+        assert len(bisected) == steps
 
     def test_memory_stays_within_the_buffers(self, two_asset):
         # the two state buffers, allocated once per walk, which take each
         # block's words as they are drawn; beyond them the shock count of
-        # a block takes a comparison array and numpy's cast buffer, and
-        # the maps of a chunk at most 64 KB more (scanning a whole block at
-        # once would take 1 MB, and a draw buffer k * 2 * n * 8 bytes)
+        # a block takes a comparison array and numpy's cast buffer, and the
+        # factor steps at most 64 KB more (scanning a whole block at once
+        # would take 1 MB, and a draw buffer k * 2 * n * 8 bytes)
         model = two_asset[0]
         n, T = 50, 2500
         k = block_steps(n)
@@ -824,6 +816,39 @@ class TestComposedWalk:
             tracemalloc.stop()
         assert peak <= buffers + shock_count + 64 * 1024, (
             peak - buffers - shock_count)
+
+    @pytest.mark.parametrize("per_path", [True, False],
+                             ids=["per path", "shared"])
+    def test_memory_of_a_long_single_path(self, two_asset, per_path):
+        # the stored (T+1) arrays, the walk's two state buffers, one
+        # block's factor words as Python ints, which the states overwrite,
+        # and the block's shock count; a shared generator's block of words
+        # takes 2 * k * 8 bytes more.  A list of the block's shock words or
+        # states as well would take at least k * 8 bytes over the bound.
+        model = two_asset[0]
+        T = 100_000
+        k = block_steps(1)
+        stored, buffers = 2 * (T + 1) * 8, 2 * k * 8
+        words = k * (sys.getsizeof(2**52) + 8)
+        if not per_path:
+            words += 2 * k * 8
+        K_nu = market._thresholds(np.cumsum(model.shock_probs)[:-1])
+        xi = np.zeros((k, 1), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            market._count(xi, K_nu, xi)
+            shock_count = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rng = [make_rng(5, 0)] if per_path else make_rng(5)
+        tracemalloc.start()
+        try:
+            sample_factor_paths(model, np.zeros(1, dtype=np.int64), T, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = stored + buffers + words + shock_count
+        assert peak <= bound + 64 * 1024, peak - bound
 
     def test_memory_of_a_wide_shared_walk(self, two_asset):
         # one-step blocks: the two state buffers, one half-step of words
@@ -871,16 +896,21 @@ class TestWords:
             assert (doubles(w) >= c) == (int(w) >> 11 >= K), int(w)
 
     @pytest.mark.parametrize("how", ["per path", "shared",
-                                     "shared, one-step blocks"])
+                                     "shared, one-step blocks", "one path",
+                                     "shared, one path"])
     def test_zero_probability_atoms(self, how):
+        # a walk of one path steps its factor in Python ints; it starts in
+        # state 2, since state 0 is absorbing
         m = self.model
         edges = edge_words(np.concatenate([
             np.cumsum(m.transition, axis=1)[:, :-1].ravel(),
             np.cumsum(m.shock_probs)[:-1]]))
-        n, T = (DRAW_BUDGET // 2 + 1, 2) if "one-step" in how else (6, 30)
-        z0 = np.arange(n) % m.n_factors
+        n, T = {"shared, one-step blocks": (DRAW_BUDGET // 2 + 1, 2),
+                "one path": (1, 60), "shared, one path": (1, 60)}.get(
+                    how, (6, 30))
+        z0 = np.arange(n) % m.n_factors if n > 1 else np.array([2])
         rng = np.random.default_rng(60)
-        if how == "per path":
+        if how in ("per path", "one path"):
             w = rng.choice(edges, size=(n, T, 2))
             got = sample_factor_paths(m, z0, T, scripted(w))
             want = [np.concatenate(x) for x in zip(*(

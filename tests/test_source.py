@@ -39,14 +39,27 @@ def test_module_stays_below_the_parser_token_step(path):
     assert n < TOKEN_STEP, f"{path.name} has {n} parser tokens"
 
 
-def test_simulate_imports_no_private_name():
-    # the engine uses other modules through their public names; code that
-    # needs another module's private helper belongs in that module
-    tree = ast.parse((SRC / "simulate.py").read_text(encoding="utf-8"))
-    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+# the one private import allowed: ``average.bellman_residual`` reads the
+# sweep branches of the DP's own kernel, after the DP's own check that the
+# values fit its tables, so that its slack is the equation the sweeps
+# solve, not a second copy of it
+ALLOWED_PRIVATE = {("average.py", "dp._branches"),
+                   ("average.py", "dp._require_fit")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    # a module uses the others through their public names; code that needs
+    # another module's private helper, the market walk's above all, belongs
+    # in that module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = {(path.name, f"{node.module}.{alias.name}")
+               for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level
-               for alias in node.names if alias.name.startswith("_")]
-    assert private == []
+               for alias in node.names if alias.name.startswith("_")
+               and not alias.name.endswith("__")}
+    assert private <= ALLOWED_PRIVATE
 
 
 def test_import_loads_no_numpy_random():
