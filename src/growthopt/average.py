@@ -8,8 +8,10 @@ discount and checks the stationarity (Bellman) inequality of the resulting
 (policy, relative value, growth rate) triple; ``vanishing_discount``
 returns all of it as one ``VanishingDiscountReport``.  It also builds the
 wealth-gated strategy that lifts a proportional-cost policy to the
-fixed-cost problem.  The stationarity check runs ``dp``'s sweep kernel at
-discount one, so it interpolates exactly as the sweeps do.
+fixed-cost problem.  The stationarity check is ``dp.bellman_residual``,
+which runs the sweep kernel at discount one beside the rest of it, so it
+interpolates exactly as the sweeps do; this module binds it under its own
+name and calls it by that name.
 """
 
 from __future__ import annotations
@@ -19,22 +21,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-import numpy as np
-
 from .costs import CostConstants, CostSpec
-from .dp import (DpTables, _branches, _require_fit, build_tables,
+from .dp import (ResidualReport, bellman_residual, build_tables,
                  solve_discounted)
 from .grid import Policy, StateGrid, ValueFunction
 from .market import MarketModel
-
-
-@dataclass
-class ResidualReport:
-    """Pointwise slack of the average-growth stationarity inequality."""
-
-    min_slack: float
-    mean_slack: float
-    slack: np.ndarray
 
 
 @dataclass
@@ -207,32 +198,6 @@ def vanishing_discount(model: MarketModel, spec: CostSpec, grid: StateGrid,
         },
         stage_seconds=seconds,
     )
-
-
-def bellman_residual(policy: Policy, w: np.ndarray, growth_rate: float,
-                     tables: DpTables) -> ResidualReport:
-    """Slack of reward(action) + w - E_q w - growth_rate at every state.
-
-    ``tables`` describe the problem the policy was solved for, as built by
-    ``build_tables``; tables built for another shape are refused.  ``w`` is
-    the nonnegative relative value (peak minus value).  The slack
-    realizes the limit stationarity inequality; plugging in the greedy
-    solution of a discounted problem makes it exactly minus (1-beta) times
-    the expected relative value, so it approaches zero from below as the
-    discount schedule tightens and acceptance thresholds should budget for
-    (1-beta) times the largest relative value.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != policy.impulse.shape:
-        raise ValueError("relative value and policy shapes disagree")
-    _require_fit(w, tables, "relative values")
-    # the sweep branches of -w at beta = 1: holding is worth h - E w and a
-    # rebalance ln e plus that at its target, interpolated as in the sweeps
-    cont, vals = _branches(-w, tables, 1.0)
-    moved = np.take_along_axis(vals, policy.target[:, None], axis=1)[:, 0]
-    slack = np.where(policy.impulse, moved, cont) + w - growth_rate
-    return ResidualReport(min_slack=float(slack.min()),
-                          mean_slack=float(slack.mean()), slack=slack)
 
 
 @dataclass(frozen=True)

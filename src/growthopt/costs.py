@@ -136,8 +136,10 @@ def proportional_cost(spec: CostSpec, pi_prev, pi_tilde) -> float:
     pi_tilde = np.asarray(pi_tilde, dtype=float)
     if pi_tilde.shape != (spec.n_assets,):
         raise ValueError("pi_tilde has wrong length")
-    if pi_tilde.min() < -1e-9 or pi_tilde.sum() > 1.0 + 1e-9:
-        raise ValueError(f"pi_tilde outside the sub-simplex: {pi_tilde}")
+    # NaN fails both comparisons, and an infinity one of them
+    if not (pi_tilde.min() >= -1e-9 and pi_tilde.sum() <= 1.0 + 1e-9):
+        raise ValueError(f"pi_tilde not finite or outside the sub-simplex: "
+                         f"{pi_tilde}")
     return float(_charge(spec, pi_tilde - pi_prev, 0.0))
 
 

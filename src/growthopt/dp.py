@@ -41,10 +41,13 @@ into a policy.
 charge needs the wealth axis, and a spec without one is built on
 ``grid.without_wealth()``.  Its ``DpTables`` are the one description of a
 discounted problem, all that ``solve_discounted(tables, beta)``,
-``bellman_step(v, tables)`` and ``average.bellman_residual`` take.  Every
+``bellman_step(v, tables)`` and ``bellman_residual`` take.  Every
 value table they take or return has shape ``tables.grid.shape``; the kernel
 pads and slices the x = inf column itself.  ``DpTables.variant`` names the
-layout of the gathers.
+layout of the gathers.  ``bellman_residual`` reads the kernel's branches at
+discount one, so the stationarity slack of a policy is the equation the
+sweeps solve, not a second copy of it; ``average`` calls it on the policy
+of the vanishing-discount limit.
 
 ``build_tables`` resolves the discretization once per problem into gather
 tables: positions of the wealth corners reached by every market step and
@@ -393,6 +396,41 @@ def bellman_step(v: ValueFunction, tables: DpTables) -> ValueFunction:
     out = _sweep(_padded(v.values, tables), tables, v.beta,
                  np.empty(tables.kernel_shape))
     return v.copy_with(np.ascontiguousarray(_on_grid(out, tables)))
+
+
+@dataclass
+class ResidualReport:
+    """Pointwise slack of the average-growth stationarity inequality."""
+
+    min_slack: float
+    mean_slack: float
+    slack: np.ndarray
+
+
+def bellman_residual(policy: Policy, w: np.ndarray, growth_rate: float,
+                     tables: DpTables) -> ResidualReport:
+    """Slack of reward(action) + w - E_q w - growth_rate at every state.
+
+    ``tables`` describe the problem the policy was solved for, as built by
+    ``build_tables``; tables built for another shape are refused.  ``w`` is
+    the nonnegative relative value (peak minus value).  The slack
+    realizes the limit stationarity inequality; plugging in the greedy
+    solution of a discounted problem makes it exactly minus (1-beta) times
+    the expected relative value, so it approaches zero from below as the
+    discount schedule tightens and acceptance thresholds should budget for
+    (1-beta) times the largest relative value.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != policy.impulse.shape:
+        raise ValueError("relative value and policy shapes disagree")
+    _require_fit(w, tables, "relative values")
+    # the sweep branches of -w at beta = 1: holding is worth h - E w and a
+    # rebalance ln e plus that at its target, interpolated as in the sweeps
+    cont, vals = _branches(-w, tables, 1.0)
+    moved = np.take_along_axis(vals, policy.target[:, None], axis=1)[:, 0]
+    slack = np.where(policy.impulse, moved, cont) + w - growth_rate
+    return ResidualReport(min_slack=float(slack.min()),
+                          mean_slack=float(slack.mean()), slack=slack)
 
 
 @dataclass

@@ -115,7 +115,8 @@ class StateGrid:
     _keys: np.ndarray = field(init=False, repr=False)
     _key_sum: np.ndarray = field(init=False, repr=False)
     # the keys and their radix as Python ints, for one-row lookups, and the
-    # flat-index step of a node in tables of ``shape``
+    # flat-index step of a node in tables of ``shape``, which only
+    # ``state_index`` and ``state_indices`` read
     _key_list: list = field(init=False, repr=False)
     _radix: list = field(init=False, repr=False)
     _stride: int = field(init=False, repr=False)
@@ -278,6 +279,19 @@ class StateGrid:
         if self.wealth is not None:
             i += int(self.nearest_wealth(x)) * self.n_z
         return i
+
+    def state_indices(self, pi, x, z) -> np.ndarray:
+        """Flat indices, in the order of ``shape``, of the grid states
+        nearest to rows of states: the batch twin of ``state_index``, with
+        the nodes of ``nearest_node`` for the proportion rows ``pi`` and,
+        on grids with a wealth axis only, the wealth nodes of
+        ``nearest_wealth`` for ``x``; ``z`` holds the factors.
+        """
+        # fresh sums: on a few rows an in-place add costs more than a new one
+        idx = self.nearest_node(pi) * self._stride + z
+        if self.wealth is not None:
+            idx = idx + self.nearest_wealth(x) * self.n_z
+        return idx
 
     def wealth_pos(self, x):
         """Lower index and interpolation weight for wealth values ``x``.

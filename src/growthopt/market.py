@@ -14,20 +14,22 @@ not finite, non-negative and stochastic within ``SIMPLEX_TOL``
 A model that was built can be solved, simulated and checked.
 
 Besides holding the model, this module computes its ergodic invariants:
-stationary distribution, Dobrushin mixing coefficient, the stationary growth
-floor of the worst asset, and the conditional expected log return of a fixed
-proportion vector.
+stationary distribution (by GTH elimination, the same bits on every BLAS
+kernel), Dobrushin mixing coefficient, the stationary growth floor of the
+worst asset, and the conditional expected log return of a fixed proportion
+vector, whose proportions ``check_simplex`` refuses unless finite and on
+the simplex.
 
 Paths are sampled by one walk, ``_walk``, vectorized across paths and fed
 from bounded blocks of raw 64-bit Philox words (``block_steps`` steps
 each), which it compares with exact integer thresholds; it yields the
 states block by block, and the factor states of a walk of one path are
 stepped in Python ints.  ``sample_factor_paths`` stores a walk as (n, T+1)
-arrays.  The simulation engine asks it for one block per call and
-continues from the block's last factor state on the same generators, so
-its memory is O(n * block) rather than O(n * T), while ``ld_tail`` and
-``verify.check_ergodic_average`` fold each block of ``_walk`` into
-running sums or counts as it arrives.
+arrays.  The simulation engine and ``verify.check_ergodic_average`` ask
+it for one block per call and continue from the block's last factor state
+on the same generators, so their memory is O(n * block) rather than
+O(n * T), while ``ld_tail``, the one reader of ``_walk`` itself, folds
+each block into running sums as it arrives.
 
 ``ld_tail``, the large-deviations check of the growth floor, ends the
 module: it reads the walk alone, with no strategy and no costs, and it is
@@ -184,24 +186,38 @@ def mixing_step(model: MarketModel):
 def invariant_measure(model: MarketModel) -> np.ndarray:
     """Stationary distribution of the factor chain, residual <= 1e-12.
 
-    Solved as one constrained linear system (least squares), at any chain
-    size.  Raises RuntimeError when the solution is negative beyond 1e-10
-    or misses the residual (mixing failure).
+    Solved by the GTH algorithm (Grassmann, Taksar & Heyman 1985): states
+    n-1, n-2, ..., 0 are censored out of the chain in turn, each pivot the
+    probability of leaving the state, summed rather than taken as one minus
+    the rest, and the law is built back up from state 0.  It subtracts
+    nothing and calls no BLAS kernel, so its bits do not depend on the
+    machine.  A state with a zero pivot is closed in the censored chain:
+    it is a root of weight one, and the states below it that reach it,
+    transient, are left with no mass, so a chain of several closed classes
+    gets a mixture of their laws.  Raises RuntimeError when the law misses
+    the residual.
     """
-    p = model.transition
+    p = np.array(model.transition)
     n = model.n_factors
-    a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    theta = np.clip(sol, 0.0, None)
+    leak = np.zeros(n)  # probability of reaching a root above the state
+    roots = np.zeros(n, dtype=bool)
+    for k in range(n - 1, -1, -1):
+        pivot = p[k, :k].sum() + leak[k]
+        if pivot > 0.0:
+            p[:k, k] /= pivot
+            p[:k, :k] += np.multiply.outer(p[:k, k], p[k, :k])
+            leak[:k] += p[:k, k] * leak[k]
+        else:
+            roots[k] = True
+            leak[:k] += p[:k, k]
+    theta = roots.astype(float)
+    for j in np.flatnonzero(~roots):
+        theta[j] = (theta[:j] * p[:j, j]).sum()
     theta /= theta.sum()
-    residual = np.abs(theta @ p - theta).max()
-    if residual > 1e-12 or sol.min() < -1e-10:
-        raise RuntimeError(
-            f"no stationary distribution (residual {residual:.3e}, least "
-            f"entry {sol.min():.3e}); the factor chain does not mix"
-        )
+    residual = np.abs(theta @ model.transition - theta).max()
+    if not residual <= 1e-12:
+        raise RuntimeError(f"no stationary distribution: residual "
+                           f"{residual:.3e} above 1e-12")
     return theta
 
 
@@ -219,12 +235,16 @@ def growth_floor(model: MarketModel):
 
 
 def check_simplex(pi, n_assets: int) -> np.ndarray:
-    """Validate a proportion vector and return it as an array."""
+    """``pi`` as an array; a ValueError unless it is a vector of
+    ``n_assets`` finite proportions on the unit simplex, within
+    SIMPLEX_TOL."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (n_assets,):
         raise ValueError(f"proportion vector must have length {n_assets}")
-    if pi.min() < -SIMPLEX_TOL or abs(pi.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"proportion vector outside the unit simplex: {pi}")
+    # NaN fails both comparisons, and an infinity one of them
+    if not (pi.min() >= -SIMPLEX_TOL and abs(pi.sum() - 1.0) <= SIMPLEX_TOL):
+        raise ValueError("proportion vector not finite or outside the unit "
+                         f"simplex: {pi}")
     return pi
 
 
@@ -328,13 +348,12 @@ def _walk(model: MarketModel, z0, T: int, rng):
 
     Each item is ``(t0, z, xi)``: time-major (k, n) integer arrays with the
     factor and shock states of steps t0..t0+k-1.  ``sample_factor_paths``
-    stores the blocks; ``ld_tail`` and the ergodic check of ``verify`` fold
-    each block into running sums or counts and drop it, so their memory
-    does not grow with T.  The walk reads the last row of ``z`` again for
-    the next block, but never ``xi``, which its consumer may overwrite.
-    Every block is written over the previous one, into buffers allocated
-    once per walk, so a consumer must be done with a block before it asks
-    for the next.
+    stores the blocks; ``ld_tail`` folds each block into running sums and
+    drops it, so its memory does not grow with T.  The walk reads the last
+    row of ``z`` again for the next block, but never ``xi``, which its
+    consumer may overwrite.  Every block is written over the previous one,
+    into buffers allocated once per walk, so a consumer must be done with a
+    block before it asks for the next.
 
     Every step consumes a factor word and then a shock word, raw 64-bit
     output of a bit generator of ``WORD_GENERATORS``, whose ``random()`` is

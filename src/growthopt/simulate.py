@@ -30,7 +30,8 @@ of ``pathcheck``.
 A step of a wide batch costs a few numpy calls on arrays of a few rows,
 so the strategies keep their per-step work to a handful of calls:
 ``GridPolicyStrategy`` reads a decision by two ``take``s from flat tables
-built once, and ``MimickingStrategy`` gates it with two ``where``s.  On a
+built once, at the flat indices of ``StateGrid.state_indices``, the grid's
+own layout, and ``MimickingStrategy`` gates it with two ``where``s.  On a
 batch of one row, as ``run`` steps a single stream, a numpy call on one
 element costs more than the arithmetic it does, so the engine and the
 strategies step that row in Python numbers.  The engine's ``_step_row``
@@ -117,7 +118,8 @@ class GridPolicyStrategy(Strategy):
     construction: the impulse flags and the target proportions of every
     state in the order of ``grid.shape``, so that a decision is two
     ``take``s at the state's flat index.  A batch of one row reads the
-    tables at ``grid.state_index`` instead, through read-only views.
+    tables at ``grid.state_index`` instead, through read-only views; a
+    wider batch at ``grid.state_indices``.
     """
 
     def __init__(self, policy: Policy):
@@ -131,11 +133,7 @@ class GridPolicyStrategy(Strategy):
         if len(pi_prev) == 1:
             i = grid.state_index(pi_prev[0].tolist(), x_prev[0], z[0])
             return self._impulse[i, None], self._targets[i, None]
-        # flat index of a state: node * stride (+ wealth node * n_z) + z;
-        # fresh sums: on a few rows an in-place add costs more than a new one
-        idx = grid.nearest_node(pi_prev) * grid._stride + z
-        if grid.has_wealth_axis:
-            idx = idx + grid.nearest_wealth(x_prev) * grid.n_z
+        idx = grid.state_indices(pi_prev, x_prev, z)
         return self._impulse.take(idx), self._targets.take(idx, axis=0)
 
 

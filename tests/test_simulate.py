@@ -429,6 +429,22 @@ class TestOneEngine:
             average_growth(model2, spec2, NoTransactionStrategy(), [0.5, 0.5],
                            x0, z0, T=10, n_paths=3, seed=1)
 
+    @pytest.mark.parametrize("pi0", [[math.nan, math.nan], [math.nan, 1.0],
+                                     [math.inf, -math.inf]])
+    def test_run_refuses_non_finite_proportions(self, model2, spec2, pi0):
+        # NaN passed the simplex check once, and the run read NaN wealth
+        with pytest.raises(ValueError, match="not finite or outside"):
+            run(model2, spec2, NoTransactionStrategy(), pi0, 1.0, 0, 10,
+                seed=1)
+
+    @pytest.mark.parametrize("pi0", [[math.nan, math.nan], [math.nan, 1.0],
+                                     [math.inf, -math.inf]])
+    def test_average_growth_refuses_non_finite_proportions(self, model2,
+                                                           spec2, pi0):
+        with pytest.raises(ValueError, match="not finite or outside"):
+            average_growth(model2, spec2, NoTransactionStrategy(), pi0, 1.0,
+                           0, T=10, n_paths=3, seed=1)
+
 
 def assert_same_trajectory(a, b):
     """Every field of two trajectories equal, arrays in dtype, shape and

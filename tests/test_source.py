@@ -39,27 +39,48 @@ def test_module_stays_below_the_parser_token_step(path):
     assert n < TOKEN_STEP, f"{path.name} has {n} parser tokens"
 
 
-# the one private import allowed: ``average.bellman_residual`` reads the
-# sweep branches of the DP's own kernel, after the DP's own check that the
-# values fit its tables, so that its slack is the equation the sweeps
-# solve, not a second copy of it
-ALLOWED_PRIVATE = {("average.py", "dp._branches"),
-                   ("average.py", "dp._require_fit")}
+def private_names(source: str) -> set:
+    """The private identifiers (a leading underscore, not a dunder) that
+    ``source`` uses, as a bare name or as an attribute, and does not
+    define.  A definition binds the name: a function, a class, an
+    argument, or an assignment to it as a name or as an attribute
+    (``self._x = ...``).  An imported name is a use, and so is its alias."""
+    used, defined = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.arg):
+            defined.add(node.arg)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            (defined if isinstance(node.ctx, ast.Store) else used).add(name)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+    return {name for name in used - defined
+            if name.startswith("_") and not name.endswith("__")}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .dp import _branches\n", {"_branches"}),
+    ("from . import dp\ndp._branches(1)\n", {"_branches"}),
+    ("from .dp import _branches as branches\n", {"_branches"}),
+    ("import numpy as _np\n_np.zeros(1)\n", {"_np"}),
+    ("def _f(_a):\n    return _a\n_f(1)\n", set()),
+    ("class A:\n    def __init__(self):\n        self._x = 1\n"
+     "    def get(self):\n        return self._x, self.__class__\n", set()),
+])
+def test_private_names_are_those_used_and_not_defined(source, found):
+    assert private_names(source) == found
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_imports_no_private_name(path):
-    # a module uses the others through their public names; code that needs
-    # another module's private helper, the market walk's above all, belongs
-    # in that module
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    private = {(path.name, f"{node.module}.{alias.name}")
-               for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.level
-               for alias in node.names if alias.name.startswith("_")
-               and not alias.name.endswith("__")}
-    assert private <= ALLOWED_PRIVATE
+    # nor uses one as an attribute: a module uses the others through their
+    # public names, and code that needs another module's private helper or
+    # layout, the market walk's above all, belongs in that module
+    assert private_names(path.read_text(encoding="utf-8")) == set()
 
 
 def test_import_loads_no_numpy_random():
