@@ -3,8 +3,9 @@
 Every subcommand loads a model JSON (plus costs), runs one stage of the
 pipeline and writes its artifacts atomically into the output directory
 together with a manifest recording inputs, content hashes, package version
-and wall time, in total and per stage.  Every JSON file it writes is
-strict JSON: a number that is not finite is written as ``null``.
+and wall time, in total and per stage.  Every JSON file it writes is the
+strict JSON of ``modelio.json_text``: a number that is not finite is
+written as ``null``.
 Configuration comes from an optional JSON config file with flag overrides;
 there is no interactive mode.
 
@@ -114,25 +115,6 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _plain(obj):
-    """``obj`` with numpy values made Python ones and every non-finite
-    number made None, so that it dumps as strict JSON (``null``)."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return _plain(obj.tolist())
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(_plain(doc), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -170,7 +152,7 @@ class Runner:
         self.outputs[name] = _sha256(path)
 
     def write_json(self, name: str, doc: dict):
-        self.write_text(name, _json_text(doc))
+        self.write_text(name, modelio.json_text(doc))
 
     def register(self, name: str):
         self.outputs[name] = _sha256(self.out(name))
@@ -198,7 +180,7 @@ class Runner:
             },
         }
         modelio.atomic_write_text(self.out("manifest.json"),
-                                  _json_text(manifest))
+                                  modelio.json_text(manifest))
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -420,9 +402,7 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg, args.policy, args.mimic)
         if args.command == "ldcheck":
             return cmd_ldcheck(cfg, args.eps, args.t_max)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        return 2
+        return cmd_verify(cfg)
     except (ValueError, RuntimeError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,24 +15,24 @@ the root taken is then the largest.  ``solve_e_batch`` computes it exactly
 by scanning the linear segments: a batch of many rows in numpy, and a batch
 of one row, as a single simulated path trades, in Python floats, where a
 numpy call on a few elements costs more than its arithmetic; both give the
-same bits.  ``solve_e`` solves one rebalance.  ``bisect_e``, an independent
-bracketing oracle kept for verification, only evaluates
-``transaction_equation`` and is valid on every row the solver takes.
-``_charge`` writes every charge.
+same bits.  ``solve_e`` solves one rebalance.  ``_charge`` writes every
+charge, in proportion space and, through ``share_cost``, in share space.
+``transaction_equation`` evaluates the left-hand side alone, for the
+checks: ``verify.bisect_e``, the bracketing oracle of the solver, reads
+nothing else.
 
 The module also derives the cost constants that gate the average-growth
 theory: the worst-case log drag ``eta`` of a proportional rebalance, its
 fixed-cost-inflated version ``eta_m`` at a wealth threshold, and the minimal
 wealth ``x_star`` above which every rebalance is affordable (closed form).
-``general_cost_check`` samples a share-space cost candidate, which takes
-rows as ``share_cost`` does, against a proportional/fixed sandwich.
+It holds what the pipeline runs; the oracles and sampling checks that test
+it live in ``verify``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -329,50 +329,6 @@ def transaction_equation(spec: CostSpec, pi_prev, pi_new, wealth, delta):
     return float(lhs + delta) if lhs.ndim == 0 else lhs + delta
 
 
-BISECT_STEPS = 200  # halvings of a root's bracket
-SEARCH_STEPS = 18  # refinements of the grid search, each 8 times narrower
-_SEARCH_GRID = np.linspace(0.0, 1.0, 17)
-
-
-def bisect_e(spec: CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
-    """Bracketing oracle for the surviving fraction (batch capable).
-
-    Independent of the segment solver, it only evaluates the convex F:
-    F(1) >= 1, so the root is the right end of {F <= 1}.  A row with F(0)
-    < 1 brackets it by [0, 1]; any other row by [least point of F, 1], or
-    has none if F is not below 1 there.  The least point, within 2**-54,
-    is that of 17 points across a bracket narrowed to the two grid steps
-    around it.  Bisection then halves every bracket ``BISECT_STEPS`` times.
-    """
-    pi_prev = np.atleast_2d(np.asarray(pi_prev, dtype=float))
-    pi_new = np.atleast_2d(np.asarray(pi_new, dtype=float))
-    wealth = np.atleast_1d(np.asarray(wealth, dtype=float))
-    rows = (spec, pi_prev, pi_new, wealth)
-    lo, hi = np.zeros(len(wealth)), np.ones(len(wealth))
-    dip = ~(transaction_equation(*rows, lo) < 1.0)  # NaN rows search too
-    if dip.any():
-        dips = (spec, pi_prev[dip, None], pi_new[dip, None], wealth[dip, None])
-        start, width = np.zeros((np.count_nonzero(dip), 1)), 1.0
-        for _ in range(SEARCH_STEPS):
-            x = start + width * _SEARCH_GRID
-            least = transaction_equation(*dips, x).argmin(axis=1)[:, None]
-            width /= 8.0
-            left = np.take_along_axis(x, np.maximum(least - 1, 0), 1)
-            start = np.minimum(left, 1.0 - width)
-        lo[dip] = np.take_along_axis(x, least, 1)[:, 0]
-    feasible = transaction_equation(*rows, lo) < 1.0
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        high = transaction_equation(*rows, mid) > 1.0
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    root = np.where(feasible, 0.5 * (lo + hi), 0.0)
-    # exact boundary root at 1 (no-op rebalance with no fixed charge)
-    at_one = transaction_equation(*rows, np.ones(len(root)))
-    root[np.abs(at_one - 1.0) <= 1e-12] = 1.0
-    return root
-
-
 def _eta_from_rate(c_hat: float, extra: float = 0.0) -> float:
     arg = 1.0 - (2.0 * c_hat + extra) / (1.0 - c_hat)
     if arg <= 0.0:
@@ -470,57 +426,3 @@ def share_cost(spec: CostSpec, holdings_before, holdings_after, prices) -> float
              - np.asarray(holdings_before, dtype=float)) * prices
     cost = _charge(spec, moves, spec.fixed)
     return float(cost) if np.ndim(cost) == 0 else cost
-
-
-@dataclass
-class CostSandwichReport:
-    """Sampling check of lower <= candidate <= upper and subadditivity."""
-
-    n_samples: int
-    lower_violations: int
-    upper_violations: int
-    subadditivity_violations: int
-    worst_lower_gap: float
-    worst_upper_gap: float
-    worst_subadd_gap: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.lower_violations == 0
-            and self.upper_violations == 0
-            and self.subadditivity_violations == 0
-        )
-
-
-def general_cost_check(lower: CostSpec, candidate: Callable, upper: CostSpec,
-                       n_samples: int, rng: np.random.Generator
-                       ) -> CostSandwichReport:
-    """Check a share-space cost oracle against a proportional/fixed sandwich.
-
-    ``candidate(holdings_before, holdings_after, prices)`` takes rows, as
-    ``share_cost`` does, and is evaluated once on ``n_samples`` random
-    holdings triples and price vectors; the report counts pointwise bound
-    violations and failures of subadditivity along the triple.
-    """
-    tol = 1e-12  # rounding of a share-space charge
-    d = lower.n_assets
-    # per sample: three holdings vectors in [0, 10), then prices in [0.5, 2)
-    n1, n2, n3, s = rng.uniform([[0.0]] * 3 + [[0.5]], [[10.0]] * 3 + [[2.0]],
-                                size=(n_samples, 4, d)).transpose(1, 0, 2)
-    c12, c13, c23 = (np.broadcast_to(candidate(a, b, s), n_samples)
-                     for a, b in ((n1, n2), (n1, n3), (n2, n3)))
-    lo = share_cost(lower, n1, n2, s)
-    up = share_cost(upper, n1, n2, s)
-    lo_viol = c12 < lo - tol
-    up_viol = c12 > up + tol
-    sub_viol = c13 > c12 + c23 + tol
-    return CostSandwichReport(
-        n_samples=n_samples,
-        lower_violations=int(lo_viol.sum()),
-        upper_violations=int(up_viol.sum()),
-        subadditivity_violations=int(sub_viol.sum()),
-        worst_lower_gap=float((lo - c12)[lo_viol].max(initial=0.0)),
-        worst_upper_gap=float((c12 - up)[up_viol].max(initial=0.0)),
-        worst_subadd_gap=float((c13 - c12 - c23)[sub_viol].max(initial=0.0)),
-    )

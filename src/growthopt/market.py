@@ -14,17 +14,23 @@ not finite, non-negative and stochastic within ``SIMPLEX_TOL``
 A model that was built can be solved, simulated and checked.
 
 Besides holding the model, this module computes its ergodic invariants:
-stationary distribution (by GTH elimination, the same bits on every BLAS
-kernel), Dobrushin mixing coefficient, the stationary growth floor of the
-worst asset, and the conditional expected log return of a fixed proportion
+stationary distribution (by GTH elimination), Dobrushin mixing coefficient,
+the stationary growth floor of the worst asset (by elementwise products
+and sums), and the conditional expected log return of a fixed proportion
 vector, whose proportions ``check_simplex`` refuses unless finite and on
-the simplex.
+the simplex.  Neither the stationary law nor the floor calls a BLAS
+kernel, so both have the same bits on every machine.
 
-Paths are sampled by one walk, ``_walk``, vectorized across paths and fed
-from bounded blocks of raw 64-bit Philox words (``block_steps`` steps
-each), which it compares with exact integer thresholds; it yields the
-states block by block, and the factor states of a walk of one path are
-stepped in Python ints.  ``sample_factor_paths`` stores a walk as (n, T+1)
+All randomness flows through ``make_rng``, which keys a Philox generator
+by an integer ``(seed, stream)`` pair, so every experiment is
+bit-reproducible from a recorded seed and distinct pairs give streams
+that do not overlap; ``simulate`` binds it under the name the engine
+calls.  Paths are sampled by one walk, ``_walk``, vectorized across paths
+and fed from bounded blocks of raw 64-bit words (``block_steps`` steps
+each) of the bit generators of ``WORD_GENERATORS``, Philox among them,
+which it compares with exact integer thresholds; it yields the states
+block by block, and the factor states of a walk of one path are stepped
+in Python ints.  ``sample_factor_paths`` stores a walk as (n, T+1)
 arrays.  The simulation engine and ``verify.check_ergodic_average`` ask
 it for one block per call and continue from the block's last factor state
 on the same generators, so their memory is O(n * block) rather than
@@ -42,12 +48,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import make_rng
 
 SIMPLEX_TOL = 1e-9
 MIXING_HORIZON = 64  # longest n searched for a Dobrushin coefficient < 1
@@ -230,7 +235,10 @@ def growth_floor(model: MarketModel):
     """
     floor_returns = model.returns.min(axis=2)
     theta = invariant_measure(model)
-    floor_rate = float(theta @ (np.log(floor_returns) @ model.shock_probs))
+    # elementwise products and pairwise sums, not BLAS products, so the
+    # rate has the same bits on every BLAS kernel
+    floor_rate = float((theta * (np.log(floor_returns)
+                                 * model.shock_probs).sum(axis=1)).sum())
     return floor_rate, floor_returns
 
 
@@ -256,6 +264,27 @@ def check_integer(name: str, val) -> int:
     if isinstance(val, bool) or not isinstance(val, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {val!r}")
     return int(val)
+
+
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Return a Philox generator keyed by (seed, stream).
+
+    Both must be integers in [0, 2**64), Python or numpy; a float is
+    refused rather than truncated, so stream 1.7 never runs as stream 1,
+    and so is a bool, so seed True never runs as seed 1.
+    """
+    key = []
+    for name, val in (("seed", seed), ("stream", stream)):
+        try:
+            # operator.index reads True as 1, numpy's True_ not at all
+            key.append(-1 if isinstance(val, bool) else operator.index(val))
+        except TypeError:
+            key.append(-1)  # not an integer: refused below
+        if not 0 <= key[-1] < 2**64:
+            raise ValueError(f"{name} must be an integer in [0, 2**64), "
+                             f"got {val!r}")
+    key = np.array(key, dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def expected_log_return(model: MarketModel, pi, z: int) -> float:

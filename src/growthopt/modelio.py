@@ -23,7 +23,9 @@ their tables, each with a ValueError naming the field.
 Value functions and policies serialize as a CSV body plus a JSON side-car
 header carrying the grid spec, discount, model hash and seed; every CLI run
 additionally writes a manifest listing inputs, content hashes and wall
-time.
+time.  ``json_text`` is the one JSON encoder: the headers, the CLI's
+documents and the manifest are all its strict JSON, with ``null`` for a
+number that is not finite, so the format of a JSON file has one owner.
 
 The grid owns the table layout: a dump has one CSV row per index of
 ``grid.shape``, and reading it back fills tables of the shape that the
@@ -35,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from importlib import resources
@@ -137,6 +140,28 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _plain(obj):
+    """``obj`` with numpy values made Python ones and every non-finite
+    number made None, so that it dumps as strict JSON (``null``)."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def json_text(doc: dict) -> str:
+    """``doc`` as the text of a strict JSON file: sorted keys, an indent of
+    two, a final newline, and ``null`` for a number that is not finite.
+    Every JSON file the package writes is this text."""
+    return json.dumps(_plain(doc), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
 def _float_cell(v: float) -> str:
     return repr(float(v))
 
@@ -178,8 +203,7 @@ def dump_solution(v: ValueFunction, policy: Policy, path_base: str,
         "model_hash": model_hash,
         "seed": seed,
     }
-    atomic_write_text(path_base + ".json",
-                      json.dumps(header, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path_base + ".json", json_text(header))
     return header
 
 

@@ -59,10 +59,9 @@ from .average import MimickingPolicy
 from .costs import CostSpec, solve_e_batch
 from .grid import Policy
 from .market import (MarketModel, block_steps, check_integer, check_simplex,
-                     ld_tail, sample_factor_paths)
+                     ld_tail, make_rng, sample_factor_paths)
 from .pathcheck import (PATH_TOL, FloorCheckReport, ShareRecord,
                         to_share_holdings, wealth_floor_check)
-from .rng import make_rng
 
 LOG_CAP = 700.0  # exp cap; beyond this fixed costs are a zero fraction anyway
 

@@ -6,26 +6,36 @@ the diminution bounds and monotonicities, cost subadditivity, mixing
 submultiplicativity, concavity and boundedness of the expected log return,
 ergodic averages, Bellman contraction, wealth monotonicity of solved
 values, trajectory reproducibility and the cost sandwich.  All checks are
-report-style; nothing raises on failure.  Each reads the package through
+report-style: nothing raises on failure, though an argument that leaves a
+check nothing to measure is refused.  Each reads the package through
 its public names: the ergodic check walks rep ``r`` on stream ``(seed,
 r)`` through ``market.sample_factor_paths``, one block at a time, as the
 simulation engine walks path ``r``.
+
+The module also holds what only the checks use: ``bisect_e``, the
+bracketing oracle of ``costs.solve_e_batch``, which evaluates
+``costs.transaction_equation`` alone, and ``general_cost_check``, which
+samples a share-space cost candidate, taking rows as ``costs.share_cost``
+does, against a proportional/fixed sandwich.  The package root binds both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import costs as co
 from . import dp, market, simulate
 from .grid import StateGrid, ValueFunction
-from .rng import make_rng
 
 LOG_RETURN_PAIRS = 200  # proportion pairs of the log-return check
 CONTRACTION_BETA = 0.9  # discount of the contraction check
 CONTRACTION_PAIRS = 10  # value pairs of the contraction check
+BISECT_STEPS = 200  # halvings of a root's bracket
+SEARCH_STEPS = 18  # refinements of the grid search, each 8 times narrower
+_SEARCH_GRID = np.linspace(0.0, 1.0, 17)
 
 
 @dataclass
@@ -44,6 +54,45 @@ def _random_spec(rng, d):
     fixed = float(rng.uniform(0.0, 0.5)) if rng.random() < 0.7 else 0.0
     variant = "max" if rng.random() < 0.3 else "additive"
     return co.CostSpec(buy=buy, sell=sell, fixed=fixed, variant=variant)
+
+
+def bisect_e(spec: co.CostSpec, pi_prev, pi_new, wealth) -> np.ndarray:
+    """Bracketing oracle for the surviving fraction (batch capable).
+
+    Independent of the segment solver, it only evaluates the convex F:
+    F(1) >= 1, so the root is the right end of {F <= 1}.  A row with F(0)
+    < 1 brackets it by [0, 1]; any other row by [least point of F, 1], or
+    has none if F is not below 1 there.  The least point, within 2**-54,
+    is that of 17 points across a bracket narrowed to the two grid steps
+    around it.  Bisection then halves every bracket ``BISECT_STEPS`` times.
+    """
+    pi_prev = np.atleast_2d(np.asarray(pi_prev, dtype=float))
+    pi_new = np.atleast_2d(np.asarray(pi_new, dtype=float))
+    wealth = np.atleast_1d(np.asarray(wealth, dtype=float))
+    rows = (spec, pi_prev, pi_new, wealth)
+    lo, hi = np.zeros(len(wealth)), np.ones(len(wealth))
+    dip = ~(co.transaction_equation(*rows, lo) < 1.0)  # NaN rows search too
+    if dip.any():
+        dips = (spec, pi_prev[dip, None], pi_new[dip, None], wealth[dip, None])
+        start, width = np.zeros((np.count_nonzero(dip), 1)), 1.0
+        for _ in range(SEARCH_STEPS):
+            x = start + width * _SEARCH_GRID
+            least = co.transaction_equation(*dips, x).argmin(axis=1)[:, None]
+            width /= 8.0
+            left = np.take_along_axis(x, np.maximum(least - 1, 0), 1)
+            start = np.minimum(left, 1.0 - width)
+        lo[dip] = np.take_along_axis(x, least, 1)[:, 0]
+    feasible = co.transaction_equation(*rows, lo) < 1.0
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        high = co.transaction_equation(*rows, mid) > 1.0
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    root = np.where(feasible, 0.5 * (lo + hi), 0.0)
+    # exact boundary root at 1 (no-op rebalance with no fixed charge)
+    at_one = co.transaction_equation(*rows, np.ones(len(root)))
+    root[np.abs(at_one - 1.0) <= 1e-12] = 1.0
+    return root
 
 
 def check_e_solver(n_samples: int = 2000, seed: int = 0) -> CheckResult:
@@ -67,7 +116,7 @@ def check_e_solver(n_samples: int = 2000, seed: int = 0) -> CheckResult:
                 pi[rows, 1] = -short
         x = rng.uniform(0.05, 50.0, 200)
         exact = co.solve_e_batch(spec, prev, new, x)
-        oracle = co.bisect_e(spec, prev, new, x)
+        oracle = bisect_e(spec, prev, new, x)
         worst = max(worst, float(np.abs(exact - oracle).max()))
         pos = exact > 0.0
         f = co.transaction_equation(spec, prev[pos], new[pos], x[pos],
@@ -181,11 +230,17 @@ def check_ergodic_average(model, T: int = 100_000, reps: int = 16,
     ``market.block_steps`` block, each from the last state of the block
     before, so memory does not grow with T, and a walk of one path steps in
     Python ints.  An integer count over T is the indicator mean bit for
-    bit."""
+    bit.  T and reps must be integers, T >= 1 for a time average and reps
+    >= 2 for a standard error; anything else raises a ValueError naming
+    it."""
+    T, reps = market.check_integer("T", T), market.check_integer("reps", reps)
+    for name, val, least in (("T", T, 1), ("reps", reps, 2)):
+        if val < least:
+            raise ValueError(f"{name} must be >= {least}, got {val}")
     theta = market.invariant_measure(model)
     counts = np.zeros((model.n_factors, reps), dtype=np.int64)
     for r in range(reps):
-        rng, z_last = [make_rng(seed, r)], np.zeros(1, dtype=np.int64)
+        rng, z_last = [market.make_rng(seed, r)], np.zeros(1, dtype=np.int64)
         for t0 in range(0, T, market.block_steps(1, T)):
             z, _ = market.sample_factor_paths(
                 model, z_last, market.block_steps(1, T - t0), rng)
@@ -249,13 +304,67 @@ def check_reproducibility(model, spec, seed: int = 7) -> CheckResult:
                        "identical seeds give identical trajectories")
 
 
+@dataclass
+class CostSandwichReport:
+    """Sampling check of lower <= candidate <= upper and subadditivity."""
+
+    n_samples: int
+    lower_violations: int
+    upper_violations: int
+    subadditivity_violations: int
+    worst_lower_gap: float
+    worst_upper_gap: float
+    worst_subadd_gap: float
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.lower_violations == 0
+            and self.upper_violations == 0
+            and self.subadditivity_violations == 0
+        )
+
+
+def general_cost_check(lower: co.CostSpec, candidate: Callable,
+                       upper: co.CostSpec, n_samples: int,
+                       rng: np.random.Generator) -> CostSandwichReport:
+    """Check a share-space cost oracle against a proportional/fixed sandwich.
+
+    ``candidate(holdings_before, holdings_after, prices)`` takes rows, as
+    ``costs.share_cost`` does, and is evaluated once on ``n_samples`` random
+    holdings triples and price vectors; the report counts pointwise bound
+    violations and failures of subadditivity along the triple.
+    """
+    tol = 1e-12  # rounding of a share-space charge
+    d = lower.n_assets
+    # per sample: three holdings vectors in [0, 10), then prices in [0.5, 2)
+    n1, n2, n3, s = rng.uniform([[0.0]] * 3 + [[0.5]], [[10.0]] * 3 + [[2.0]],
+                                size=(n_samples, 4, d)).transpose(1, 0, 2)
+    c12, c13, c23 = (np.broadcast_to(candidate(a, b, s), n_samples)
+                     for a, b in ((n1, n2), (n1, n3), (n2, n3)))
+    lo = co.share_cost(lower, n1, n2, s)
+    up = co.share_cost(upper, n1, n2, s)
+    lo_viol = c12 < lo - tol
+    up_viol = c12 > up + tol
+    sub_viol = c13 > c12 + c23 + tol
+    return CostSandwichReport(
+        n_samples=n_samples,
+        lower_violations=int(lo_viol.sum()),
+        upper_violations=int(up_viol.sum()),
+        subadditivity_violations=int(sub_viol.sum()),
+        worst_lower_gap=float((lo - c12)[lo_viol].max(initial=0.0)),
+        worst_upper_gap=float((c12 - up)[up_viol].max(initial=0.0)),
+        worst_subadd_gap=float((c13 - c12 - c23)[sub_viol].max(initial=0.0)),
+    )
+
+
 def check_sandwich(spec, n_samples: int = 1000, seed: int = 8) -> CheckResult:
     """Max-form cost sits between the proportional and additive bounds."""
     lower = co.CostSpec(spec.buy, spec.sell, 0.0, "additive")
     upper = co.CostSpec(spec.buy, spec.sell, max(spec.fixed, 0.25), "additive")
     mid = co.CostSpec(spec.buy, spec.sell, upper.fixed, "max")
     cand = lambda n1, n2, s: co.share_cost(mid, n1, n2, s)
-    rep = co.general_cost_check(lower, cand, upper, n_samples=n_samples,
+    rep = general_cost_check(lower, cand, upper, n_samples=n_samples,
                                 rng=np.random.default_rng(seed))
     return CheckResult("cost_sandwich", rep.ok,
                        f"{rep.n_samples} samples, "

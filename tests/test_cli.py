@@ -16,8 +16,8 @@ from growthopt import (FixedTargetStrategy, StateGrid, build_tables,
                        bundled_model_path, load_model, model_fingerprint, run,
                        solve_discounted, vanishing_discount)
 from growthopt.cli import main
-from growthopt.modelio import (dump_solution, load_policy, parse_model_dict,
-                               trajectory_csv)
+from growthopt.modelio import (atomic_write_text, dump_solution, load_policy,
+                               parse_model_dict, trajectory_csv)
 
 from conftest import GRID_SETTINGS, REFUSED_GRID_SETTINGS
 
@@ -64,6 +64,25 @@ class TestValidateCommand:
         assert code == 1
         doc = json.loads((tmp_path / "o" / "validate.json").read_text())
         assert doc["checks"]["growth_exceeds_drag"]["passed"] is False
+
+    def test_no_wealth_threshold_fails_cost_constants(self, tmp_path,
+                                                      capsys):
+        # rates of 0.006404 put the proportional drag just below the floor
+        # rate, and no searched threshold brings the fixed-cost drag under
+        def mutate(doc):
+            doc["costs"]["buy"] = doc["costs"]["sell"] = [0.006404, 0.006404]
+        path = write_model(tmp_path, mutate)
+        code = main(["--model", path, "--output-dir", str(tmp_path / "o"),
+                     "validate"])
+        assert code == 1
+        doc = json.loads((tmp_path / "o" / "validate.json").read_text())
+        assert doc["ok"] is False and doc["growth_exceeds_drag"] is True
+        assert "constants" not in doc
+        assert doc["checks"]["cost_constants"] == {
+            "passed": False, "detail": "no wealth threshold on the search "
+            "grid brings the fixed-cost drag below the growth floor"}
+        assert "[FAIL] cost_constants: no wealth threshold" in \
+            capsys.readouterr().out
 
     @pytest.mark.parametrize("section, key, message", [
         (None, "shocks", "model: missing key 'shocks'"),
@@ -178,6 +197,16 @@ class TestSimulatePolicyCheck:
         header = json.loads((optimal_dir / "out" / "policy.json").read_text())
         assert header["model_hash"] in err
         assert model_fingerprint(*load_model(model_path)) in err
+        assert not (tmp_path / "sim" / "simulate.json").exists()
+
+    def test_mimicking_a_wealth_indexed_policy_exits_1(self, optimal_dir,
+                                                       tmp_path, capsys):
+        code = main(base_args(tmp_path, "sim") + [
+            "--T", "50", "--n-paths", "2", "simulate", "--policy",
+            str(optimal_dir / "out" / "policy"), "--mimic", "on"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: mimicking requires a wealth-free base policy\n"
         assert not (tmp_path / "sim" / "simulate.json").exists()
 
     def test_one_factor_policy_on_two_factor_model_exits_1(self, tmp_path,
@@ -651,6 +680,36 @@ class TestStrictJson:
         assert doc["annihilated_paths"] == 3
         assert doc["growth_mean"] is doc["growth_se"] is None
         assert doc["window_mean"] is None
+
+
+class TestVerifyCommand:
+    def test_bundled_model_passes_every_suite(self, tmp_path, capsys):
+        assert main(base_args(tmp_path) + ["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        out = tmp_path / "out"
+        doc = strict_json(out / "verify.json")
+        assert len(doc) == 10
+        assert all(entry["passed"] for entry in doc.values())
+        # the file sorts its keys; the lines keep the order of the suites
+        assert sorted(lines) == [f"[PASS] {name}: {entry['detail']}"
+                                 for name, entry in doc.items()]
+        manifest = strict_json(out / "manifest.json")
+        assert manifest["command"] == "verify"
+        assert manifest["outputs"] == {"verify.json": hashlib.sha256(
+            (out / "verify.json").read_bytes()).hexdigest()}
+
+
+class TestAtomicWrite:
+    def test_a_failed_write_leaves_no_file(self, tmp_path):
+        # a lone surrogate has no UTF-8 encoding, so the write fails after
+        # the temp file was made; the old file and the directory stay as
+        # they were
+        path = tmp_path / "doc.json"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(path), "new \ud800\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+        assert path.read_text() == "old\n"
 
 
 class TestLdcheckCommand:

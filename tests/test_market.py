@@ -34,6 +34,23 @@ def two_state(p00=0.9, p11=0.8):
     )
 
 
+def under_two_blas_kernels(code):
+    """The standard output of ``code``, run in a fresh interpreter with
+    ``sys``, ``np`` and ``conftest.random_model`` imported, under the BLAS
+    kernel OpenBLAS picks for the CPU and under its Nehalem kernel."""
+    code = "import sys, numpy as np; from conftest import random_model; " + code
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    out = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Nehalem"}):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(kernel, PYTHONPATH=os.pathsep.join([src, tests]))
+        out.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout)
+    return out
+
+
 def validate_cli(tmp_path, transition=None, rate=None):
     """Run CLI ``validate`` on the bundled model, its factor chain replaced
     by ``transition`` and its buy and sell rates by ``rate`` if given;
@@ -244,24 +261,14 @@ class TestInvariantMeasure:
     def test_same_bits_under_another_blas_kernel(self):
         # a least-squares solve moved the last bits of the law with the
         # BLAS kernel OpenBLAS picks for the CPU; GTH calls none
-        code = ("import sys, numpy as np; from conftest import random_model; "
-                "from growthopt import invariant_measure, load_model, "
-                "bundled_model_path; "
-                "models = [load_model(bundled_model_path())[0]] + "
-                "[random_model(np.random.default_rng(n), n_z=n) "
-                "for n in (3, 17, 65)]; "
-                "sys.stdout.write(''.join(invariant_measure(m).tobytes().hex()"
-                " for m in models))")
-        tests = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.join(os.path.dirname(tests), "src")
-        out = []
-        for kernel in ({}, {"OPENBLAS_CORETYPE": "Nehalem"}):
-            env = {k: v for k, v in os.environ.items()
-                   if k != "OPENBLAS_CORETYPE"}
-            env.update(kernel, PYTHONPATH=os.pathsep.join([src, tests]))
-            out.append(subprocess.run([sys.executable, "-c", code], env=env,
-                                      check=True, capture_output=True,
-                                      text=True).stdout)
+        out = under_two_blas_kernels(
+            "from growthopt import invariant_measure, load_model, "
+            "bundled_model_path; "
+            "models = [load_model(bundled_model_path())[0]] + "
+            "[random_model(np.random.default_rng(n), n_z=n) "
+            "for n in (3, 17, 65)]; "
+            "sys.stdout.write(''.join(invariant_measure(m).tobytes().hex()"
+            " for m in models))")
         assert out[0] == out[1] != ""
 
 
@@ -323,6 +330,16 @@ class TestGrowthFloor:
         expected = (2 / 3) * 0.5 * (np.log(1.1) + np.log(1.0)) \
             + (1 / 3) * 0.5 * (np.log(0.95) + np.log(1.05))
         assert rate == pytest.approx(expected, abs=1e-14)
+
+    def test_same_bits_under_another_blas_kernel(self):
+        # two matrix products read -0x1.b7ca0eb1da4a3p-5 here under the
+        # default kernel and ...a2p-5 under Nehalem; the elementwise form
+        # calls no BLAS routine
+        out = under_two_blas_kernels(
+            "from growthopt import growth_floor; "
+            "m = random_model(np.random.default_rng(17), n_z=17, n_s=9, d=3); "
+            "sys.stdout.write(growth_floor(m)[0].hex())")
+        assert out[0] == out[1] == "-0x1.b7ca0eb1da4a2p-5"
 
     def test_monte_carlo_cross_check(self):
         m = two_state()

@@ -973,6 +973,21 @@ class TestWealthFloor:
         assert not rep.ok
 
 
+    def test_annihilated_path_counts_one_violation(self, model2, spec2):
+        # wealth 0.05 cannot pay the fixed charge of 0.1 of the first
+        # rebalance: no step is taken, and the annihilation is the one
+        # violation
+        floor_rate, _ = growth_floor(model2)
+        cc = cost_constants(spec2, floor_rate)
+        traj = run(model2, spec2, FixedTargetStrategy([0.5, 0.5]),
+                   [1.0, 0.0], 0.05, 0, 50, seed=3)
+        assert traj.annihilated and traj.n_steps == 0
+        rep = wealth_floor_check(traj, cc)
+        assert (rep.violations, rep.min_margin) == (1, 0.0)
+        assert wealth_floor_check(dataclasses.replace(traj, annihilated=False),
+                                  cc).ok
+
+
 class TestLdTail:
     def test_oversized_eps_gives_zero_probabilities(self, model2):
         floor_rate, floor_returns = growth_floor(model2)

@@ -4,6 +4,7 @@ import ast
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tokenize
@@ -91,3 +92,41 @@ def test_import_loads_no_numpy_random():
             "sys.exit('numpy.random' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_package_docstring_maps_every_module_once():
+    # the map in growthopt/__init__.py is the reader's index of concerns:
+    # a module it leaves out, or one it names that is gone, misleads
+    doc = ast.get_docstring(ast.parse(
+        (SRC / "__init__.py").read_text(encoding="utf-8")))
+    named = re.findall(r":mod:`growthopt\.(\w+)`", doc)
+    assert sorted(named) == sorted(p.stem for p in SRC.glob("*.py")
+                                   if p.stem != "__init__")
+
+
+def json_encoders(source: str) -> int:
+    """Uses of ``json.dumps`` in ``source``: as an attribute of a name
+    ``json``, or imported by name from ``json``."""
+    return sum(
+        (isinstance(node, ast.Attribute) and node.attr == "dumps"
+         and isinstance(node.value, ast.Name) and node.value.id == "json")
+        or (isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(a.name == "dumps" for a in node.names))
+        for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import json\njson.dumps(1)\n", 1),
+    ("from json import dumps as d\nd(1)\n", 1),
+    ("import json\njson.loads('1')\njson.dump(1, f)\n", 0),
+])
+def test_json_encoders_are_counted(source, found):
+    assert json_encoders(source) == found
+
+
+def test_only_modelio_encodes_json():
+    # modelio.json_text writes every JSON file as strict JSON; a second
+    # encoder would decide the format of its files alone
+    found = {p.name: n for p in SRC.glob("*.py")
+             if (n := json_encoders(p.read_text(encoding="utf-8")))}
+    assert found == {"modelio.py": 1}

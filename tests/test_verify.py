@@ -57,3 +57,17 @@ def test_ergodic_average_counts_like_the_materializing_check(
     assert got == oracle_check_ergodic_average(model, T, reps, seed)
     if n_z == 2:
         assert got.passed == passed
+
+
+@pytest.mark.parametrize("T, reps, name", [
+    (0, 8, "T"),         # no step to average: a deviation of 0 passed
+    (-5, 8, "T"),
+    (10.0, 8, "T"),      # a float is refused, not truncated
+    (50_000, 1, "reps"),  # one rep has no standard error: a NaN passed
+    (50_000, 0, "reps"),
+    (50_000, True, "reps"),
+])
+def test_ergodic_average_refuses_arguments_that_measure_nothing(
+        model2, T, reps, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        verify.check_ergodic_average(model2, T, reps)
